@@ -69,7 +69,9 @@ pub trait AirScheme {
     }
 }
 
-/// One client query, scheme-agnostic.
+/// One client query, scheme-agnostic. Its coordinates must be finite:
+/// the drivers reject a NaN or infinite coordinate before any scheme sees
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Query {
     /// All objects inside a rectangle.
@@ -89,11 +91,49 @@ pub struct QueryOutcome {
     pub channels: ChannelStats,
 }
 
+/// Dispatches `query` to the scheme's search algorithm on `tuner`: the
+/// one place every driver below hands a query to a scheme.
+///
+/// # Panics
+///
+/// Panics if a coordinate of the query — the kNN point or a window corner
+/// — is NaN or infinite, with a message naming the query. The schemes'
+/// distance and containment arithmetic assumes finite coordinates: a NaN
+/// point would otherwise panic deep inside a client and a NaN window
+/// would quietly answer nothing.
+fn answer<S: AirScheme + ?Sized>(
+    scheme: &S,
+    tuner: &mut Tuner<'_, S::Packet>,
+    query: &Query,
+) -> Vec<u32> {
+    let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
+    match query {
+        Query::Window(w) => {
+            assert!(
+                finite(&w.min) && finite(&w.max),
+                "window query {w:?} has a non-finite coordinate"
+            );
+            scheme.window(tuner, w)
+        }
+        Query::Knn(q, k) => {
+            assert!(
+                finite(q),
+                "{k}NN query at {q:?} has a non-finite coordinate"
+            );
+            scheme.knn(tuner, *q, *k)
+        }
+    }
+}
+
 /// Runs one query to completion: tunes a client in at `start` under
 /// `loss` (seeded by `seed`), dispatches the query to the scheme's search
 /// algorithm, and collects both metric views. This is the only place the
 /// harness touches a [`Tuner`]. Single-antenna client; see
 /// [`drive_antennas`] for the multi-receiver model.
+///
+/// # Panics
+///
+/// Panics if a query coordinate is NaN or infinite (see [`Query`]).
 pub fn drive<S: AirScheme + ?Sized>(
     scheme: &S,
     start: u64,
@@ -108,6 +148,10 @@ pub fn drive<S: AirScheme + ?Sized>(
 /// up to `antennas.antennas` channels concurrently. Antennas change
 /// latency and tuning, never answers (the conformance suite pins this for
 /// every scheme × placement × channel-count × loss combination).
+///
+/// # Panics
+///
+/// Panics if a query coordinate is NaN or infinite (see [`Query`]).
 pub fn drive_antennas<S: AirScheme + ?Sized>(
     scheme: &S,
     start: u64,
@@ -117,10 +161,7 @@ pub fn drive_antennas<S: AirScheme + ?Sized>(
     query: &Query,
 ) -> QueryOutcome {
     let mut tuner = Tuner::tune_in_with(scheme.program(), start, loss, seed, antennas);
-    let ids = match query {
-        Query::Window(w) => scheme.window(&mut tuner, w),
-        Query::Knn(q, k) => scheme.knn(&mut tuner, *q, *k),
-    };
+    let ids = answer(scheme, &mut tuner, query);
     QueryOutcome {
         ids,
         stats: tuner.stats(),
@@ -133,6 +174,11 @@ pub fn drive_antennas<S: AirScheme + ?Sized>(
 /// (length must equal the program's cycle length). Training a workload
 /// through this and feeding the counts to [`crate::optimize`] is how the
 /// server learns which parts of the schema a workload actually touches.
+///
+/// # Panics
+///
+/// Panics if `counts` does not have one entry per flat cycle position, or
+/// if a query coordinate is NaN or infinite (see [`Query`]).
 pub fn drive_profiled<S: AirScheme + ?Sized>(
     scheme: &S,
     start: u64,
@@ -149,10 +195,7 @@ pub fn drive_profiled<S: AirScheme + ?Sized>(
     );
     let mut tuner = Tuner::tune_in_with(scheme.program(), start, loss, seed, antennas);
     tuner.enable_profiling();
-    let ids = match query {
-        Query::Window(w) => scheme.window(&mut tuner, w),
-        Query::Knn(q, k) => scheme.knn(&mut tuner, *q, *k),
-    };
+    let ids = answer(scheme, &mut tuner, query);
     for (c, n) in counts.iter_mut().zip(tuner.access_counts()) {
         *c += n;
     }
@@ -169,6 +212,10 @@ pub fn drive_profiled<S: AirScheme + ?Sized>(
 /// same antennas) reproduces the run's loss sequence exactly, with no RNG
 /// involved — the deterministic-reproduction entry point of the fault
 /// harness.
+///
+/// # Panics
+///
+/// Panics if a query coordinate is NaN or infinite (see [`Query`]).
 pub fn drive_traced<S: AirScheme + ?Sized>(
     scheme: &S,
     start: u64,
@@ -179,10 +226,7 @@ pub fn drive_traced<S: AirScheme + ?Sized>(
 ) -> (QueryOutcome, FaultTrace) {
     let mut tuner = Tuner::tune_in_with(scheme.program(), start, loss, seed, antennas);
     tuner.enable_fault_recording();
-    let ids = match query {
-        Query::Window(w) => scheme.window(&mut tuner, w),
-        Query::Knn(q, k) => scheme.knn(&mut tuner, *q, *k),
-    };
+    let ids = answer(scheme, &mut tuner, query);
     let trace = tuner.fault_trace();
     (
         QueryOutcome {

@@ -104,10 +104,34 @@ pub(crate) trait QueryMode {
 
     /// Which destination to chase next. `entry_targets` holds the
     /// (broadcast slot, min HC) pairs of the most recently read index
-    /// table — the frames "reachable" from here in the paper's sense.
+    /// table — the frames "reachable" from here in the paper's sense —
+    /// filtered to those that can still contribute; the driver builds
+    /// that list only when [`QueryMode::picks_entries`] says it is read.
     fn nav_pick(&mut self, rem: &[HcRange], entry_targets: &[(u32, u64)]) -> NavPick {
         let _ = (rem, entry_targets);
         NavPick::Earliest
+    }
+
+    /// Whether [`QueryMode::nav_pick`] reads its `entry_targets`.
+    fn picks_entries(&self) -> bool {
+        false
+    }
+
+    /// Refines, in place and at the radius the targets were published
+    /// for, the target range holding HC value `hc` if that range is still
+    /// *unrefined* — a coarse block that may hold cells outside the exact
+    /// target set. Returns the replaced range and its exact pieces (a
+    /// sorted subset of it), or `None` when the range is already exact.
+    /// Modes whose published targets are always exact keep the default.
+    fn refine_target(&mut self, hc: u64) -> Option<(HcRange, &[HcRange])> {
+        let _ = hc;
+        None
+    }
+
+    /// Audit path only: the exact target set the published targets stand
+    /// for, or `None` when the published targets are themselves exact.
+    fn exact_targets(&self) -> Option<Vec<HcRange>> {
+        None
     }
 }
 
@@ -242,12 +266,12 @@ pub(crate) fn run_query<M: QueryMode>(
         // Bring the remainder state up to date (incremental path: only
         // target changes trigger work; events already applied deltas).
         // Liveness needs no separate sweep: the kNN mode's targets are a
-        // direct circle decomposition, so every published target — hence
-        // every remainder derived from them — is within the radius the
-        // targets were refreshed for.
+        // circle decomposition, so every published target — hence every
+        // remainder derived from them — is within the radius the targets
+        // were refreshed for.
         state.refresh_targets(|know, out| mode.refresh_targets(know, out));
         state.audit_rem();
-        if state.settled() && mode.complete() {
+        if rem_settled(mode, &mut state) && mode.complete() {
             break;
         }
 
@@ -256,21 +280,20 @@ pub(crate) fn run_query<M: QueryMode>(
         if let Some(slot) = just_read_table {
             let t = l.hc_index_of_slot(slot);
             let (lb, ub) = state.know.span_est(t);
-            let rem = state.rem();
-            let overlap = overlaps_any(rem, lb, ub);
-            let attempted = fully_attempted(&state.log, t, l.objects_in_slot(slot));
+            let fresh = !fully_attempted(&state.log, t, l.objects_in_slot(slot))
+                && rem_overlaps(mode, &mut state, lb, ub);
             let has_retry = !state.retries.for_slot(slot).is_empty();
-            if (overlap && !attempted) || has_retry {
+            if fresh || has_retry {
                 pending = Pending::Visit {
                     slot,
-                    include_fresh: overlap && !attempted,
-                    max_hi: max_hi_of(rem),
+                    include_fresh: fresh,
+                    max_hi: rem_max_hi(mode, &mut state),
                 };
                 continue;
             }
         }
 
-        match navigate(air, tuner, mode, &state, &mut scratch) {
+        match navigate(air, tuner, mode, &mut state, &mut scratch) {
             Some(p) => pending = p,
             None => break,
         }
@@ -294,6 +317,68 @@ fn max_hi_of(rem: &[HcRange]) -> u64 {
 fn overlaps_any(rem: &[HcRange], lb: u64, ub: u64) -> bool {
     let i = rem.partition_point(|r| r.hi < lb);
     i < rem.len() && rem[i].lo < ub
+}
+
+// The remainder reads every decision goes through. The mode's published
+// targets may hold unrefined ranges (coarse blocks straddling the kNN
+// circle), so the stored remainders can be a superset of the exact ones.
+// Each read first refines, in place, just the unrefined targets holding
+// the remainders it looks at, until its answer is decided by a remainder
+// inside an exact target — so it returns exactly what it would on the
+// exact decomposition, and costs one `refine_target` call more than the
+// plain read when no unrefined range is left. Under `StatePath::Audit`
+// every answer is checked against the oracle remainders.
+
+/// [`overlaps_any`] on the exact remainders.
+fn rem_overlaps<M: QueryMode>(mode: &mut M, state: &mut QueryState<'_>, lb: u64, ub: u64) -> bool {
+    let hit = loop {
+        let rem = state.rem();
+        let i = rem.partition_point(|r| r.hi < lb);
+        if i == rem.len() || rem[i].lo >= ub {
+            break false;
+        }
+        match mode.refine_target(rem[i].lo) {
+            Some((old, pieces)) => state.refine_target(old, pieces),
+            None => break true,
+        }
+    };
+    if state.audits() {
+        let exact = state.oracle_rem(mode.exact_targets().as_deref());
+        assert_eq!(
+            hit,
+            overlaps_any(&exact, lb, ub),
+            "remainder overlap of [{lb}, {ub}) differs from the exact decomposition"
+        );
+    }
+    hit
+}
+
+/// [`max_hi_of`] on the exact remainders. Leaves the last remainder
+/// inside an exact target, so `state.rem().is_empty()` is exact after it.
+fn rem_max_hi<M: QueryMode>(mode: &mut M, state: &mut QueryState<'_>) -> u64 {
+    while let Some(&last) = state.rem().last() {
+        match mode.refine_target(last.lo) {
+            Some((old, pieces)) => state.refine_target(old, pieces),
+            None => break,
+        }
+    }
+    if state.audits() {
+        let exact = state.oracle_rem(mode.exact_targets().as_deref());
+        assert_eq!(
+            state.rem().last().map(|r| r.hi),
+            exact.last().map(|r| r.hi),
+            "remainder end differs from the exact decomposition"
+        );
+    }
+    max_hi_of(state.rem())
+}
+
+/// [`QueryState::settled`] on the exact remainders.
+fn rem_settled<M: QueryMode>(mode: &mut M, state: &mut QueryState<'_>) -> bool {
+    state.retries.is_empty() && {
+        rem_max_hi(mode, state);
+        state.settled()
+    }
 }
 
 /// Reads the (possibly multi-packet) index table at the current position.
@@ -493,12 +578,11 @@ fn navigate<M: QueryMode>(
     air: &DsiAir,
     tuner: &mut Tuner<'_, DsiPacket>,
     mode: &mut M,
-    state: &QueryState<'_>,
+    state: &mut QueryState<'_>,
     scratch: &mut QueryScratch,
 ) -> Option<Pending> {
     let l = air.layout();
-    let (know, log, retries, rem) = (&state.know, &state.log, &state.retries, state.rem());
-    let max_hi = max_hi_of(rem);
+    let max_hi = rem_max_hi(mode, state);
     let QueryScratch {
         entry_targets,
         useful_entries,
@@ -513,7 +597,7 @@ fn navigate<M: QueryMode>(
 
     // Retry visits: the earliest pending index per slot is the head of its
     // maintained sorted list.
-    for (slot, idxs) in retries.iter_slots() {
+    for (slot, idxs) in state.retries.iter_slots() {
         let flat = l.header_packet(slot, idxs[0]);
         nav_flats.push(flat);
         nav_arrivals.push(tuner.arrival(flat));
@@ -527,21 +611,27 @@ fn navigate<M: QueryMode>(
     // Entry targets the strategy may pick from: frames not yet fully
     // attempted whose conservative span can still overlap a remainder.
     // Without this filter the aggressive strategy would keep re-picking a
-    // "nearest" frame that has nothing left to offer.
+    // "nearest" frame that has nothing left to offer. Strategies that
+    // never read the entries skip it.
     useful_entries.clear();
-    useful_entries.extend(entry_targets.iter().copied().filter(|&(slot, _)| {
-        let t = l.hc_index_of_slot(slot);
-        if fully_attempted(log, t, l.objects_in_slot(slot)) {
-            return false;
+    if mode.picks_entries() {
+        for &(slot, hc) in entry_targets.iter() {
+            let t = l.hc_index_of_slot(slot);
+            if fully_attempted(&state.log, t, l.objects_in_slot(slot)) {
+                continue;
+            }
+            let (lb, ub) = state.know.span_est(t);
+            if rem_overlaps(mode, state, lb, ub) {
+                useful_entries.push((slot, hc));
+            }
         }
-        let (lb, ub) = know.span_est(t);
-        overlaps_any(rem, lb, ub)
-    }));
+    }
 
-    if !rem.is_empty() {
-        match mode.nav_pick(rem, useful_entries) {
+    // `rem_max_hi` left the last remainder exact: emptiness is exact.
+    if !state.rem().is_empty() {
+        match mode.nav_pick(state.rem(), useful_entries) {
             NavPick::Slot(slot) => {
-                let (abs, flat, p) = approach(air, tuner, log, slot, max_hi);
+                let (abs, flat, p) = approach(air, tuner, &state.log, slot, max_hi);
                 nav_flats.push(flat);
                 nav_arrivals.push(abs);
                 nav_plans.push(p);
@@ -555,14 +645,14 @@ fn navigate<M: QueryMode>(
                 for d in 0..nf {
                     let slot = (cur + d) % nf;
                     let t = l.hc_index_of_slot(slot);
-                    if fully_attempted(log, t, l.objects_in_slot(slot)) {
+                    if fully_attempted(&state.log, t, l.objects_in_slot(slot)) {
                         continue;
                     }
-                    let (lb, ub) = know.span_est(t);
-                    if !overlaps_any(rem, lb, ub) {
+                    let (lb, ub) = state.know.span_est(t);
+                    if !rem_overlaps(mode, state, lb, ub) {
                         continue;
                     }
-                    let (abs, flat, p) = approach(air, tuner, log, slot, max_hi);
+                    let (abs, flat, p) = approach(air, tuner, &state.log, slot, max_hi);
                     nav_flats.push(flat);
                     nav_arrivals.push(abs);
                     nav_plans.push(p);

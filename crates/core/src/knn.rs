@@ -14,14 +14,27 @@
 //! square: the `dsi_hilbert` circle kernel prunes quadrants outside the
 //! circle during the descent, and every produced range carries its
 //! exact distance bounds. Because the circle only shrinks, a radius
-//! tightening *narrows* the existing target set
-//! ([`narrow_ranges_to_circle_into`]: drop ranges now provably outside,
-//! copy ranges still provably inside, re-split only boundary ranges)
-//! instead of re-decomposing the world — and the driver intersects its
-//! remainders with the narrowed targets in place
+//! tightening *narrows* the existing target set (drop ranges now
+//! provably outside, copy ranges still provably inside, re-split only
+//! boundary ranges) instead of re-decomposing the world — and the driver
+//! intersects its remainders with the narrowed targets in place
 //! ([`TargetsChange::Narrowed`]). Range distances live on the ranges
 //! themselves, so no side cache of interval distances exists to grow
 //! without bound under loss.
+//!
+//! The narrowing is **lazy** ([`narrow_ranges_to_circle_coarse_into`]):
+//! it re-splits only down to a floor level one below the mean frame's HC
+//! span, leaving each block there that straddles the circle as one
+//! *unrefined* target range. A drive's decisions read only the targets
+//! next to the frames they test, so the driver refines an unrefined range
+//! — in place, at the published radius — only when a read reaches a
+//! remainder inside it ([`QueryMode::refine_target`]). Every decision
+//! therefore sees exactly the remainders of the exact decomposition
+//! (checked read by read under `StatePath::Audit`), while most of the rim
+//! of the early, large circles is never resolved to single cells. The
+//! aggressive strategy reads distances off whole targets and the
+//! from-scratch baseline re-derives remainders from the published
+//! targets, so both narrow at full resolution instead.
 //!
 //! Two navigation strategies from the paper:
 //!
@@ -40,10 +53,14 @@ use std::collections::BTreeMap;
 use dsi_broadcast::Tuner;
 use dsi_datagen::Object;
 use dsi_geom::{dist2, GridMapper, Point};
-use dsi_hilbert::{narrow_ranges_to_circle_into, DistRange, HcRange, HilbertCurve};
+use dsi_hilbert::{
+    narrow_ranges_to_circle_coarse_into, narrow_ranges_to_circle_into,
+    ranges_in_circle_with_dist_into, DistRange, HcRange, HilbertCurve,
+};
 
 use crate::build::{DsiAir, DsiPacket};
 use crate::client::{run_query, NavPick, QueryMode, TargetsChange};
+use crate::hotpath::{self, StatePath};
 use crate::state::Knowledge;
 
 /// kNN search-space navigation strategy (paper §3.4).
@@ -66,10 +83,13 @@ pub struct KnnProbe {
     /// accumulate-forever structure would drive it toward
     /// [`KnnProbe::total_ranges`].
     pub peak_live_ranges: usize,
-    /// Largest single target decomposition.
+    /// Largest single target decomposition, as published at a refresh
+    /// (unrefined ranges count once each).
     pub largest_refresh: usize,
     /// Ranges produced across all decompositions — what a never-evicted
-    /// per-interval distance cache would have accumulated.
+    /// per-interval distance cache would have accumulated: every
+    /// refresh's published (possibly coarse) decomposition plus the exact
+    /// pieces of every unrefined range a read refined in place.
     pub total_ranges: usize,
     /// Number of target rebuilds (circle shrinks reaching the driver).
     pub refreshes: usize,
@@ -264,16 +284,29 @@ impl Candidates {
 /// Re-decompose the search space only when the squared radius has dropped
 /// below this fraction of the radius the targets were published for.
 ///
-/// The radius tightens dozens of times per query, mostly by slivers;
-/// re-deriving the rim of a ~2,000-range decomposition for every sliver
-/// dominated kNN CPU time. Keeping the published targets — always a
-/// correct *superset* of the true circle — until the radius has shrunk
-/// materially trades a bounded, transient over-coverage for a multiplied
-/// refresh cost: at 0.7 the measured extra air cost is ≈0.1% of tuning
-/// bytes while client throughput more than doubles. Correctness is
-/// unaffected (the extra rim is cleared or out-scanned like any target),
-/// and every published set is still an exact circle decomposition.
+/// The radius tightens dozens of times per query, mostly by slivers.
+/// Keeping the published targets — always a correct *superset* of the
+/// true circle — until the radius has shrunk materially trades a bounded,
+/// transient over-coverage (≈0.1% of tuning bytes) for fewer refreshes.
+/// It was chosen when every refresh re-derived an exact decomposition;
+/// now that narrowing is lazy it stays only to keep the air metrics
+/// bit-identical, because the refresh cadence decides which frames a
+/// drive reads. Correctness is
+/// unaffected either way (the extra rim is cleared or out-scanned like any
+/// target).
 const REFRESH_HYSTERESIS: f64 = 0.7;
+
+/// The floor level of the lazy circle narrowing: one level below the
+/// largest aligned block that fits a mean frame's HC span (level 6 for
+/// 1,024 frames on the order-12 grid). A frame-overlap test then touches
+/// at most a few floor blocks, so refining just those stays cheap, while
+/// the floor still cuts the rim of a large circle to a few hundred
+/// blocks.
+fn coarse_floor(curve: &HilbertCurve, n_frames: u32) -> u8 {
+    let mean_span = ((curve.max_d() + 1) / u64::from(n_frames.max(1))).max(1);
+    let fits = (63 - mean_span.leading_zeros()) / 2;
+    (fits as u8).saturating_sub(1)
+}
 
 struct KnnMode {
     q: Point,
@@ -287,11 +320,20 @@ struct KnnMode {
     /// Whether the initial target set has been published.
     published: bool,
     /// The current target decomposition with exact distance bounds,
-    /// sorted by HC. Remainder liveness reads distances straight off this
-    /// list — there is no unbounded side cache of interval distances.
+    /// sorted by HC: exact ranges plus, below a nonzero `floor`, unrefined
+    /// blocks (`max_min_d2 > targets_r2`). Remainder liveness reads
+    /// distances straight off this list — there is no unbounded side
+    /// cache of interval distances.
     targets: Vec<DistRange>,
+    /// Floor level of the narrowing (0: exact targets at every refresh).
+    floor: u8,
+    /// Unrefined ranges left in `targets`.
+    unrefined: usize,
     /// Swap buffer for narrowing the targets between shrinks.
     narrow_buf: Vec<DistRange>,
+    /// Exact pieces of the range being refined, with bounds and bare.
+    refine_buf: Vec<DistRange>,
+    piece_buf: Vec<HcRange>,
     /// Scratch for one table's batched `(hc, ub2)` offers.
     offer_buf: Vec<(u64, f64)>,
     /// Scratch for the aggressive strategy's sorted entry bounds.
@@ -301,6 +343,11 @@ struct KnnMode {
 
 impl KnnMode {
     fn new(air: &DsiAir, q: Point, k: usize, strategy: KnnStrategy) -> Self {
+        // Aggressive navigation reads distances off whole targets, and the
+        // from-scratch baseline re-derives its remainders from the
+        // published targets every iteration: both need exact targets.
+        let exact =
+            strategy == KnnStrategy::Aggressive || hotpath::state_path() == StatePath::FromScratch;
         Self {
             q,
             curve: *air.curve(),
@@ -310,7 +357,15 @@ impl KnnMode {
             targets_r2: f64::INFINITY,
             published: false,
             targets: Vec::new(),
+            floor: if exact {
+                0
+            } else {
+                coarse_floor(air.curve(), air.layout().n_frames())
+            },
+            unrefined: 0,
             narrow_buf: Vec::new(),
+            refine_buf: Vec::new(),
+            piece_buf: Vec::new(),
             offer_buf: Vec::new(),
             nav_bounds: Vec::new(),
             probe: KnnProbe::default(),
@@ -364,11 +419,12 @@ impl QueryMode for KnnMode {
         self.published = true;
         self.targets_r2 = r2;
         if r2.is_finite() {
-            narrow_ranges_to_circle_into(
+            self.unrefined = narrow_ranges_to_circle_coarse_into(
                 &self.curve,
                 &self.mapper,
                 self.q,
                 r2,
+                self.floor,
                 &self.targets,
                 &mut self.narrow_buf,
             );
@@ -417,10 +473,69 @@ impl QueryMode for KnnMode {
         self.cands.top_k_retrieved()
     }
 
+    fn picks_entries(&self) -> bool {
+        self.strategy == KnnStrategy::Aggressive
+    }
+
+    fn refine_target(&mut self, hc: u64) -> Option<(HcRange, &[HcRange])> {
+        if self.unrefined == 0 {
+            return None;
+        }
+        let i = self.targets.partition_point(|t| t.range.hi < hc);
+        let t = *self.targets.get(i)?;
+        debug_assert!(
+            t.range.contains(hc),
+            "remainder at {hc} outside the targets"
+        );
+        if t.max_min_d2 <= self.targets_r2 {
+            return None;
+        }
+        // Narrowing an unrefined block at its own radius and full
+        // resolution yields its exact pieces (non-empty: the block meets
+        // the circle). They replace it in place; a neighbouring exact
+        // range they touch is merged again by the next narrowing.
+        narrow_ranges_to_circle_into(
+            &self.curve,
+            &self.mapper,
+            self.q,
+            self.targets_r2,
+            std::slice::from_ref(&t),
+            &mut self.refine_buf,
+        );
+        self.targets.splice(i..=i, self.refine_buf.iter().copied());
+        self.unrefined -= 1;
+        self.probe.total_ranges += self.refine_buf.len();
+        self.probe.peak_live_ranges = self
+            .probe
+            .peak_live_ranges
+            .max(self.targets.len() + self.narrow_buf.len());
+        self.piece_buf.clear();
+        self.piece_buf
+            .extend(self.refine_buf.iter().map(|d| d.range));
+        Some((t.range, &self.piece_buf))
+    }
+
+    fn exact_targets(&self) -> Option<Vec<HcRange>> {
+        if !self.targets_r2.is_finite() {
+            // The whole space, published as one exact range.
+            return None;
+        }
+        let mut exact = Vec::new();
+        ranges_in_circle_with_dist_into(
+            &self.curve,
+            &self.mapper,
+            self.q,
+            self.targets_r2,
+            &mut exact,
+        );
+        Some(exact.iter().map(|d| d.range).collect())
+    }
+
     fn nav_pick(&mut self, rem: &[HcRange], entry_targets: &[(u32, u64)]) -> NavPick {
         match self.strategy {
             KnnStrategy::Conservative => NavPick::Earliest,
             KnnStrategy::Aggressive => {
+                debug_assert_eq!(self.unrefined, 0, "aggressive targets are exact");
                 // Follow the entry whose frame lies closest to the query
                 // point — but only among entries whose region (up to the
                 // next entry's bound) still overlaps a *live* remainder.
@@ -745,6 +860,58 @@ mod tests {
             mode.nav_pick(&rem_outside, &far_only),
             NavPick::Earliest
         ));
+    }
+
+    /// Lazy narrowing changes no decision. Under `StatePath::Audit` every
+    /// remainder read is asserted equal to the same read on the exact
+    /// decomposition minus the oracle cleared set; the drive must also
+    /// match, read for read, the from-scratch baseline, which narrows at
+    /// full resolution — one channel and four, lossless and lossy.
+    #[test]
+    fn lazy_targets_read_like_exact_ones() {
+        use crate::hotpath::with_state_path;
+        use dsi_broadcast::{AntennaConfig, ChannelConfig};
+
+        let ds = SpatialDataset::build(&uniform(1200, 13), 9);
+        let cases = [
+            (ChannelConfig::single(), 1, LossModel::None),
+            (ChannelConfig::single(), 1, LossModel::iid(0.3)),
+            (ChannelConfig::blocked(4, 1), 2, LossModel::iid(0.2)),
+        ];
+        for (chan, antennas, loss) in cases {
+            let air = DsiAir::build_channels(&ds, DsiConfig::paper_reorganized(), chan);
+            for (qi, q) in knn_points(3, 23).into_iter().enumerate() {
+                let start = (qi as u64 * 7717) % air.program().len();
+                let run = |path| {
+                    with_state_path(path, || {
+                        let mut tuner = Tuner::tune_in_with(
+                            air.program(),
+                            start,
+                            loss.clone(),
+                            qi as u64,
+                            AntennaConfig::new(antennas),
+                        );
+                        let (ids, probe) =
+                            air.knn_query_probed(&mut tuner, q, 10, KnnStrategy::Conservative);
+                        (ids, tuner.stats(), probe)
+                    })
+                };
+                let (ids, stats, lazy) = run(StatePath::Audit);
+                let (want_ids, want_stats, exact) = run(StatePath::FromScratch);
+                let what = format!("q{qi} {antennas} antenna(s) {loss:?}");
+                assert_eq!(ids, want_ids, "{what}");
+                assert_eq!(ids, ds.brute_knn(q, 10), "{what}");
+                assert_eq!(stats, want_stats, "{what}");
+                assert_eq!(lazy.refreshes, exact.refreshes, "{what}");
+                assert_eq!(lazy.peak_cands, exact.peak_cands, "{what}");
+                assert!(
+                    lazy.total_ranges < exact.total_ranges,
+                    "{what}: lazy {} vs exact {} ranges",
+                    lazy.total_ranges,
+                    exact.total_ranges
+                );
+            }
+        }
     }
 
     /// The probe shows the narrowing path holds at most two decompositions

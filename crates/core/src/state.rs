@@ -494,11 +494,13 @@ pub(crate) fn subtract_ranges(targets: &[HcRange], cleared: &[HcRange]) -> Vec<H
 }
 
 /// `a ∩ b` into a caller-provided buffer (cleared first). Both inputs must
-/// be sorted, disjoint and non-adjacent; the result is too. This is the
-/// remainder-narrowing kernel: when a mode reports its new targets are a
-/// subset of the old ([`TargetsChange::Narrowed`]), the new remainders are
-/// exactly `old remainders ∩ new targets` — no cleared-set subtraction
-/// needed.
+/// be sorted and disjoint; the result is too, split wherever either input
+/// is (so remainders stay split at target boundaries, as the oracle's
+/// per-target subtraction splits them). This is the remainder-narrowing
+/// kernel: when a mode reports its new targets are a subset of the old
+/// ([`TargetsChange::Narrowed`]), or refines one target in place, the new
+/// remainders are exactly `old remainders ∩ new targets` — no cleared-set
+/// subtraction needed.
 pub(crate) fn intersect_ranges_into(a: &[HcRange], b: &[HcRange], out: &mut Vec<HcRange>) {
     out.clear();
     let (mut i, mut j) = (0usize, 0usize);
@@ -705,9 +707,39 @@ impl<'l> QueryState<'l> {
         }
     }
 
+    /// Replaces the target range `old` by `pieces` — its exact refinement,
+    /// a sorted subset of it — and intersects the remainders inside `old`
+    /// with the pieces. Work and moves are local to `old`; remainders
+    /// elsewhere are untouched, so `rem == targets − cleared` still holds.
+    pub fn refine_target(&mut self, old: HcRange, pieces: &[HcRange]) {
+        let j = self.targets.partition_point(|t| t.hi < old.lo);
+        debug_assert_eq!(self.targets.get(j), Some(&old), "refined a non-target");
+        self.targets.splice(j..=j, pieces.iter().copied());
+        let start = self.rem.partition_point(|r| r.hi < old.lo);
+        let end = start + self.rem[start..].partition_point(|r| r.lo <= old.hi);
+        intersect_ranges_into(&self.rem[start..end], pieces, &mut self.rem_scratch);
+        self.rem.splice(start..end, self.rem_scratch.drain(..));
+        if self.path == StatePath::Audit {
+            self.audit_rem();
+        }
+    }
+
     /// Whether nothing is missing: no remainders and no pending retries.
     pub fn settled(&self) -> bool {
         self.rem.is_empty() && self.retries.is_empty()
+    }
+
+    /// Whether this query cross-checks its state against the oracle.
+    pub fn audits(&self) -> bool {
+        self.path == StatePath::Audit
+    }
+
+    /// Oracle remainders: `exact_targets` (the published targets when
+    /// `None`) minus the cleared set derived from scratch. What every
+    /// remainder read must agree with under `StatePath::Audit`.
+    pub fn oracle_rem(&self, exact_targets: Option<&[HcRange]>) -> Vec<HcRange> {
+        let cleared = cleared_regions(&self.log, &self.know, self.layout);
+        subtract_ranges(exact_targets.unwrap_or(&self.targets), &cleared)
     }
 
     fn audit_cleared(&self) {

@@ -12,7 +12,10 @@
 //! * [`ranges_in_circle_with_dist_into`] — direct decomposition of a kNN
 //!   search circle, pruning quadrants outside the circle *during* the
 //!   descent, with [`narrow_ranges_to_circle_into`] refining a previous
-//!   decomposition when the circle shrinks (paper §3.4–3.5).
+//!   decomposition when the circle shrinks (paper §3.4–3.5), and
+//!   [`narrow_ranges_to_circle_coarse_into`] doing so only down to a floor
+//!   level, leaving blocks that straddle the circle unrefined until a
+//!   reader needs them.
 //! * [`min_dist2_to_range`] — the exact minimum distance from a query point
 //!   to any cell of an HC interval; this is what lets the kNN algorithms
 //!   decide whether a not-yet-broadcast HC region can still contain a
@@ -32,8 +35,8 @@ mod zorder;
 pub use curve::HilbertCurve;
 pub use dist::min_dist2_to_range;
 pub use ranges::{
-    merge_ranges, narrow_ranges_to_circle_into, ranges_in_cell_rect,
-    ranges_in_circle_with_dist_into, ranges_in_rect, ranges_in_rect_into,
+    merge_ranges, narrow_ranges_to_circle_coarse_into, narrow_ranges_to_circle_into,
+    ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect, ranges_in_rect_into,
     ranges_in_rect_with_dist_into, DistRange, HcRange,
 };
 pub use zorder::ZOrderCurve;

@@ -160,6 +160,12 @@ pub fn ranges_in_rect_with_dist_into(
 /// are partition-independent (the extreme cell's coordinates are evaluated
 /// with the same expressions regardless of which aligned block emitted
 /// it), so a narrowed decomposition is bit-identical to a direct one.
+///
+/// In a *coarse* decomposition at radius `r2` (see
+/// [`narrow_ranges_to_circle_coarse_into`]) a range with
+/// `max_min_d2 > r2` is **unrefined**: one aligned block that straddles
+/// the circle, kept whole with its exact block bounds. An exact range
+/// never satisfies that test, so no flag is needed to tell them apart.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistRange {
     /// The HC interval.
@@ -191,8 +197,8 @@ pub fn ranges_in_circle_with_dist_into(
 ) {
     out.clear();
     let clip = HcRange::new(0, curve.max_d());
-    let ctx = CircleCtx::new(mapper, center, r2);
-    circle_descend(&ctx, 0, 0, curve.order(), 0, 0, clip, out);
+    let ctx = CircleCtx::new(mapper, center, r2, 0);
+    circle_descend::<false>(&ctx, 0, 0, curve.order(), 0, 0, clip, out);
 }
 
 /// Narrows a previous circle decomposition to a smaller circle (the kNN
@@ -205,9 +211,11 @@ pub fn ranges_in_circle_with_dist_into(
 /// circle.
 ///
 /// `prev` must be a decomposition produced by
-/// [`ranges_in_circle_with_dist_into`] (or a previous narrowing) for the
-/// same `center` and a radius `>= r2`; the result then equals the direct
-/// decomposition at `r2` exactly, distances included.
+/// [`ranges_in_circle_with_dist_into`] or by a previous (coarse or exact)
+/// narrowing, for the same `center` and a radius `>= r2`; the result then
+/// equals the direct decomposition at `r2` exactly, distances included.
+/// Narrowing a coarse decomposition at its *own* radius is how it is
+/// refined: every unrefined range is re-split, every exact one kept.
 pub fn narrow_ranges_to_circle_into(
     curve: &HilbertCurve,
     mapper: &GridMapper,
@@ -216,38 +224,77 @@ pub fn narrow_ranges_to_circle_into(
     prev: &[DistRange],
     out: &mut Vec<DistRange>,
 ) {
+    let unrefined = narrow_ranges_to_circle_coarse_into(curve, mapper, center, r2, 0, prev, out);
+    debug_assert_eq!(unrefined, 0, "a floor-0 narrowing is exact");
+}
+
+/// [`narrow_ranges_to_circle_into`] with a coarse floor: the re-splitting
+/// descent stops at blocks of level `floor`. A block of at most that level
+/// that lies inside a re-split range and straddles the circle is emitted
+/// whole, as one **unrefined** range (`max_min_d2 > r2`) with its exact
+/// block bounds; it is never merged with a neighbour. Blocks fully inside
+/// the circle are emitted exactly as the full-resolution descent emits
+/// them, and exact ranges stay maximal among themselves. Returns the
+/// number of unrefined ranges in `out`.
+///
+/// The result covers a superset of the circle's cells; narrowing it at
+/// `r2` with floor 0 ([`narrow_ranges_to_circle_into`]) reproduces the
+/// direct decomposition bit-for-bit, and so does refining its unrefined
+/// ranges one at a time, in any order, as long as each range's exact
+/// pieces replace it in place. Such a partially refined list may hold
+/// adjacent exact ranges; any later narrowing merges them again.
+pub fn narrow_ranges_to_circle_coarse_into(
+    curve: &HilbertCurve,
+    mapper: &GridMapper,
+    center: Point,
+    r2: f64,
+    floor: u8,
+    prev: &[DistRange],
+    out: &mut Vec<DistRange>,
+) -> usize {
     out.clear();
-    let ctx = CircleCtx::new(mapper, center, r2);
-    let mut i = 0usize;
-    while i < prev.len() {
-        let dr = prev[i];
-        if dr.min_d2 > r2 {
-            i += 1;
+    let ctx = CircleCtx::new(mapper, center, r2, floor);
+    if floor == 0 {
+        narrow::<false>(curve, &ctx, prev, out);
+        return 0;
+    }
+    narrow::<true>(curve, &ctx, prev, out);
+    out.iter().filter(|d| d.max_min_d2 > r2).count()
+}
+
+/// The narrowing loop; `COARSE` says whether `ctx` has a nonzero floor,
+/// so the exact path pays nothing for unrefined ranges.
+fn narrow<const COARSE: bool>(
+    curve: &HilbertCurve,
+    ctx: &CircleCtx,
+    prev: &[DistRange],
+    out: &mut Vec<DistRange>,
+) {
+    for &dr in prev {
+        if dr.min_d2 > ctx.r2 {
             continue;
         }
-        if dr.max_min_d2 <= r2 {
-            // A kept range can never merge with its neighbours: maximality
-            // of `prev` guarantees a gap on both sides, and re-splits only
-            // shrink ranges. Whole runs of keeps therefore copy as one
-            // memcpy instead of going through the merging emitter.
-            let start = i;
-            while i < prev.len() && prev[i].min_d2 <= r2 && prev[i].max_min_d2 <= r2 {
-                i += 1;
-            }
-            out.extend_from_slice(&prev[start..i]);
+        if dr.max_min_d2 <= ctx.r2 {
+            // A kept range goes through the merging emitter: after an
+            // unrefined neighbour was refined in place it may touch the
+            // last emitted range. Maximality of a fully exact `prev`
+            // makes the merge a no-op there.
+            emit_dist_range::<COARSE>(out, dr, ctx.r2);
         } else {
             let (x0, y0, level, state, base) = block_containing(curve, dr.range);
-            circle_descend(&ctx, x0, y0, level, state, base, dr.range, out);
-            i += 1;
+            circle_descend::<COARSE>(ctx, x0, y0, level, state, base, dr.range, out);
         }
     }
 }
 
-/// Appends a range, merging it into the previous one when HC-adjacent
-/// (bounds combine by min/max — the cells of both ranges are all kept).
-fn emit_dist_range(out: &mut Vec<DistRange>, dr: DistRange) {
+/// Appends an exact range, merging it into the previous one when that is
+/// exact too and HC-adjacent (bounds combine by min/max — the cells of
+/// both ranges are all kept). An unrefined previous range (one with
+/// `max_min_d2 > r2`, only ever emitted when `COARSE`) is never merged
+/// into.
+fn emit_dist_range<const COARSE: bool>(out: &mut Vec<DistRange>, dr: DistRange, r2: f64) {
     if let Some(last) = out.last_mut() {
-        if last.range.hi + 1 == dr.range.lo {
+        if last.range.hi + 1 == dr.range.lo && (!COARSE || last.max_min_d2 <= r2) {
             last.range.hi = dr.range.hi;
             last.min_d2 = last.min_d2.min(dr.min_d2);
             last.max_min_d2 = last.max_min_d2.max(dr.max_min_d2);
@@ -269,10 +316,13 @@ struct CircleCtx {
     cx: f64,
     cy: f64,
     r2: f64,
+    /// Blocks of at most this level that straddle the circle are emitted
+    /// unrefined (0: full resolution).
+    floor: u8,
 }
 
 impl CircleCtx {
-    fn new(mapper: &GridMapper, center: Point, r2: f64) -> Self {
+    fn new(mapper: &GridMapper, center: Point, r2: f64, floor: u8) -> Self {
         let o = mapper.origin();
         Self {
             ox: o.x,
@@ -281,6 +331,7 @@ impl CircleCtx {
             cx: center.x,
             cy: center.y,
             r2,
+            floor,
         }
     }
 
@@ -317,10 +368,12 @@ impl CircleCtx {
 /// Curve-order block descent over the circle `dist2(center, ·) <= r2`,
 /// restricted to HC values in `clip`. Prunes blocks whose minimum distance
 /// exceeds `r2` *before* recursing; emits a whole block as soon as every
-/// one of its cells meets both the clip interval and the circle. Emissions
-/// arrive in ascending HC order, so merging is a single look-back.
+/// one of its cells meets both the clip interval and the circle, or — at
+/// or below the context's floor level — as soon as the block lies inside
+/// the clip (unrefined). Emissions arrive in ascending HC order, so
+/// merging is a single look-back.
 #[allow(clippy::too_many_arguments)]
-fn circle_descend(
+fn circle_descend<const COARSE: bool>(
     ctx: &CircleCtx,
     x0: u32,
     y0: u32,
@@ -347,15 +400,20 @@ fn circle_descend(
         // it. A block whose farthest cell still meets the circle is
         // emitted whole: every one of its cells belongs to the output.
         let max_min_d2 = ctx.block_max_min_d2(x0, y0, bs);
+        let dr = DistRange {
+            range: span,
+            min_d2,
+            max_min_d2,
+        };
         if level == 0 || max_min_d2 <= ctx.r2 {
-            emit_dist_range(
-                out,
-                DistRange {
-                    range: span,
-                    min_d2,
-                    max_min_d2,
-                },
-            );
+            emit_dist_range::<COARSE>(out, dr, ctx.r2);
+            return;
+        }
+        if COARSE && level <= ctx.floor {
+            // Straddles the circle at or below the floor: one unrefined
+            // range, never merged, refined later only if a reader needs
+            // its cells.
+            out.push(dr);
             return;
         }
     }
@@ -364,7 +422,7 @@ fn circle_descend(
     let child_span = 1u64 << (2 * (level - 1));
     let s = state as usize;
     for (k, &(dx, dy)) in CHILD_ORDER[s].iter().enumerate() {
-        circle_descend(
+        circle_descend::<COARSE>(
             ctx,
             x0 + dx * half,
             y0 + dy * half,
@@ -703,13 +761,134 @@ mod tests {
         check_circle(&c, &m, Point::new(1.2, 1.2), 0.1);
     }
 
+    /// Merges HC-adjacent ranges, combining their bounds: the canonical
+    /// form of a list whose unrefined ranges were refined in place.
+    fn merge_adjacent(list: &[DistRange]) -> Vec<DistRange> {
+        let mut out: Vec<DistRange> = Vec::new();
+        for &dr in list {
+            match out.last_mut() {
+                Some(last) if last.range.hi + 1 == dr.range.lo => {
+                    last.range.hi = dr.range.hi;
+                    last.min_d2 = last.min_d2.min(dr.min_d2);
+                    last.max_min_d2 = last.max_min_d2.max(dr.max_min_d2);
+                }
+                _ => out.push(dr),
+            }
+        }
+        out
+    }
+
+    /// Refines unrefined ranges of `list` one at a time, in place, each by
+    /// a floor-0 narrowing of that range alone. Each of up to `passes`
+    /// passes walks the list backwards and refines every `stride`-th
+    /// unrefined range it meets, so the order is not HC order.
+    fn refine_in_place(
+        c: &HilbertCurve,
+        m: &GridMapper,
+        q: Point,
+        r2: f64,
+        list: &mut Vec<DistRange>,
+        stride: usize,
+        passes: usize,
+    ) {
+        let mut pieces = Vec::new();
+        for _ in 0..passes {
+            let mut i = list.len();
+            let mut seen = 0usize;
+            while i > 0 {
+                i -= 1;
+                if list[i].max_min_d2 <= r2 {
+                    continue;
+                }
+                seen += 1;
+                if !(seen - 1).is_multiple_of(stride) {
+                    continue;
+                }
+                narrow_ranges_to_circle_into(c, m, q, r2, &list[i..=i], &mut pieces);
+                list.splice(i..=i, pieces.iter().copied());
+            }
+        }
+    }
+
+    /// Checks a coarse decomposition at `r2` against brute force and
+    /// against the direct decomposition, refined both ways.
+    fn check_coarse(
+        c: &HilbertCurve,
+        m: &GridMapper,
+        q: Point,
+        r2: f64,
+        floor: u8,
+        coarse: &[DistRange],
+        unrefined: usize,
+    ) {
+        let mut direct = Vec::new();
+        ranges_in_circle_with_dist_into(c, m, q, r2, &mut direct);
+        let what = format!("q {q:?} r2 {r2} floor {floor}");
+        assert_eq!(
+            unrefined,
+            coarse.iter().filter(|d| d.max_min_d2 > r2).count(),
+            "{what}"
+        );
+        for w in coarse.windows(2) {
+            assert!(w[0].range.hi < w[1].range.lo, "{what}: unsorted");
+        }
+        let mut want: Vec<u64> = direct
+            .iter()
+            .flat_map(|d| d.range.lo..=d.range.hi)
+            .collect();
+        for d in coarse {
+            let cells = d.range.lo..=d.range.hi;
+            let min = cells
+                .clone()
+                .map(|h| m.cell_rect(c.d2xy(h)).min_dist2(q))
+                .fold(f64::INFINITY, f64::min);
+            let max = cells
+                .map(|h| m.cell_rect(c.d2xy(h)).min_dist2(q))
+                .fold(f64::NEG_INFINITY, f64::max);
+            assert!((d.min_d2 - min).abs() < 1e-12, "{what}: min_d2 of {d:?}");
+            assert!((d.max_min_d2 - max).abs() < 1e-12, "{what}: max of {d:?}");
+            if d.max_min_d2 > r2 {
+                // Unrefined: one aligned block at or below the floor that
+                // meets the circle.
+                let len = d.range.len();
+                assert!(len.is_power_of_two() && len.trailing_zeros() % 2 == 0);
+                assert!(len <= 1 << (2 * floor), "{what}: {d:?} above the floor");
+                assert_eq!(d.range.lo % len, 0, "{what}: {d:?} unaligned");
+                assert!(d.min_d2 <= r2, "{what}: {d:?} misses the circle");
+                want.extend(d.range.lo..=d.range.hi);
+            }
+        }
+        want.sort_unstable();
+        want.dedup();
+        let got: Vec<u64> = coarse
+            .iter()
+            .flat_map(|d| d.range.lo..=d.range.hi)
+            .collect();
+        assert_eq!(got, want, "{what}: coverage");
+        // Refining everything at once…
+        let mut refined = Vec::new();
+        narrow_ranges_to_circle_into(c, m, q, r2, coarse, &mut refined);
+        assert_eq!(refined, direct, "{what}: refine all");
+        // …or range by range, in place and out of order.
+        let mut in_place = coarse.to_vec();
+        refine_in_place(c, m, q, r2, &mut in_place, 3, 64);
+        assert!(in_place.iter().all(|d| d.max_min_d2 <= r2));
+        assert_eq!(merge_adjacent(&in_place), direct, "{what}: in place");
+    }
+
     #[test]
     fn narrowing_equals_direct_decomposition() {
         let c = HilbertCurve::new(4);
         let m = GridMapper::unit_square(4);
-        for (cx, cy) in [(0.4, 0.6), (0.05, 0.95), (-0.2, 0.5), (1.1, -0.1)] {
+        for (cx, cy) in [
+            (0.4, 0.6),
+            (0.05, 0.95),
+            (-0.2, 0.5),
+            (1.1, -0.1),
+            (3.0, 3.0),
+        ] {
             let q = Point::new(cx, cy);
-            let radii = [1.6, 0.9, 0.41, 0.4, 0.17, 0.03, 0.0];
+            let radii = [1.6, 0.9, 0.41, 0.4, 0.17, 0.03, 0.0, 0.0];
             let mut prev = Vec::new();
             ranges_in_circle_with_dist_into(&c, &m, q, radii[0] * radii[0], &mut prev);
             for w in radii.windows(2) {
@@ -720,6 +899,32 @@ mod tests {
                 ranges_in_circle_with_dist_into(&c, &m, q, r2, &mut direct);
                 assert_eq!(narrowed, direct, "narrow {} -> {} at {q:?}", w[0], w[1]);
                 prev = narrowed;
+            }
+            // The same shrink chain through coarse narrowings, as the kNN
+            // client runs it: seeded with the whole space, each step
+            // narrows the previous (partially refined) list.
+            for floor in 1..=4 {
+                let mut prev = vec![DistRange {
+                    range: HcRange::new(0, c.max_d()),
+                    min_d2: 0.0,
+                    max_min_d2: f64::INFINITY,
+                }];
+                let mut coarse = Vec::new();
+                for &r in &radii[1..] {
+                    let r2 = r * r;
+                    let unrefined = narrow_ranges_to_circle_coarse_into(
+                        &c,
+                        &m,
+                        q,
+                        r2,
+                        floor,
+                        &prev,
+                        &mut coarse,
+                    );
+                    check_coarse(&c, &m, q, r2, floor, &coarse, unrefined);
+                    refine_in_place(&c, &m, q, r2, &mut coarse, 2, 1);
+                    std::mem::swap(&mut prev, &mut coarse);
+                }
             }
         }
     }

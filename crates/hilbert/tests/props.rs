@@ -3,11 +3,28 @@
 
 use dsi_geom::{Cell, GridMapper, Point, Rect};
 use dsi_hilbert::{
-    min_dist2_to_range, narrow_ranges_to_circle_into, ranges_in_cell_rect,
-    ranges_in_circle_with_dist_into, ranges_in_rect, ranges_in_rect_with_dist_into, DistRange,
-    HcRange, HilbertCurve,
+    min_dist2_to_range, narrow_ranges_to_circle_coarse_into, narrow_ranges_to_circle_into,
+    ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect,
+    ranges_in_rect_with_dist_into, DistRange, HcRange, HilbertCurve,
 };
 use proptest::prelude::*;
+
+/// Merges HC-adjacent ranges, combining their bounds: the canonical form
+/// of a coarse list whose unrefined ranges were refined in place.
+fn merge_adjacent(list: &[DistRange]) -> Vec<DistRange> {
+    let mut out: Vec<DistRange> = Vec::new();
+    for &dr in list {
+        match out.last_mut() {
+            Some(last) if last.range.hi + 1 == dr.range.lo => {
+                last.range.hi = dr.range.hi;
+                last.min_d2 = last.min_d2.min(dr.min_d2);
+                last.max_min_d2 = last.max_min_d2.max(dr.max_min_d2);
+            }
+            _ => out.push(dr),
+        }
+    }
+    out
+}
 
 /// Checks a circle decomposition against brute force over every cell:
 /// membership (exactly the cells whose extent intersects the closed
@@ -205,6 +222,11 @@ proptest! {
         cx in -0.3..1.3f64, cy in -0.3..1.3f64,
         r_big in 0.05..1.2f64,
         shrink in 0.0..1.0f64,
+        // Second step of the shrink chain; the fixed arms are the
+        // degenerate radii (a point circle, and no shrink at all).
+        shrink2 in prop_oneof![Just(0.0), Just(1.0), 0.0..1.0f64],
+        floor in 0u8..6,
+        refine_seed in any::<u64>(),
     ) {
         let curve = HilbertCurve::new(order);
         let mapper = GridMapper::unit_square(order);
@@ -216,7 +238,53 @@ proptest! {
         narrow_ranges_to_circle_into(&curve, &mapper, center, r_small * r_small, &prev, &mut narrowed);
         let mut direct = Vec::new();
         ranges_in_circle_with_dist_into(&curve, &mapper, center, r_small * r_small, &mut direct);
-        prop_assert_eq!(narrowed, direct);
+        prop_assert_eq!(&narrowed, &direct);
+
+        // The same chain through coarse narrowings at a floor level:
+        // refining every unrefined range — all at once, or one at a time
+        // in place in a seeded order — reproduces the direct
+        // decomposition at each radius, ranges and both bounds.
+        let mut coarse = prev;
+        let mut rng = refine_seed;
+        for r in [r_small, r_small * shrink2] {
+            let r2 = r * r;
+            let mut next = Vec::new();
+            let unrefined = narrow_ranges_to_circle_coarse_into(
+                &curve, &mapper, center, r2, floor, &coarse, &mut next,
+            );
+            prop_assert_eq!(unrefined, next.iter().filter(|d| d.max_min_d2 > r2).count());
+            // Each unrefined range is one aligned block at or below the
+            // floor that meets the circle, so refining it stays local.
+            for d in next.iter().filter(|d| d.max_min_d2 > r2) {
+                let len = d.range.len();
+                prop_assert!(len.is_power_of_two() && len.trailing_zeros() % 2 == 0);
+                prop_assert!(len <= 1 << (2 * floor) && d.range.lo % len == 0, "{:?}", d);
+                prop_assert!(d.min_d2 <= r2);
+            }
+            ranges_in_circle_with_dist_into(&curve, &mapper, center, r2, &mut direct);
+            let mut all = Vec::new();
+            narrow_ranges_to_circle_into(&curve, &mapper, center, r2, &next, &mut all);
+            prop_assert_eq!(&all, &direct);
+            // Refine a seeded half of the unrefined ranges in place (the
+            // list the next step narrows), then the rest.
+            let mut pieces = Vec::new();
+            for pass in 0..2 {
+                let mut i = next.len();
+                while i > 0 {
+                    i -= 1;
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    if next[i].max_min_d2 <= r2 || (pass == 0 && rng >> 63 == 0) {
+                        continue;
+                    }
+                    narrow_ranges_to_circle_into(&curve, &mapper, center, r2, &next[i..=i], &mut pieces);
+                    next.splice(i..=i, pieces.iter().copied());
+                }
+                if pass == 0 {
+                    coarse = next.clone();
+                }
+            }
+            prop_assert_eq!(merge_adjacent(&next), direct.clone());
+        }
     }
 
     #[test]

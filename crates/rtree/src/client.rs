@@ -515,6 +515,32 @@ mod tests {
         }
     }
 
+    /// The scheme-agnostic driver rejects a NaN or infinite query
+    /// coordinate, naming the query, before this client sees it: a NaN
+    /// kNN point used to panic deep inside the search, and a NaN window
+    /// answered nothing.
+    #[test]
+    fn driver_rejects_non_finite_queries() {
+        use dsi_broadcast::{drive, Query};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let air = RTreeAir::build(&points(100, 3), RtreeAirConfig::new(64));
+        for query in [
+            Query::Knn(Point::new(f64::NAN, 0.5), 3),
+            Query::Knn(Point::new(0.5, f64::INFINITY), 1),
+            Query::Window(Rect {
+                min: Point::new(0.1, f64::NAN),
+                max: Point::new(0.4, 0.4),
+            }),
+        ] {
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                drive(&air, 0, LossModel::None, 0, &query)
+            }))
+            .expect_err("a non-finite query was accepted");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("non-finite coordinate"), "{query:?}: {msg}");
+        }
+    }
+
     #[test]
     fn queries_survive_loss() {
         let pts = points(300, 17);

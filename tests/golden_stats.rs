@@ -6,6 +6,9 @@
 //! cost, the ported schemes must reproduce every latency/tuning pair
 //! bit-for-bit — the unified driver and channel layer are pure refactors
 //! of the single-channel path, down to the per-packet RNG draw sequence.
+//! The `dsi_aggressive` rows were added later, from the engine as it stood
+//! before the kNN client's lazy circle decomposition, and pin that change
+//! the same way.
 
 use dsi::bptree::{BpAir, BpAirConfig};
 use dsi::broadcast::{ChannelConfig, DynScheme, LossModel, Placement, Query, QueryOutcome};
@@ -65,6 +68,18 @@ const GOLDEN: &[(&str, &str, &str, usize, u64, u64)] = &[
     ("hci", "iid30", "knn", 1, 36207, 172),
     ("hci", "iid30", "knn", 2, 32470, 140),
     ("hci", "iid30", "knn", 3, 19947, 348),
+    // DSI kNN under the aggressive strategy, captured from the engine as
+    // it stood before the lazy circle decomposition. Its navigation reads
+    // remainder liveness off the target ranges, so these rows pin that
+    // read path bit-for-bit.
+    ("dsi_aggressive", "none", "knn", 0, 7822, 310),
+    ("dsi_aggressive", "none", "knn", 1, 8208, 224),
+    ("dsi_aggressive", "none", "knn", 2, 6821, 310),
+    ("dsi_aggressive", "none", "knn", 3, 16554, 354),
+    ("dsi_aggressive", "iid30", "knn", 0, 7822, 397),
+    ("dsi_aggressive", "iid30", "knn", 1, 8340, 379),
+    ("dsi_aggressive", "iid30", "knn", 2, 11849, 313),
+    ("dsi_aggressive", "iid30", "knn", 3, 21910, 351),
 ];
 
 const K: usize = 5;
@@ -136,7 +151,18 @@ fn single_channel_unified_path_reproduces_pre_refactor_stats() {
     let ds = dataset();
     let windows = window_queries(4, 0.2, 3);
     let points = knn_points(4, 9);
-    let schemes = schemes(&ds, &ChannelConfig::single());
+    let mut schemes = schemes(&ds, &ChannelConfig::single());
+    schemes.push((
+        "dsi_aggressive",
+        Box::new(DsiScheme {
+            air: DsiAir::build_channels(
+                &ds,
+                DsiConfig::paper_reorganized().with_capacity(64),
+                ChannelConfig::single(),
+            ),
+            strategy: KnnStrategy::Aggressive,
+        }),
+    ));
     for &(scheme_name, loss_name, kind, qi, latency, tuning) in GOLDEN {
         let loss = match loss_name {
             "none" => LossModel::None,
