@@ -12,7 +12,9 @@
 //!     the goldens below were captured from the PR 3 code before the
 //!     multi-antenna tuner existed;
 //! (c) on the lossless path, a 2-antenna client is never slower than the
-//!     single-antenna client on the batch (mean access latency per cell).
+//!     single-antenna client on the batch (mean access latency per cell);
+//! (d) the 2-antenna DSI client reproduces pinned [`ChannelStats`] rows
+//!     on multi-channel programs, lossless and under bursty fades.
 //!
 //! A final regression test pins the PR 3 measured finding that motivated
 //! this layer: at C = 4 unit-granular striping hurts the serial-scan DSI
@@ -1550,6 +1552,106 @@ fn single_antenna_reproduces_pre_refactor_channel_stats() {
             );
         }
     }
+}
+
+/// (channel config, loss, query kind, query index, latency_packets,
+/// tuning_packets, switches, per-channel tuning packets, loss retunes) of
+/// the 2-antenna DSI client, captured while the multi-channel navigator
+/// still swept every frame in broadcast order. The k = 2 client plans
+/// over that candidate list with the duration-aware planner, so these
+/// rows pin the list itself, not just the answers: enumerating the
+/// candidates any other way must reproduce every row bit-for-bit.
+type AntennaGoldenRow = (
+    &'static str,
+    &'static str,
+    &'static str,
+    usize,
+    u64,
+    u64,
+    u64,
+    &'static [u64],
+    u64,
+);
+
+#[rustfmt::skip]
+const TWO_ANTENNA_DSI_GOLDEN: &[AntennaGoldenRow] = &[
+    ("blocked4", "none", "window", 0, 887, 173, 2, &[2, 2, 0, 169], 0),
+    ("blocked4", "none", "window", 1, 1340, 209, 5, &[9, 141, 0, 59], 0),
+    ("blocked4", "none", "knn", 0, 675, 292, 2, &[22, 0, 190, 80], 0),
+    ("blocked4", "none", "knn", 1, 2083, 299, 6, &[2, 246, 6, 45], 0),
+    ("blocked4", "gilbert", "window", 0, 887, 173, 2, &[2, 2, 0, 169], 0),
+    ("blocked4", "gilbert", "window", 1, 1340, 209, 5, &[9, 141, 0, 59], 0),
+    ("blocked4", "gilbert", "knn", 0, 675, 292, 2, &[22, 0, 190, 80], 0),
+    ("blocked4", "gilbert", "knn", 1, 2083, 299, 6, &[2, 246, 6, 45], 0),
+    ("stripe4", "none", "window", 0, 10321, 177, 20, &[39, 20, 45, 73], 0),
+    ("stripe4", "none", "window", 1, 19885, 214, 33, &[46, 65, 44, 59], 0),
+    ("stripe4", "none", "knn", 0, 17961, 400, 32, &[60, 138, 102, 100], 0),
+    ("stripe4", "none", "knn", 1, 31534, 362, 52, &[75, 118, 97, 72], 0),
+    ("stripe4", "gilbert", "window", 0, 10321, 177, 20, &[39, 20, 45, 73], 0),
+    ("stripe4", "gilbert", "window", 1, 20569, 216, 33, &[47, 66, 44, 59], 0),
+    ("stripe4", "gilbert", "knn", 0, 17961, 400, 32, &[60, 138, 102, 100], 0),
+    ("stripe4", "gilbert", "knn", 1, 17630, 231, 28, &[63, 63, 61, 44], 0),
+    ("split2", "none", "window", 0, 9265, 177, 1, &[18, 159], 0),
+    ("split2", "none", "window", 1, 15794, 207, 1, &[20, 187], 0),
+    ("split2", "none", "knn", 0, 12657, 273, 1, &[12, 261], 0),
+    ("split2", "none", "knn", 1, 19993, 379, 1, &[28, 351], 0),
+    ("split2", "gilbert", "window", 0, 9265, 177, 1, &[18, 159], 0),
+    ("split2", "gilbert", "window", 1, 15794, 204, 1, &[16, 188], 0),
+    ("split2", "gilbert", "knn", 0, 12657, 273, 1, &[12, 261], 0),
+    ("split2", "gilbert", "knn", 1, 19993, 381, 1, &[30, 351], 0),
+];
+
+#[test]
+fn two_antenna_dsi_reproduces_pinned_channel_stats() {
+    let ds = dataset();
+    let windows = window_queries(4, 0.2, 3);
+    let points = knn_points(4, 9);
+    let configs: Vec<(&str, ChannelConfig)> = vec![
+        ("blocked4", ChannelConfig::blocked(4, SWITCH_COST)),
+        ("stripe4", ChannelConfig::striped(4, SWITCH_COST)),
+        ("split2", ChannelConfig::index_data(2, 1, SWITCH_COST)),
+    ];
+    let gilbert = fault_grid()
+        .into_iter()
+        .find(|(name, _)| *name == "gilbert")
+        .expect("the fault grid has a Gilbert–Elliott model")
+        .1;
+    let mut checked = 0;
+    for (cname, chan) in &configs {
+        let dsi = build_scheme(&ds, "dsi", chan);
+        for (lname, loss) in [("none", LossModel::None), ("gilbert", gilbert.clone())] {
+            for kind in ["window", "knn"] {
+                for qi in 0..2 {
+                    let out = run(
+                        dsi.as_ref(),
+                        loss.clone(),
+                        AntennaConfig::new(2),
+                        kind,
+                        qi,
+                        &windows,
+                        &points,
+                    );
+                    let row = TWO_ANTENNA_DSI_GOLDEN
+                        .iter()
+                        .find(|r| (r.0, r.1, r.2, r.3) == (*cname, lname, kind, qi))
+                        .unwrap_or_else(|| panic!("no golden for {cname}/{lname}/{kind} q{qi}"));
+                    assert_eq!(
+                        (
+                            out.stats.latency_packets,
+                            out.stats.tuning_packets,
+                            out.channels.switches,
+                            out.channels.tuning_packets.as_slice(),
+                            out.channels.loss_retunes,
+                        ),
+                        (row.4, row.5, row.6, row.7, row.8),
+                        "dsi/{cname}/k2/{lname}/{kind} q{qi} diverged from the pinned stats"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, TWO_ANTENNA_DSI_GOLDEN.len());
 }
 
 /// Fits a workload-optimized explicit placement for one scheme: profiles
