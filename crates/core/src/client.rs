@@ -18,6 +18,16 @@
 //!    forwarding generalised to interval targets; repeated hops converge
 //!    like a base-`r` search.
 //!
+//! Navigation finds its candidate frames in one of two ways, chosen by the
+//! program's channel count. On one channel, broadcast order is arrival
+//! order, so a walk from the current slot stops at the first qualifying
+//! successor. On several channels every qualifying frame is a candidate;
+//! they are enumerated from the client's own state — runs of frames
+//! sharing one conservative span, merged with the sorted remainders — at
+//! a cost in known bounds, remainders and candidates instead of in
+//! frames. The sweep over all frames it replaced survives only as the
+//! `StatePath::Audit` oracle for that candidate list (see [`navigate`]).
+//!
 //! The remainder state is **incremental**: every learned bound and every
 //! resolved header applies a localized delta inside [`QueryState`], so the
 //! steady-state loop re-derives nothing and — together with the scratch
@@ -39,6 +49,7 @@ use dsi_datagen::Object;
 use dsi_hilbert::HcRange;
 
 use crate::build::{DsiAir, DsiPacket};
+use crate::layout::DsiLayout;
 use crate::state::{Knowledge, QueryState, ScanLog};
 use crate::table::IndexTable;
 
@@ -136,7 +147,7 @@ pub(crate) trait QueryMode {
 }
 
 /// What the driver is about to do at its current position.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pending {
     /// Positioned at the frame start of `slot`: read its index table.
     Table(u32),
@@ -174,6 +185,10 @@ struct QueryScratch {
     nav_arrivals: Vec<u64>,
     /// What to do at each navigation candidate (parallel to `nav_flats`).
     nav_plans: Vec<Pending>,
+    /// One bit per broadcast slot: the multi-channel navigator marks its
+    /// candidate frames here, then drains them in broadcast order. All
+    /// bits are clear between navigations.
+    nav_marks: Vec<u64>,
 }
 
 /// Runs a query to completion. The tuner carries the metrics.
@@ -312,8 +327,7 @@ fn max_hi_of(rem: &[HcRange]) -> u64 {
 }
 
 /// Whether any remainder intersects the half-open span `[lb, ub)`.
-/// Remainders are sorted and disjoint, so a binary search answers it —
-/// the navigation sweep calls this once per candidate frame.
+/// Remainders are sorted and disjoint, so a binary search answers it.
 fn overlaps_any(rem: &[HcRange], lb: u64, ub: u64) -> bool {
     let i = rem.partition_point(|r| r.hi < lb);
     i < rem.len() && rem[i].lo < ub
@@ -568,12 +582,27 @@ fn approach(
 ///
 /// Candidates are (a) the first pending retry header of every affected
 /// slot — read directly off the per-slot sorted retry lists — and (b)
-/// frames that may still hold remainder content. Window queries and
-/// conservative kNN sweep the broadcast order for such frames; aggressive
+/// frames that may still hold remainder content: frames not yet fully
+/// attempted whose conservative span overlaps a remainder. Aggressive
 /// kNN jumps to the slot its strategy picked (the entry target nearest
-/// the query point). All candidates are then planned in one batch through
-/// the tuner's earliest-arrival API, which accounts for channel placement
-/// and the antennas' monitored set.
+/// the query point); window queries and conservative kNN find the frames
+/// by channel count:
+///
+/// - **One channel:** arrivals follow broadcast order, so the walk from
+///   the current slot stops at the first qualifying successor. It
+///   usually stops within a few frames, where the enumeration below
+///   would still walk every run that meets a remainder.
+/// - **Several channels:** broadcast order no longer orders arrivals and
+///   every qualifying frame is a candidate. [`mark_candidates`]
+///   enumerates them from the client's own state — the runs of frames
+///   between known bounds, merged with the remainders — and they are
+///   emitted in broadcast order from the current slot, exactly the list
+///   a sweep over all frames would build. Under `StatePath::Audit` that
+///   sweep ([`sweep_candidates`]) checks the list on every hop.
+///
+/// All candidates are then planned in one batch through the tuner's
+/// earliest-arrival API, which accounts for channel placement and the
+/// antennas' monitored set.
 fn navigate<M: QueryMode>(
     air: &DsiAir,
     tuner: &mut Tuner<'_, DsiPacket>,
@@ -589,6 +618,7 @@ fn navigate<M: QueryMode>(
         nav_flats,
         nav_arrivals,
         nav_plans,
+        nav_marks,
         ..
     } = scratch;
     nav_flats.clear();
@@ -636,12 +666,40 @@ fn navigate<M: QueryMode>(
                 nav_arrivals.push(abs);
                 nav_plans.push(p);
             }
+            NavPick::Earliest if tuner.program().n_channels() > 1 => {
+                let base = nav_flats.len();
+                let nf = l.n_frames();
+                let cur = l.slot_of_packet(tuner.flat_pos());
+                nav_marks.resize(nf.div_ceil(64) as usize, 0);
+                mark_candidates(l, mode, state, nav_marks);
+                let mut push = |slot| {
+                    let (abs, flat, p) = approach(air, tuner, &state.log, slot, max_hi);
+                    nav_flats.push(flat);
+                    nav_arrivals.push(abs);
+                    nav_plans.push(p);
+                };
+                drain_marks(nav_marks, cur, nf, &mut push);
+                drain_marks(nav_marks, 0, cur, &mut push);
+                if state.audits() {
+                    let exact = state.oracle_rem(mode.exact_targets().as_deref());
+                    let got: Vec<_> = (base..nav_flats.len())
+                        .map(|j| (nav_flats[j], nav_arrivals[j], nav_plans[j]))
+                        .collect();
+                    assert_eq!(
+                        got,
+                        sweep_candidates(air, tuner, state, &exact, max_hi),
+                        "multi-channel navigation candidates differ from the full sweep"
+                    );
+                }
+            }
             NavPick::Earliest => {
-                // Sweep the broadcast order from the current position for
-                // frames that may still hold remainder content.
+                // One channel: arrivals are monotone in broadcast distance
+                // `d` for d ≥ 1 (those frames lie strictly ahead); only the
+                // current slot (d = 0) can arrive later than its
+                // successors, so keep walking past it but stop at the
+                // first qualifying successor.
                 let cur = l.slot_of_packet(tuner.flat_pos());
                 let nf = l.n_frames();
-                let multi = tuner.program().n_channels() > 1;
                 for d in 0..nf {
                     let slot = (cur + d) % nf;
                     let t = l.hc_index_of_slot(slot);
@@ -656,15 +714,7 @@ fn navigate<M: QueryMode>(
                     nav_flats.push(flat);
                     nav_arrivals.push(abs);
                     nav_plans.push(p);
-                    // Single channel: arrivals are monotone in `d` for
-                    // d ≥ 1 (those frames lie strictly ahead); only the
-                    // current slot (d = 0) can arrive later than its
-                    // successors, so keep sweeping past it but stop at the
-                    // first qualifying successor. With parallel channels
-                    // broadcast order no longer orders arrivals — sweep
-                    // every candidate frame and let the batch planner keep
-                    // the earliest.
-                    if d > 0 && !multi {
+                    if d > 0 {
                         break;
                     }
                 }
@@ -702,6 +752,112 @@ fn navigate<M: QueryMode>(
     Some(nav_plans[pick])
 }
 
+/// Whether HC-order frame `t` still has an object index never attempted.
+fn is_open(l: &DsiLayout, log: &ScanLog, t: u32) -> bool {
+    !fully_attempted(log, t, l.objects_in_slot(l.slot_of_hc_index(t)))
+}
+
+/// Marks in `marks` (one bit per broadcast slot) every frame that is not
+/// fully attempted and whose conservative span overlaps an exact
+/// remainder — the frames the multi-channel navigator must consider.
+///
+/// [`Knowledge::span_est`] is constant over each run of HC-order frames
+/// between two consecutive known bounds, so the walk tests runs, not
+/// frames, and skips every run no stored remainder meets (a jump to the
+/// run holding the next remainder). The stored remainders are a superset
+/// of the exact ones, so that prefilter never drops a candidate; a run
+/// that passes it and still holds an open frame costs one exact,
+/// refining [`rem_overlaps`] read. Every span the read receives is one a
+/// per-frame sweep would also pass it, each exactly once, so the lazy
+/// kNN narrowing refines the same target blocks as under that sweep.
+/// Cost: O(runs met + remainders + candidate frames).
+fn mark_candidates<M: QueryMode>(
+    l: &DsiLayout,
+    mode: &mut M,
+    state: &mut QueryState<'_>,
+    marks: &mut [u64],
+) {
+    let n_runs = state.know.n_runs();
+    let mut k = 0;
+    while k < n_runs {
+        let (first, end, lb, ub) = state.know.run(k);
+        let rem = state.rem();
+        let Some(&next) = rem.get(rem.partition_point(|r| r.hi < lb)) else {
+            break;
+        };
+        if next.lo >= ub {
+            // `next.lo ≥ ub`, the next run's bound: the jump moves forward.
+            k = state.know.run_of_hc(next.lo);
+            continue;
+        }
+        k += 1;
+        let Some(open) = (first..end).find(|&t| is_open(l, &state.log, t)) else {
+            continue;
+        };
+        if !rem_overlaps(mode, state, lb, ub) {
+            continue;
+        }
+        for t in open..end {
+            if is_open(l, &state.log, t) {
+                let slot = l.slot_of_hc_index(t);
+                marks[slot as usize / 64] |= 1 << (slot % 64);
+            }
+        }
+    }
+}
+
+/// Calls `f` on every marked slot in `from..to`, ascending, and clears
+/// those marks.
+fn drain_marks(marks: &mut [u64], from: u32, to: u32, f: &mut impl FnMut(u32)) {
+    if from >= to {
+        return;
+    }
+    let (w0, w1) = (from as usize / 64, (to - 1) as usize / 64);
+    for (w, word) in marks.iter_mut().enumerate().take(w1 + 1).skip(w0) {
+        let mut mask = !0u64;
+        if w == w0 {
+            mask &= !0u64 << (from % 64);
+        }
+        if w == w1 {
+            mask &= !0u64 >> (63 - (to - 1) % 64);
+        }
+        let mut bits = *word & mask;
+        *word &= !mask;
+        while bits != 0 {
+            f(w as u32 * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Audit oracle for the multi-channel candidate list: the full sweep of
+/// every frame in broadcast order from the current slot, testing each
+/// against the exact remainders `rem`. Returns `(flat, arrival, plan)`
+/// per candidate, in the order the navigator must list them.
+fn sweep_candidates(
+    air: &DsiAir,
+    tuner: &Tuner<'_, DsiPacket>,
+    state: &QueryState<'_>,
+    rem: &[HcRange],
+    max_hi: u64,
+) -> Vec<(u64, u64, Pending)> {
+    let l = air.layout();
+    let cur = l.slot_of_packet(tuner.flat_pos());
+    let nf = l.n_frames();
+    (0..nf)
+        .map(|d| (cur + d) % nf)
+        .filter(|&slot| {
+            let t = l.hc_index_of_slot(slot);
+            let (lb, ub) = state.know.span_est(t);
+            !fully_attempted(&state.log, t, l.objects_in_slot(slot)) && overlaps_any(rem, lb, ub)
+        })
+        .map(|slot| {
+            let (abs, flat, p) = approach(air, tuner, &state.log, slot, max_hi);
+            (flat, abs, p)
+        })
+        .collect()
+}
+
 /// Estimate, in packets, of how long executing plan `p` occupies the
 /// receiver once its first packet (at flat position `flat`) airs, from
 /// schema knowledge plus the client's own scan state. Flat-position
@@ -709,12 +865,7 @@ fn navigate<M: QueryMode>(
 /// interleaved across channels) this can undershoot wall-clock
 /// occupancy — the top-2 conflict costing it feeds is a heuristic, not
 /// a bound.
-fn plan_duration(
-    l: &crate::layout::DsiLayout,
-    state: &QueryState<'_>,
-    p: &Pending,
-    flat: u64,
-) -> u64 {
+fn plan_duration(l: &DsiLayout, state: &QueryState<'_>, p: &Pending, flat: u64) -> u64 {
     let f = l.framing();
     match *p {
         Pending::Table(_) => f.table_packets as u64,
@@ -737,5 +888,36 @@ fn plan_duration(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn drain_marks_visits_broadcast_order_from_the_current_slot() {
+        // 150 slots over three words; marks on both sides of every word
+        // boundary and of the starting slot.
+        let nf = 150;
+        let marked = [0u32, 1, 63, 64, 69, 70, 71, 127, 128, 149];
+        let mut marks = vec![0u64; (nf as usize).div_ceil(64)];
+        for &s in &marked {
+            marks[s as usize / 64] |= 1 << (s % 64);
+        }
+        let cur = 70;
+        let mut got = Vec::new();
+        drain_marks(&mut marks, cur, nf, &mut |s| got.push(s));
+        drain_marks(&mut marks, 0, cur, &mut |s| got.push(s));
+        let want: Vec<u32> = (0..nf)
+            .map(|d| (cur + d) % nf)
+            .filter(|s| marked.contains(s))
+            .collect();
+        assert_eq!(got, want);
+        assert!(marks.iter().all(|&w| w == 0), "draining clears every mark");
+        // An empty range touches nothing.
+        marks[0] = 1;
+        drain_marks(&mut marks, 5, 5, &mut |_| panic!("empty range"));
+        assert_eq!(marks[0], 1);
     }
 }

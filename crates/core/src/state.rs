@@ -26,9 +26,6 @@
 //!   be re-fetched in a later cycle, kept sorted per broadcast slot so
 //!   both visits and navigation read them without re-sorting.
 
-// dsi-lint: allow(hash): scan-log lookups only; reads are per-slot, never iterated for output
-use std::collections::HashMap;
-
 use dsi_hilbert::{merge_ranges, HcRange};
 
 use crate::client::TargetsChange;
@@ -107,6 +104,36 @@ impl Knowledge {
         let lb = if pos > 0 { self.bounds[pos - 1].1 } else { 0 };
         let ub = self.bounds.get(pos).map_or(self.max_hc_excl, |&(_, hc)| hc);
         (lb, ub)
+    }
+
+    /// Number of *runs*: maximal stretches of HC-order frames that share
+    /// one [`Self::span_est`] — one run per known bound.
+    pub fn n_runs(&self) -> usize {
+        self.bounds.len()
+    }
+
+    /// Run `k` as `(first, end, lb, ub)`: frames `first..end` lie between
+    /// known bounds `k` and `k + 1`, and [`Self::span_est`] gives every
+    /// one of them the span `[lb, ub)`.
+    pub fn run(&self, k: usize) -> (u32, u32, u64, u64) {
+        let (first, lb) = self.bounds[k];
+        // The schema knows frame 0 (block 0 starts there), so the runs
+        // cover every frame.
+        debug_assert!(k > 0 || first == 0);
+        let (end, ub) = self
+            .bounds
+            .get(k + 1)
+            .copied()
+            .unwrap_or((self.n_frames, self.max_hc_excl));
+        (first, end, lb, ub)
+    }
+
+    /// The run whose span holds HC value `hc` (run 0 below the first
+    /// bound).
+    pub fn run_of_hc(&self, hc: u64) -> usize {
+        self.bounds
+            .partition_point(|&(_, h)| h <= hc)
+            .saturating_sub(1)
     }
 
     /// Exact span of frame `idx`, if both end-points are known.
@@ -206,33 +233,58 @@ impl FrameScan {
     }
 }
 
-/// All frames the client has (partially) scanned, keyed by HC-order index.
-#[derive(Debug, Clone, Default)]
+/// All frames the client has (partially) scanned: a dense per-frame
+/// index (HC order) into the scan records, kept in first-scan order. A
+/// lookup is one array read, which matters because the navigator and the
+/// visit loop look frames up on every step.
+#[derive(Debug, Clone)]
 pub(crate) struct ScanLog {
-    // dsi-lint: allow(hash): keyed lookups only; golden outputs never iterate this map
-    frames: HashMap<u32, FrameScan>,
+    /// Position in `scans` per HC-order frame index, or [`UNSCANNED`].
+    index: Vec<u32>,
+    /// `(HC-order frame index, scan)`, in the order frames were first
+    /// scanned.
+    scans: Vec<(u32, FrameScan)>,
 }
 
+/// [`ScanLog::index`] marker of a frame never scanned.
+const UNSCANNED: u32 = u32::MAX;
+
 impl ScanLog {
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(n_frames: u32) -> Self {
+        Self {
+            index: vec![UNSCANNED; n_frames as usize],
+            scans: Vec::new(),
+        }
     }
 
     /// The scan record for frame `idx`, created on first use.
     pub fn entry(&mut self, idx: u32, n_obj: u32) -> &mut FrameScan {
-        self.frames
-            .entry(idx)
-            .or_insert_with(|| FrameScan::new(n_obj))
+        let pos = &mut self.index[idx as usize];
+        if *pos == UNSCANNED {
+            *pos = self.scans.len() as u32;
+            self.scans.push((idx, FrameScan::new(n_obj)));
+        }
+        &mut self.scans[*pos as usize].1
     }
 
     /// Read-only access.
     pub fn get(&self, idx: u32) -> Option<&FrameScan> {
-        self.frames.get(&idx)
+        match self.index[idx as usize] {
+            UNSCANNED => None,
+            pos => Some(&self.scans[pos as usize].1),
+        }
     }
 
-    /// Iterates over scanned frames.
-    pub fn iter(&self) -> impl Iterator<Item = (&u32, &FrameScan)> {
-        self.frames.iter()
+    fn get_mut(&mut self, idx: u32) -> Option<&mut FrameScan> {
+        match self.index[idx as usize] {
+            UNSCANNED => None,
+            pos => Some(&mut self.scans[pos as usize].1),
+        }
+    }
+
+    /// Iterates over scanned frames, in first-scan order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &FrameScan)> {
+        self.scans.iter().map(|(idx, scan)| (*idx, scan))
     }
 }
 
@@ -405,11 +457,11 @@ impl ClearedSet {
 /// contains no objects. The region below the global minimum is cleared by
 /// the schema.
 pub(crate) fn cleared_regions(log: &ScanLog, know: &Knowledge, layout: &DsiLayout) -> Vec<HcRange> {
-    let mut out = Vec::with_capacity(log.frames.len() + 1);
+    let mut out = Vec::with_capacity(log.scans.len() + 1);
     if layout.global_min_hc() > 0 {
         out.push(HcRange::new(0, layout.global_min_hc() - 1));
     }
-    for (&idx, scan) in log.iter() {
+    for (idx, scan) in log.iter() {
         // Resolved prefix of the attempted part.
         let mut last = None;
         let mut first = None;
@@ -591,7 +643,7 @@ impl<'l> QueryState<'l> {
         Self {
             layout,
             know,
-            log: ScanLog::new(),
+            log: ScanLog::new(layout.n_frames()),
             retries: Retries::new(),
             cleared,
             targets: Vec::new(),
@@ -655,11 +707,7 @@ impl<'l> QueryState<'l> {
             "frame contribution must only grow: {:?} -> {new:?}",
             scan.contrib
         );
-        self.log
-            .frames
-            .get_mut(&t)
-            .expect("scan entry exists")
-            .contrib = Some(new);
+        self.log.get_mut(t).expect("scan entry exists").contrib = Some(new);
         hotpath::count_incremental_event();
         self.cleared.insert(new);
         subtract_range_in_place(&mut self.rem, new);
@@ -813,6 +861,29 @@ mod tests {
     }
 
     #[test]
+    fn runs_tile_the_frames_with_one_span_each() {
+        let l = layout();
+        let mut k = Knowledge::new(&l, 1000);
+        k.learn(2, 30);
+        k.learn(5, 60);
+        k.learn(6, 70);
+        let mut next = 0;
+        for r in 0..k.n_runs() {
+            let (first, end, lb, ub) = k.run(r);
+            assert_eq!(first, next, "runs are contiguous");
+            assert!(first < end);
+            for t in first..end {
+                assert_eq!(k.span_est(t), (lb, ub));
+            }
+            assert_eq!(k.run_of_hc(lb), r);
+            assert_eq!(k.run_of_hc(ub - 1), r);
+            next = end;
+        }
+        assert_eq!(next, l.n_frames());
+        assert_eq!(k.run_of_hc(0), 0, "below the first bound");
+    }
+
+    #[test]
     fn safe_frame_never_overshoots() {
         let l = layout();
         let mut k = Knowledge::new(&l, 1000);
@@ -839,7 +910,7 @@ mod tests {
     fn cleared_regions_prefix_and_extension() {
         let l = layout();
         let mut k = Knowledge::new(&l, 1000);
-        let mut log = ScanLog::new();
+        let mut log = ScanLog::new(l.n_frames());
         // Frame 1 fully scanned: objects at 20 and 25.
         scan_frame(&mut log, 1, &[Some(20), Some(25)]);
         // Without frame 2's bound, cleared stops at 25.
@@ -855,7 +926,7 @@ mod tests {
     fn cleared_regions_hole_blocks_clearing() {
         let l = layout();
         let k = Knowledge::new(&l, 1000);
-        let mut log = ScanLog::new();
+        let mut log = ScanLog::new(l.n_frames());
         // Frame 3: first header lost, second resolved → nothing clearable.
         scan_frame(&mut log, 3, &[None, Some(45)]);
         let c = cleared_regions(&log, &k, &l);
@@ -866,7 +937,7 @@ mod tests {
     fn last_frame_clears_to_end_of_space() {
         let l = layout();
         let k = Knowledge::new(&l, 1000);
-        let mut log = ScanLog::new();
+        let mut log = ScanLog::new(l.n_frames());
         scan_frame(&mut log, 7, &[Some(80), Some(85)]);
         let c = cleared_regions(&log, &k, &l);
         assert!(c.contains(&HcRange::new(80, 1000)));

@@ -4,7 +4,9 @@
 
 use std::collections::HashMap;
 
-use dsi_broadcast::{LossModel, LossScope, Tuner};
+use dsi_broadcast::{
+    AntennaConfig, ChannelConfig, GilbertElliott, LossModel, LossScope, Placement, Tuner,
+};
 use dsi_core::hotpath::{self, StatePath};
 use dsi_core::knn_testkit::CandSet;
 use dsi_core::{DsiAir, DsiConfig, FramingPolicy, KnnStrategy, ReorgStyle};
@@ -155,13 +157,41 @@ proptest! {
 // Under `StatePath::Audit` the driver asserts, after every applied event
 // (learned bound, resolved header) and once per loop iteration, that its
 // incrementally maintained cleared set and remainders equal the
-// from-scratch `cleared_regions` + `subtract_ranges` oracle. Running full
-// lossy window and kNN queries in this mode therefore *is* the
-// differential property test: any divergence panics inside the driver.
+// from-scratch `cleared_regions` + `subtract_ranges` oracle, and on every
+// multi-channel navigation that its enumerated candidate list equals the
+// full broadcast-order sweep's. Running full lossy window and kNN queries
+// in this mode therefore *is* the differential property test: any
+// divergence panics inside the driver.
 // ---------------------------------------------------------------------------
 
+/// The channel axis of the audited grid: C ∈ {1, 2, 4} × every analytic
+/// placement family (C = 1 is the classic single channel whatever the
+/// placement).
+fn arb_channels() -> impl Strategy<Value = ChannelConfig> {
+    (
+        prop_oneof![Just(1u32), Just(2), Just(4)],
+        prop_oneof![
+            Just(Placement::Blocked),
+            Just(Placement::Stripe),
+            Just(Placement::StripeFrames(2)),
+            Just(Placement::IndexData { index_channels: 1 }),
+        ],
+    )
+        .prop_map(|(channels, placement)| {
+            if channels == 1 {
+                ChannelConfig::single()
+            } else {
+                ChannelConfig {
+                    channels,
+                    placement,
+                    switch_cost: 2,
+                }
+            }
+        })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn incremental_state_equals_oracle_under_loss(
@@ -174,6 +204,9 @@ proptest! {
         k in 1usize..10,
         aggressive in any::<bool>(),
         reorganized in any::<bool>(),
+        chan in arb_channels(),
+        antennas in 1u32..3,
+        bursty in any::<bool>(),
     ) {
         let cfg = if reorganized {
             DsiConfig::paper_reorganized()
@@ -181,13 +214,19 @@ proptest! {
             DsiConfig::paper_default()
         };
         let ds = SpatialDataset::build(&uniform(n, ds_seed), 8);
-        let air = DsiAir::build(&ds, cfg);
-        let loss = LossModel::iid(theta);
+        let air = DsiAir::build_channels(&ds, cfg, chan);
+        let loss = if bursty {
+            // Fades entered at a θ-scaled rate, mean length 4 packets.
+            LossModel::Gilbert(GilbertElliott::new(theta / 4.0, 0.25, 0.9))
+        } else {
+            LossModel::iid(theta)
+        };
+        let ant = AntennaConfig::new(antennas);
         let start = start_seed % air.program().len();
         hotpath::with_state_path(StatePath::Audit, || {
             // Window run: audited against the oracle after every event.
             let w = Rect::window_in_unit_square(Point::new(cx, cy), side);
-            let mut tuner = Tuner::tune_in(air.program(), start, loss.clone(), start_seed);
+            let mut tuner = Tuner::tune_in_with(air.program(), start, loss.clone(), start_seed, ant);
             let got = air.window_query(&mut tuner, &w);
             assert_eq!(got, ds.brute_window(&w));
 
@@ -198,7 +237,7 @@ proptest! {
                 KnnStrategy::Conservative
             };
             let q = Point::new(qx, qy);
-            let mut tuner = Tuner::tune_in(air.program(), start, loss, start_seed ^ 1);
+            let mut tuner = Tuner::tune_in_with(air.program(), start, loss, start_seed ^ 1, ant);
             let got = air.knn_query(&mut tuner, q, k, strategy);
             assert_eq!(got, ds.brute_knn(q, k.min(n)));
         });
@@ -406,7 +445,6 @@ fn incremental_path_never_recomputes_from_scratch() {
 /// antenna count.
 #[test]
 fn explicit_placement_preserves_answers() {
-    use dsi_broadcast::{AntennaConfig, ChannelConfig, Placement};
     let ds = SpatialDataset::build(&uniform(220, 7), 8);
     let cfg = DsiConfig::paper_reorganized().with_capacity(64);
     let single = DsiAir::build(&ds, cfg);
@@ -442,4 +480,39 @@ fn explicit_placement_preserves_answers() {
             );
         }
     }
+}
+
+/// The audited grid above builds programs of 8 to 32 frames, inside one
+/// word of the navigator's candidate bitset. This drive runs the same
+/// Audit checks — candidate list included — on a four-channel program of
+/// 256 frames, with two antennas and bursty loss.
+#[test]
+fn audited_multi_channel_drives_span_many_frames() {
+    let ds = SpatialDataset::build(&uniform(2000, 5), 8);
+    let air = DsiAir::build_channels(
+        &ds,
+        DsiConfig::paper_reorganized(),
+        ChannelConfig::blocked(4, 2),
+    );
+    assert!(
+        air.layout().n_frames() > 128,
+        "{} frames",
+        air.layout().n_frames()
+    );
+    let loss = LossModel::Gilbert(GilbertElliott::new(0.02, 0.25, 0.9));
+    let ant = AntennaConfig::new(2);
+    hotpath::with_state_path(StatePath::Audit, || {
+        for (i, (x, y)) in [(0.3, 0.6), (0.75, 0.2)].into_iter().enumerate() {
+            let start = 7919 * i as u64;
+            let w = Rect::window_in_unit_square(Point::new(x, y), 0.15);
+            let mut tuner = Tuner::tune_in_with(air.program(), start, loss.clone(), i as u64, ant);
+            assert_eq!(air.window_query(&mut tuner, &w), ds.brute_window(&w));
+            let q = Point::new(y, x);
+            let mut tuner = Tuner::tune_in_with(air.program(), start, loss.clone(), i as u64, ant);
+            assert_eq!(
+                air.knn_query(&mut tuner, q, 5, KnnStrategy::Conservative),
+                ds.brute_knn(q, 5)
+            );
+        }
+    });
 }

@@ -206,11 +206,14 @@ pub fn pool_spawn_races_drop(bound: usize) -> ScenarioReport {
 
 /// A panicking `on_thread_start` hook must not decimate the pool: jobs
 /// still drain and the first hook payload surfaces, in every schedule.
+/// Two workers race their hooks against `Builder::build`'s start
+/// countdown: both payloads are in before `build` returns, so taking the
+/// first leaves nothing for a late hook to re-raise at drop.
 pub fn pool_hook_panic(bound: usize) -> ScenarioReport {
     let outcomes: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
     let check = check(&Options::with_bound(bound), || {
         let pool = Builder::new()
-            .workers(1)
+            .workers(2)
             .on_thread_start(|| panic!("hook boom"))
             .build();
         let hits = Arc::new(AtomicUsize::new(0));
@@ -227,6 +230,10 @@ pub fn pool_hook_panic(bound: usize) -> ScenarioReport {
         assert_eq!(n, 1, "hook panic cost the pool its worker");
         let payload = pool.take_stray_panic().expect("hook panic recorded");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("?");
+        assert!(
+            pool.take_stray_panic().is_none(),
+            "a hook panicked after the first payload was taken"
+        );
         outcomes.borrow_mut().insert(format!("hook={msg} hits={n}"));
         drop(pool);
     });
