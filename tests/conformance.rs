@@ -1554,14 +1554,19 @@ fn single_antenna_reproduces_pre_refactor_channel_stats() {
     }
 }
 
-/// (channel config, loss, query kind, query index, latency_packets,
-/// tuning_packets, switches, per-channel tuning packets, loss retunes) of
-/// the 2-antenna DSI client, captured while the multi-channel navigator
-/// still swept every frame in broadcast order. The k = 2 client plans
-/// over that candidate list with the duration-aware planner, so these
-/// rows pin the list itself, not just the answers: enumerating the
-/// candidates any other way must reproduce every row bit-for-bit.
+/// (scheme, channel config, loss, query kind, query index,
+/// latency_packets, tuning_packets, switches, per-channel tuning packets,
+/// loss retunes) of the 2-antenna clients. The DSI rows were captured
+/// while the multi-channel navigator still swept every frame in broadcast
+/// order: the k = 2 client plans over that candidate list with the
+/// duration-aware planner, so they pin the list itself, not just the
+/// answers. The R-tree rows were captured while its kNN client still
+/// re-selected the k-th candidate bound after every change: the radius
+/// decides which nodes are pruned before the planner sees them, so they
+/// pin that bookkeeping. Any other way to enumerate candidates or keep
+/// bounds must reproduce every row bit-for-bit.
 type AntennaGoldenRow = (
+    &'static str,
     &'static str,
     &'static str,
     &'static str,
@@ -1574,35 +1579,59 @@ type AntennaGoldenRow = (
 );
 
 #[rustfmt::skip]
-const TWO_ANTENNA_DSI_GOLDEN: &[AntennaGoldenRow] = &[
-    ("blocked4", "none", "window", 0, 887, 173, 2, &[2, 2, 0, 169], 0),
-    ("blocked4", "none", "window", 1, 1340, 209, 5, &[9, 141, 0, 59], 0),
-    ("blocked4", "none", "knn", 0, 675, 292, 2, &[22, 0, 190, 80], 0),
-    ("blocked4", "none", "knn", 1, 2083, 299, 6, &[2, 246, 6, 45], 0),
-    ("blocked4", "gilbert", "window", 0, 887, 173, 2, &[2, 2, 0, 169], 0),
-    ("blocked4", "gilbert", "window", 1, 1340, 209, 5, &[9, 141, 0, 59], 0),
-    ("blocked4", "gilbert", "knn", 0, 675, 292, 2, &[22, 0, 190, 80], 0),
-    ("blocked4", "gilbert", "knn", 1, 2083, 299, 6, &[2, 246, 6, 45], 0),
-    ("stripe4", "none", "window", 0, 10321, 177, 20, &[39, 20, 45, 73], 0),
-    ("stripe4", "none", "window", 1, 19885, 214, 33, &[46, 65, 44, 59], 0),
-    ("stripe4", "none", "knn", 0, 17961, 400, 32, &[60, 138, 102, 100], 0),
-    ("stripe4", "none", "knn", 1, 31534, 362, 52, &[75, 118, 97, 72], 0),
-    ("stripe4", "gilbert", "window", 0, 10321, 177, 20, &[39, 20, 45, 73], 0),
-    ("stripe4", "gilbert", "window", 1, 20569, 216, 33, &[47, 66, 44, 59], 0),
-    ("stripe4", "gilbert", "knn", 0, 17961, 400, 32, &[60, 138, 102, 100], 0),
-    ("stripe4", "gilbert", "knn", 1, 17630, 231, 28, &[63, 63, 61, 44], 0),
-    ("split2", "none", "window", 0, 9265, 177, 1, &[18, 159], 0),
-    ("split2", "none", "window", 1, 15794, 207, 1, &[20, 187], 0),
-    ("split2", "none", "knn", 0, 12657, 273, 1, &[12, 261], 0),
-    ("split2", "none", "knn", 1, 19993, 379, 1, &[28, 351], 0),
-    ("split2", "gilbert", "window", 0, 9265, 177, 1, &[18, 159], 0),
-    ("split2", "gilbert", "window", 1, 15794, 204, 1, &[16, 188], 0),
-    ("split2", "gilbert", "knn", 0, 12657, 273, 1, &[12, 261], 0),
-    ("split2", "gilbert", "knn", 1, 19993, 381, 1, &[30, 351], 0),
+const TWO_ANTENNA_GOLDEN: &[AntennaGoldenRow] = &[
+    ("dsi", "blocked4", "none", "window", 0, 887, 173, 2, &[2, 2, 0, 169], 0),
+    ("dsi", "blocked4", "none", "window", 1, 1340, 209, 5, &[9, 141, 0, 59], 0),
+    ("dsi", "blocked4", "none", "knn", 0, 675, 292, 2, &[22, 0, 190, 80], 0),
+    ("dsi", "blocked4", "none", "knn", 1, 2083, 299, 6, &[2, 246, 6, 45], 0),
+    ("dsi", "blocked4", "gilbert", "window", 0, 887, 173, 2, &[2, 2, 0, 169], 0),
+    ("dsi", "blocked4", "gilbert", "window", 1, 1340, 209, 5, &[9, 141, 0, 59], 0),
+    ("dsi", "blocked4", "gilbert", "knn", 0, 675, 292, 2, &[22, 0, 190, 80], 0),
+    ("dsi", "blocked4", "gilbert", "knn", 1, 2083, 299, 6, &[2, 246, 6, 45], 0),
+    ("dsi", "stripe4", "none", "window", 0, 10321, 177, 20, &[39, 20, 45, 73], 0),
+    ("dsi", "stripe4", "none", "window", 1, 19885, 214, 33, &[46, 65, 44, 59], 0),
+    ("dsi", "stripe4", "none", "knn", 0, 17961, 400, 32, &[60, 138, 102, 100], 0),
+    ("dsi", "stripe4", "none", "knn", 1, 31534, 362, 52, &[75, 118, 97, 72], 0),
+    ("dsi", "stripe4", "gilbert", "window", 0, 10321, 177, 20, &[39, 20, 45, 73], 0),
+    ("dsi", "stripe4", "gilbert", "window", 1, 20569, 216, 33, &[47, 66, 44, 59], 0),
+    ("dsi", "stripe4", "gilbert", "knn", 0, 17961, 400, 32, &[60, 138, 102, 100], 0),
+    ("dsi", "stripe4", "gilbert", "knn", 1, 17630, 231, 28, &[63, 63, 61, 44], 0),
+    ("dsi", "split2", "none", "window", 0, 9265, 177, 1, &[18, 159], 0),
+    ("dsi", "split2", "none", "window", 1, 15794, 207, 1, &[20, 187], 0),
+    ("dsi", "split2", "none", "knn", 0, 12657, 273, 1, &[12, 261], 0),
+    ("dsi", "split2", "none", "knn", 1, 19993, 379, 1, &[28, 351], 0),
+    ("dsi", "split2", "gilbert", "window", 0, 9265, 177, 1, &[18, 159], 0),
+    ("dsi", "split2", "gilbert", "window", 1, 15794, 204, 1, &[16, 188], 0),
+    ("dsi", "split2", "gilbert", "knn", 0, 12657, 273, 1, &[12, 261], 0),
+    ("dsi", "split2", "gilbert", "knn", 1, 19993, 381, 1, &[30, 351], 0),
+    ("rtree", "blocked4", "none", "window", 0, 1559, 170, 1, &[2, 0, 0, 168], 0),
+    ("rtree", "blocked4", "none", "window", 1, 1657, 207, 6, &[31, 115, 61, 0], 0),
+    ("rtree", "blocked4", "none", "knn", 0, 1386, 422, 3, &[47, 8, 273, 94], 0),
+    ("rtree", "blocked4", "none", "knn", 1, 1535, 315, 6, &[88, 211, 12, 4], 0),
+    ("rtree", "blocked4", "gilbert", "window", 0, 3134, 171, 1, &[2, 0, 0, 169], 0),
+    ("rtree", "blocked4", "gilbert", "window", 1, 2869, 212, 5, &[34, 117, 61, 0], 0),
+    ("rtree", "blocked4", "gilbert", "knn", 0, 1386, 390, 3, &[47, 8, 241, 94], 0),
+    ("rtree", "blocked4", "gilbert", "knn", 1, 1535, 297, 7, &[70, 213, 6, 8], 0),
+    ("rtree", "stripe4", "none", "window", 0, 7872, 170, 10, &[44, 72, 37, 17], 0),
+    ("rtree", "stripe4", "none", "window", 1, 7221, 207, 9, &[72, 42, 57, 36], 0),
+    ("rtree", "stripe4", "none", "knn", 0, 7431, 175, 11, &[83, 35, 23, 34], 0),
+    ("rtree", "stripe4", "none", "knn", 1, 6910, 197, 15, &[72, 60, 28, 37], 0),
+    ("rtree", "stripe4", "gilbert", "window", 0, 7872, 171, 12, &[43, 72, 37, 19], 0),
+    ("rtree", "stripe4", "gilbert", "window", 1, 8269, 211, 13, &[69, 42, 61, 39], 0),
+    ("rtree", "stripe4", "gilbert", "knn", 0, 9006, 177, 16, &[76, 38, 26, 37], 0),
+    ("rtree", "stripe4", "gilbert", "knn", 1, 8485, 253, 22, &[107, 74, 48, 24], 0),
+    ("rtree", "split2", "none", "window", 0, 4784, 170, 1, &[26, 144], 0),
+    ("rtree", "split2", "none", "window", 1, 4477, 207, 1, &[47, 160], 0),
+    ("rtree", "split2", "none", "knn", 0, 3456, 232, 1, &[104, 128], 0),
+    ("rtree", "split2", "none", "knn", 1, 4857, 159, 1, &[79, 80], 0),
+    ("rtree", "split2", "gilbert", "window", 0, 4784, 171, 1, &[27, 144], 0),
+    ("rtree", "split2", "gilbert", "window", 1, 4477, 210, 1, &[50, 160], 0),
+    ("rtree", "split2", "gilbert", "knn", 0, 3456, 239, 1, &[111, 128], 0),
+    ("rtree", "split2", "gilbert", "knn", 1, 4857, 161, 1, &[81, 80], 0),
 ];
 
 #[test]
-fn two_antenna_dsi_reproduces_pinned_channel_stats() {
+fn two_antenna_reproduces_pinned_channel_stats() {
     let ds = dataset();
     let windows = window_queries(4, 0.2, 3);
     let points = knn_points(4, 9);
@@ -1617,41 +1646,46 @@ fn two_antenna_dsi_reproduces_pinned_channel_stats() {
         .expect("the fault grid has a Gilbert–Elliott model")
         .1;
     let mut checked = 0;
-    for (cname, chan) in &configs {
-        let dsi = build_scheme(&ds, "dsi", chan);
-        for (lname, loss) in [("none", LossModel::None), ("gilbert", gilbert.clone())] {
-            for kind in ["window", "knn"] {
-                for qi in 0..2 {
-                    let out = run(
-                        dsi.as_ref(),
-                        loss.clone(),
-                        AntennaConfig::new(2),
-                        kind,
-                        qi,
-                        &windows,
-                        &points,
-                    );
-                    let row = TWO_ANTENNA_DSI_GOLDEN
-                        .iter()
-                        .find(|r| (r.0, r.1, r.2, r.3) == (*cname, lname, kind, qi))
-                        .unwrap_or_else(|| panic!("no golden for {cname}/{lname}/{kind} q{qi}"));
-                    assert_eq!(
-                        (
-                            out.stats.latency_packets,
-                            out.stats.tuning_packets,
-                            out.channels.switches,
-                            out.channels.tuning_packets.as_slice(),
-                            out.channels.loss_retunes,
-                        ),
-                        (row.4, row.5, row.6, row.7, row.8),
-                        "dsi/{cname}/k2/{lname}/{kind} q{qi} diverged from the pinned stats"
-                    );
-                    checked += 1;
+    for sname in ["dsi", "rtree"] {
+        for (cname, chan) in &configs {
+            let scheme = build_scheme(&ds, sname, chan);
+            for (lname, loss) in [("none", LossModel::None), ("gilbert", gilbert.clone())] {
+                for kind in ["window", "knn"] {
+                    for qi in 0..2 {
+                        let out = run(
+                            scheme.as_ref(),
+                            loss.clone(),
+                            AntennaConfig::new(2),
+                            kind,
+                            qi,
+                            &windows,
+                            &points,
+                        );
+                        let key = (sname, *cname, lname, kind, qi);
+                        let row = TWO_ANTENNA_GOLDEN
+                            .iter()
+                            .find(|r| (r.0, r.1, r.2, r.3, r.4) == key)
+                            .unwrap_or_else(|| {
+                                panic!("no golden for {sname}/{cname}/{lname}/{kind} q{qi}")
+                            });
+                        assert_eq!(
+                            (
+                                out.stats.latency_packets,
+                                out.stats.tuning_packets,
+                                out.channels.switches,
+                                out.channels.tuning_packets.as_slice(),
+                                out.channels.loss_retunes,
+                            ),
+                            (row.5, row.6, row.7, row.8, row.9),
+                            "{sname}/{cname}/k2/{lname}/{kind} q{qi} diverged from the pinned stats"
+                        );
+                        checked += 1;
+                    }
                 }
             }
         }
     }
-    assert_eq!(checked, TWO_ANTENNA_DSI_GOLDEN.len());
+    assert_eq!(checked, TWO_ANTENNA_GOLDEN.len());
 }
 
 /// Fits a workload-optimized explicit placement for one scheme: profiles
