@@ -52,7 +52,7 @@ use std::collections::BTreeMap;
 
 use dsi_broadcast::Tuner;
 use dsi_datagen::Object;
-use dsi_geom::{dist2, GridMapper, Point};
+use dsi_geom::{dist2, BoundOrder, GridMapper, Point};
 use dsi_hilbert::{
     narrow_ranges_to_circle_coarse_into, narrow_ranges_to_circle_into,
     ranges_in_circle_with_dist_into, DistRange, HcRange, HilbertCurve,
@@ -111,14 +111,13 @@ struct Cand {
     retrieved: bool,
 }
 
-/// The candidate set with its k-th-bound cache.
+/// The candidate set: per-HC state, plus every candidate's upper bound in
+/// (bound, HC) order. The radius and the completion check read the front
+/// of that order, so no change is followed by a selection.
 struct Candidates {
     k: usize,
     by_hc: BTreeMap<u64, Cand>,
-    r2_cache: Option<f64>,
-    /// Reused selection buffer: the radius and completion checks run every
-    /// driver iteration and must not allocate in steady state.
-    select_buf: Vec<(f64, u64, bool)>,
+    bounds: BoundOrder<u64>,
 }
 
 impl Candidates {
@@ -126,8 +125,7 @@ impl Candidates {
         Self {
             k,
             by_hc: BTreeMap::new(),
-            r2_cache: None,
-            select_buf: Vec::new(),
+            bounds: BoundOrder::default(),
         }
     }
 
@@ -135,53 +133,20 @@ impl Candidates {
         self.by_hc.len()
     }
 
-    /// Fills `select_buf` and partitions it so its first `k` entries are
-    /// the k best candidates (smallest upper bound, ties broken by HC
-    /// value). Returns `false` while fewer than k candidates are known.
-    /// Single selection shared by the radius and the completion check so
-    /// the two can never disagree on the top-k.
-    fn select_top_k(&mut self) -> bool {
-        if self.by_hc.len() < self.k {
-            return false;
-        }
-        self.select_buf.clear();
-        self.select_buf
-            .extend(self.by_hc.iter().map(|(&hc, c)| (c.ub2, hc, c.retrieved)));
-        self.select_buf.select_nth_unstable_by(self.k - 1, |a, b| {
-            a.partial_cmp(b).expect("bounds are never NaN")
-        });
-        true
-    }
-
     /// The squared radius of the search space: the k-th smallest upper
     /// bound over known-distinct objects (∞ while fewer than k are known).
-    fn r2(&mut self) -> f64 {
-        if let Some(v) = self.r2_cache {
-            return v;
-        }
-        let v = if self.select_top_k() {
-            self.select_buf[self.k - 1].0
-        } else {
-            f64::INFINITY
-        };
-        self.r2_cache = Some(v);
-        v
+    fn r2(&self) -> f64 {
+        self.bounds.kth(self.k)
     }
 
-    /// Whether the k best candidates have all been retrieved.
-    fn top_k_retrieved(&mut self) -> bool {
-        self.select_top_k() && self.select_buf[..self.k].iter().all(|&(_, _, r)| r)
+    /// Whether the k best candidates (smallest upper bound, ties broken
+    /// by HC value) have all been retrieved.
+    fn top_k_retrieved(&self) -> bool {
+        let top = self.bounds.first(self.k);
+        top.len() == self.k && top.iter().all(|(_, hc)| self.by_hc[hc].retrieved)
     }
 
-    /// Offers a virtual candidate. Skipped if it cannot tighten the k-th
-    /// bound (its upper bound already exceeds the current radius).
-    fn offer_virtual(&mut self, hc: u64, ub2: f64) {
-        if self.by_hc.contains_key(&hc) {
-            return;
-        }
-        if self.by_hc.len() >= self.k && ub2 >= self.r2() {
-            return;
-        }
+    fn insert_virtual(&mut self, hc: u64, ub2: f64) {
         self.by_hc.insert(
             hc,
             Cand {
@@ -191,49 +156,36 @@ impl Candidates {
                 retrieved: false,
             },
         );
-        self.r2_cache = None;
+        self.bounds.insert(ub2, hc);
     }
 
-    /// Offers one batch of virtual candidates (an index table's entries):
-    /// a single top-k selection bounds the whole batch, so a frame with m
-    /// entries costs one O(n) selection instead of m. The stale bound
-    /// admits a superset of what per-offer filtering would (offers the
-    /// mid-batch radius would already reject), but each extra member's
-    /// upper bound is at least the radius at its insertion and the radius
-    /// never grows — extras rank strictly beyond the k-th bound forever,
-    /// so the radius is unchanged and completion is at most deferred. The
-    /// cache is invalidated once, after the batch, which keeps the radius
-    /// and completion checks reading one consistent selection (asserted
-    /// against the sequential oracle in the differential property tests).
+    /// Offers one batch of virtual candidates (an index table's entries),
+    /// all filtered against the radius read once before the batch. The
+    /// stale bound admits a superset of what per-offer filtering would
+    /// (offers the mid-batch radius would already reject), but each extra
+    /// member's upper bound is at least the radius at its insertion and
+    /// the radius never grows — extras rank strictly beyond the k-th bound
+    /// forever, so the radius is unchanged and completion is at most
+    /// deferred (asserted against the sequential oracle in the
+    /// differential property tests).
     fn offer_virtuals(&mut self, offers: &[(u64, f64)]) {
         let r2 = self.r2();
-        let mut inserted = false;
         for &(hc, ub2) in offers {
             if self.by_hc.len() >= self.k && ub2 >= r2 {
                 continue;
             }
-            if self.by_hc.contains_key(&hc) {
-                continue;
+            if !self.by_hc.contains_key(&hc) {
+                self.insert_virtual(hc, ub2);
             }
-            self.by_hc.insert(
-                hc,
-                Cand {
-                    ub2,
-                    d2: f64::NAN,
-                    id: u32::MAX,
-                    retrieved: false,
-                },
-            );
-            inserted = true;
-        }
-        if inserted {
-            self.r2_cache = None;
         }
     }
 
     /// Header seen and the object is (still) wanted: record its exact
-    /// distance, keeping any retrieved flag.
+    /// distance, keeping any retrieved flag, and move its bound there.
     fn resolve_wanted(&mut self, hc: u64, d2: f64, id: u32) {
+        if let Some(c) = self.by_hc.get(&hc) {
+            self.bounds.remove(c.ub2, hc);
+        }
         let c = self.by_hc.entry(hc).or_insert(Cand {
             ub2: d2,
             d2,
@@ -243,7 +195,7 @@ impl Candidates {
         c.ub2 = d2;
         c.d2 = d2;
         c.id = id;
-        self.r2_cache = None;
+        self.bounds.insert(d2, hc);
     }
 
     /// Header seen but the object is provably outside the search space:
@@ -253,8 +205,8 @@ impl Candidates {
     fn drop_unwanted(&mut self, hc: u64) {
         if let Some(c) = self.by_hc.get(&hc) {
             if !c.retrieved {
+                self.bounds.remove(c.ub2, hc);
                 self.by_hc.remove(&hc);
-                self.r2_cache = None;
             }
         }
     }
@@ -619,7 +571,28 @@ impl DsiAir {
 /// tests of the batched-offer API (`crates/core/tests/props.rs`).
 #[doc(hidden)]
 pub mod testkit {
+    use std::collections::BTreeMap;
+
     use super::{Cand, Candidates};
+
+    /// The k best candidates by (upper bound, HC value), found by a full
+    /// selection over every candidate (`None` while fewer than k are
+    /// known): the radius bookkeeping before the candidate bounds were
+    /// kept in order, and the reference they are checked against.
+    fn select_top_k(by_hc: &BTreeMap<u64, Cand>, k: usize) -> Option<Vec<(f64, u64, bool)>> {
+        if by_hc.len() < k {
+            return None;
+        }
+        let mut buf: Vec<(f64, u64, bool)> = by_hc
+            .iter()
+            .map(|(&hc, c)| (c.ub2, hc, c.retrieved))
+            .collect();
+        buf.select_nth_unstable_by(k - 1, |a, b| {
+            a.partial_cmp(b).expect("bounds are never NaN")
+        });
+        buf.truncate(k);
+        Some(buf)
+    }
 
     /// A wrapped [`Candidates`] exposing its transitions and checks.
     pub struct CandSet(Candidates);
@@ -631,9 +604,13 @@ pub mod testkit {
         }
 
         /// Sequential-oracle offer: re-filters against a fresh radius per
-        /// offer (the pre-batching behaviour).
+        /// offer (the pre-batching behaviour). Skipped if it cannot tighten
+        /// the k-th bound.
         pub fn offer_one(&mut self, hc: u64, ub2: f64) {
-            self.0.offer_virtual(hc, ub2);
+            let c = &mut self.0;
+            if !c.by_hc.contains_key(&hc) && (c.len() < c.k || ub2 < c.r2()) {
+                c.insert_virtual(hc, ub2);
+            }
         }
 
         /// Batched offer: one radius bound for the whole batch.
@@ -660,12 +637,12 @@ pub mod testkit {
         }
 
         /// The current squared search radius.
-        pub fn r2(&mut self) -> f64 {
+        pub fn r2(&self) -> f64 {
             self.0.r2()
         }
 
         /// Whether the k best candidates are all retrieved.
-        pub fn top_k_retrieved(&mut self) -> bool {
+        pub fn top_k_retrieved(&self) -> bool {
             self.0.top_k_retrieved()
         }
 
@@ -679,15 +656,34 @@ pub mod testkit {
             self.0.len() == 0
         }
 
-        /// Asserts the radius cache is coherent: the cached radius equals
-        /// the radius recomputed from a fresh selection, i.e. no mutation
-        /// left a stale cache behind for the completion check to disagree
-        /// with.
-        pub fn assert_cache_coherent(&mut self) {
-            let cached = self.0.r2();
-            self.0.r2_cache = None;
-            let fresh = self.0.r2();
-            assert_eq!(cached, fresh, "stale radius cache");
+        /// Asserts the ordered bounds hold exactly the candidates' upper
+        /// bounds, and that the radius, the top-k membership and the
+        /// completion check all equal a full selection's over the
+        /// candidates.
+        pub fn assert_matches_selection(&self) {
+            let c = &self.0;
+            let mut held: Vec<(f64, u64)> = c.by_hc.iter().map(|(&hc, d)| (d.ub2, hc)).collect();
+            held.sort_by(|a, b| a.partial_cmp(b).expect("bounds are never NaN"));
+            assert_eq!(c.bounds.first(usize::MAX), held, "ordered bounds drifted");
+            match select_top_k(&c.by_hc, c.k) {
+                None => {
+                    assert_eq!(c.r2(), f64::INFINITY, "radius below k candidates");
+                    assert!(!c.top_k_retrieved(), "completed below k candidates");
+                }
+                Some(mut top) => {
+                    let kth = top[c.k - 1].0;
+                    assert_eq!(c.r2(), kth, "radius differs from the selection");
+                    top.sort_by(|a, b| a.partial_cmp(b).expect("bounds are never NaN"));
+                    let members: Vec<(f64, u64)> = top.iter().map(|&(b, hc, _)| (b, hc)).collect();
+                    assert_eq!(
+                        c.bounds.first(c.k),
+                        members,
+                        "top-k differs from the selection"
+                    );
+                    let done = top.iter().all(|&(_, _, retrieved)| retrieved);
+                    assert_eq!(c.top_k_retrieved(), done, "completion differs");
+                }
+            }
         }
 
         /// The retrieved ids, nearest-first capped at k, ascending.
@@ -695,9 +691,6 @@ pub mod testkit {
             self.0.result_ids()
         }
     }
-
-    // Referenced so the struct fields count as used outside tests.
-    const _: fn(&Cand) -> bool = |c| c.retrieved;
 }
 
 #[cfg(test)]

@@ -247,14 +247,15 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Differential test of the batched-offer candidate API.
 //
-// `Candidates::offer_virtuals` bounds a whole index table's offers with a
-// single top-k selection instead of one per entry. The stale bound may
-// admit candidates a per-offer filter would reject, but those extras rank
-// strictly beyond the k-th bound forever — so the radius and the
-// completion check must never disagree with the sequential per-offer
-// oracle. Cache coherence (radius cache equals a fresh selection after
-// every mutation) is asserted alongside, since a stale cache is exactly
-// how the radius and completion checks could diverge from each other.
+// `Candidates::offer_virtuals` filters a whole index table's offers against
+// the radius read once before the batch instead of once per entry. The
+// stale bound may admit candidates a per-offer filter would reject, but
+// those extras rank strictly beyond the k-th bound forever — so the radius
+// and the completion check must never disagree with the sequential
+// per-offer oracle. After every op, both sets are also checked against a
+// full selection over their candidates (`assert_matches_selection`): the
+// ordered bounds must give the same radius, top-k membership and
+// completion as the selection they replaced.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -337,9 +338,10 @@ proptest! {
             }
             // The batched set's radius equals the sequential oracle's.
             prop_assert_eq!(batched.r2(), oracle.r2());
-            // Radius and completion read one coherent selection.
-            batched.assert_cache_coherent();
-            oracle.assert_cache_coherent();
+            // Radius, top-k membership and completion equal a full
+            // selection's over the held candidates.
+            batched.assert_matches_selection();
+            oracle.assert_matches_selection();
             // Extra batch-admitted candidates may defer completion but
             // never fake it.
             if batched.top_k_retrieved() {

@@ -10,16 +10,20 @@
 //!
 //! All distance computations are done on squared distances to avoid `sqrt`
 //! in hot loops; call sites take square roots only when a radius is needed
-//! for reporting.
+//! for reporting. [`BoundOrder`] keeps such bounds sorted for the kNN
+//! clients of every scheme, whose search radius is the k-th smallest
+//! upper bound over their candidates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bound;
 mod circle;
 mod grid;
 mod point;
 mod rect;
 
+pub use bound::BoundOrder;
 pub use circle::Circle;
 pub use grid::{Cell, GridMapper};
 pub use point::{dist, dist2, Point};

@@ -16,10 +16,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use dsi_broadcast::Tuner;
-use dsi_geom::{dist2, Point, Rect};
+use dsi_geom::{dist2, BoundOrder, Point, Rect};
 
 use crate::air::{RTreeAir, RtPacket};
-use crate::tree::Children;
+use crate::tree::{Children, RTree};
 
 /// A pending read, ordered by broadcast position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,15 +225,12 @@ impl RTreeAir {
         if k == 0 {
             return Vec::new();
         }
-        let mut cands = RtCandidates::new(k);
+        let mut cands = RtCandidates::new(&self.tree, q, k);
         let root_level = (self.tree.height() - 1) as u8;
-        cands.add_virtual(
-            Item::Node {
-                level: root_level,
-                idx: 0,
-            },
-            self.tree.root().mbr.max_dist2(q),
-        );
+        cands.insert(Item::Node {
+            level: root_level,
+            idx: 0,
+        });
         let mut pending = self.seed(tuner);
         while let Some((item, flat)) = pending.pop(self, tuner) {
             // Prune anything provably outside the search space.
@@ -269,7 +266,7 @@ impl RTreeAir {
                                         level: level - 1,
                                         idx: k,
                                     };
-                                    cands.add_virtual(it, child.mbr.max_dist2(q));
+                                    cands.insert(it);
                                     let (at, nflat) = self.node_arrival(tuner, level - 1, k);
                                     pending.push(at, nflat, it);
                                 }
@@ -278,10 +275,9 @@ impl RTreeAir {
                         Children::Objects { start, count } => {
                             for obj in *start..*start + *count {
                                 let (_, p) = self.tree.objects[obj as usize];
-                                let d2 = dist2(q, p);
-                                if d2 <= cands.r2() {
+                                if dist2(q, p) <= cands.r2() {
                                     let it = Item::Object { obj };
-                                    cands.add_exact(it, d2);
+                                    cands.insert(it);
                                     let oflat = self.object_pos[obj as usize];
                                     pending.push(tuner.arrival(oflat), oflat, it);
                                 }
@@ -292,14 +288,14 @@ impl RTreeAir {
                 Item::Object { obj } => {
                     tuner.goto(flat);
                     if self.read_object(tuner).is_ok() {
-                        cands.mark_retrieved(Item::Object { obj });
+                        cands.retrieve(obj);
                     } else {
                         pending.push(tuner.arrival(flat), flat, Item::Object { obj });
                     }
                 }
             }
         }
-        cands.result_ids(&self.tree)
+        cands.result_ids()
     }
 }
 
@@ -337,103 +333,70 @@ impl dsi_broadcast::AirScheme for RTreeAir {
 /// object within its MBR's max-distance — plus exact candidates for leaf
 /// entries. Subtrees in the pending set are disjoint and disjoint from all
 /// seen leaf entries, so candidates always denote distinct objects.
-struct RtCandidates {
+///
+/// A candidate's bound is a pure function of its item and `q` (the node
+/// MBR's max-distance, or the object's exact distance), so it is derived
+/// again on removal instead of stored. A retrieved object stays a
+/// candidate — its distance still bounds the radius — and is also listed
+/// with its distance for the answer.
+struct RtCandidates<'a> {
+    tree: &'a RTree,
+    q: Point,
     k: usize,
-    /// (key, upper bound, exact distance or NaN, retrieved)
-    // dsi-lint: allow(hash): candidate set; results leave through a full (d2, id) sort
-    entries: std::collections::HashMap<(u8, u32), CandState>,
-    r2_cache: std::cell::Cell<f64>,
-    dirty: std::cell::Cell<bool>,
+    bounds: BoundOrder<(u8, u32)>,
+    /// (d2, id) of every retrieved object.
+    retrieved: Vec<(f64, u32)>,
 }
 
-#[derive(Clone, Copy)]
-struct CandState {
-    ub2: f64,
-    d2: f64,
-    retrieved: bool,
-}
-
-fn key_of(item: Item) -> (u8, u32) {
-    match item {
-        Item::Node { level, idx } => (level, idx),
-        Item::Object { obj } => (u8::MAX, obj),
-    }
-}
-
-impl RtCandidates {
-    fn new(k: usize) -> Self {
+impl<'a> RtCandidates<'a> {
+    fn new(tree: &'a RTree, q: Point, k: usize) -> Self {
         Self {
+            tree,
+            q,
             k,
-            // dsi-lint: allow(hash): see the field's rationale above
-            entries: std::collections::HashMap::new(),
-            r2_cache: std::cell::Cell::new(f64::INFINITY),
-            dirty: std::cell::Cell::new(true),
+            bounds: BoundOrder::default(),
+            retrieved: Vec::new(),
         }
     }
 
+    fn bound(&self, item: Item) -> f64 {
+        match item {
+            Item::Node { level, idx } => self.tree.levels[level as usize][idx as usize]
+                .mbr
+                .max_dist2(self.q),
+            Item::Object { obj } => dist2(self.q, self.tree.objects[obj as usize].1),
+        }
+    }
+
+    /// The squared search radius: the k-th smallest bound (∞ while fewer
+    /// than k candidates are known).
     fn r2(&self) -> f64 {
-        if self.dirty.get() {
-            let v = if self.entries.len() < self.k {
-                f64::INFINITY
-            } else {
-                let mut ubs: Vec<f64> = self.entries.values().map(|c| c.ub2).collect();
-                let (_, kth, _) = ubs.select_nth_unstable_by(self.k - 1, |a, b| {
-                    a.partial_cmp(b).expect("bounds are never NaN")
-                });
-                *kth
-            };
-            self.r2_cache.set(v);
-            self.dirty.set(false);
-        }
-        self.r2_cache.get()
+        self.bounds.kth(self.k)
     }
 
-    fn add_virtual(&mut self, item: Item, ub2: f64) {
-        self.entries.insert(
-            key_of(item),
-            CandState {
-                ub2,
-                d2: f64::NAN,
-                retrieved: false,
-            },
-        );
-        self.dirty.set(true);
-    }
-
-    fn add_exact(&mut self, item: Item, d2: f64) {
-        self.entries.insert(
-            key_of(item),
-            CandState {
-                ub2: d2,
-                d2,
-                retrieved: false,
-            },
-        );
-        self.dirty.set(true);
+    fn insert(&mut self, item: Item) {
+        self.bounds.insert(self.bound(item), encode(item));
     }
 
     fn remove(&mut self, item: Item) {
-        if self.entries.remove(&key_of(item)).is_some() {
-            self.dirty.set(true);
-        }
+        self.bounds.remove(self.bound(item), encode(item));
     }
 
-    fn mark_retrieved(&mut self, item: Item) {
-        if let Some(c) = self.entries.get_mut(&key_of(item)) {
-            c.retrieved = true;
-        }
+    fn retrieve(&mut self, obj: u32) {
+        let (id, p) = self.tree.objects[obj as usize];
+        self.retrieved.push((dist2(self.q, p), id));
     }
 
     /// Final answer: k nearest retrieved objects (distance, then id).
-    fn result_ids(&self, tree: &crate::tree::RTree) -> Vec<u32> {
-        let mut retr: Vec<(f64, u32)> = self
-            .entries
+    fn result_ids(mut self) -> Vec<u32> {
+        self.retrieved
+            .sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are never NaN"));
+        let mut ids: Vec<u32> = self
+            .retrieved
             .iter()
-            .filter(|(&(kind, _), c)| kind == u8::MAX && c.retrieved)
-            .map(|(&(_, obj), c)| (c.d2, tree.objects[obj as usize].0))
+            .take(self.k)
+            .map(|&(_, id)| id)
             .collect();
-        retr.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are never NaN"));
-        let mut ids: Vec<u32> = retr.into_iter().take(self.k).map(|(_, id)| id).collect();
         ids.sort_unstable();
         ids
     }
