@@ -154,10 +154,14 @@ pub fn zipf_hotspot(n: usize, n_hotspots: usize, skew: f64, seed: u64) -> Vec<Po
 /// line, `#`-prefixed comments ignored) and normalises it into the unit
 /// square. This is the format of the rtreeportal.org datasets the paper
 /// uses, so the original REAL file can be substituted for [`clustered`].
+///
+/// A line whose pair does not parse, or parses to a NaN or infinite
+/// coordinate (`nan`, `inf`, `1e400`), is `InvalidData` naming its line
+/// number: one such point would make the normalising side infinite.
 pub fn load_points(path: &Path) -> std::io::Result<Vec<Point>> {
     let file = std::fs::File::open(path)?;
     let mut pts = Vec::new();
-    for line in BufReader::new(file).lines() {
+    for (i, line) in BufReader::new(file).lines().enumerate() {
         let line = line?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -167,13 +171,18 @@ pub fn load_points(path: &Path) -> std::io::Result<Vec<Point>> {
         let (Some(xs), Some(ys)) = (it.next(), it.next()) else {
             continue;
         };
-        let (Ok(x), Ok(y)) = (xs.parse::<f64>(), ys.parse::<f64>()) else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unparseable point line: {line:?}"),
-            ));
+        let problem = match (xs.parse::<f64>(), ys.parse::<f64>()) {
+            (Ok(x), Ok(y)) if x.is_finite() && y.is_finite() => {
+                pts.push(Point::new(x, y));
+                continue;
+            }
+            (Ok(_), Ok(_)) => "non-finite coordinate",
+            _ => "unparseable point",
         };
-        pts.push(Point::new(x, y));
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("line {}: {problem}: {line:?}", i + 1),
+        ));
     }
     Ok(normalize_unit(pts))
 }
@@ -262,5 +271,26 @@ mod tests {
         let path = dir.join("bad.txt");
         std::fs::write(&path, "1.0 not-a-number\n").unwrap();
         assert!(load_points(&path).is_err());
+    }
+
+    #[test]
+    fn load_points_rejects_non_finite_coordinates() {
+        let dir = std::env::temp_dir().join("dsi_datagen_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, body, line) in [
+            ("overflow.txt", "0.1 0.2\n0.5 0.9\n1e400 0.3\nnan 0.4\n", 3),
+            ("nan.txt", "# header\n0.1 0.2\nnan 0.4\n", 3),
+            ("inf.txt", "0.1 -inf\n", 1),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, body).unwrap();
+            let err = load_points(&path).expect_err(name);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}");
+            let msg = err.to_string();
+            assert!(
+                msg.starts_with(&format!("line {line}: non-finite coordinate")),
+                "{name}: {msg}"
+            );
+        }
     }
 }
