@@ -1,7 +1,7 @@
 //! Property tests for the R-tree baseline: STR invariants and on-air query
 //! correctness.
 
-use dsi_broadcast::{LossModel, Tuner};
+use dsi_broadcast::{AntennaConfig, ChannelConfig, GilbertElliott, LossModel, Tuner};
 use dsi_geom::{dist2, Point, Rect};
 use dsi_rtree::{str_pack, RTreeAir, RtreeAirConfig};
 use proptest::prelude::*;
@@ -58,18 +58,34 @@ proptest! {
         prop_assert_eq!(air.window_query(&mut t, &w), brute_window(&pts, &w));
     }
 
+    /// Up to 600 points at 64 B packets put path levels above the
+    /// segment cut and grow the candidate set well past k; channels,
+    /// antennas and bursty loss put the kNN radius in front of the
+    /// multi-antenna planner and the loss retunes.
     #[test]
     fn air_knn_matches_brute(
-        n in 10usize..150, seed in any::<u64>(),
+        n in 10usize..600, seed in any::<u64>(),
         start_seed in any::<u64>(),
         qx in 0.0..1.0f64, qy in 0.0..1.0f64, k in 1usize..10,
-        theta in prop_oneof![Just(0.0f64), Just(0.3)],
+        loss in prop_oneof![
+            Just(LossModel::None),
+            Just(LossModel::iid(0.3)),
+            // Fades entered at rate 0.075, mean length 4 packets.
+            Just(LossModel::Gilbert(GilbertElliott::new(0.075, 0.25, 0.9))),
+        ],
+        chan in prop_oneof![
+            Just(ChannelConfig::single()),
+            Just(ChannelConfig::blocked(4, 2)),
+            Just(ChannelConfig::striped(4, 2)),
+        ],
+        antennas in 1u32..3,
     ) {
         let pts = points(n, seed);
-        let air = RTreeAir::build(&pts, RtreeAirConfig::new(64));
+        let air = RTreeAir::build_channels(&pts, RtreeAirConfig::new(64), chan);
         let q = Point::new(qx, qy);
         let start = start_seed % air.program().len();
-        let mut t = Tuner::tune_in(air.program(), start, LossModel::iid(theta), start_seed);
+        let ant = AntennaConfig::new(antennas);
+        let mut t = Tuner::tune_in_with(air.program(), start, loss, start_seed, ant);
         prop_assert_eq!(air.knn_query(&mut t, q, k), brute_knn(&pts, q, k.min(n)));
     }
 }
@@ -80,7 +96,7 @@ proptest! {
 /// antenna count.
 #[test]
 fn explicit_placement_preserves_answers() {
-    use dsi_broadcast::{AntennaConfig, ChannelConfig, Placement};
+    use dsi_broadcast::Placement;
     let pts = points(200, 11);
     let single = RTreeAir::build(&pts, RtreeAirConfig::new(64));
     let units = single
