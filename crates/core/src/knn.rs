@@ -112,8 +112,8 @@ struct Cand {
 }
 
 /// The candidate set: per-HC state, plus every candidate's upper bound in
-/// (bound, HC) order. The radius and the completion check read the front
-/// of that order, so no change is followed by a selection.
+/// (bound, HC) order, whose front the radius and the completion check
+/// read.
 struct Candidates {
     k: usize,
     by_hc: BTreeMap<u64, Cand>,

@@ -8,7 +8,7 @@
 /// [`kth`](Self::kth) and [`first`](Self::first) read the front. Equal
 /// bounds are ordered by key, so the k best are well defined whatever the
 /// order of changes. A pair may be held more than once.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BoundOrder<K> {
     sorted: Vec<(f64, K)>,
 }
