@@ -1,5 +1,5 @@
 //! Perf-tracking harness: measures client query-engine throughput and
-//! writes `BENCH_PR14.json` so later PRs have a trajectory to beat.
+//! writes `BENCH_PR15.json` so later PRs have a trajectory to beat.
 //!
 //! Runs seeded window and 10NN batches over one DSI broadcast twice —
 //! once on the incremental state path and once on the from-scratch
@@ -35,10 +35,10 @@
 //! Scale knobs: `DSI_N` (objects, default 10,000), `DSI_QUERIES` (queries
 //! per batch, default 200), `DSI_FLEET_CLIENTS` (fleet population,
 //! default 200,000), `DSI_BENCH_OUT` (output path, default
-//! `BENCH_PR14.json`).
+//! `BENCH_PR15.json`).
 //!
-//! The committed `BENCH_PR14.json` was produced at full scale with
-//! `--compare BENCH_PR13.json`, the newest committed baseline; the
+//! The committed `BENCH_PR15.json` was produced at full scale with
+//! `--compare BENCH_PR14.json`, the newest committed baseline; the
 //! classic air metrics must stay bit-identical.
 
 use std::fmt::Write as _;
@@ -56,7 +56,7 @@ const CAPACITY: u32 = 64;
 const ORDER: u8 = 12;
 const K: usize = 10;
 const WINDOW_RATIO: f64 = 0.1;
-const PR: u32 = 14;
+const PR: u32 = 15;
 
 #[derive(Clone, Copy)]
 struct BatchMetrics {
@@ -392,7 +392,7 @@ fn main() {
     let n_queries = env_usize("DSI_QUERIES", 200);
     assert!(n > 0, "DSI_N must be at least 1");
     assert!(n_queries > 0, "DSI_QUERIES must be at least 1");
-    let out_path = std::env::var("DSI_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR14.json".into());
+    let out_path = std::env::var("DSI_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR15.json".into());
     let args: Vec<String> = std::env::args().collect();
     let compare_path = args
         .iter()
