@@ -58,10 +58,11 @@ proptest! {
         prop_assert_eq!(air.window_query(&mut t, &w), brute_window(&pts, &w));
     }
 
-    /// Up to 600 points at 64 B packets put path levels above the
-    /// segment cut and grow the candidate set well past k; channels,
-    /// antennas and bursty loss put the kNN radius in front of the
-    /// multi-antenna planner and the loss retunes.
+    /// Up to 600 points at 64 B packets lift the segment cut above the
+    /// leaves (from about 390 points) and grow the candidate set to
+    /// several dozen entries; channels, antennas and bursty loss put the
+    /// kNN radius in front of the multi-antenna planner and the loss
+    /// retunes.
     #[test]
     fn air_knn_matches_brute(
         n in 10usize..600, seed in any::<u64>(),
