@@ -13,8 +13,9 @@
 //!     multi-antenna tuner existed;
 //! (c) on the lossless path, a 2-antenna client is never slower than the
 //!     single-antenna client on the batch (mean access latency per cell);
-//! (d) the 2-antenna DSI client reproduces pinned [`ChannelStats`] rows
-//!     on multi-channel programs, lossless and under bursty fades.
+//! (d) the 2-antenna clients of all three schemes reproduce pinned
+//!     [`ChannelStats`] rows on multi-channel programs, lossless and under
+//!     bursty fades.
 //!
 //! A final regression test pins the PR 3 measured finding that motivated
 //! this layer: at C = 4 unit-granular striping hurts the serial-scan DSI
@@ -1563,8 +1564,10 @@ fn single_antenna_reproduces_pre_refactor_channel_stats() {
 /// answers. The R-tree rows were captured while its kNN client still
 /// re-selected the k-th candidate bound after every change: the radius
 /// decides which nodes are pruned before the planner sees them, so they
-/// pin that bookkeeping. Any other way to enumerate candidates or keep
-/// bounds must reproduce every row bit-for-bit.
+/// pin that bookkeeping. The HCI rows pin its planned pop and the
+/// arrival-ordered leaf walk of its kNN phase 1. Any other way to
+/// enumerate candidates, keep bounds or plan reads must reproduce every
+/// row bit-for-bit.
 type AntennaGoldenRow = (
     &'static str,
     &'static str,
@@ -1628,6 +1631,30 @@ const TWO_ANTENNA_GOLDEN: &[AntennaGoldenRow] = &[
     ("rtree", "split2", "gilbert", "window", 1, 4477, 210, 1, &[50, 160], 0),
     ("rtree", "split2", "gilbert", "knn", 0, 3456, 239, 1, &[111, 128], 0),
     ("rtree", "split2", "gilbert", "knn", 1, 4857, 161, 1, &[81, 80], 0),
+    ("hci", "blocked4", "none", "window", 0, 762, 158, 2, &[2, 0, 155, 1], 0),
+    ("hci", "blocked4", "none", "window", 1, 1477, 184, 4, &[108, 53, 0, 23], 0),
+    ("hci", "blocked4", "none", "knn", 0, 1820, 97, 3, &[4, 92, 1, 0], 0),
+    ("hci", "blocked4", "none", "knn", 1, 2495, 156, 5, &[7, 5, 33, 111], 0),
+    ("hci", "blocked4", "gilbert", "window", 0, 2106, 159, 2, &[2, 0, 156, 1], 0),
+    ("hci", "blocked4", "gilbert", "window", 1, 2023, 185, 5, &[108, 53, 0, 24], 0),
+    ("hci", "blocked4", "gilbert", "knn", 0, 1820, 97, 3, &[4, 92, 1, 0], 0),
+    ("hci", "blocked4", "gilbert", "knn", 1, 3807, 159, 5, &[8, 6, 33, 112], 0),
+    ("hci", "stripe4", "none", "window", 0, 6264, 158, 8, &[6, 51, 66, 35], 0),
+    ("hci", "stripe4", "none", "window", 1, 5851, 184, 14, &[75, 36, 53, 20], 0),
+    ("hci", "stripe4", "none", "knn", 0, 5849, 97, 15, &[35, 5, 23, 34], 0),
+    ("hci", "stripe4", "none", "knn", 1, 8500, 156, 22, &[25, 56, 55, 20], 0),
+    ("hci", "stripe4", "gilbert", "window", 0, 7614, 160, 8, &[7, 51, 66, 36], 0),
+    ("hci", "stripe4", "gilbert", "window", 1, 5851, 185, 15, &[74, 36, 53, 22], 0),
+    ("hci", "stripe4", "gilbert", "knn", 0, 7216, 98, 15, &[36, 5, 23, 34], 0),
+    ("hci", "stripe4", "gilbert", "knn", 1, 9850, 160, 23, &[26, 58, 54, 22], 0),
+    ("hci", "split2", "none", "window", 0, 3072, 158, 1, &[14, 144], 0),
+    ("hci", "split2", "none", "window", 1, 4665, 184, 1, &[24, 160], 0),
+    ("hci", "split2", "none", "knn", 0, 1616, 97, 1, &[17, 80], 0),
+    ("hci", "split2", "none", "knn", 1, 3297, 156, 1, &[28, 128], 0),
+    ("hci", "split2", "gilbert", "window", 0, 3072, 158, 1, &[14, 144], 0),
+    ("hci", "split2", "gilbert", "window", 1, 4665, 187, 1, &[27, 160], 0),
+    ("hci", "split2", "gilbert", "knn", 0, 1616, 98, 1, &[18, 80], 0),
+    ("hci", "split2", "gilbert", "knn", 1, 3297, 158, 1, &[30, 128], 0),
 ];
 
 #[test]
@@ -1646,7 +1673,7 @@ fn two_antenna_reproduces_pinned_channel_stats() {
         .expect("the fault grid has a Gilbert–Elliott model")
         .1;
     let mut checked = 0;
-    for sname in ["dsi", "rtree"] {
+    for sname in ["dsi", "rtree", "hci"] {
         for (cname, chan) in &configs {
             let scheme = build_scheme(&ds, sname, chan);
             for (lname, loss) in [("none", LossModel::None), ("gilbert", gilbert.clone())] {
