@@ -64,7 +64,10 @@ fn record_trace(path: &str) {
 
 fn replay_trace(path: &str) {
     let text = std::fs::read_to_string(path).expect("read trace");
-    let trace = FaultTrace::from_text(&text).expect("parse dsi-fault-trace v1");
+    let trace = FaultTrace::from_text(&text).unwrap_or_else(|e| {
+        eprintln!("{path}: {e}");
+        std::process::exit(1)
+    });
     let (e, ds, q) = traced_setup();
     // Replay is seed-independent: the scripted trace *is* the fault
     // model, so a different seed must reproduce the recorded run.

@@ -1,16 +1,15 @@
-//! Distributed air layout for the HCI B+-tree.
-//!
-//! Identical in structure to the R-tree layout (see `dsi-rtree`): the
-//! cycle is a sequence of segments (subtrees at a cut level), each headed
-//! by a replicated root-path copy, followed by the segment's nodes
-//! (depth-first, once per cycle) and its data objects in HC order.
+//! HCI's air layout: capacity-derived fanout and slot sizes, laid out as
+//! a segmented broadcast (see `dsi_broadcast::segmented`). The objects
+//! air in HC order: bulk loading gives every node a contiguous child
+//! range, so the depth-first segment order is the index order.
 
-use dsi_broadcast::{ChannelConfig, LayoutError, PacketClass, Payload, Program, Tuner};
+use dsi_broadcast::segmented::{SegmentedAir, SlotPackets, TreePacket};
+use dsi_broadcast::{ChannelConfig, LayoutError, Program};
 use dsi_datagen::SpatialDataset;
 use dsi_geom::GridMapper;
 use dsi_hilbert::HilbertCurve;
 
-use crate::tree::{bulk_load, BpChildren, BpTree, BP_ENTRY_BYTES, BP_NODE_HEADER_BYTES};
+use crate::tree::{bulk_load, BpTree, BP_ENTRY_BYTES, BP_NODE_HEADER_BYTES};
 
 /// Per-packet header, as for DSI.
 const PACKET_HEADER_BYTES: u32 = 2;
@@ -22,17 +21,12 @@ const OBJECT_BYTES: u32 = 1024;
 pub struct BpAirConfig {
     /// Packet capacity in bytes.
     pub capacity: u32,
-    /// Upper bound on data segments per cycle.
-    pub max_segments: u32,
 }
 
 impl BpAirConfig {
-    /// Default used by the evaluation.
+    /// The configuration at a packet capacity.
     pub fn new(capacity: u32) -> Self {
-        Self {
-            capacity,
-            max_segments: 128,
-        }
+        Self { capacity }
     }
 
     /// Node fanout at this capacity (leaf and internal entries are both 18
@@ -57,75 +51,12 @@ impl BpAirConfig {
     }
 }
 
-/// One packet of the HCI broadcast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BpPacket {
-    /// Part of a node slot (path copy or subtree node).
-    Node {
-        /// Tree level.
-        level: u8,
-        /// Node index within its level.
-        idx: u32,
-        /// Packet index within the slot.
-        part: u16,
-    },
-    /// First packet of a data object.
-    ObjHeader {
-        /// Index into the HC-sorted object array.
-        obj: u32,
-    },
-    /// Continuation packet of a data object.
-    ObjPayload {
-        /// Index into the HC-sorted object array.
-        obj: u32,
-        /// Sequence number (1-based).
-        seq: u16,
-    },
-}
-
-impl Payload for BpPacket {
-    fn class(&self) -> PacketClass {
-        match self {
-            BpPacket::Node { .. } => PacketClass::Index,
-            BpPacket::ObjHeader { .. } => PacketClass::ObjectHeader,
-            BpPacket::ObjPayload { .. } => PacketClass::ObjectPayload,
-        }
-    }
-
-    fn unit_start(&self) -> bool {
-        match self {
-            BpPacket::Node { part, .. } => *part == 0,
-            BpPacket::ObjHeader { .. } => true,
-            BpPacket::ObjPayload { .. } => false,
-        }
-    }
-}
-
-/// Where a node can be read.
-#[derive(Debug, Clone)]
-pub(crate) enum NodeWhere {
-    /// One occurrence per cycle.
-    Single(u64),
-    /// A copy in every segment header of `[first, last]` at `path_offset`.
-    PerSegment {
-        /// First covering segment.
-        first: u32,
-        /// Last covering segment (inclusive).
-        last: u32,
-        /// Packet offset within the segment header.
-        path_offset: u64,
-    },
-}
-
 /// The built HCI broadcast.
 #[derive(Debug, Clone)]
 pub struct BpAir {
     pub(crate) tree: BpTree,
     pub(crate) config: BpAirConfig,
-    pub(crate) program: Program<BpPacket>,
-    pub(crate) node_where: Vec<Vec<NodeWhere>>,
-    pub(crate) segment_starts: Vec<u64>,
-    pub(crate) object_pos: Vec<u64>,
+    pub(crate) air: SegmentedAir,
     pub(crate) curve: HilbertCurve,
     pub(crate) mapper: GridMapper,
 }
@@ -160,109 +91,27 @@ impl BpAir {
         channels: ChannelConfig,
     ) -> Result<Self, LayoutError> {
         let tree = bulk_load(dataset.objects(), config.fanout());
-        let height = tree.height();
-        let cut_level = (0..height)
-            .find(|&lv| tree.levels[lv].len() as u32 <= config.max_segments)
-            .unwrap_or(height - 1);
-
-        // Segment roots in order (children are contiguous, so cut-level
-        // nodes are already in HC order).
-        let segments: Vec<u32> = (0..tree.levels[cut_level].len() as u32).collect();
-
-        let mut node_where: Vec<Vec<NodeWhere>> = tree
-            .levels
-            .iter()
-            .map(|lv| vec![NodeWhere::Single(0); lv.len()])
-            .collect();
-
-        let np = config.node_packets() as u64;
-        let onp = config.object_packets() as u64;
-        let path_levels: Vec<usize> = ((cut_level + 1)..height).rev().collect();
-
-        let mut segment_starts = Vec::with_capacity(segments.len());
-        let mut object_pos = vec![0u64; tree.objects.len()];
-        let mut packets: Vec<BpPacket> = Vec::new();
-        for &seg_root in &segments {
-            let si = segment_starts.len() as u32;
-            segment_starts.push(packets.len() as u64);
-            for (pi, &lv) in path_levels.iter().enumerate() {
-                let anc = ancestor_of(&tree, cut_level, seg_root, lv);
-                for part in 0..np {
-                    packets.push(BpPacket::Node {
-                        level: lv as u8,
-                        idx: anc,
-                        part: part as u16,
-                    });
-                }
-                let off = pi as u64 * np;
-                match &mut node_where[lv][anc as usize] {
-                    w @ NodeWhere::Single(_) => {
-                        *w = NodeWhere::PerSegment {
-                            first: si,
-                            last: si,
-                            path_offset: off,
-                        };
-                    }
-                    NodeWhere::PerSegment { last, .. } => *last = si,
-                }
-            }
-            let mut objs = Vec::new();
-            emit_subtree(
-                &tree,
-                cut_level,
-                seg_root,
-                &mut packets,
-                &mut node_where,
-                np,
-                &mut objs,
-            );
-            for obj in objs {
-                object_pos[obj as usize] = packets.len() as u64;
-                packets.push(BpPacket::ObjHeader { obj });
-                for seq in 1..onp {
-                    packets.push(BpPacket::ObjPayload {
-                        obj,
-                        seq: seq as u16,
-                    });
-                }
-            }
-        }
-
-        // Frame granularity for `Placement::StripeFrames`: one frame per
-        // segment (its path copies, subtree nodes and objects scan as one
-        // run), passed explicitly since a replicated path copy looks the
-        // same at every occurrence.
-        let mut frame_starts = vec![false; packets.len()];
-        for &s in &segment_starts {
-            frame_starts[s as usize] = true;
-        }
-        let program =
-            Program::try_with_channels_frames(config.capacity, packets, channels, &frame_starts)?;
+        let node = config.node_packets() as u64;
+        let slots = SlotPackets {
+            leaf: node,
+            internal: node,
+            object: config.object_packets() as u64,
+        };
+        let air = SegmentedAir::try_build(config.capacity, channels, slots, &tree.levels, |n| {
+            &n.children
+        })?;
         Ok(Self {
             tree,
             config,
-            program,
-            node_where,
-            segment_starts,
-            object_pos,
+            air,
             curve: *dataset.curve(),
             mapper: *dataset.mapper(),
         })
     }
 
-    /// Packets one queued read occupies the receiver for: an object
-    /// record (`kind == u8::MAX`), or a node slot.
-    pub(crate) fn unit_dur(&self, kind: u8) -> u64 {
-        if kind == u8::MAX {
-            self.config.object_packets() as u64
-        } else {
-            self.config.node_packets() as u64
-        }
-    }
-
     /// The broadcast packet program.
-    pub fn program(&self) -> &Program<BpPacket> {
-        &self.program
+    pub fn program(&self) -> &Program<TreePacket> {
+        self.air.program()
     }
 
     /// The loaded tree (server side).
@@ -275,119 +124,9 @@ impl BpAir {
         &self.config
     }
 
-    /// The earliest instant at which node `(level, idx)` can be read by
-    /// `tuner` (channel placement, antennas and switch cost included), and
-    /// the flat position of the chosen copy.
-    pub(crate) fn node_arrival(
-        &self,
-        tuner: &Tuner<'_, BpPacket>,
-        level: u8,
-        idx: u32,
-    ) -> (u64, u64) {
-        match &self.node_where[level as usize][idx as usize] {
-            NodeWhere::Single(pos) => (tuner.arrival(*pos), *pos),
-            NodeWhere::PerSegment {
-                first,
-                last,
-                path_offset,
-            } => {
-                // Earliest readable copy among covered segments: per-copy
-                // arrivals through the tuner's channel- and antenna-aware
-                // planner, allocation-free.
-                let mut best = (u64::MAX, 0u64);
-                for s in *first..=*last {
-                    let flat = self.segment_starts[s as usize] + path_offset;
-                    let t = tuner.arrival(flat);
-                    if t < best.0 {
-                        best = (t, flat);
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    /// Next instant (≥ `from`) at which node `(level, idx)` can be read,
-    /// in flat single-channel time.
-    #[cfg(test)]
-    pub(crate) fn node_next_occurrence(&self, from: u64, level: u8, idx: u32) -> u64 {
-        match &self.node_where[level as usize][idx as usize] {
-            NodeWhere::Single(pos) => self.program.next_occurrence(from, *pos),
-            NodeWhere::PerSegment {
-                first,
-                last,
-                path_offset,
-            } => {
-                let mut best = u64::MAX;
-                for s in *first..=*last {
-                    let abs = self
-                        .program
-                        .next_occurrence(from, self.segment_starts[s as usize] + path_offset);
-                    best = best.min(abs);
-                }
-                best
-            }
-        }
-    }
-}
-
-fn ancestor_of(tree: &BpTree, cut: usize, seg_root: u32, target_level: usize) -> u32 {
-    // Children are contiguous ranges, so the ancestor is found by interval
-    // containment walking down from the root.
-    let mut level = tree.height() - 1;
-    let mut idx = 0u32;
-    loop {
-        if level == target_level {
-            return idx;
-        }
-        let BpChildren::Nodes(kids) = &tree.levels[level][idx as usize].children else {
-            unreachable!("walk stays above leaves");
-        };
-        let next = kids
-            .iter()
-            .copied()
-            .find(|&k| covers(tree, level - 1, k, cut, seg_root))
-            .expect("segment under root");
-        level -= 1;
-        idx = next;
-    }
-}
-
-fn covers(tree: &BpTree, level: usize, idx: u32, cut: usize, seg_root: u32) -> bool {
-    if level == cut {
-        return idx == seg_root;
-    }
-    let BpChildren::Nodes(kids) = &tree.levels[level][idx as usize].children else {
-        return false;
-    };
-    kids.iter()
-        .any(|&k| covers(tree, level - 1, k, cut, seg_root))
-}
-
-fn emit_subtree(
-    tree: &BpTree,
-    level: usize,
-    idx: u32,
-    packets: &mut Vec<BpPacket>,
-    node_where: &mut [Vec<NodeWhere>],
-    np: u64,
-    objs: &mut Vec<u32>,
-) {
-    node_where[level][idx as usize] = NodeWhere::Single(packets.len() as u64);
-    for part in 0..np {
-        packets.push(BpPacket::Node {
-            level: level as u8,
-            idx,
-            part: part as u16,
-        });
-    }
-    match &tree.levels[level][idx as usize].children {
-        BpChildren::Nodes(kids) => {
-            for &k in kids {
-                emit_subtree(tree, level - 1, k, packets, node_where, np, objs);
-            }
-        }
-        BpChildren::Objects { start, count } => objs.extend(*start..*start + *count),
+    /// The segmented layout: where every node copy and object airs.
+    pub fn layout(&self) -> &SegmentedAir {
+        &self.air
     }
 }
 
@@ -406,39 +145,12 @@ mod tests {
     }
 
     #[test]
-    fn layout_positions_are_consistent() {
-        let ds = SpatialDataset::build(&uniform(400, 5), 10);
-        let air = BpAir::build(&ds, BpAirConfig::new(64));
-        for (obj, &pos) in air.object_pos.iter().enumerate() {
-            match air.program().get(pos) {
-                BpPacket::ObjHeader { obj: o } => assert_eq!(*o as usize, obj),
-                p => panic!("expected header of {obj}, found {p:?}"),
-            }
-        }
-        for level in 0..air.tree.height() {
-            for idx in 0..air.tree.levels[level].len() as u32 {
-                let at = air.node_next_occurrence(0, level as u8, idx);
-                match air.program().get(at) {
-                    BpPacket::Node {
-                        level: l,
-                        idx: i,
-                        part: 0,
-                    } => {
-                        assert_eq!((*l as usize, *i), (level, idx));
-                    }
-                    p => panic!("expected node ({level},{idx}), found {p:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn data_is_broadcast_in_hc_order() {
         let ds = SpatialDataset::build(&uniform(300, 9), 10);
         let air = BpAir::build(&ds, BpAirConfig::new(128));
         let mut last = None;
         for p in air.program().iter() {
-            if let BpPacket::ObjHeader { obj } = p {
+            if let TreePacket::ObjHeader { obj } = p {
                 let hc = air.tree.objects[*obj as usize].hc;
                 if let Some(prev) = last {
                     assert!(hc > prev, "HC order violated");

@@ -1,90 +1,14 @@
 //! On-air HCI query processing.
 
-use std::cmp::Reverse;
 // dsi-lint: allow(hash): iteration order never escapes — results are re-sorted by (d2, id)
 use std::collections::{BinaryHeap, HashMap};
 
+use dsi_broadcast::segmented::{Children, ReadQueue, TreePacket, OBJECT};
 use dsi_broadcast::Tuner;
 use dsi_geom::{dist2, Point, Rect};
 use dsi_hilbert::{ranges_in_rect, HcRange};
 
-use crate::air::{BpAir, BpPacket};
-use crate::tree::BpChildren;
-
-const OBJ: u8 = u8::MAX;
-
-/// The traversal's pending reads: (level-or-object marker, index, upper
-/// bound of the subtree's key interval (exclusive), flat broadcast
-/// position to re-tune to). The single-receiver client pops by the
-/// arrival scheduled at push time (the pinned pre-refactor order); a
-/// multi-antenna client re-plans every pop through the tuner's
-/// batch-arrival API instead, because scheduled keys go stale in both
-/// directions as antennas retune — an airing can be missed (key too low)
-/// or a switch-cost penalty can evaporate once the channel is monitored
-/// (key too high), and either error costs up to a full channel cycle.
-type ScheduledHeap = BinaryHeap<Reverse<(u64, u8, u32, u64, u64)>>;
-
-enum Pending {
-    Scheduled(ScheduledHeap),
-    Planned {
-        /// (kind, payload, ub, flat target) of each pending read.
-        items: Vec<(u8, u32, u64, u64)>,
-        /// Reused flat-position buffer for the batch planner.
-        flats: Vec<u64>,
-    },
-}
-
-impl Pending {
-    fn for_tuner(tuner: &Tuner<'_, BpPacket>) -> Self {
-        if tuner.antennas() > 1 {
-            Pending::Planned {
-                items: Vec::new(),
-                flats: Vec::new(),
-            }
-        } else {
-            Pending::Scheduled(ScheduledHeap::new())
-        }
-    }
-
-    /// Queues a read; `at` is the caller-scheduled arrival (ignored by
-    /// the planned variant, which re-derives arrivals at pop time).
-    fn push(&mut self, at: u64, kind: u8, payload: u32, ub: u64, flat: u64) {
-        match self {
-            Pending::Scheduled(heap) => heap.push(Reverse((at, kind, payload, ub, flat))),
-            Pending::Planned { items, .. } => items.push((kind, payload, ub, flat)),
-        }
-    }
-
-    /// The next read: earliest scheduled arrival (single receiver) or
-    /// earliest current arrival across the monitored channels (planned).
-    ///
-    /// The planned variant re-derives each item's best readable copy
-    /// (replicated path nodes have one copy per covering segment, and the
-    /// earliest one changes as time passes) and picks through the tuner's
-    /// duration-aware planner ([`Tuner::plan_resilient`], the loss-aware
-    /// wrapper of [`Tuner::plan_earliest`]) — scheduled heap keys go
-    /// stale in both directions as antennas retune, and either error
-    /// costs up to a full channel cycle.
-    fn pop(&mut self, air: &BpAir, tuner: &mut Tuner<'_, BpPacket>) -> Option<(u8, u32, u64, u64)> {
-        match self {
-            Pending::Scheduled(heap) => {
-                let Reverse((_, kind, payload, ub, flat)) = heap.pop()?;
-                Some((kind, payload, ub, flat))
-            }
-            Pending::Planned { items, flats } => {
-                for item in items.iter_mut() {
-                    if item.0 != OBJ {
-                        item.3 = air.node_arrival(tuner, item.0, item.1).1;
-                    }
-                }
-                flats.clear();
-                flats.extend(items.iter().map(|&(_, _, _, flat)| flat));
-                let (pick, _) = tuner.plan_resilient(flats, |i| air.unit_dur(items[i].0))?;
-                Some(items.swap_remove(pick))
-            }
-        }
-    }
-}
+use crate::air::BpAir;
 
 fn overlaps(ranges: &[HcRange], lo: u64, ub: u64) -> bool {
     // First range with hi >= lo, then check it begins before ub.
@@ -93,37 +17,18 @@ fn overlaps(ranges: &[HcRange], lo: u64, ub: u64) -> bool {
 }
 
 impl BpAir {
-    /// Reads all packets of a node slot; `Err` = lost.
-    fn read_node(&self, tuner: &mut Tuner<'_, BpPacket>) -> Result<(), ()> {
-        for _ in 0..self.config.node_packets() {
-            if tuner.read().is_err() {
-                return Err(());
-            }
-        }
-        Ok(())
-    }
-
-    /// Seeds a traversal with the earliest readable root copy.
-    fn seed(&self, tuner: &mut Tuner<'_, BpPacket>) -> Pending {
-        let root_level = (self.tree.height() - 1) as u8;
-        let mut pending = Pending::for_tuner(tuner);
-        let (at, flat) = self.node_arrival(tuner, root_level, 0);
-        pending.push(at, root_level, 0, u64::MAX, flat);
-        pending
-    }
-
     /// Answers a window query on the air: ids of all objects inside
     /// `window`, ascending. Metrics accrue on `tuner`.
-    pub fn window_query(&self, tuner: &mut Tuner<'_, BpPacket>, window: &Rect) -> Vec<u32> {
+    pub fn window_query(&self, tuner: &mut Tuner<'_, TreePacket>, window: &Rect) -> Vec<u32> {
         let ranges = ranges_in_rect(&self.curve, &self.mapper, window);
         let mut result = Vec::new();
         if ranges.is_empty() {
             return result;
         }
-        let mut pending = self.seed(tuner);
-        while let Some((kind, payload, ub, flat)) = pending.pop(self, tuner) {
+        let mut pending = ReadQueue::seed(&self.air, tuner, u64::MAX);
+        while let Some((kind, payload, ub, flat)) = pending.pop(&self.air, tuner) {
             tuner.goto(flat);
-            if kind == OBJ {
+            if kind == OBJECT {
                 // Header first: exact coordinates decide retrieval.
                 match tuner.read() {
                     Ok(_) => {
@@ -141,29 +46,26 @@ impl BpAir {
                 continue;
             }
             let (level, idx) = (kind, payload);
-            if self.read_node(tuner).is_err() {
-                let (next, nflat) = self.node_arrival(tuner, level, idx);
-                pending.push(next, level, idx, ub, nflat);
+            if !self.air.read_unit(tuner, level) {
+                pending.push_node(&self.air, tuner, level, idx, ub);
                 continue;
             }
             let node = &self.tree.levels[level as usize][idx as usize];
             match &node.children {
-                BpChildren::Nodes(kids) => {
+                Children::Nodes(kids) => {
                     for (ci, &k) in kids.iter().enumerate() {
                         let child = &self.tree.levels[level as usize - 1][k as usize];
                         let cub = self.tree.child_upper(level as usize, node, ci, ub);
                         if overlaps(&ranges, child.min_hc, cub) {
-                            let (at, nflat) = self.node_arrival(tuner, level - 1, k);
-                            pending.push(at, level - 1, k, cub, nflat);
+                            pending.push_node(&self.air, tuner, level - 1, k, cub);
                         }
                     }
                 }
-                BpChildren::Objects { start, count } => {
+                Children::Objects { start, count } => {
                     for obj in *start..*start + *count {
                         let hc = self.tree.objects[obj as usize].hc;
                         if overlaps(&ranges, hc, hc + 1) {
-                            let oflat = self.object_pos[obj as usize];
-                            pending.push(tuner.arrival(oflat), OBJ, obj, hc, oflat);
+                            pending.push_object(&self.air, tuner, obj, hc);
                         }
                     }
                 }
@@ -173,7 +75,7 @@ impl BpAir {
         result
     }
 
-    fn read_payload(&self, tuner: &mut Tuner<'_, BpPacket>) -> bool {
+    fn read_payload(&self, tuner: &mut Tuner<'_, TreePacket>) -> bool {
         for _ in 1..self.config.object_packets() {
             if tuner.read().is_err() {
                 return false;
@@ -182,10 +84,14 @@ impl BpAir {
         true
     }
 
-    fn requeue_object(&self, tuner: &Tuner<'_, BpPacket>, obj: u32, pending: &mut Pending) {
-        let flat = self.object_pos[obj as usize];
+    fn requeue_object(
+        &self,
+        tuner: &Tuner<'_, TreePacket>,
+        obj: u32,
+        pending: &mut ReadQueue<u64>,
+    ) {
         let hc = self.tree.objects[obj as usize].hc;
-        pending.push(tuner.arrival(flat), OBJ, obj, hc, flat);
+        pending.push_object(&self.air, tuner, obj, hc);
     }
 
     /// Answers a kNN query with the two-phase HCI algorithm (Zheng et al.
@@ -193,7 +99,7 @@ impl BpAir {
     /// bounds a radius from the k index-nearest entries; phase 2 runs a
     /// window-style retrieval over the circle's bounding box. Returns ids
     /// of the `k` nearest objects (ties by id), ascending.
-    pub fn knn_query(&self, tuner: &mut Tuner<'_, BpPacket>, q: Point, k: usize) -> Vec<u32> {
+    pub fn knn_query(&self, tuner: &mut Tuner<'_, TreePacket>, q: Point, k: usize) -> Vec<u32> {
         let k = k.min(self.tree.objects.len());
         if k == 0 {
             return Vec::new();
@@ -212,9 +118,9 @@ impl BpAir {
             let mut leaf = leaf0;
             let mut visited = 0u32;
             while entry_hcs.len() < k && visited < n_leaves {
-                let (_, flat) = self.node_arrival(tuner, 0, leaf);
+                let (_, flat) = self.air.node_arrival(tuner, 0, leaf);
                 tuner.goto(flat);
-                if self.read_node(tuner).is_ok() {
+                if self.air.read_unit(tuner, 0) {
                     self.leaf_entries(leaf, &mut entry_hcs);
                     visited += 1;
                     leaf = (leaf + 1) % n_leaves;
@@ -242,12 +148,16 @@ impl BpAir {
                     unqueued -= 1;
                 }
                 flats.clear();
-                flats.extend(window.iter().map(|&lf| self.node_arrival(tuner, 0, lf).1));
+                flats.extend(
+                    window
+                        .iter()
+                        .map(|&lf| self.air.node_arrival(tuner, 0, lf).1),
+                );
                 let (i, _) = tuner
-                    .plan_resilient(&flats, |_| self.config.node_packets() as u64)
+                    .plan_resilient(&flats, |_| self.air.unit_dur(0))
                     .expect("window is non-empty");
                 tuner.goto(flats[i]);
-                if self.read_node(tuner).is_ok() {
+                if self.air.read_unit(tuner, 0) {
                     self.leaf_entries(window[i], &mut entry_hcs);
                     visited += 1;
                     window.swap_remove(i);
@@ -268,9 +178,9 @@ impl BpAir {
         // dsi-lint: allow(hash): candidates are drained through a full sort before output
         let mut cands: HashMap<u64, (f64, u32, bool)> = HashMap::new(); // hc -> (d2, id, retrieved)
         let mut running = Running::new(k, r2_phase1);
-        let mut pending = self.seed(tuner);
-        while let Some((kind, payload, ub, flat)) = pending.pop(self, tuner) {
-            if kind == OBJ {
+        let mut pending = ReadQueue::seed(&self.air, tuner, u64::MAX);
+        while let Some((kind, payload, ub, flat)) = pending.pop(&self.air, tuner) {
+            if kind == OBJECT {
                 // Skip objects provably outside the shrunken space without
                 // listening (the decoded cell distance is schema knowledge).
                 let hc = self.tree.objects[payload as usize].hc;
@@ -303,29 +213,26 @@ impl BpAir {
             }
             let (level, idx) = (kind, payload);
             tuner.goto(flat);
-            if self.read_node(tuner).is_err() {
-                let (next, nflat) = self.node_arrival(tuner, level, idx);
-                pending.push(next, level, idx, ub, nflat);
+            if !self.air.read_unit(tuner, level) {
+                pending.push_node(&self.air, tuner, level, idx, ub);
                 continue;
             }
             let node = &self.tree.levels[level as usize][idx as usize];
             match &node.children {
-                BpChildren::Nodes(kids) => {
+                Children::Nodes(kids) => {
                     for (ci, &kid) in kids.iter().enumerate() {
                         let child = &self.tree.levels[level as usize - 1][kid as usize];
                         let cub = self.tree.child_upper(level as usize, node, ci, ub);
                         if overlaps(&ranges, child.min_hc, cub) {
-                            let (at, nflat) = self.node_arrival(tuner, level - 1, kid);
-                            pending.push(at, level - 1, kid, cub, nflat);
+                            pending.push_node(&self.air, tuner, level - 1, kid, cub);
                         }
                     }
                 }
-                BpChildren::Objects { start, count } => {
+                Children::Objects { start, count } => {
                     for obj in *start..*start + *count {
                         let hc = self.tree.objects[obj as usize].hc;
                         if overlaps(&ranges, hc, hc + 1) {
-                            let oflat = self.object_pos[obj as usize];
-                            pending.push(tuner.arrival(oflat), OBJ, obj, hc, oflat);
+                            pending.push_object(&self.air, tuner, obj, hc);
                         }
                     }
                 }
@@ -344,8 +251,7 @@ impl BpAir {
 
     /// The HC values of one leaf's entries, appended to `out`.
     fn leaf_entries(&self, leaf: u32, out: &mut Vec<u64>) {
-        let BpChildren::Objects { start, count } = self.tree.levels[0][leaf as usize].children
-        else {
+        let Children::Objects { start, count } = self.tree.levels[0][leaf as usize].children else {
             unreachable!("level 0 is leaves");
         };
         for obj in start..start + count {
@@ -355,7 +261,7 @@ impl BpAir {
 
     /// Phase-1 descent: follows separator keys from the root to the leaf
     /// whose interval contains `hc_q`, reading one node per level.
-    fn descend_to_leaf(&self, tuner: &mut Tuner<'_, BpPacket>, hc_q: u64) -> u32 {
+    fn descend_to_leaf(&self, tuner: &mut Tuner<'_, TreePacket>, hc_q: u64) -> u32 {
         let mut level = (self.tree.height() - 1) as u8;
         let mut idx = 0u32;
         loop {
@@ -364,13 +270,13 @@ impl BpAir {
             }
             // Path copies make upper levels cheap to reach; subtree nodes
             // have one occurrence per cycle.
-            let (_, flat) = self.node_arrival(tuner, level, idx);
+            let (_, flat) = self.air.node_arrival(tuner, level, idx);
             tuner.goto(flat);
-            if self.read_node(tuner).is_err() {
+            if !self.air.read_unit(tuner, level) {
                 continue; // retry at the node's next occurrence
             }
             let node = &self.tree.levels[level as usize][idx as usize];
-            let BpChildren::Nodes(kids) = &node.children else {
+            let Children::Nodes(kids) = &node.children else {
                 unreachable!("internal node");
             };
             // Last child whose separator is <= hc_q (or the first child).
@@ -389,31 +295,24 @@ impl BpAir {
 }
 
 impl dsi_broadcast::AirScheme for BpAir {
-    type Packet = BpPacket;
+    type Packet = TreePacket;
 
-    fn program(&self) -> &dsi_broadcast::Program<BpPacket> {
+    fn program(&self) -> &dsi_broadcast::Program<TreePacket> {
         BpAir::program(self)
     }
 
-    fn window(&self, tuner: &mut Tuner<'_, BpPacket>, window: &Rect) -> Vec<u32> {
+    fn window(&self, tuner: &mut Tuner<'_, TreePacket>, window: &Rect) -> Vec<u32> {
         self.window_query(tuner, window)
     }
 
-    fn knn(&self, tuner: &mut Tuner<'_, BpPacket>, q: Point, k: usize) -> Vec<u32> {
+    fn knn(&self, tuner: &mut Tuner<'_, TreePacket>, q: Point, k: usize) -> Vec<u32> {
         self.knn_query(tuner, q, k)
     }
 
     /// An HCI client's first act is to seed at the earliest root copy, so
-    /// that copy's arrival is the coalescing anchor. Computed through the
-    /// same [`BpAir::node_arrival`] planner [`seed`] uses (on a scratch
-    /// tuner), so the anchor cannot drift from the entry.
+    /// that copy's arrival is the coalescing anchor.
     fn tune_anchor(&self, start: u64) -> Option<u64> {
-        if self.program().n_channels() != 1 {
-            return None;
-        }
-        let tuner = Tuner::tune_in(self.program(), start, dsi_broadcast::LossModel::None, 0);
-        let root_level = (self.tree.height() - 1) as u8;
-        Some(self.node_arrival(&tuner, root_level, 0).0)
+        self.air.root_anchor(start)
     }
 }
 

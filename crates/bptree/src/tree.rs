@@ -1,5 +1,6 @@
 //! The bulk-loaded B+-tree over HC values.
 
+use dsi_broadcast::segmented::Children;
 use dsi_datagen::Object;
 
 /// On-air size of a B+-tree entry: HC key (16 bytes) + pointer (2 bytes).
@@ -7,35 +8,21 @@ pub const BP_ENTRY_BYTES: u32 = 18;
 /// Per-node header (entry count).
 pub const BP_NODE_HEADER_BYTES: u32 = 2;
 
-/// What a node points at.
-#[derive(Debug, Clone)]
-pub enum BpChildren {
-    /// Indices into the next-lower level.
-    Nodes(Vec<u32>),
-    /// A contiguous run of the HC-sorted object array (leaves).
-    Objects {
-        /// First object index.
-        start: u32,
-        /// Number of objects.
-        count: u32,
-    },
-}
-
 /// One B+-tree node.
 #[derive(Debug, Clone)]
 pub struct BpNode {
     /// Smallest HC value under this node (its separator key).
     pub min_hc: u64,
     /// Children.
-    pub children: BpChildren,
+    pub children: Children,
 }
 
 impl BpNode {
     /// Number of entries (defines the on-air size).
     pub fn entry_count(&self) -> u32 {
         match &self.children {
-            BpChildren::Nodes(v) => v.len() as u32,
-            BpChildren::Objects { count, .. } => *count,
+            Children::Nodes(v) => v.len() as u32,
+            Children::Objects { count, .. } => *count,
         }
     }
 }
@@ -69,7 +56,7 @@ pub fn bulk_load(objects: &[Object], fanout: u32) -> BpTree {
     for chunk in objects.chunks(fanout as usize) {
         leaves.push(BpNode {
             min_hc: chunk[0].hc,
-            children: BpChildren::Objects {
+            children: Children::Objects {
                 start: at,
                 count: chunk.len() as u32,
             },
@@ -84,7 +71,7 @@ pub fn bulk_load(objects: &[Object], fanout: u32) -> BpTree {
         for chunk in below.chunks(fanout as usize) {
             parents.push(BpNode {
                 min_hc: chunk[0].min_hc,
-                children: BpChildren::Nodes((idx..idx + chunk.len() as u32).collect()),
+                children: Children::Nodes((idx..idx + chunk.len() as u32).collect()),
             });
             idx += chunk.len() as u32;
         }
@@ -116,7 +103,7 @@ impl BpTree {
         child_pos: usize,
         parent_ub: u64,
     ) -> u64 {
-        let BpChildren::Nodes(kids) = &node.children else {
+        let Children::Nodes(kids) = &node.children else {
             panic!("child_upper on a leaf");
         };
         kids.get(child_pos + 1)
@@ -133,7 +120,7 @@ impl BpTree {
         assert_eq!(self.levels.last().expect("non-empty").len(), 1);
         let mut at = 0u32;
         for leaf in &self.levels[0] {
-            let BpChildren::Objects { start, count } = leaf.children else {
+            let Children::Objects { start, count } = leaf.children else {
                 panic!("leaf without objects");
             };
             assert_eq!(start, at);
@@ -144,7 +131,7 @@ impl BpTree {
         for lv in 1..self.levels.len() {
             let mut at = 0u32;
             for node in &self.levels[lv] {
-                let BpChildren::Nodes(kids) = &node.children else {
+                let Children::Nodes(kids) = &node.children else {
                     panic!("internal node without node children");
                 };
                 assert_eq!(kids[0], at);
@@ -186,7 +173,7 @@ mod tests {
         // Every leaf's objects lie in [min_hc, next leaf's min_hc).
         for (i, leaf) in t.levels[0].iter().enumerate() {
             let ub = t.levels[0].get(i + 1).map(|n| n.min_hc).unwrap_or(u64::MAX);
-            let BpChildren::Objects { start, count } = leaf.children else {
+            let Children::Objects { start, count } = leaf.children else {
                 unreachable!()
             };
             for o in &t.objects[start as usize..(start + count) as usize] {
@@ -200,7 +187,7 @@ mod tests {
         let t = bulk_load(&objects(100), 4);
         let lv = t.height() - 1;
         let root = t.root();
-        let BpChildren::Nodes(kids) = &root.children else {
+        let Children::Nodes(kids) = &root.children else {
             unreachable!()
         };
         let ub = t.child_upper(lv, root, kids.len() - 1, u64::MAX);

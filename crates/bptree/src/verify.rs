@@ -1,87 +1,16 @@
-//! [`Verifiable`] for the HCI B+-tree broadcast; structurally the same
-//! extraction as the R-tree's (see `dsi-rtree`'s `verify` module): node
-//! copies with `Covers` edges over contiguous data-ordinal ranges,
-//! `Local` edges at the leaves, segment starts as entries.
+//! [`Verifiable`] for the HCI B+-tree broadcast: the shared
+//! segmented-tree walk ([`StaticModel::from_segmented`]). Bulk loading
+//! hands every node a contiguous child range, so the depth-first rank
+//! that keys a data unit is the object's index.
 
-use dsi_verify::{Edge, EdgeClaim, StaticModel, Verifiable};
+use dsi_verify::{StaticModel, Verifiable};
 
-use crate::air::{BpAir, NodeWhere};
-use crate::tree::{BpChildren, BpTree};
-
-/// Data-ordinal range `[lo, hi)` of the subtree at `(level, idx)`; bulk
-/// loading hands leaves consecutive ranges, so subtrees are contiguous.
-fn subtree_range(tree: &BpTree, level: usize, idx: u32) -> (u64, u64) {
-    match &tree.levels[level][idx as usize].children {
-        BpChildren::Objects { start, count } => (*start as u64, (*start + *count) as u64),
-        BpChildren::Nodes(kids) => {
-            let mut lo = u64::MAX;
-            let mut hi = 0;
-            for &k in kids {
-                let (l, h) = subtree_range(tree, level - 1, k);
-                lo = lo.min(l);
-                hi = hi.max(h);
-            }
-            (lo, hi)
-        }
-    }
-}
-
-/// Flat positions of every on-air copy of node `(level, idx)`.
-fn copies(air: &BpAir, level: usize, idx: u32) -> Vec<u64> {
-    match &air.node_where[level][idx as usize] {
-        NodeWhere::Single(pos) => vec![*pos],
-        NodeWhere::PerSegment {
-            first,
-            last,
-            path_offset,
-        } => (*first..=*last)
-            .map(|s| air.segment_starts[s as usize] + path_offset)
-            .collect(),
-    }
-}
+use crate::air::BpAir;
 
 impl BpAir {
     /// The static model of this broadcast (see the module docs).
     pub fn static_model(&self) -> StaticModel {
-        let mut m = StaticModel::from_program("HCI", self.program());
-        m.sweep_passes = self.tree.height() as u32 + 2;
-        for (obj, &pos) in self.object_pos.iter().enumerate() {
-            let u = m.unit_at(pos).expect("object header is a unit start");
-            m.units[u].key = obj as u64;
-        }
-        for level in 0..self.tree.height() {
-            for idx in 0..self.tree.levels[level].len() as u32 {
-                for copy in copies(self, level, idx) {
-                    let u = m.unit_at(copy).expect("node copy is a unit start");
-                    match &self.tree.levels[level][idx as usize].children {
-                        BpChildren::Nodes(kids) => {
-                            for &k in kids {
-                                let (lo, hi) = subtree_range(&self.tree, level - 1, k);
-                                for kc in copies(self, level - 1, k) {
-                                    m.edges[u].push(Edge {
-                                        target: kc,
-                                        claim: EdgeClaim::Covers { lo, hi },
-                                    });
-                                }
-                            }
-                        }
-                        BpChildren::Objects { start, count } => {
-                            for obj in *start..*start + *count {
-                                m.edges[u].push(Edge {
-                                    target: self.object_pos[obj as usize],
-                                    claim: EdgeClaim::Local,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for &s in &self.segment_starts {
-            let u = m.unit_at(s).expect("segment start is a unit start");
-            m.entries.push(u as u32);
-        }
-        m
+        StaticModel::from_segmented("HCI", &self.air, &self.tree.levels, |n| &n.children)
     }
 }
 

@@ -34,6 +34,10 @@
 //!   layer: every air index exposes its program and window/kNN search
 //!   algorithms through one trait, and one driver owns the
 //!   tune-in/loss/stats loop for all of them.
+//! * [`segmented`] — the segmented tree broadcast both tree baselines
+//!   share: the distributed indexing layout (replicated root paths,
+//!   depth-first subtrees, objects), node-copy arrivals, and the pending
+//!   read queue of a tree client.
 //! * [`optimize`] — the workload-aware server-side placement optimizer:
 //!   measure an access-probability profile over the flat schema
 //!   ([`drive_profiled`]), price candidate unit→channel assignments with
@@ -51,6 +55,7 @@ pub mod loss;
 pub mod optimize;
 mod program;
 mod scheme;
+pub mod segmented;
 mod stats;
 mod tuner;
 

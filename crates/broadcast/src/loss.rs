@@ -327,36 +327,58 @@ impl FaultTrace {
         s
     }
 
-    /// Parses the replay text format; `None` on a malformed document.
-    pub fn from_text(text: &str) -> Option<Self> {
+    /// Parses the replay text format. A malformed document is an
+    /// [`std::io::ErrorKind::InvalidData`] error naming the first bad line
+    /// and what is wrong with it.
+    pub fn from_text(text: &str) -> std::io::Result<Self> {
+        let bad = |n: usize, problem: String| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("line {n}: {problem}"),
+            )
+        };
         let mut lines = text.lines();
-        if lines.next()?.trim() != TRACE_HEADER {
-            return None;
+        match lines.next().map(str::trim) {
+            Some(TRACE_HEADER) => {}
+            Some(found) => {
+                return Err(bad(
+                    1,
+                    format!("expected header {TRACE_HEADER:?}, found {found:?}"),
+                ))
+            }
+            None => return Err(bad(1, format!("missing header {TRACE_HEADER:?}"))),
         }
         let mut entries = Vec::new();
-        for line in lines {
-            let line = line.trim();
+        for (i, line) in lines.enumerate() {
+            let (n, line) = (i + 2, line.trim());
             if line.is_empty() {
                 continue;
             }
             let mut it = line.split_whitespace();
-            let channel: u32 = it.next()?.parse().ok()?;
-            let instant: u64 = it.next()?.parse().ok()?;
-            let lost = match it.next()? {
-                "0" => false,
-                "1" => true,
-                _ => return None,
+            let channel = it.next().and_then(|t| t.parse::<u32>().ok());
+            let instant = it.next().and_then(|t| t.parse::<u64>().ok());
+            let lost = match it.next() {
+                Some("0") => Some(false),
+                Some("1") => Some(true),
+                _ => None,
             };
-            if it.next().is_some() {
-                return None;
-            }
-            entries.push(TraceEntry {
-                channel,
-                instant,
-                lost,
-            });
+            let problem = match (channel, instant, lost) {
+                (None, ..) => "missing or unparseable channel",
+                (_, None, _) => "missing or unparseable instant",
+                (.., None) => "loss flag must be 0 or 1",
+                _ if it.next().is_some() => "extra token",
+                (Some(channel), Some(instant), Some(lost)) => {
+                    entries.push(TraceEntry {
+                        channel,
+                        instant,
+                        lost,
+                    });
+                    continue;
+                }
+            };
+            return Err(bad(n, format!("{problem}: {line:?}")));
         }
-        Some(Self::new(entries))
+        Ok(Self::new(entries))
     }
 }
 
@@ -575,9 +597,63 @@ mod tests {
         ]);
         let text = t.to_text();
         assert!(text.starts_with("dsi-fault-trace v1\n"));
-        assert_eq!(FaultTrace::from_text(&text), Some(t));
-        assert_eq!(FaultTrace::from_text("bogus"), None);
-        assert_eq!(FaultTrace::from_text("dsi-fault-trace v1\n0 1 7\n"), None);
+        assert_eq!(FaultTrace::from_text(&text).unwrap(), t);
+    }
+
+    /// The parse error of a malformed trace, as `chaos --replay-trace`
+    /// prints it.
+    fn trace_error(text: &str) -> String {
+        let err = FaultTrace::from_text(text).expect_err("malformed trace accepted");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        err.to_string()
+    }
+
+    #[test]
+    fn trace_without_header_names_line_one() {
+        assert_eq!(
+            trace_error(""),
+            "line 1: missing header \"dsi-fault-trace v1\""
+        );
+    }
+
+    #[test]
+    fn trace_with_wrong_header_names_line_one() {
+        assert_eq!(
+            trace_error("dsi-fault-trace v2\n0 1 0\n"),
+            "line 1: expected header \"dsi-fault-trace v1\", found \"dsi-fault-trace v2\""
+        );
+    }
+
+    #[test]
+    fn trace_with_bad_channel_names_its_line() {
+        assert_eq!(
+            trace_error("dsi-fault-trace v1\n0 1 0\n-1 2 0\n"),
+            "line 3: missing or unparseable channel: \"-1 2 0\""
+        );
+    }
+
+    #[test]
+    fn trace_with_bad_instant_names_its_line() {
+        assert_eq!(
+            trace_error("dsi-fault-trace v1\n\n0 x 1\n"),
+            "line 3: missing or unparseable instant: \"0 x 1\""
+        );
+    }
+
+    #[test]
+    fn trace_with_bad_flag_names_its_line() {
+        assert_eq!(
+            trace_error("dsi-fault-trace v1\n0 1 7\n"),
+            "line 2: loss flag must be 0 or 1: \"0 1 7\""
+        );
+    }
+
+    #[test]
+    fn trace_with_extra_token_names_its_line() {
+        assert_eq!(
+            trace_error("dsi-fault-trace v1\n0 1 1\n2 3 0 4\n"),
+            "line 3: extra token: \"2 3 0 4\""
+        );
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Property tests for the channel substrate: occurrence arithmetic,
-//! tuner accounting, and the multi-antenna tuner surface (batch arrival
+//! tuner accounting, the multi-antenna tuner surface (batch arrival
 //! planning, monitored-set bounds, switch-cost accounting vs a
-//! step-by-step reference tuner).
+//! step-by-step reference tuner), and the fault-trace text format.
 
 use dsi_broadcast::optimize::{AccessProfile, CostModel, UnitSchema};
 use dsi_broadcast::{
-    drive, AirScheme, AntennaConfig, ChannelConfig, GilbertElliott, LossModel, OutageWindow,
-    PacketClass, Payload, Placement, Program, Query, Tuner,
+    drive, AirScheme, AntennaConfig, ChannelConfig, FaultTrace, GilbertElliott, LossModel,
+    OutageWindow, PacketClass, Payload, Placement, Program, Query, TraceEntry, Tuner,
 };
 use dsi_geom::{Point, Rect};
 use proptest::prelude::*;
@@ -523,5 +523,59 @@ proptest! {
             }
         }
         prop_assert_eq!(object_losses, 0, "object packets must never be lost under IndexOnly");
+    }
+}
+
+/// Tokens the trace-text fuzzer builds lines from: valid fields, values
+/// just out of a field's range, and junk.
+const TRACE_TOKENS: [&str; 10] = [
+    "0",
+    "1",
+    "7",
+    "-1",
+    "x",
+    "0.5",
+    "4294967296",
+    "18446744073709551616",
+    "dsi-fault-trace",
+    "v1",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fault_traces_round_trip_through_text(
+        entries in prop::collection::vec((any::<u32>(), any::<u64>(), any::<bool>()), 0..40),
+    ) {
+        let trace = FaultTrace::new(
+            entries
+                .into_iter()
+                .map(|(channel, instant, lost)| TraceEntry { channel, instant, lost })
+                .collect(),
+        );
+        prop_assert_eq!(FaultTrace::from_text(&trace.to_text()).unwrap(), trace);
+    }
+
+    /// Random documents never panic the parser: each either parses (and
+    /// then round-trips) or is rejected naming a line.
+    #[test]
+    fn random_trace_lines_never_panic(
+        header in any::<bool>(),
+        lines in prop::collection::vec(prop::collection::vec(0usize..10, 0..5), 0..6),
+    ) {
+        let mut text = String::new();
+        if header {
+            text.push_str("dsi-fault-trace v1\n");
+        }
+        for line in &lines {
+            let tokens: Vec<&str> = line.iter().map(|&t| TRACE_TOKENS[t]).collect();
+            text.push_str(&tokens.join(" "));
+            text.push('\n');
+        }
+        match FaultTrace::from_text(&text) {
+            Ok(trace) => prop_assert_eq!(FaultTrace::from_text(&trace.to_text()).unwrap(), trace),
+            Err(e) => prop_assert!(e.to_string().starts_with("line "), "{e}"),
+        }
     }
 }

@@ -1,26 +1,11 @@
-//! Distributed air layout for the R-tree (Imielinski-style).
-//!
-//! The cycle is a sequence of *segments*, one per subtree at a cut level
-//! chosen so segments stay small (clients never wait long for index
-//! information). Each segment broadcasts:
-//!
-//! 1. a replicated copy of the **path** from the root down to the segment
-//!    root (so a client tuning in anywhere can seed its search at the next
-//!    segment boundary instead of waiting for the cycle start — the
-//!    "replicated part" of the distributed indexing scheme);
-//! 2. the segment's **subtree nodes**, depth-first, each broadcast once
-//!    per cycle (the "non-replicated part");
-//! 3. the segment's **data objects** (1024 bytes each).
-//!
-//! All node slots of a level have a fixed packet count derived from the
-//! level fanout, so every broadcast position is statically computable —
-//! the client-known schema, exactly as for DSI. Node *contents* (MBRs,
-//! child assignment) are only available by reading packets.
+//! The R-tree's air layout: capacity-derived fanouts and slot sizes,
+//! laid out as a segmented broadcast (see `dsi_broadcast::segmented`).
 
-use dsi_broadcast::{ChannelConfig, LayoutError, PacketClass, Payload, Program, Tuner};
+use dsi_broadcast::segmented::{SegmentedAir, SlotPackets, TreePacket};
+use dsi_broadcast::{ChannelConfig, LayoutError, Program};
 use dsi_geom::Point;
 
-use crate::tree::{Children, RTree, INTERNAL_ENTRY_BYTES, LEAF_ENTRY_BYTES, NODE_HEADER_BYTES};
+use crate::tree::{RTree, INTERNAL_ENTRY_BYTES, LEAF_ENTRY_BYTES, NODE_HEADER_BYTES};
 
 /// Per-packet header (offset to next index information), as for DSI.
 const PACKET_HEADER_BYTES: u32 = 2;
@@ -32,19 +17,12 @@ const OBJECT_BYTES: u32 = 1024;
 pub struct RtreeAirConfig {
     /// Packet capacity in bytes.
     pub capacity: u32,
-    /// Upper bound on the number of data segments per cycle (the cut level
-    /// is the lowest level with at most this many nodes).
-    pub max_segments: u32,
 }
 
 impl RtreeAirConfig {
-    /// Default used by the evaluation: segments of roughly 1 % of the
-    /// cycle each.
+    /// The configuration at a packet capacity.
     pub fn new(capacity: u32) -> Self {
-        Self {
-            capacity,
-            max_segments: 128,
-        }
+        Self { capacity }
     }
 
     /// Internal-node fanout at this capacity (≥ 2; nodes may span several
@@ -84,80 +62,12 @@ impl RtreeAirConfig {
     }
 }
 
-/// One packet of the R-tree broadcast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RtPacket {
-    /// Part of a (replicated) path copy or subtree node.
-    Node {
-        /// Tree level of the node.
-        level: u8,
-        /// Node index within its level.
-        idx: u32,
-        /// Packet index within the node slot.
-        part: u16,
-    },
-    /// First packet of a data object.
-    ObjHeader {
-        /// Index into the tree's object array.
-        obj: u32,
-    },
-    /// Continuation packet of a data object.
-    ObjPayload {
-        /// Index into the tree's object array.
-        obj: u32,
-        /// Sequence number (1-based).
-        seq: u16,
-    },
-}
-
-impl Payload for RtPacket {
-    fn class(&self) -> PacketClass {
-        match self {
-            RtPacket::Node { .. } => PacketClass::Index,
-            RtPacket::ObjHeader { .. } => PacketClass::ObjectHeader,
-            RtPacket::ObjPayload { .. } => PacketClass::ObjectPayload,
-        }
-    }
-
-    fn unit_start(&self) -> bool {
-        match self {
-            RtPacket::Node { part, .. } => *part == 0,
-            RtPacket::ObjHeader { .. } => true,
-            RtPacket::ObjPayload { .. } => false,
-        }
-    }
-}
-
-/// Where a node can be read from.
-#[derive(Debug, Clone)]
-pub(crate) enum NodeWhere {
-    /// One occurrence per cycle (non-replicated subtree node).
-    Single(u64),
-    /// A copy in the path header of every segment in `[first, last]`.
-    PerSegment {
-        /// First and last covering segment.
-        first: u32,
-        /// Last covering segment (inclusive).
-        last: u32,
-        /// Packet offset of this node's copy inside the segment header.
-        path_offset: u64,
-    },
-}
-
 /// The built R-tree broadcast.
 #[derive(Debug, Clone)]
 pub struct RTreeAir {
     pub(crate) tree: RTree,
     pub(crate) config: RtreeAirConfig,
-    pub(crate) program: Program<RtPacket>,
-    /// Broadcast position info per (level, idx).
-    pub(crate) node_where: Vec<Vec<NodeWhere>>,
-    /// First packet of each segment (ascending).
-    pub(crate) segment_starts: Vec<u64>,
-    /// Packet position of each object's header.
-    pub(crate) object_pos: Vec<u64>,
-    /// Cut level (segment roots live here).
-    pub(crate) cut_level: u8,
+    pub(crate) air: SegmentedAir,
 }
 
 impl RTreeAir {
@@ -190,139 +100,21 @@ impl RTreeAir {
         config: RtreeAirConfig,
         channels: ChannelConfig,
     ) -> Result<Self, LayoutError> {
-        let tree = str_pack_for(objects, &config);
-        Self::try_from_tree_channels(tree, config, channels)
-    }
-
-    /// Lays out an existing tree on a single channel.
-    pub fn from_tree(tree: RTree, config: RtreeAirConfig) -> Self {
-        Self::from_tree_channels(tree, config, ChannelConfig::single())
-    }
-
-    /// Lays out an existing tree over the channels of `channels`.
-    pub fn from_tree_channels(
-        tree: RTree,
-        config: RtreeAirConfig,
-        channels: ChannelConfig,
-    ) -> Self {
-        match Self::try_from_tree_channels(tree, config, channels) {
-            Ok(air) => air,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`RTreeAir::from_tree_channels`].
-    pub fn try_from_tree_channels(
-        tree: RTree,
-        config: RtreeAirConfig,
-        channels: ChannelConfig,
-    ) -> Result<Self, LayoutError> {
-        let height = tree.height();
-        // Cut level: lowest level with at most max_segments nodes.
-        let cut_level = (0..height)
-            .find(|&lv| tree.levels[lv].len() as u32 <= config.max_segments)
-            .unwrap_or(height - 1);
-
-        // Segments = nodes at the cut level, in DFS order from the root so
-        // the data order matches the tree order.
-        let mut segments: Vec<u32> = Vec::new();
-        collect_dfs(&tree, height - 1, 0, cut_level, &mut segments);
-
-        // Which segment range each above-cut node covers.
-        let mut node_where: Vec<Vec<NodeWhere>> = tree
-            .levels
-            .iter()
-            .map(|lv| vec![NodeWhere::Single(0); lv.len()])
-            .collect();
-
-        // Path slots: levels height-1 .. cut_level+1 (root first). All
-        // internal slots have the same size.
-        let inp = config.internal_node_packets() as u64;
-        let lnp = config.leaf_node_packets() as u64;
-        let onp = config.object_packets() as u64;
-        let path_levels: Vec<usize> = ((cut_level + 1)..height).rev().collect();
-
-        // Pass 1: per-segment packet extents.
-        let mut segment_starts = Vec::with_capacity(segments.len());
-        let mut object_pos = vec![0u64; tree.objects.len()];
-        let mut packets: Vec<RtPacket> = Vec::new();
-        for (si, &seg_root) in segments.iter().enumerate() {
-            segment_starts.push(packets.len() as u64);
-            // Path copies (root … cut+1 ancestor of this segment).
-            for (pi, &lv) in path_levels.iter().enumerate() {
-                let anc = ancestor_of(&tree, cut_level, seg_root, lv);
-                for part in 0..inp {
-                    packets.push(RtPacket::Node {
-                        level: lv as u8,
-                        idx: anc,
-                        part: part as u16,
-                    });
-                }
-                let off = (pi as u64) * inp;
-                match &mut node_where[lv][anc as usize] {
-                    w @ NodeWhere::Single(_) => {
-                        *w = NodeWhere::PerSegment {
-                            first: si as u32,
-                            last: si as u32,
-                            path_offset: off,
-                        };
-                    }
-                    NodeWhere::PerSegment {
-                        last, path_offset, ..
-                    } => {
-                        debug_assert_eq!(*path_offset, off);
-                        *last = si as u32;
-                    }
-                }
-            }
-            // Subtree nodes in DFS order, then this segment's objects.
-            let mut obj_cursor: Vec<u32> = Vec::new();
-            emit_subtree(
-                &tree,
-                cut_level,
-                seg_root,
-                &mut packets,
-                &mut node_where,
-                inp,
-                lnp,
-                &mut obj_cursor,
-            );
-            for &obj in &obj_cursor {
-                object_pos[obj as usize] = packets.len() as u64;
-                packets.push(RtPacket::ObjHeader { obj });
-                for seq in 1..onp {
-                    packets.push(RtPacket::ObjPayload {
-                        obj,
-                        seq: seq as u16,
-                    });
-                }
-            }
-        }
-
-        // Frame granularity for `Placement::StripeFrames`: one frame per
-        // data segment (path copies + subtree + objects scan as one run).
-        // Segment starts are positional — a replicated root copy looks the
-        // same at every occurrence — so they are passed explicitly.
-        let mut frame_starts = vec![false; packets.len()];
-        for &s in &segment_starts {
-            frame_starts[s as usize] = true;
-        }
-        let program =
-            Program::try_with_channels_frames(config.capacity, packets, channels, &frame_starts)?;
-        Ok(Self {
-            tree,
-            config,
-            program,
-            node_where,
-            segment_starts,
-            object_pos,
-            cut_level: cut_level as u8,
-        })
+        let tree = crate::str_pack(objects, config.leaf_fanout(), config.internal_fanout());
+        let slots = SlotPackets {
+            leaf: config.leaf_node_packets() as u64,
+            internal: config.internal_node_packets() as u64,
+            object: config.object_packets() as u64,
+        };
+        let air = SegmentedAir::try_build(config.capacity, channels, slots, &tree.levels, |n| {
+            &n.children
+        })?;
+        Ok(Self { tree, config, air })
     }
 
     /// The broadcast packet program.
-    pub fn program(&self) -> &Program<RtPacket> {
-        &self.program
+    pub fn program(&self) -> &Program<TreePacket> {
+        self.air.program()
     }
 
     /// The packed tree (server side; clients only see packets).
@@ -335,209 +127,15 @@ impl RTreeAir {
         &self.config
     }
 
-    /// The cut level: segments are the subtrees rooted here.
-    pub fn cut_level(&self) -> u8 {
-        self.cut_level
-    }
-
-    /// Number of data segments per cycle.
-    pub fn n_segments(&self) -> usize {
-        self.segment_starts.len()
-    }
-
-    /// The first packet of the next segment at or after `abs`, in flat
-    /// single-channel time.
-    #[cfg(test)]
-    pub(crate) fn next_segment_start(&self, abs: u64) -> u64 {
-        let cycle = self.program.len();
-        let rel = abs % cycle;
-        match self.segment_starts.binary_search(&rel) {
-            Ok(_) => abs,
-            Err(i) => {
-                if i == self.segment_starts.len() {
-                    abs + (cycle - rel)
-                } else {
-                    abs + (self.segment_starts[i] - rel)
-                }
-            }
-        }
-    }
-
-    /// The earliest instant at which node `(level, idx)` can be read by
-    /// `tuner` (accounting for channel placement, antennas and switch
-    /// cost), and the flat position of the chosen copy.
-    pub(crate) fn node_arrival(
-        &self,
-        tuner: &Tuner<'_, RtPacket>,
-        level: u8,
-        idx: u32,
-    ) -> (u64, u64) {
-        match &self.node_where[level as usize][idx as usize] {
-            NodeWhere::Single(pos) => (tuner.arrival(*pos), *pos),
-            NodeWhere::PerSegment {
-                first,
-                last,
-                path_offset,
-            } => {
-                // Earliest readable copy among covered segments: per-copy
-                // arrivals through the tuner's channel- and antenna-aware
-                // planner, allocation-free.
-                let mut best = (u64::MAX, 0u64);
-                for s in *first..=*last {
-                    let flat = self.segment_starts[s as usize] + path_offset;
-                    let t = tuner.arrival(flat);
-                    if t < best.0 {
-                        best = (t, flat);
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    /// The next broadcast instant (≥ `from`) at which node `(level, idx)`
-    /// can be read, in flat single-channel time.
-    #[cfg(test)]
-    pub(crate) fn node_next_occurrence(&self, from: u64, level: u8, idx: u32) -> u64 {
-        match &self.node_where[level as usize][idx as usize] {
-            NodeWhere::Single(pos) => self.program.next_occurrence(from, *pos),
-            NodeWhere::PerSegment {
-                first,
-                last,
-                path_offset,
-            } => {
-                // Earliest copy at or after `from` among covered segments.
-                let mut best = u64::MAX;
-                for s in *first..=*last {
-                    let abs = self
-                        .program
-                        .next_occurrence(from, self.segment_starts[s as usize] + path_offset);
-                    best = best.min(abs);
-                }
-                best
-            }
-        }
-    }
-
-    /// Packets one queued read occupies the receiver for: an object
-    /// record (`kind == u8::MAX`), or a node slot at level `kind`.
-    pub(crate) fn unit_dur(&self, kind: u8) -> u64 {
-        if kind == u8::MAX {
-            self.config.object_packets() as u64
-        } else {
-            self.node_packets(kind)
-        }
-    }
-
-    /// Packets in one node slot at this level.
-    pub(crate) fn node_packets(&self, level: u8) -> u64 {
-        if level == 0 {
-            self.config.leaf_node_packets() as u64
-        } else {
-            self.config.internal_node_packets() as u64
-        }
-    }
-}
-
-/// STR-packs with capacity-derived fanouts.
-fn str_pack_for(objects: &[(u32, Point)], config: &RtreeAirConfig) -> RTree {
-    crate::str_pack(objects, config.leaf_fanout(), config.internal_fanout())
-}
-
-/// Collects the cut-level nodes in DFS order from the root.
-fn collect_dfs(tree: &RTree, level: usize, idx: u32, cut: usize, out: &mut Vec<u32>) {
-    if level == cut {
-        out.push(idx);
-        return;
-    }
-    let Children::Nodes(kids) = &tree.levels[level][idx as usize].children else {
-        unreachable!("above-cut node must be internal");
-    };
-    for &k in kids {
-        collect_dfs(tree, level - 1, k, cut, out);
-    }
-}
-
-/// The ancestor of cut-level node `seg_root` at `target_level`.
-fn ancestor_of(tree: &RTree, cut: usize, seg_root: u32, target_level: usize) -> u32 {
-    // Walk down from the root tracking the path to seg_root.
-    let mut level = tree.height() - 1;
-    let mut idx = 0u32;
-    loop {
-        if level == target_level {
-            return idx;
-        }
-        let Children::Nodes(kids) = &tree.levels[level][idx as usize].children else {
-            unreachable!("walk stays above the leaf level");
-        };
-        // Descend into the child whose subtree contains seg_root.
-        let next = kids
-            .iter()
-            .copied()
-            .find(|&k| subtree_contains(tree, level - 1, k, cut, seg_root))
-            .expect("seg_root must be under the root");
-        level -= 1;
-        idx = next;
-    }
-}
-
-fn subtree_contains(tree: &RTree, level: usize, idx: u32, cut: usize, seg_root: u32) -> bool {
-    if level == cut {
-        return idx == seg_root;
-    }
-    let Children::Nodes(kids) = &tree.levels[level][idx as usize].children else {
-        return false;
-    };
-    kids.iter()
-        .any(|&k| subtree_contains(tree, level - 1, k, cut, seg_root))
-}
-
-/// Emits the subtree rooted at `(cut_level, seg_root)` in DFS order and
-/// records object order.
-#[allow(clippy::too_many_arguments)]
-fn emit_subtree(
-    tree: &RTree,
-    level: usize,
-    idx: u32,
-    packets: &mut Vec<RtPacket>,
-    node_where: &mut [Vec<NodeWhere>],
-    inp: u64,
-    lnp: u64,
-    objs: &mut Vec<u32>,
-) {
-    let slot_packets = if level == 0 { lnp } else { inp };
-    node_where[level][idx as usize] = NodeWhere::Single(packets.len() as u64);
-    for part in 0..slot_packets {
-        packets.push(RtPacket::Node {
-            level: level as u8,
-            idx,
-            part: part as u16,
-        });
-    }
-    match &tree.levels[level][idx as usize].children {
-        Children::Nodes(kids) => {
-            for &k in kids {
-                emit_subtree(tree, level - 1, k, packets, node_where, inp, lnp, objs);
-            }
-        }
-        Children::Objects { start, count } => {
-            objs.extend(*start..*start + *count);
-        }
+    /// The segmented layout: where every node copy and object airs.
+    pub fn layout(&self) -> &SegmentedAir {
+        &self.air
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn points(n: usize, seed: u64) -> Vec<(u32, Point)> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n as u32)
-            .map(|id| (id, Point::new(rng.gen(), rng.gen())))
-            .collect()
-    }
 
     #[test]
     fn fanouts_match_paper_accounting() {
@@ -550,63 +148,5 @@ mod tests {
         assert_eq!(c.internal_fanout(), 14);
         assert_eq!(c.leaf_fanout(), 28);
         assert_eq!(c.internal_node_packets(), 1);
-    }
-
-    #[test]
-    fn layout_is_consistent() {
-        let air = RTreeAir::build(&points(400, 7), RtreeAirConfig::new(64));
-        let prog = air.program();
-        // Every object header where the layout says.
-        for (obj, &pos) in air.object_pos.iter().enumerate() {
-            match prog.get(pos) {
-                RtPacket::ObjHeader { obj: o } => assert_eq!(*o as usize, obj),
-                p => panic!("expected header of {obj}, found {p:?}"),
-            }
-        }
-        // Every node readable at its announced occurrence.
-        for level in 0..air.tree.height() {
-            for idx in 0..air.tree.levels[level].len() as u32 {
-                let at = air.node_next_occurrence(0, level as u8, idx);
-                match prog.get(at) {
-                    RtPacket::Node {
-                        level: l,
-                        idx: i,
-                        part: 0,
-                    } => assert_eq!((*l as usize, *i), (level, idx)),
-                    p => panic!("expected node ({level},{idx}), found {p:?}"),
-                }
-            }
-        }
-        // Segment starts begin with the root copy (or the subtree when the
-        // tree is all one segment).
-        for &s in &air.segment_starts {
-            match prog.get(s) {
-                RtPacket::Node { part: 0, .. } => {}
-                p => panic!("segment must start with a node, found {p:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn per_segment_nodes_cover_contiguous_ranges() {
-        let air = RTreeAir::build(&points(600, 9), RtreeAirConfig::new(128));
-        let cut = air.cut_level as usize;
-        for level in (cut + 1)..air.tree.height() {
-            for w in &air.node_where[level] {
-                match w {
-                    NodeWhere::PerSegment { first, last, .. } => assert!(first <= last),
-                    NodeWhere::Single(_) => panic!("above-cut node without copies"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn next_segment_start_wraps() {
-        let air = RTreeAir::build(&points(100, 3), RtreeAirConfig::new(64));
-        let cycle = air.program().len();
-        assert_eq!(air.next_segment_start(0), 0);
-        let last = *air.segment_starts.last().expect("non-empty");
-        assert_eq!(air.next_segment_start(last + 1), cycle); // wraps to slot 0
     }
 }

@@ -12,14 +12,12 @@
 //! nodes, the next covering segment for replicated path nodes), and a lost
 //! root seed means waiting for the next segment boundary.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
+use dsi_broadcast::segmented::{Children, ReadQueue, TreePacket, OBJECT};
 use dsi_broadcast::Tuner;
 use dsi_geom::{dist2, BoundOrder, Point, Rect};
 
-use crate::air::{RTreeAir, RtPacket};
-use crate::tree::{Children, RTree};
+use crate::air::RTreeAir;
+use crate::tree::RTree;
 
 /// A pending read, ordered by broadcast position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,12 +30,12 @@ enum Item {
 fn encode(item: Item) -> (u8, u32) {
     match item {
         Item::Node { level, idx } => (level, idx),
-        Item::Object { obj } => (u8::MAX, obj),
+        Item::Object { obj } => (OBJECT, obj),
     }
 }
 
 fn decode(kind: u8, payload: u32) -> Item {
-    if kind == u8::MAX {
+    if kind == OBJECT {
         Item::Object { obj: payload }
     } else {
         Item::Node {
@@ -47,171 +45,65 @@ fn decode(kind: u8, payload: u32) -> Item {
     }
 }
 
-/// The traversal's pending reads. The single-receiver client pops by the
-/// arrival scheduled at push time (the pinned pre-refactor order); a
-/// multi-antenna client re-plans every pop through the tuner's
-/// batch-arrival API instead, because scheduled keys go stale in both
-/// directions as antennas retune — an airing can be missed (key too low)
-/// or a switch-cost penalty can evaporate once the channel is monitored
-/// (key too high), and either error costs up to a full channel cycle.
-enum Pending {
-    Scheduled(BinaryHeap<Reverse<(u64, u8, u32, u64)>>),
-    Planned {
-        /// (kind, payload, flat target) of each pending read.
-        items: Vec<(u8, u32, u64)>,
-        /// Reused flat-position buffer for the batch planner.
-        flats: Vec<u64>,
-    },
-}
-
-impl Pending {
-    fn for_tuner(tuner: &Tuner<'_, RtPacket>) -> Self {
-        if tuner.antennas() > 1 {
-            Pending::Planned {
-                items: Vec::new(),
-                flats: Vec::new(),
-            }
-        } else {
-            Pending::Scheduled(BinaryHeap::new())
-        }
-    }
-
-    /// Queues a read of `item` at flat position `flat`; `at` is its
-    /// arrival as scheduled by the caller (ignored by the planned
-    /// variant, which re-derives arrivals at pop time).
-    fn push(&mut self, at: u64, flat: u64, item: Item) {
-        let (kind, payload) = encode(item);
-        match self {
-            Pending::Scheduled(heap) => heap.push(Reverse((at, kind, payload, flat))),
-            Pending::Planned { items, .. } => items.push((kind, payload, flat)),
-        }
-    }
-
-    /// The next read: earliest scheduled arrival (single receiver) or
-    /// earliest current arrival across the monitored channels (planned).
-    ///
-    /// The planned variant re-derives each item's best readable copy
-    /// (replicated path nodes have one copy per covering segment, and the
-    /// earliest one changes as time passes) and picks through the tuner's
-    /// duration-aware planner ([`Tuner::plan_resilient`], the loss-aware
-    /// wrapper of [`Tuner::plan_earliest`]) — scheduled heap keys go
-    /// stale in both directions as antennas retune, and either error
-    /// costs up to a full channel cycle.
-    fn pop(&mut self, air: &RTreeAir, tuner: &mut Tuner<'_, RtPacket>) -> Option<(Item, u64)> {
-        match self {
-            Pending::Scheduled(heap) => {
-                let Reverse((_, kind, payload, flat)) = heap.pop()?;
-                Some((decode(kind, payload), flat))
-            }
-            Pending::Planned { items, flats } => {
-                for item in items.iter_mut() {
-                    if item.0 != u8::MAX {
-                        item.2 = air.node_arrival(tuner, item.0, item.1).1;
-                    }
-                }
-                flats.clear();
-                flats.extend(items.iter().map(|&(_, _, flat)| flat));
-                let (pick, _) = tuner.plan_resilient(flats, |i| air.unit_dur(items[i].0))?;
-                let (kind, payload, flat) = items.swap_remove(pick);
-                Some((decode(kind, payload), flat))
-            }
-        }
-    }
-}
-
 impl RTreeAir {
-    /// Seeds the search with the earliest readable root copy (the root
-    /// heads every segment, or is the first subtree node when the whole
-    /// tree is one segment); lost copies are requeued by the main loop.
-    fn seed(&self, tuner: &mut Tuner<'_, RtPacket>) -> Pending {
-        let root_level = (self.tree.height() - 1) as u8;
-        let mut pending = Pending::for_tuner(tuner);
-        let (at, flat) = self.node_arrival(tuner, root_level, 0);
-        pending.push(
-            at,
-            flat,
-            Item::Node {
-                level: root_level,
-                idx: 0,
-            },
-        );
-        pending
+    /// Queues a read of `item` at its earliest readable copy.
+    fn push(&self, pending: &mut ReadQueue<()>, tuner: &Tuner<'_, TreePacket>, item: Item) {
+        match item {
+            Item::Node { level, idx } => pending.push_node(&self.air, tuner, level, idx, ()),
+            Item::Object { obj } => pending.push_object(&self.air, tuner, obj, ()),
+        }
     }
 
-    /// Reads all packets of a node slot; `Err` = lost.
-    fn read_node(&self, tuner: &mut Tuner<'_, RtPacket>, level: u8) -> Result<(), ()> {
-        for _ in 0..self.node_packets(level) {
-            if tuner.read().is_err() {
-                return Err(());
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads an object record; `Err` = some packet lost.
-    fn read_object(&self, tuner: &mut Tuner<'_, RtPacket>) -> Result<(), ()> {
-        for _ in 0..self.config.object_packets() {
-            if tuner.read().is_err() {
-                return Err(());
-            }
-        }
-        Ok(())
+    /// The next read and the flat position to tune to.
+    fn pop(
+        &self,
+        pending: &mut ReadQueue<()>,
+        tuner: &mut Tuner<'_, TreePacket>,
+    ) -> Option<(Item, u64)> {
+        let (kind, payload, (), flat) = pending.pop(&self.air, tuner)?;
+        Some((decode(kind, payload), flat))
     }
 
     /// Answers a window query on the air: ids of all objects inside
     /// `window`, ascending. Metrics accrue on `tuner`.
-    pub fn window_query(&self, tuner: &mut Tuner<'_, RtPacket>, window: &Rect) -> Vec<u32> {
+    pub fn window_query(&self, tuner: &mut Tuner<'_, TreePacket>, window: &Rect) -> Vec<u32> {
         let mut result = Vec::new();
         if !self.tree.root().mbr.intersects(window) {
             return result;
         }
-        let mut pending = self.seed(tuner);
-        while let Some((item, flat)) = pending.pop(self, tuner) {
+        let mut pending = ReadQueue::seed(&self.air, tuner, ());
+        while let Some((item, flat)) = self.pop(&mut pending, tuner) {
+            tuner.goto(flat);
+            if !self.air.read_unit(tuner, encode(item).0) {
+                // Wait for the rebroadcast.
+                self.push(&mut pending, tuner, item);
+                continue;
+            }
             match item {
                 Item::Node { level, idx } => {
-                    tuner.goto(flat);
-                    if self.read_node(tuner, level).is_err() {
-                        // Wait for the node's rebroadcast.
-                        let (next, nflat) = self.node_arrival(tuner, level, idx);
-                        pending.push(next, nflat, Item::Node { level, idx });
-                        continue;
-                    }
-                    let node = &self.tree.levels[level as usize][idx as usize];
-                    match &node.children {
+                    match &self.tree.levels[level as usize][idx as usize].children {
                         Children::Nodes(kids) => {
                             for &k in kids {
                                 let child = &self.tree.levels[level as usize - 1][k as usize];
                                 if child.mbr.intersects(window) {
-                                    let (at, nflat) = self.node_arrival(tuner, level - 1, k);
-                                    pending.push(
-                                        at,
-                                        nflat,
-                                        Item::Node {
-                                            level: level - 1,
-                                            idx: k,
-                                        },
-                                    );
+                                    let it = Item::Node {
+                                        level: level - 1,
+                                        idx: k,
+                                    };
+                                    self.push(&mut pending, tuner, it);
                                 }
                             }
                         }
                         Children::Objects { start, count } => {
                             for obj in *start..*start + *count {
                                 if window.contains(self.tree.objects[obj as usize].1) {
-                                    let oflat = self.object_pos[obj as usize];
-                                    pending.push(tuner.arrival(oflat), oflat, Item::Object { obj });
+                                    self.push(&mut pending, tuner, Item::Object { obj });
                                 }
                             }
                         }
                     }
                 }
-                Item::Object { obj } => {
-                    tuner.goto(flat);
-                    if self.read_object(tuner).is_ok() {
-                        result.push(self.tree.objects[obj as usize].0);
-                    } else {
-                        pending.push(tuner.arrival(flat), flat, Item::Object { obj });
-                    }
-                }
+                Item::Object { obj } => result.push(self.tree.objects[obj as usize].0),
             }
         }
         result.sort_unstable();
@@ -220,19 +112,18 @@ impl RTreeAir {
 
     /// Answers a kNN query on the air: ids of the `k` nearest objects to
     /// `q` (ties by id), ascending. Metrics accrue on `tuner`.
-    pub fn knn_query(&self, tuner: &mut Tuner<'_, RtPacket>, q: Point, k: usize) -> Vec<u32> {
+    pub fn knn_query(&self, tuner: &mut Tuner<'_, TreePacket>, q: Point, k: usize) -> Vec<u32> {
         let k = k.min(self.tree.objects.len());
         if k == 0 {
             return Vec::new();
         }
         let mut cands = RtCandidates::new(&self.tree, q, k);
-        let root_level = (self.tree.height() - 1) as u8;
         cands.insert(Item::Node {
-            level: root_level,
+            level: self.air.root_level(),
             idx: 0,
         });
-        let mut pending = self.seed(tuner);
-        while let Some((item, flat)) = pending.pop(self, tuner) {
+        let mut pending = ReadQueue::seed(&self.air, tuner, ());
+        while let Some((item, flat)) = self.pop(&mut pending, tuner) {
             // Prune anything provably outside the search space.
             let min2 = match item {
                 Item::Node { level, idx } => self.tree.levels[level as usize][idx as usize]
@@ -244,20 +135,18 @@ impl RTreeAir {
                 cands.remove(item);
                 continue;
             }
+            tuner.goto(flat);
+            if !self.air.read_unit(tuner, encode(item).0) {
+                self.push(&mut pending, tuner, item);
+                continue;
+            }
             match item {
                 Item::Node { level, idx } => {
-                    tuner.goto(flat);
-                    if self.read_node(tuner, level).is_err() {
-                        let (next, nflat) = self.node_arrival(tuner, level, idx);
-                        pending.push(next, nflat, Item::Node { level, idx });
-                        continue;
-                    }
                     // Expanded: the node's virtual is replaced by its
                     // children's (disjoint subtrees keep candidates
                     // distinct).
                     cands.remove(item);
-                    let node = &self.tree.levels[level as usize][idx as usize];
-                    match &node.children {
+                    match &self.tree.levels[level as usize][idx as usize].children {
                         Children::Nodes(kids) => {
                             for &k in kids {
                                 let child = &self.tree.levels[level as usize - 1][k as usize];
@@ -267,8 +156,7 @@ impl RTreeAir {
                                         idx: k,
                                     };
                                     cands.insert(it);
-                                    let (at, nflat) = self.node_arrival(tuner, level - 1, k);
-                                    pending.push(at, nflat, it);
+                                    self.push(&mut pending, tuner, it);
                                 }
                             }
                         }
@@ -278,21 +166,13 @@ impl RTreeAir {
                                 if dist2(q, p) <= cands.r2() {
                                     let it = Item::Object { obj };
                                     cands.insert(it);
-                                    let oflat = self.object_pos[obj as usize];
-                                    pending.push(tuner.arrival(oflat), oflat, it);
+                                    self.push(&mut pending, tuner, it);
                                 }
                             }
                         }
                     }
                 }
-                Item::Object { obj } => {
-                    tuner.goto(flat);
-                    if self.read_object(tuner).is_ok() {
-                        cands.retrieve(obj);
-                    } else {
-                        pending.push(tuner.arrival(flat), flat, Item::Object { obj });
-                    }
-                }
+                Item::Object { obj } => cands.retrieve(obj),
             }
         }
         cands.result_ids()
@@ -300,31 +180,24 @@ impl RTreeAir {
 }
 
 impl dsi_broadcast::AirScheme for RTreeAir {
-    type Packet = RtPacket;
+    type Packet = TreePacket;
 
-    fn program(&self) -> &dsi_broadcast::Program<RtPacket> {
+    fn program(&self) -> &dsi_broadcast::Program<TreePacket> {
         RTreeAir::program(self)
     }
 
-    fn window(&self, tuner: &mut Tuner<'_, RtPacket>, window: &Rect) -> Vec<u32> {
+    fn window(&self, tuner: &mut Tuner<'_, TreePacket>, window: &Rect) -> Vec<u32> {
         self.window_query(tuner, window)
     }
 
-    fn knn(&self, tuner: &mut Tuner<'_, RtPacket>, q: Point, k: usize) -> Vec<u32> {
+    fn knn(&self, tuner: &mut Tuner<'_, TreePacket>, q: Point, k: usize) -> Vec<u32> {
         self.knn_query(tuner, q, k)
     }
 
     /// An R-tree client's first act is to seed at the earliest root copy,
-    /// so that copy's arrival is the coalescing anchor. Computed through
-    /// the same [`RTreeAir::node_arrival`] planner [`seed`] uses (on a
-    /// scratch tuner), so the anchor cannot drift from the entry.
+    /// so that copy's arrival is the coalescing anchor.
     fn tune_anchor(&self, start: u64) -> Option<u64> {
-        if self.program().n_channels() != 1 {
-            return None;
-        }
-        let tuner = Tuner::tune_in(self.program(), start, dsi_broadcast::LossModel::None, 0);
-        let root_level = (self.tree.height() - 1) as u8;
-        Some(self.node_arrival(&tuner, root_level, 0).0)
+        self.air.root_anchor(start)
     }
 }
 

@@ -1,8 +1,9 @@
 //! Sort-Tile-Recursive bulk loading (Leutenegger et al., ICDE'97).
 
+use dsi_broadcast::segmented::Children;
 use dsi_geom::{Point, Rect};
 
-use crate::tree::{Children, Node, RTree};
+use crate::tree::{Node, RTree};
 
 /// Bulk-loads an R-tree by STR packing: sort by x, cut into ⌈√P⌉ vertical
 /// strips of ⌈√P⌉ pages each, sort every strip by y, and pack runs of

@@ -1,5 +1,6 @@
 //! The packed R-tree structure.
 
+use dsi_broadcast::segmented::Children;
 use dsi_geom::{Point, Rect};
 
 /// On-air size of an internal node entry: MBR (4 × f64) + 2-byte pointer.
@@ -8,20 +9,6 @@ pub const INTERNAL_ENTRY_BYTES: u32 = 34;
 pub const LEAF_ENTRY_BYTES: u32 = 18;
 /// Per-node header (entry count).
 pub const NODE_HEADER_BYTES: u32 = 2;
-
-/// What a node points at.
-#[derive(Debug, Clone)]
-pub enum Children {
-    /// Indices into the next-lower node level.
-    Nodes(Vec<u32>),
-    /// A contiguous run of the tree's object array (leaves).
-    Objects {
-        /// First object index.
-        start: u32,
-        /// Number of objects.
-        count: u32,
-    },
-}
 
 /// One R-tree node.
 #[derive(Debug, Clone)]

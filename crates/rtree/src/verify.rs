@@ -1,123 +1,19 @@
-//! [`Verifiable`] for the R-tree broadcast: extracts the child-pointer
-//! graph — every node copy (replicated path headers included) pointing at
-//! every copy of each child with a `Covers` claim over the child's
-//! data-ordinal range — for the `dsi-verify` analyzer.
+//! [`Verifiable`] for the R-tree broadcast: the shared segmented-tree
+//! walk ([`StaticModel::from_segmented`]) over the packed tree.
+//!
+//! STR packing re-sorts each internal level spatially, so a subtree does
+//! not cover a contiguous range of raw `tree.objects` indices. The walk
+//! keys objects by depth-first rank instead, the order the layout airs
+//! them in, where every subtree owns exactly one rank range.
 
-use dsi_verify::{Edge, EdgeClaim, StaticModel, Verifiable};
+use dsi_verify::{StaticModel, Verifiable};
 
-use crate::air::{NodeWhere, RTreeAir};
-use crate::tree::{Children, RTree};
-
-/// Per-object DFS rank plus the rank range `[lo, hi)` of every subtree.
-///
-/// STR packing re-sorts each internal level spatially, so an internal
-/// node's subtree does **not** cover a contiguous range of raw
-/// `tree.objects` indices. Ranking objects by a root-down DFS (the same
-/// child order the broadcast emitter walks) restores contiguity: every
-/// subtree owns exactly one rank interval by construction, which is the
-/// `Covers` claim the verifier can check exactly.
-struct Ranks {
-    /// `object index -> DFS rank` (the data-unit key).
-    of_object: Vec<u64>,
-    /// `[level][idx] -> [lo, hi)` rank range of that subtree.
-    of_node: Vec<Vec<(u64, u64)>>,
-}
-
-fn rank_dfs(tree: &RTree) -> Ranks {
-    let mut r = Ranks {
-        of_object: vec![0; tree.objects.len()],
-        of_node: tree.levels.iter().map(|l| vec![(0, 0); l.len()]).collect(),
-    };
-    let mut next = 0u64;
-    let top = tree.height() - 1;
-    for idx in 0..tree.levels[top].len() as u32 {
-        rank_node(tree, top, idx, &mut next, &mut r);
-    }
-    r
-}
-
-fn rank_node(tree: &RTree, level: usize, idx: u32, next: &mut u64, r: &mut Ranks) {
-    let lo = *next;
-    match &tree.levels[level][idx as usize].children {
-        Children::Objects { start, count } => {
-            for obj in *start..*start + *count {
-                r.of_object[obj as usize] = *next;
-                *next += 1;
-            }
-        }
-        Children::Nodes(kids) => {
-            for &k in kids {
-                rank_node(tree, level - 1, k, next, r);
-            }
-        }
-    }
-    r.of_node[level][idx as usize] = (lo, *next);
-}
-
-/// Flat positions of every on-air copy of node `(level, idx)`.
-fn copies(air: &RTreeAir, level: usize, idx: u32) -> Vec<u64> {
-    match &air.node_where[level][idx as usize] {
-        NodeWhere::Single(pos) => vec![*pos],
-        NodeWhere::PerSegment {
-            first,
-            last,
-            path_offset,
-        } => (*first..=*last)
-            .map(|s| air.segment_starts[s as usize] + path_offset)
-            .collect(),
-    }
-}
+use crate::air::RTreeAir;
 
 impl RTreeAir {
-    /// The static model of this broadcast. Each node copy is an index
-    /// unit with one `Covers` edge per copy of each child (claiming the
-    /// child subtree's exact data-ordinal range — the on-air MBR entry's
-    /// navigational promise) and, at leaves, `Local` edges to the
-    /// announced objects. Entries are the segment starts: the points a
-    /// freshly tuned-in client seeds its descent from.
+    /// The static model of this broadcast (see the module docs).
     pub fn static_model(&self) -> StaticModel {
-        let mut m = StaticModel::from_program("R-tree", self.program());
-        // Worst window query: one level of the tree is processed per
-        // cycle pass at worst, plus the result-object sweep.
-        m.sweep_passes = self.tree.height() as u32 + 2;
-        let ranks = rank_dfs(&self.tree);
-        for (obj, &pos) in self.object_pos.iter().enumerate() {
-            let u = m.unit_at(pos).expect("object header is a unit start");
-            m.units[u].key = ranks.of_object[obj];
-        }
-        for level in 0..self.tree.height() {
-            for idx in 0..self.tree.levels[level].len() as u32 {
-                for copy in copies(self, level, idx) {
-                    let u = m.unit_at(copy).expect("node copy is a unit start");
-                    match &self.tree.levels[level][idx as usize].children {
-                        Children::Nodes(kids) => {
-                            for &k in kids {
-                                let (lo, hi) = ranks.of_node[level - 1][k as usize];
-                                for kc in copies(self, level - 1, k) {
-                                    m.edges[u].push(Edge {
-                                        target: kc,
-                                        claim: EdgeClaim::Covers { lo, hi },
-                                    });
-                                }
-                            }
-                        }
-                        Children::Objects { start, count } => {
-                            for obj in *start..*start + *count {
-                                m.edges[u].push(Edge {
-                                    target: self.object_pos[obj as usize],
-                                    claim: EdgeClaim::Local,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for &s in &self.segment_starts {
-            let u = m.unit_at(s).expect("segment start is a unit start");
-            m.entries.push(u as u32);
-        }
-        m
+        StaticModel::from_segmented("R-tree", &self.air, &self.tree.levels, |n| &n.children)
     }
 }
 

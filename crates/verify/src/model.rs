@@ -10,6 +10,7 @@
 //! that doesn't hold statically is exactly a packet a real client would
 //! be misled by.
 
+use dsi_broadcast::segmented::{Children, SegmentedAir};
 use dsi_broadcast::{PacketClass, Payload, Program};
 
 /// What kind of content a broadcast unit carries.
@@ -189,6 +190,34 @@ impl StaticModel {
         }
     }
 
+    /// The static model of a segmented tree broadcast laid out from
+    /// `levels` (see [`SegmentedAir::try_build`]). Each node copy is an
+    /// index unit with one `Covers` edge per copy of each child, claiming
+    /// the child subtree's exact data-ordinal range (the navigational
+    /// promise of its on-air entry), and, at leaves, `Local` edges to the
+    /// announced objects. Data keys are depth-first object ranks: the
+    /// broadcast order, in which every subtree owns one contiguous rank
+    /// range. Entries are the segment starts, where a freshly tuned-in
+    /// client seeds its descent.
+    pub fn from_segmented<N>(
+        scheme: &'static str,
+        air: &SegmentedAir,
+        levels: &[Vec<N>],
+        children: impl Fn(&N) -> &Children,
+    ) -> Self {
+        let mut m = Self::from_program(scheme, air.program());
+        // Worst window query: one tree level per cycle pass, plus the
+        // result-object sweep.
+        m.sweep_passes = levels.len() as u32 + 2;
+        let root = air.root_level();
+        rank_subtree(&mut m, air, levels, &children, root, 0, &mut 0);
+        for &s in air.segment_starts() {
+            let u = m.unit_at(s).expect("segment start is a unit start");
+            m.entries.push(u as u32);
+        }
+        m
+    }
+
     /// The unit whose first packet is exactly `flat`, if any.
     pub fn unit_at(&self, flat: u64) -> Option<usize> {
         let i = self.units.partition_point(|u| u.start < flat);
@@ -219,6 +248,50 @@ impl StaticModel {
             .filter(|u| u.kind == UnitKind::Data)
             .count()
     }
+}
+
+/// Ranks the objects under node `(level, idx)` depth-first from `*next`,
+/// keys their data units and adds the edges of every copy of the node;
+/// returns the subtree's rank range `[lo, hi)`.
+fn rank_subtree<N>(
+    m: &mut StaticModel,
+    air: &SegmentedAir,
+    levels: &[Vec<N>],
+    children: &impl Fn(&N) -> &Children,
+    level: u8,
+    idx: u32,
+    next: &mut u64,
+) -> (u64, u64) {
+    let lo = *next;
+    let mut edges = Vec::new();
+    match children(&levels[level as usize][idx as usize]) {
+        Children::Objects { start, count } => {
+            for obj in *start..*start + *count {
+                let target = air.object_pos(obj);
+                let u = m.unit_at(target).expect("object header is a unit start");
+                m.units[u].key = *next;
+                *next += 1;
+                edges.push(Edge {
+                    target,
+                    claim: EdgeClaim::Local,
+                });
+            }
+        }
+        Children::Nodes(kids) => {
+            for &k in kids {
+                let (lo, hi) = rank_subtree(m, air, levels, children, level - 1, k, next);
+                edges.extend(air.copies(level - 1, k).map(|target| Edge {
+                    target,
+                    claim: EdgeClaim::Covers { lo, hi },
+                }));
+            }
+        }
+    }
+    for copy in air.copies(level, idx) {
+        let u = m.unit_at(copy).expect("node copy is a unit start");
+        m.edges[u].extend_from_slice(&edges);
+    }
+    (lo, *next)
 }
 
 /// Implemented by every built air index that can describe itself to the

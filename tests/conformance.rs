@@ -25,9 +25,10 @@ use dsi::bptree::{BpAir, BpAirConfig};
 use dsi::broadcast::optimize::{
     optimize_placement, read_runs, AccessProfile, OptimizeOptions, UnitSchema,
 };
+use dsi::broadcast::segmented::{SegmentedAir, TreePacket, MAX_SEGMENTS};
 use dsi::broadcast::{
-    AntennaConfig, ChannelConfig, DynScheme, GilbertElliott, LossModel, OutageSchedule,
-    OutageWindow, Placement, Query, QueryOutcome,
+    AntennaConfig, ChannelConfig, DynScheme, GilbertElliott, LayoutError, LossModel,
+    OutageSchedule, OutageWindow, Placement, Query, QueryOutcome,
 };
 use dsi::core::{DsiAir, DsiConfig, DsiScheme, KnnStrategy};
 use dsi::datagen::{knn_points, uniform, window_queries, SpatialDataset};
@@ -1872,4 +1873,165 @@ fn blocked_beats_unit_stripe_and_stripe_frames_closes_the_gap() {
         optimized < stripe,
         "optimized ({optimized}) must beat unit-granular stripe ({stripe}) at C=4"
     );
+}
+
+/// The objects of a dataset as the R-tree builder takes them.
+fn id_points(ds: &SpatialDataset) -> Vec<(u32, Point)> {
+    ds.objects().iter().map(|o| (o.id, o.pos)).collect()
+}
+
+/// The segmented-layout invariants both tree baselines share: every copy
+/// of every node starts with that node's part-0 packet, every object
+/// header sits where the layout says, and every segment starts with a
+/// node. Returns the cut-level node heading each segment, in broadcast
+/// order (each cut-level node heads exactly one).
+fn check_segmented_layout(layout: &SegmentedAir, level_lens: &[usize], n_objects: u32) -> Vec<u32> {
+    let prog = layout.program();
+    for (level, &len) in level_lens.iter().enumerate() {
+        let level = level as u8;
+        for idx in 0..len as u32 {
+            let mut copies = 0;
+            for at in layout.copies(level, idx) {
+                let node = TreePacket::Node {
+                    level,
+                    idx,
+                    part: 0,
+                };
+                assert_eq!(*prog.get(at), node, "copy of ({level}, {idx}) at {at}");
+                copies += 1;
+            }
+            assert!(copies > 0, "node ({level}, {idx}) never airs");
+        }
+    }
+    for obj in 0..n_objects {
+        let at = layout.object_pos(obj);
+        assert_eq!(
+            *prog.get(at),
+            TreePacket::ObjHeader { obj },
+            "header at {at}"
+        );
+    }
+    let cut = level_lens
+        .iter()
+        .position(|&len| len as u32 <= MAX_SEGMENTS)
+        .expect("the root level is a single node") as u8;
+    let starts = layout.segment_starts();
+    let roots: Vec<u32> = starts
+        .iter()
+        .enumerate()
+        .map(|(si, &s)| {
+            assert!(
+                matches!(prog.get(s), TreePacket::Node { part: 0, .. }),
+                "segment {si} must start with a node, found {:?}",
+                prog.get(s)
+            );
+            let end = starts.get(si + 1).copied().unwrap_or(prog.len());
+            (s..end)
+                .find_map(|at| match *prog.get(at) {
+                    TreePacket::Node { level, idx, .. } if level == cut => Some(idx),
+                    _ => None,
+                })
+                .expect("every segment airs its cut-level root")
+        })
+        .collect();
+    let mut sorted = roots.clone();
+    sorted.sort_unstable();
+    assert_eq!(
+        sorted,
+        (0..level_lens[cut as usize] as u32).collect::<Vec<_>>()
+    );
+    roots
+}
+
+/// The R-tree and HCI layouts keep their invariants from one object up.
+/// HCI's segments air in index order: the layout walks segments
+/// depth-first, and bulk loading gives every node a contiguous child
+/// range, so the two orders agree.
+#[test]
+fn segmented_layouts_are_consistent_on_both_trees() {
+    for n in [1usize, 2, 3, 100, 400, 600] {
+        let ds = SpatialDataset::build(&uniform(n, 7), 9);
+        for capacity in [64u32, 128] {
+            let rtree = RTreeAir::build(&id_points(&ds), RtreeAirConfig::new(capacity));
+            let lens: Vec<usize> = rtree.tree().levels.iter().map(Vec::len).collect();
+            check_segmented_layout(rtree.layout(), &lens, n as u32);
+
+            let hci = BpAir::build(&ds, BpAirConfig::new(capacity));
+            let lens: Vec<usize> = hci.tree().levels.iter().map(Vec::len).collect();
+            let roots = check_segmented_layout(hci.layout(), &lens, n as u32);
+            assert!(
+                roots.windows(2).all(|w| w[0] < w[1]),
+                "HCI segments out of index order at n = {n}, capacity {capacity}: {roots:?}"
+            );
+        }
+    }
+}
+
+/// Trees of one to three objects. On one channel and on `split2` both
+/// baselines answer a window and a 3NN query exactly, with one or two
+/// antennas, lossless and under i.i.d. 30% loss. Four blocked channels
+/// (N ≤ 3) and four striped channels (N ≤ 2) have more channels than
+/// such a cycle has units to fill, and the fallible builders say so.
+#[test]
+fn tiny_trees_answer_exactly_or_reject_the_layout() {
+    let configs = [
+        ("C1", ChannelConfig::single()),
+        ("split2", ChannelConfig::index_data(2, 1, SWITCH_COST)),
+        ("blocked4", ChannelConfig::blocked(4, SWITCH_COST)),
+        ("stripe4", ChannelConfig::striped(4, SWITCH_COST)),
+    ];
+    for n in 1..=3usize {
+        let ds = SpatialDataset::build(&uniform(n, 11), 9);
+        let windows = [Rect::new(0.0, 0.0, 1.0, 1.0), window_queries(1, 0.3, 5)[0]];
+        let q = knn_points(1, 13)[0];
+        for (cname, chan) in &configs {
+            for sname in ["rtree", "hci"] {
+                let built: Result<Box<dyn DynScheme>, LayoutError> = match sname {
+                    "rtree" => RTreeAir::try_build_channels(
+                        &id_points(&ds),
+                        RtreeAirConfig::new(64),
+                        chan.clone(),
+                    )
+                    .map(|a| Box::new(a) as Box<dyn DynScheme>),
+                    _ => BpAir::try_build_channels(&ds, BpAirConfig::new(64), chan.clone())
+                        .map(|a| Box::new(a) as Box<dyn DynScheme>),
+                };
+                let rejected = match *cname {
+                    "blocked4" => n <= 3,
+                    "stripe4" => n <= 2,
+                    _ => false,
+                };
+                let cell = format!("{sname}/{cname}/n{n}");
+                if rejected {
+                    let err = built.err().unwrap_or_else(|| panic!("{cell} built"));
+                    assert!(
+                        matches!(err, LayoutError::EmptyChannel { .. })
+                            && err.to_string().contains("received no units"),
+                        "{cell}: {err}"
+                    );
+                    continue;
+                }
+                let scheme = built.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                for loss in [LossModel::None, LossModel::iid(0.3)] {
+                    for k in [1u32, 2] {
+                        let antennas = AntennaConfig::new(k);
+                        for (qi, w) in windows.iter().enumerate() {
+                            let start = qi as u64 * 7 % scheme.cycle_packets();
+                            let out = scheme.drive_antennas(
+                                start,
+                                loss.clone(),
+                                qi as u64,
+                                antennas,
+                                &Query::Window(*w),
+                            );
+                            assert_eq!(out.ids, ds.brute_window(w), "{cell}/k{k} window {qi}");
+                        }
+                        let out =
+                            scheme.drive_antennas(0, loss.clone(), 5, antennas, &Query::Knn(q, 3));
+                        assert_eq!(out.ids, ds.brute_knn(q, 3), "{cell}/k{k} 3NN");
+                    }
+                }
+            }
+        }
+    }
 }
