@@ -23,7 +23,8 @@
 
 use dsi::bptree::{BpAir, BpAirConfig};
 use dsi::broadcast::optimize::{
-    optimize_placement, read_runs, AccessProfile, OptimizeOptions, UnitSchema,
+    arc_assignment, optimize_placement, predict_latency_packets, read_runs, AccessProfile,
+    OptimizeOptions, OptimizedPlacement, UnitSchema,
 };
 use dsi::broadcast::segmented::{SegmentedAir, TreePacket, MAX_SEGMENTS};
 use dsi::broadcast::{
@@ -1716,15 +1717,23 @@ fn two_antenna_reproduces_pinned_channel_stats() {
     assert_eq!(checked, TWO_ANTENNA_GOLDEN.len());
 }
 
-/// Fits a workload-optimized explicit placement for one scheme: profiles
-/// a training workload on the scheme's single-channel build and searches
-/// the air-cost model (see `dsi::broadcast::optimize`).
-fn optimized_chan(
+/// The optimizer's training draw: the evaluation families of
+/// `optimized_placements_preserve_answers_across_the_grid`, at other
+/// seeds.
+fn training_draw() -> (Vec<Rect>, Vec<Point>) {
+    (window_queries(8, 0.2, 31), knn_points(8, 17))
+}
+
+/// Fits a workload-optimized placement for one scheme: profiles a
+/// training workload on the scheme's single-channel build and searches
+/// the air-cost model (see `dsi::broadcast::optimize`). Returns the
+/// schema and profile the fit used along with its result.
+fn fit_optimized(
     single: &dyn DynScheme,
     channels: u32,
     windows: &[Rect],
     points: &[Point],
-) -> ChannelConfig {
+) -> (UnitSchema, AccessProfile, OptimizedPlacement) {
     let flat = single.cycle_packets();
     let mut counts = vec![0u64; flat as usize];
     let mut per_query = vec![0u64; flat as usize];
@@ -1759,7 +1768,19 @@ fn optimized_chan(
         AntennaConfig::single(),
         &OptimizeOptions::default(),
     );
-    opt.config(channels, SWITCH_COST)
+    (schema, profile, opt)
+}
+
+/// [`fit_optimized`] as a ready-to-build explicit channel configuration.
+fn optimized_chan(
+    single: &dyn DynScheme,
+    channels: u32,
+    windows: &[Rect],
+    points: &[Point],
+) -> ChannelConfig {
+    fit_optimized(single, channels, windows, points)
+        .2
+        .config(channels, SWITCH_COST)
 }
 
 /// The tentpole's end-to-end guarantee: a *workload-optimized* explicit
@@ -1775,8 +1796,7 @@ fn optimized_placements_preserve_answers_across_the_grid() {
     let windows = window_queries(NQ, 0.2, 3);
     let points = knn_points(NQ, 9);
     // Training draw: same families, different seeds.
-    let train_windows = window_queries(NQ, 0.2, 31);
-    let train_points = knn_points(NQ, 17);
+    let (train_windows, train_points) = training_draw();
     let singles = schemes(&ds, &ChannelConfig::single());
     for c in [2u32, 4] {
         for (sname, single) in &singles {
@@ -1815,6 +1835,77 @@ fn optimized_placements_preserve_answers_across_the_grid() {
             }
         }
     }
+}
+
+/// One pinned optimizer fit: scheme, channel count, the arc cuts (first
+/// unit of each arc), the channel each arc airs on, the bits of the
+/// fit's predicted latency, and the bits of the predicted latency of
+/// equal-unit-count arcs under the same profile.
+type OptimizerGolden = (
+    &'static str,
+    u32,
+    &'static [usize],
+    &'static [u32],
+    u64,
+    u64,
+);
+
+#[rustfmt::skip]
+const OPTIMIZER_GOLDEN: &[OptimizerGolden] = &[
+    ("dsi", 2, &[160, 346], &[0, 1], 0x40ae8ca205e03ea8, 0x40aeb1fef5811d72),
+    ("rtree", 2, &[0, 594], &[0, 1], 0x40b4157d08ff4ec0, 0x40b4c79489004a4e),
+    ("hci", 2, &[123, 436], &[1, 0], 0x40ab1ed344a188cc, 0x40ac0d98801f3ad0),
+    ("dsi", 4, &[55, 161, 238, 321], &[1, 2, 0, 3], 0x40a61bdc3a8d59f4, 0x40a7e44111c854c1),
+    ("rtree", 4, &[160, 363, 594, 926], &[0, 3, 1, 2], 0x40ad9710084534a8, 0x40b09aff0afc1e19),
+    ("hci", 4, &[2, 230, 456, 628], &[3, 1, 0, 2], 0x40a170edf3c224de, 0x40a23347226d7f49),
+];
+
+/// Pins the analytic placement search on the six fits that
+/// `optimized_placements_preserve_answers_across_the_grid` makes. The
+/// fits train on the one-channel build, so they move only when the
+/// search or its cost model does.
+#[test]
+fn optimizer_reproduces_pinned_placements() {
+    let row = |s: &str, c: u32, cuts: &[usize], arcs: &[u32], fit: u64, equal: u64| {
+        format!("({s:?}, {c}, &{cuts:?}, &{arcs:?}, {fit:#x}, {equal:#x}),")
+    };
+    let ds = dataset();
+    let (train_windows, train_points) = training_draw();
+    let mut got = Vec::new();
+    for c in [2u32, 4] {
+        for (sname, single) in schemes(&ds, &ChannelConfig::single()) {
+            let (schema, profile, opt) =
+                fit_optimized(single.as_ref(), c, &train_windows, &train_points);
+            let cuts = opt
+                .arc_cuts
+                .clone()
+                .expect("the sampled search returns arcs");
+            let arcs: Vec<u32> = cuts.iter().map(|&u| opt.assignment[u]).collect();
+            let n = schema.n_units();
+            let equal: Vec<usize> = (0..c as usize).map(|g| g * n / c as usize).collect();
+            let equal_latency = predict_latency_packets(
+                &schema,
+                &profile,
+                c,
+                SWITCH_COST,
+                AntennaConfig::single(),
+                &arc_assignment(&schema, &profile, &equal),
+            );
+            got.push(row(
+                sname,
+                c,
+                &cuts,
+                &arcs,
+                opt.predicted_latency_packets.to_bits(),
+                equal_latency.to_bits(),
+            ));
+        }
+    }
+    let want: Vec<String> = OPTIMIZER_GOLDEN
+        .iter()
+        .map(|r| row(r.0, r.1, r.2, r.3, r.4, r.5))
+        .collect();
+    assert_eq!(got, want, "fits moved; got:\n{}", got.join("\n"));
 }
 
 /// Pins the PR 3 measured finding this PR exploits: at C = 4 with a real
@@ -1862,12 +1953,8 @@ fn blocked_beats_unit_stripe_and_stripe_frames_closes_the_gap() {
     // measured evaluation batch — the fitted placement stays sane even
     // at this tiny scale.
     let single = build_scheme(&ds, "dsi", &ChannelConfig::single());
-    let chan = optimized_chan(
-        single.as_ref(),
-        4,
-        &window_queries(8, 0.2, 31),
-        &knn_points(8, 17),
-    );
+    let (train_windows, train_points) = training_draw();
+    let chan = optimized_chan(single.as_ref(), 4, &train_windows, &train_points);
     let optimized = mean(&chan);
     assert!(
         optimized < stripe,
