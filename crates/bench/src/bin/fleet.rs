@@ -21,14 +21,11 @@ use dsi_broadcast::{LossModel, Query};
 use dsi_datagen::{knn_points, window_queries};
 use dsi_sim::experiments::{fleet_summary_on, ExpOptions};
 use dsi_sim::fleet::{run_fleet, run_fleet_oracle, FleetSpec};
-use dsi_sim::{Engine, Scheme};
+use dsi_sim::{env_knob, Engine, Scheme};
 
 fn main() {
     let opts = ExpOptions::from_env();
-    let clients: usize = std::env::var("DSI_FLEET_CLIENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
+    let clients: usize = env_knob("DSI_FLEET_CLIENTS", 100_000);
     println!(
         "=== fleet (N = {}, {} clients, validate = {}) ===",
         opts.dataset_n, clients, opts.validate

@@ -50,7 +50,7 @@ use dsi_core::hotpath::{self, StatePath};
 use dsi_core::{DsiAir, DsiConfig, KnnStrategy};
 use dsi_datagen::{knn_points, uniform, window_queries, SpatialDataset};
 use dsi_sim::fleet::{baseline_loop, run_fleet, BaselineRun, FleetSpec, FleetStats};
-use dsi_sim::{Engine, Scheme};
+use dsi_sim::{env_knob, Engine, Scheme};
 
 const CAPACITY: u32 = 64;
 const ORDER: u8 = 12;
@@ -76,13 +76,6 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     assert!(!sorted.is_empty());
     let rank = (q * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Deterministic tune-in instant for query `qi`.
@@ -388,8 +381,8 @@ fn fleet_json(out: &mut String, name: &str, ab: &FleetAb) {
 }
 
 fn main() {
-    let n = env_usize("DSI_N", 10_000);
-    let n_queries = env_usize("DSI_QUERIES", 200);
+    let n: usize = env_knob("DSI_N", 10_000);
+    let n_queries: usize = env_knob("DSI_QUERIES", 200);
     assert!(n > 0, "DSI_N must be at least 1");
     assert!(n_queries > 0, "DSI_QUERIES must be at least 1");
     let out_path = std::env::var("DSI_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR15.json".into());
@@ -413,10 +406,7 @@ fn main() {
         },
         None => "null".to_string(),
     };
-    let max_regression = std::env::var("DSI_BENCH_MAX_REGRESSION")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.10);
+    let max_regression: f64 = env_knob("DSI_BENCH_MAX_REGRESSION", 0.10);
 
     println!("=== DSI client query-engine perf (N = {n}, {n_queries} queries/batch, {CAPACITY} B packets) ===");
     let ds = SpatialDataset::build(&uniform(n, 42), ORDER);
@@ -474,7 +464,7 @@ fn main() {
 
     // Fleet phase: the same broadcast serving a concurrent population,
     // interleaved A/B against the classic per-client loop.
-    let fleet_clients = env_usize("DSI_FLEET_CLIENTS", 200_000);
+    let fleet_clients: usize = env_knob("DSI_FLEET_CLIENTS", 200_000);
     let ds = Arc::new(ds);
     let engine = Arc::new(Engine::build(
         Scheme::dsi_reorganized(CAPACITY),

@@ -9,6 +9,7 @@
 use std::path::Path;
 
 use dsi_datagen::{load_points, SpatialDataset};
+use dsi_sim::env_knob;
 use dsi_sim::experiments::{fleet_summary_on, real_summary_on};
 
 fn main() {
@@ -21,10 +22,7 @@ fn main() {
         fixture.display()
     );
     let ds = SpatialDataset::build(&points, dsi_sim::EVAL_ORDER);
-    let clients = std::env::var("DSI_FLEET_CLIENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
+    let clients = env_knob("DSI_FLEET_CLIENTS", 20_000);
     dsi_bench::run_experiment("real", |opts| {
         let mut tables = real_summary_on(&ds, opts);
         tables.extend(fleet_summary_on(&ds, opts, clients));

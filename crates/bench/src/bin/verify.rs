@@ -12,14 +12,7 @@ use std::process::ExitCode;
 use dsi_broadcast::{ChannelConfig, LossModel, Query};
 use dsi_core::KnnStrategy;
 use dsi_datagen::{knn_points, window_queries, SpatialDataset};
-use dsi_sim::{Engine, Scheme};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use dsi_sim::{env_knob, Engine, Scheme};
 
 /// The static coalescing proof talks about the *static* anchor map; the
 /// fleet dedups on the *dynamic* `Engine::tune_anchor`. Soundness needs
@@ -60,7 +53,7 @@ fn crosscheck_anchors(engine: &Engine, report: &dsi_verify::VerifyReport) -> Res
 }
 
 fn main() -> ExitCode {
-    let n = env_usize("DSI_N", 300);
+    let n = env_knob("DSI_N", 300);
     let ds = SpatialDataset::build(&dsi_datagen::uniform(n, 42), 10);
     let schemes = [
         ("DSI-reorg", Scheme::dsi_reorganized(64)),

@@ -39,10 +39,10 @@
 //!   depth-first subtrees, objects), node-copy arrivals, and the pending
 //!   read queue of a tree client.
 //! * [`optimize`] — the workload-aware server-side placement optimizer:
-//!   measure an access-probability profile over the flat schema
-//!   ([`drive_profiled`]), price candidate unit→channel assignments with
-//!   a closed-form air-cost model, and hill-climb to a
-//!   [`Placement::Explicit`] layout that fits the workload.
+//!   profile a training workload over the flat schema
+//!   ([`drive_profiled`]), price unit→channel assignments query by query
+//!   from each training query's read runs, and search the contiguous arc
+//!   family for a [`Placement::Explicit`] layout that fits the workload.
 //!
 //! The simulator is deterministic under a fixed seed: every stochastic
 //! choice (loss draws) comes from the tuner's own RNG.

@@ -14,115 +14,82 @@
 //!
 //! This module is that server-side optimizer, in three parts:
 //!
-//! * [`AccessProfile`] — expected reads per query of every flat schema
-//!   position, measured by driving a training workload through
+//! * [`AccessProfile`] — a training workload driven through
 //!   [`crate::drive_profiled`] (the tuner counts every read against its
-//!   flat position), plus optional per-query read-run *samples*
-//!   ([`AccessProfile::with_samples`]): a hotspot query concentrates
-//!   thousands of reads on one region of the schema, which mean weights
-//!   alone cannot express and which dominates real sweep latency.
-//! * [`CostModel`] — a closed-form estimate of a placement's expected
-//!   per-query air cost. A query's reads on channel `c` form `W_c` read
-//!   *runs* (entries); the arrival-order client sweeps them in airing
-//!   order, so passing all of them from a random instant costs about
-//!   `(L_c − 1) · W_c / (W_c + 1)` packets (`L_c` = packets on that
-//!   channel; one run waits half a channel cycle, many runs approach a
-//!   full one — the runs overlap in one sweep rather than each paying an
-//!   independent wait). Retunes add `switch_cost` with probability `1 −
-//!   k/C` for a `k`-antenna client. Continuation reads (a unit whose
-//!   flat predecessor airs immediately before it on the same channel)
-//!   stream on without re-waiting and leave `W_c`, so the model prices
-//!   exactly the tradeoff between short hot channels and preserved scan
-//!   adjacency.
-//! * [`optimize_placement`] — the search. Without samples it seeds from
-//!   the best analytic layout (balanced blocked arcs, plus
-//!   density-sorted arcs over adjacency-preserving *atoms* — maximal
-//!   flat runs of similar access density, so hot regions move between
-//!   channels without being shredded — with boundaries tuned by
-//!   coordinate descent) and hill-climbs random unit moves and swaps
-//!   against the cost model. With samples it searches the **contiguous
-//!   circular-arc family** (free cut positions, `Blocked`'s dependency
-//!   structure — see `optimize_sampled`) by coordinate descent on the
-//!   per-query sample cost. Either way it returns a
-//!   [`crate::Placement::Explicit`] assignment plus its predicted cost,
-//!   and [`OptimizedPlacement::arc_cuts`] lets a harness refine the arc
-//!   cuts further by *measuring* shifted variants (see
-//!   [`arc_assignment`]) — which is how `dsi-sim`'s experiment matrix
+//!   flat position): expected reads per query of every flat position,
+//!   plus each query's read runs. A hotspot query concentrates thousands
+//!   of reads on one region of the schema, which mean weights alone
+//!   cannot express and which dominates real sweep latency.
+//! * The sample scorer ([`predict_latency_packets`]) — the expected
+//!   per-query access latency of a placement, priced query by query. A
+//!   query's reads on channel `c` form `m` read runs; the arrival-order
+//!   client sweeps them in airing order, so passing all of them from a
+//!   random instant costs about `(L_c − 1) · m / (m + 1)` packets (`L_c`
+//!   = packets on that channel; one run waits half a channel cycle, many
+//!   runs approach a full one). A run that continues into the next unit
+//!   on the same channel streams on without re-waiting. The per-channel
+//!   sweeps of one query overlap, and retunes add `switch_cost` per run
+//!   with probability `1 − k/C` for a `k`-antenna client.
+//! * [`optimize_placement`] — the search. It moves the `C` cut points of
+//!   the **contiguous circular-arc family** (one arc per channel in flat
+//!   order: `Blocked`'s dependency structure with free cut positions) by
+//!   coordinate descent on the sample scorer, and returns a
+//!   [`crate::Placement::Explicit`] assignment, its predicted latency
+//!   and its cuts ([`OptimizedPlacement::arc_cuts`]). A harness can
+//!   refine the cuts further by *measuring* shifted variants (see
+//!   [`arc_assignment`]), which is how `dsi-sim`'s experiment matrix
 //!   resolves its `optimized` placement entries.
 //!
 //! The optimizer never changes the flat schema — clients keep addressing
 //! the single-channel cycle — so query answers are placement-invariant;
 //! only latency and tuning move (the conformance suite pins this).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::channel::{AntennaConfig, ChannelConfig, Placement};
 
-/// Expected reads per query of each flat schema position, plus
-/// (optionally) per-query read-run samples — the workload summary the
-/// optimizer consumes.
+/// A training workload as the optimizer consumes it: expected reads per
+/// query of each flat schema position, and every query's read runs.
 ///
-/// The mean weights drive the analytic seeds and the closed-form cost
-/// model; the samples let the optimizer see *per-query channel
-/// concentration* (a hotspot query reads thousands of packets on one
-/// region of the schema, not a thin slice of everything), which mean
-/// weights alone cannot express and which dominates real sweep latency.
+/// The mean weights say how hot each unit is; the runs let the scorer
+/// see *per-query channel concentration* (a hotspot query reads
+/// thousands of packets on one region of the schema, not a thin slice
+/// of everything).
 #[derive(Debug, Clone)]
 pub struct AccessProfile {
     weights: Vec<f64>,
-    /// Per sampled training query: its maximal read runs as
+    /// Per training query that read anything: its maximal read runs as
     /// `(flat_start, len)` in packets, ascending.
     samples: Vec<Vec<(u32, u32)>>,
 }
 
 impl AccessProfile {
-    /// Builds a profile from raw per-position read counts accumulated
-    /// over `queries` training queries (see [`crate::drive_profiled`]).
+    /// Builds a profile from per-position read counts summed over a
+    /// training workload (see [`crate::drive_profiled`]) and one sample
+    /// per training query: the [`read_runs`] of that query's own counts.
     ///
     /// # Panics
     ///
-    /// Panics if `counts` is empty or `queries` is zero.
-    pub fn from_counts(counts: &[u64], queries: u64) -> Self {
+    /// Panics if `counts` is empty, if no sample has a read run, or if a
+    /// run reaches past the last position.
+    pub fn new(counts: &[u64], samples: Vec<Vec<(u32, u32)>>) -> Self {
         assert!(!counts.is_empty(), "profile needs at least one position");
-        assert!(queries > 0, "profile needs at least one training query");
-        Self {
-            weights: counts.iter().map(|&c| c as f64 / queries as f64).collect(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// A flat profile (every position read once per query) — what the
-    /// optimizer assumes when nothing is known about the workload.
-    pub fn uniform(len: usize) -> Self {
-        assert!(len > 0, "profile needs at least one position");
-        Self {
-            weights: vec![1.0; len],
-            samples: Vec::new(),
-        }
-    }
-
-    /// Attaches per-query read-run samples (one entry per training
-    /// query, each a [`read_runs`] extraction of that query's
-    /// per-position counts). With samples present,
-    /// [`optimize_placement`] scores candidate placements against the
-    /// sampled queries instead of the mean-field model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any run reaches past the profile's position count.
-    pub fn with_samples(mut self, samples: Vec<Vec<(u32, u32)>>) -> Self {
-        let n = self.weights.len();
+        let queries = samples.len() as f64;
         for runs in &samples {
             for &(start, len) in runs {
                 assert!(
-                    len > 0 && (start as usize + len as usize) <= n,
+                    len > 0 && (start as usize + len as usize) <= counts.len(),
                     "sample run ({start}, {len}) out of range"
                 );
             }
         }
-        self.samples = samples.into_iter().filter(|r| !r.is_empty()).collect();
-        self
+        let samples: Vec<_> = samples.into_iter().filter(|r| !r.is_empty()).collect();
+        assert!(
+            !samples.is_empty(),
+            "profile needs a query that read something"
+        );
+        Self {
+            weights: counts.iter().map(|&c| c as f64 / queries).collect(),
+            samples,
+        }
     }
 
     /// Expected reads per query, per flat position.
@@ -130,7 +97,7 @@ impl AccessProfile {
         &self.weights
     }
 
-    /// The recorded per-query read-run samples.
+    /// The per-query read-run samples.
     pub fn samples(&self) -> &[Vec<(u32, u32)>] {
         &self.samples
     }
@@ -148,8 +115,7 @@ impl AccessProfile {
 
 /// Collapses one query's per-position read counts (a fresh buffer from
 /// one [`crate::drive_profiled`] call) into its maximal read runs
-/// `(flat_start, len)` — the sample format of
-/// [`AccessProfile::with_samples`].
+/// `(flat_start, len)` — the sample format of [`AccessProfile::new`].
 pub fn read_runs(counts: &[u64]) -> Vec<(u32, u32)> {
     let mut runs: Vec<(u32, u32)> = Vec::new();
     for (f, &c) in counts.iter().enumerate() {
@@ -223,246 +189,21 @@ impl UnitSchema {
     }
 }
 
-/// Closed-form air-cost estimate of a unit→channel assignment under an
-/// access-probability profile and a receiver configuration. See the
-/// module docs for the model; [`CostModel::predicted_latency_packets`]
-/// is the objective the optimizer minimizes.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Packets per unit.
-    lens: Vec<u64>,
-    /// Entry weight per unit: expected reads per query of its first
-    /// packet (how often a read run starts — or passes through — here).
-    entry: Vec<f64>,
-    /// Continuation discount: `min(entry[u], weight of the previous
-    /// unit's last packet)` — the share of `u`'s entries that arrive as
-    /// a serial scan continuing from the (cyclic) predecessor unit, and
-    /// which therefore waits nothing *if* the predecessor airs
-    /// immediately before `u` on the same channel.
-    cont: Vec<f64>,
-    /// Total profile weight per unit (over all its packets) — the
-    /// hotness measure the seeding atoms are built from.
-    weight: Vec<f64>,
-    /// Expected packets read per query (placement-invariant).
-    read_packets: f64,
-    channels: u32,
-    switch_cost: u32,
-    /// Probability that a target channel is on no antenna: `1 −
-    /// min(k, C)/C` for a `k`-antenna client under `C` channels.
-    p_miss: f64,
-}
-
-impl CostModel {
-    /// Builds the model for `channels` lockstep channels at `switch_cost`
-    /// packets per retune, for a client with `antennas` receivers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile does not cover the schema's packet count or
-    /// `channels` is zero.
-    pub fn new(
-        schema: &UnitSchema,
-        profile: &AccessProfile,
-        channels: u32,
-        switch_cost: u32,
-        antennas: AntennaConfig,
-    ) -> Self {
-        assert!(channels >= 1, "need at least one channel");
-        assert_eq!(
-            profile.len() as u64,
-            schema.total_packets(),
-            "profile must cover every flat position"
-        );
-        let w = profile.weights();
-        let n = schema.n_units();
-        let lens: Vec<u64> = (0..n).map(|u| schema.len_of(u) as u64).collect();
-        let entry: Vec<f64> = (0..n).map(|u| w[schema.start(u) as usize]).collect();
-        let last_w: Vec<f64> = (0..n)
-            .map(|u| w[(schema.start(u) + schema.len_of(u) - 1) as usize])
-            .collect();
-        let cont: Vec<f64> = (0..n)
-            .map(|u| {
-                let prev = (u + n - 1) % n;
-                entry[u].min(last_w[prev])
-            })
-            .collect();
-        let weight: Vec<f64> = (0..n)
-            .map(|u| {
-                let s = schema.start(u) as usize;
-                w[s..s + schema.len_of(u) as usize].iter().sum()
-            })
-            .collect();
-        let p_mon = f64::from(antennas.antennas.min(channels)) / f64::from(channels);
-        Self {
-            lens,
-            entry,
-            cont,
-            weight,
-            read_packets: w.iter().sum(),
-            channels,
-            switch_cost,
-            p_miss: 1.0 - p_mon,
-        }
-    }
-
-    /// Number of channels the model prices.
-    pub fn channels(&self) -> u32 {
-        self.channels
-    }
-
-    /// Expected tuning time per query, in packets (every read costs one
-    /// packet of listening, wherever the unit airs — placement moves
-    /// latency, not tuning).
-    pub fn predicted_tuning_packets(&self) -> f64 {
-        self.read_packets
-    }
-
-    /// Expected access latency per query, in packets, of `assignment`
-    /// (one channel per unit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment does not cover every unit or names a
-    /// channel out of range.
-    pub fn predicted_latency_packets(&self, assignment: &[u32]) -> f64 {
-        let s = State::new(self, assignment);
-        s.cost()
-    }
-}
-
-/// Incremental evaluation state of one assignment under a [`CostModel`]:
-/// per-channel packet lengths and discounted entry weights, updatable in
-/// O(1) per unit move.
-struct State<'m> {
-    m: &'m CostModel,
-    a: Vec<u32>,
-    /// Packets per channel.
-    len_c: Vec<u64>,
-    /// Units per channel (the no-empty-channel constraint).
-    units_c: Vec<u32>,
-    /// Discounted entry weight per channel: Σ over its units of
-    /// `entry[u] − cont[u]·[prev on same channel]`.
-    w_c: Vec<f64>,
-}
-
-impl<'m> State<'m> {
-    fn new(m: &'m CostModel, assignment: &[u32]) -> Self {
-        let n = m.lens.len();
-        assert_eq!(assignment.len(), n, "one channel per unit");
-        let c = m.channels as usize;
-        let mut s = Self {
-            m,
-            a: assignment.to_vec(),
-            len_c: vec![0; c],
-            units_c: vec![0; c],
-            w_c: vec![0.0; c],
-        };
-        for (u, &ch) in assignment.iter().enumerate() {
-            let ch = ch as usize;
-            assert!(ch < c, "unit {u} assigned to channel {ch} of {c}");
-            s.len_c[ch] += m.lens[u];
-            s.units_c[ch] += 1;
-            s.w_c[ch] += s.discounted_entry(u);
-        }
-        s
-    }
-
-    /// `entry[u]` minus the continuation discount if `u`'s cyclic
-    /// predecessor currently shares its channel (flat order is preserved
-    /// within a channel, so sharing it means airing back to back).
-    fn discounted_entry(&self, u: usize) -> f64 {
-        let n = self.a.len();
-        let prev = (u + n - 1) % n;
-        if prev != u && self.a[prev] == self.a[u] {
-            self.m.entry[u] - self.m.cont[u]
-        } else {
-            self.m.entry[u]
-        }
-    }
-
-    /// The model's expected per-query latency of the current assignment:
-    /// per channel, the sweep cost `(L_c − 1) · W_c / (W_c + 1)` (the
-    /// expected time until the last of `W_c` airing-ordered read runs
-    /// has passed, from a random instant) plus a retune charge per run,
-    /// plus the placement-invariant read time.
-    fn cost(&self) -> f64 {
-        let retune = self.m.p_miss * f64::from(self.m.switch_cost);
-        self.m.read_packets
-            + self
-                .len_c
-                .iter()
-                .zip(&self.w_c)
-                .map(|(&l, &w)| {
-                    let w = w.max(0.0);
-                    (l.saturating_sub(1)) as f64 * (w / (w + 1.0)) + w * retune
-                })
-                .sum::<f64>()
-    }
-
-    /// Moves unit `u` to channel `to`, updating the aggregates.
-    fn move_unit(&mut self, u: usize, to: u32) {
-        let from = self.a[u];
-        if from == to {
-            return;
-        }
-        let n = self.a.len();
-        let succ = (u + 1) % n;
-        // Remove u's and (if affected) its successor's discounted
-        // entries under the old assignment…
-        self.w_c[from as usize] -= self.discounted_entry(u);
-        if succ != u {
-            self.w_c[self.a[succ] as usize] -= self.discounted_entry(succ);
-        }
-        self.len_c[from as usize] -= self.m.lens[u];
-        self.units_c[from as usize] -= 1;
-        self.a[u] = to;
-        self.len_c[to as usize] += self.m.lens[u];
-        self.units_c[to as usize] += 1;
-        // …and re-add them under the new one.
-        self.w_c[to as usize] += self.discounted_entry(u);
-        if succ != u {
-            self.w_c[self.a[succ] as usize] += self.discounted_entry(succ);
-        }
-    }
-}
-
-/// Tuning knobs of [`optimize_placement`].
-#[derive(Debug, Clone)]
-pub struct OptimizeOptions {
-    /// Hill-climb proposals; `0` picks an automatic budget proportional
-    /// to the unit count.
-    pub iterations: u32,
-    /// RNG seed of the (fully deterministic) search.
-    pub seed: u64,
-}
-
-impl Default for OptimizeOptions {
-    fn default() -> Self {
-        Self {
-            iterations: 0,
-            seed: 0xD51_0071,
-        }
-    }
-}
-
-/// An optimized unit→channel assignment and its predicted air cost.
+/// An optimized unit→channel assignment and its predicted access
+/// latency.
 #[derive(Debug, Clone)]
 pub struct OptimizedPlacement {
     /// Channel of each unit, in flat order (feed to
     /// [`Placement::Explicit`]).
     pub assignment: Vec<u32>,
-    /// The cost model's expected per-query access latency, in packets.
+    /// The sample scorer's expected per-query access latency, in packets.
     pub predicted_latency_packets: f64,
-    /// The cost model's expected per-query tuning time, in packets.
-    pub predicted_tuning_packets: f64,
-    /// For the sample-driven search: the contiguous-arc cut points the
-    /// assignment was built from (unit index of each channel's arc
-    /// start, ascending, pre-relabeling; see [`arc_assignment`]). Lets a
-    /// harness refine the cuts further — e.g. by *measuring* shifted
-    /// variants on the training workload — without leaving the
-    /// dependency-order-preserving arc family. `None` for the mean-field
-    /// search, whose result is not an arc partition.
-    pub arc_cuts: Option<Vec<usize>>,
+    /// The contiguous-arc cut points the assignment was built from (unit
+    /// index of each channel's arc start, ascending, pre-relabeling; see
+    /// [`arc_assignment`]). Lets a harness refine the cuts further — e.g.
+    /// by *measuring* shifted variants on the training workload — without
+    /// leaving the dependency-order-preserving arc family.
+    pub arc_cuts: Vec<usize>,
 }
 
 impl OptimizedPlacement {
@@ -476,22 +217,36 @@ impl OptimizedPlacement {
     }
 }
 
-/// Searches for a unit→channel assignment minimizing the profile's
-/// expected latency. With per-query samples on the profile it runs the
-/// contiguous-arc search (see the module docs and `optimize_sampled`);
-/// without them it evaluates the analytic seed layouts (balanced
-/// blocked arcs; frequency-sorted blocked arcs over density atoms with
-/// coordinate-descent boundaries) and hill-climbs random unit moves and
-/// swaps against the closed-form [`CostModel`]. Both paths finally
-/// relabel channels so channel 0 — where clients tune in — carries the
-/// hottest traffic per packet. Deterministic for a given seed.
+/// Most candidate placements one [`optimize_placement`] call scores.
+const MAX_EVALS: usize = 65_536;
+
+/// Searches the **contiguous circular-arc family** for the unit→channel
+/// assignment with the lowest sampled latency: `C` cut points around the
+/// flat cycle, one arc per channel in flat order — the same shape as
+/// [`Placement::Blocked`] but with free cut positions (unequal arc
+/// lengths, cuts snapped to workload boundaries, an arbitrary rotation).
+/// Staying in this family keeps the client's navigation-dependency order
+/// aligned with air order on every channel, exactly as under `Blocked` —
+/// free-form assignments can score well under any profile-based model
+/// while measuring terribly, because the model cannot see dependency
+/// chains.
+///
+/// The search seeds from equal-packet arcs at eight rotations of the
+/// cycle and moves one cut at a time (coordinate descent) while the
+/// sample scorer improves. Channels are finally relabeled so channel 0 —
+/// where clients tune in — carries the hottest traffic per packet.
+/// Deterministic.
+///
+/// # Panics
+///
+/// Panics if `channels` is zero, exceeds the unit count, or leaves no
+/// rotation of equal-packet arcs with a unit on every channel.
 pub fn optimize_placement(
     schema: &UnitSchema,
     profile: &AccessProfile,
     channels: u32,
     switch_cost: u32,
     antennas: AntennaConfig,
-    opts: &OptimizeOptions,
 ) -> OptimizedPlacement {
     assert!(channels >= 1, "need at least one channel");
     let n = schema.n_units();
@@ -499,196 +254,16 @@ pub fn optimize_placement(
         n >= channels as usize,
         "cannot spread {n} units over {channels} channels"
     );
-    let model = CostModel::new(schema, profile, channels, switch_cost, antennas);
-    if channels == 1 {
-        let assignment = vec![0u32; n];
-        let predicted = model.predicted_latency_packets(&assignment);
-        return OptimizedPlacement {
-            assignment,
-            predicted_latency_packets: predicted,
-            predicted_tuning_packets: model.predicted_tuning_packets(),
-            arc_cuts: None,
-        };
-    }
-    if !profile.samples().is_empty() {
-        return optimize_sampled(schema, profile, &model, channels, opts);
-    }
-
-    // Seed candidates: the balanced blocked baseline, the classic
-    // frequency-sorted arcs (single-unit atoms), and density-banded
-    // atoms at several granularities — atoms keep flat runs of similar
-    // density together, so hot regions move to short channels without
-    // being shredded into stripe-like interleavings.
-    let mut seeds: Vec<Vec<u32>> = vec![blocked_seed(schema, channels)];
-    seeds.push(arc_seed(&model, &unit_atoms(&model), channels));
-    for buckets in [4u32, 8, 16] {
-        seeds.push(arc_seed(&model, &density_atoms(&model, buckets), channels));
-    }
-    for s in &mut seeds {
-        repair_empty_channels(&model, s);
-    }
-    let mut best = seeds
-        .into_iter()
-        .min_by(|a, b| {
-            model
-                .predicted_latency_packets(a)
-                .total_cmp(&model.predicted_latency_packets(b))
-        })
-        .expect("at least one seed");
-
-    // Hill climb: random unit moves and swaps, accepted when the model
-    // improves (or ties — plateau walks escape equal-cost ridges).
-    let mut state = State::new(&model, &best);
-    let mut cost = state.cost();
-    let mut best_cost = cost;
-    let iterations = if opts.iterations > 0 {
-        opts.iterations
-    } else {
-        (n as u32).saturating_mul(24).clamp(4_096, 262_144)
-    };
-    // dsi-lint: allow(rng): annealing is seeded from OptimizeOptions, fully deterministic
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut stall = 0u32;
-    let stall_limit = (n as u32).saturating_mul(8).max(4_096);
-    for _ in 0..iterations {
-        let u = rng.gen_range(0..n);
-        let swap = rng.gen_bool(0.5);
-        if swap {
-            let v = rng.gen_range(0..n);
-            let (cu, cv) = (state.a[u], state.a[v]);
-            if cu == cv {
-                stall += 1;
-                if stall > stall_limit {
-                    break;
-                }
-                continue;
-            }
-            state.move_unit(u, cv);
-            state.move_unit(v, cu);
-            let next = state.cost();
-            if next <= cost + 1e-9 {
-                if next < cost - 1e-9 {
-                    stall = 0;
-                } else {
-                    stall += 1;
-                }
-                cost = next;
-            } else {
-                state.move_unit(v, cv);
-                state.move_unit(u, cu);
-                stall += 1;
-            }
-        } else {
-            let from = state.a[u];
-            let to = rng.gen_range(0..channels);
-            if to == from || state.units_c[from as usize] == 1 {
-                stall += 1;
-                if stall > stall_limit {
-                    break;
-                }
-                continue;
-            }
-            state.move_unit(u, to);
-            let next = state.cost();
-            if next <= cost + 1e-9 {
-                if next < cost - 1e-9 {
-                    stall = 0;
-                } else {
-                    stall += 1;
-                }
-                cost = next;
-            } else {
-                state.move_unit(u, from);
-                stall += 1;
-            }
-        }
-        if cost < best_cost {
-            best_cost = cost;
-            best.copy_from_slice(&state.a);
-        }
-        if stall > stall_limit {
-            break;
-        }
-    }
-
-    relabel_hottest_first(&model, &mut best);
-    let predicted = model.predicted_latency_packets(&best);
-    OptimizedPlacement {
-        assignment: best,
-        predicted_latency_packets: predicted,
-        predicted_tuning_packets: model.predicted_tuning_packets(),
-        arc_cuts: None,
-    }
-}
-
-/// Predicted mean per-query access latency, in packets, of `assignment`
-/// under a profile: scored against the profile's per-query read-run
-/// samples when present (the calibrated estimate the optimizer itself
-/// minimizes), falling back to the closed-form [`CostModel`] otherwise.
-pub fn predict_latency_packets(
-    schema: &UnitSchema,
-    profile: &AccessProfile,
-    channels: u32,
-    switch_cost: u32,
-    antennas: AntennaConfig,
-    assignment: &[u32],
-) -> f64 {
-    let model = CostModel::new(schema, profile, channels, switch_cost, antennas);
-    if profile.samples().is_empty() || channels == 1 {
-        return model.predicted_latency_packets(assignment);
-    }
-    // Unit-granular atoms: score the assignment exactly as given.
-    let atoms: Vec<Atom> = (0..schema.n_units())
-        .map(|u| Atom {
-            lo: u,
-            hi: u + 1,
-            weight: model.weight[u],
-            packets: model.lens[u],
-        })
-        .collect();
-    let mut eval = SampleEval::new(schema, profile, &model, &atoms, channels);
-    eval.cost_of(assignment)
-}
-
-/// The sample-driven search (used whenever the profile carries per-query
-/// read-run samples). Candidates are restricted to the **contiguous
-/// circular-arc family**: `C` cut points around the flat cycle, one arc
-/// per channel in flat order — the same shape as [`Placement::Blocked`]
-/// but with free cut positions (unequal arc lengths, cuts snapped to
-/// workload boundaries, an arbitrary rotation). Staying in this family
-/// keeps the client's navigation-dependency order aligned with air
-/// order on every channel, exactly as under `Blocked` — free-form
-/// assignments can score well under any profile-based model while
-/// measuring terribly, because the model cannot see dependency chains.
-///
-/// Candidates are scored against the sampled queries: per query and
-/// channel the score counts the read runs `m_qc` the placement puts
-/// there and combines the per-channel sweeps with partial overlap (see
-/// [`SampleEval`]); the search hill-climbs cut shifts from the
-/// equal-arc seed and the best of a jittered-rotation seed family.
-fn optimize_sampled(
-    schema: &UnitSchema,
-    profile: &AccessProfile,
-    model: &CostModel,
-    channels: u32,
-    opts: &OptimizeOptions,
-) -> OptimizedPlacement {
     let c = channels as usize;
     // Atoms in flat order; fall back to unit granularity when the
     // density bands are too coarse to give the search room.
-    let mut atoms = flat_density_atoms(model, 8);
+    let units = unit_atoms(schema, profile);
+    let mut atoms = flat_density_atoms(&units, 8);
     if atoms.len() < c * 4 {
-        atoms = (0..schema.n_units())
-            .map(|u| Atom {
-                lo: u,
-                hi: u + 1,
-                weight: model.weight[u],
-                packets: model.lens[u],
-            })
-            .collect();
+        atoms = units;
     }
     let n_atoms = atoms.len();
-    let mut eval = SampleEval::new(schema, profile, model, &atoms, channels);
+    let mut eval = SampleEval::new(schema, profile, &atoms, channels, switch_cost, antennas);
 
     // Cumulative packets per atom prefix, for packet-balanced cuts.
     let mut cum = vec![0u64; n_atoms + 1];
@@ -726,16 +301,12 @@ fn optimize_sampled(
     // Cyclic coordinate descent on the cut positions: for each cut in
     // turn, scan its feasible range at a coarse stride, then refine
     // around the best coarse position at stride 1. Deterministic; a few
-    // rounds suffice (`iterations` caps the total number of candidate
-    // evaluations for tiny test runs).
-    let max_evals = if opts.iterations > 0 {
-        opts.iterations as usize
-    } else {
-        65_536
-    };
+    // rounds suffice, and `MAX_EVALS` caps the candidate evaluations. A
+    // single arc has no cut to move.
+    let rounds = if c > 1 { 6 } else { 0 };
     let mut evals = 0usize;
     let coarse = (n_atoms / 256).max(1);
-    'descent: for _ in 0..6 {
+    'descent: for _ in 0..rounds {
         let mut improved = false;
         for i in 0..c {
             let prev = best_cuts[(i + c - 1) % c];
@@ -772,7 +343,7 @@ fn optimize_sampled(
             let mut pos = lo;
             while pos <= hi {
                 improved |= try_pos(pos, &mut best_cuts, &mut cost, &mut evals);
-                if evals >= max_evals {
+                if evals >= MAX_EVALS {
                     break 'descent;
                 }
                 pos += coarse;
@@ -783,7 +354,7 @@ fn optimize_sampled(
                 let rhi = (center + coarse).min(hi);
                 for pos in rlo..=rhi {
                     improved |= try_pos(pos, &mut best_cuts, &mut cost, &mut evals);
-                    if evals >= max_evals {
+                    if evals >= MAX_EVALS {
                         break 'descent;
                     }
                 }
@@ -797,22 +368,42 @@ fn optimize_sampled(
     // Relabel channels hottest-per-packet first (channel 0 is where
     // clients tune in), then expand atoms to units.
     let mut best = cuts_to_assignment(&best_cuts, n_atoms, channels);
-    relabel_atoms_hottest_first(&atoms, &mut best, channels);
+    relabel_hottest_first(&atoms, &mut best, channels);
     let predicted = eval.cost_of(&best);
-    let mut assignment = vec![0u32; schema.n_units()];
+    let mut assignment = vec![0u32; n];
     for (t, a) in atoms.iter().enumerate() {
         for ch in assignment[a.lo..a.hi].iter_mut() {
             *ch = best[t];
         }
     }
     // Cut atoms → cut units, for harness-side refinement.
-    let unit_cuts: Vec<usize> = best_cuts.iter().map(|&t| atoms[t].lo).collect();
+    let arc_cuts: Vec<usize> = best_cuts.iter().map(|&t| atoms[t].lo).collect();
     OptimizedPlacement {
         assignment,
         predicted_latency_packets: predicted,
-        predicted_tuning_packets: model.predicted_tuning_packets(),
-        arc_cuts: Some(unit_cuts),
+        arc_cuts,
     }
+}
+
+/// Predicted mean per-query access latency, in packets, of `assignment`
+/// under a profile: the sample scorer that [`optimize_placement`]
+/// minimizes, applied to the assignment exactly as given.
+///
+/// # Panics
+///
+/// Panics if the profile does not cover the schema's packets, or the
+/// assignment does not give every unit a channel below `channels`.
+pub fn predict_latency_packets(
+    schema: &UnitSchema,
+    profile: &AccessProfile,
+    channels: u32,
+    switch_cost: u32,
+    antennas: AntennaConfig,
+    assignment: &[u32],
+) -> f64 {
+    let atoms = unit_atoms(schema, profile);
+    assert_eq!(assignment.len(), atoms.len(), "one channel per unit");
+    SampleEval::new(schema, profile, &atoms, channels, switch_cost, antennas).cost_of(assignment)
 }
 
 /// Expands contiguous circular-arc cut points over *units* (`cuts[g]` =
@@ -834,26 +425,8 @@ pub fn arc_assignment(schema: &UnitSchema, profile: &AccessProfile, cuts: &[usiz
         c >= 1 && cuts[c - 1] < n && cuts.windows(2).all(|w| w[0] < w[1]),
         "cuts must be strictly ascending unit indices"
     );
-    assert_eq!(
-        profile.len() as u64,
-        schema.total_packets(),
-        "profile must cover every flat position"
-    );
     let mut a = cuts_to_assignment(cuts, n, c as u32);
-    let w = profile.weights();
-    let unit_atoms: Vec<Atom> = (0..n)
-        .map(|u| {
-            let s = schema.start(u) as usize;
-            let l = schema.len_of(u) as usize;
-            Atom {
-                lo: u,
-                hi: u + 1,
-                weight: w[s..s + l].iter().sum(),
-                packets: l as u64,
-            }
-        })
-        .collect();
-    relabel_atoms_hottest_first(&unit_atoms, &mut a, c as u32);
+    relabel_hottest_first(&unit_atoms(schema, profile), &mut a, c as u32);
     a
 }
 
@@ -910,7 +483,11 @@ struct SampleEval {
     /// `Σ m` over all queries and channels (retune charge).
     m_total: f64,
     queries: f64,
+    /// Expected packets read per query (placement-invariant).
     read_packets: f64,
+    /// Expected retune charge per read run: `switch_cost` times the
+    /// chance `1 − min(k, C)/C` that a `k`-antenna client monitors none
+    /// of the run's channel.
     retune: f64,
     channels: usize,
 }
@@ -919,9 +496,10 @@ impl SampleEval {
     fn new(
         schema: &UnitSchema,
         profile: &AccessProfile,
-        model: &CostModel,
         atoms: &[Atom],
         channels: u32,
+        switch_cost: u32,
+        antennas: AntennaConfig,
     ) -> Self {
         let c = channels as usize;
         let n_atoms = atoms.len();
@@ -929,8 +507,7 @@ impl SampleEval {
         let mut atom_of = vec![0u32; schema.total_packets() as usize];
         for (t, a) in atoms.iter().enumerate() {
             let lo = schema.start(a.lo) as usize;
-            let hi = lo + model.lens[a.lo..a.hi].iter().sum::<u64>() as usize;
-            atom_of[lo..hi].fill(t as u32);
+            atom_of[lo..lo + a.packets as usize].fill(t as u32);
         }
         let mut starts_at: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_atoms];
         let mut cross_into: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_atoms];
@@ -945,6 +522,7 @@ impl SampleEval {
             }
         }
         let queries = profile.samples().len() as f64;
+        let p_miss = 1.0 - f64::from(antennas.antennas.min(channels)) / f64::from(channels);
         let mut s = Self {
             a: vec![0; n_atoms],
             len_c: vec![0; c],
@@ -954,8 +532,8 @@ impl SampleEval {
             m: vec![0.0; profile.samples().len() * c],
             m_total: 0.0,
             queries,
-            read_packets: model.read_packets,
-            retune: model.p_miss * f64::from(model.switch_cost),
+            read_packets: profile.weights().iter().sum(),
+            retune: p_miss * f64::from(switch_cost),
             channels: c,
         };
         let zeros = vec![0u32; n_atoms];
@@ -1032,7 +610,7 @@ fn bump(list: &mut Vec<(u32, f64)>, q: u32) {
 
 /// Relabels channels so channel 0 carries the highest weight per packet
 /// (clients tune in on channel 0).
-fn relabel_atoms_hottest_first(atoms: &[Atom], assignment: &mut [u32], channels: u32) {
+fn relabel_hottest_first(atoms: &[Atom], assignment: &mut [u32], channels: u32) {
     let c = channels as usize;
     let mut weight = vec![0.0f64; c];
     let mut len = vec![0u64; c];
@@ -1055,18 +633,8 @@ fn relabel_atoms_hottest_first(atoms: &[Atom], assignment: &mut [u32], channels:
     }
 }
 
-/// The analytic baseline: contiguous arcs balanced by packet count (the
-/// unit-granular [`Placement::Blocked`]).
-fn blocked_seed(schema: &UnitSchema, channels: u32) -> Vec<u32> {
-    let n_packets = schema.total_packets();
-    (0..schema.n_units())
-        .map(|u| ((schema.start(u) as u64 * channels as u64) / n_packets) as u32)
-        .collect()
-}
-
-/// A seeding atom: a run of flat-consecutive units `[lo, hi)` moved
-/// between channels as one piece, with its aggregate profile weight and
-/// packet count.
+/// A run of flat-consecutive units `[lo, hi)` moved between channels as
+/// one piece, with its aggregate profile weight and packet count.
 struct Atom {
     lo: usize,
     hi: usize,
@@ -1074,37 +642,43 @@ struct Atom {
     packets: u64,
 }
 
-/// Per-unit profile weight per packet — the hotness density the seeding
-/// atoms are banded by.
-fn density(model: &CostModel, u: usize) -> f64 {
-    model.weight[u] / model.lens[u] as f64
-}
-
-/// Every unit as its own atom, hottest (by total weight) first; ties
-/// keep flat order. This is the classic frequency-sorted layout.
-fn unit_atoms(model: &CostModel) -> Vec<Atom> {
-    let mut order: Vec<usize> = (0..model.lens.len()).collect();
-    order.sort_by(|&a, &b| model.weight[b].total_cmp(&model.weight[a]).then(a.cmp(&b)));
-    order
-        .into_iter()
-        .map(|u| Atom {
-            lo: u,
-            hi: u + 1,
-            weight: model.weight[u],
-            packets: model.lens[u],
+/// Every unit as its own atom, in flat order.
+///
+/// # Panics
+///
+/// Panics if the profile does not cover the schema's packets.
+fn unit_atoms(schema: &UnitSchema, profile: &AccessProfile) -> Vec<Atom> {
+    assert_eq!(
+        profile.len() as u64,
+        schema.total_packets(),
+        "profile must cover every flat position"
+    );
+    let w = profile.weights();
+    (0..schema.n_units())
+        .map(|u| {
+            let s = schema.start(u) as usize;
+            let l = schema.len_of(u) as usize;
+            Atom {
+                lo: u,
+                hi: u + 1,
+                weight: w[s..s + l].iter().sum(),
+                packets: l as u64,
+            }
         })
         .collect()
 }
 
 /// Maximal flat runs of units in the same factor-2 density band
-/// (`buckets` bands below the peak density; colder or zero-weight units
-/// all land in the last), in flat order. A hotspot's units share a
-/// band, so the whole region moves to a channel as one adjacent run.
-fn flat_density_atoms(model: &CostModel, buckets: u32) -> Vec<Atom> {
-    let n = model.lens.len();
-    let dmax = (0..n).map(|u| density(model, u)).fold(0.0f64, f64::max);
+/// (`buckets` bands below the peak profile weight per packet; colder or
+/// zero-weight units all land in the last), in flat order. A hotspot's
+/// units share a band, so the whole region moves to a channel as one
+/// adjacent run.
+fn flat_density_atoms(units: &[Atom], buckets: u32) -> Vec<Atom> {
+    let n = units.len();
+    let density = |u: usize| units[u].weight / units[u].packets as f64;
+    let dmax = (0..n).map(density).fold(0.0f64, f64::max);
     let band = |u: usize| -> u32 {
-        let d = density(model, u);
+        let d = density(u);
         if dmax <= 0.0 || d <= 0.0 {
             buckets - 1
         } else {
@@ -1122,159 +696,12 @@ fn flat_density_atoms(model: &CostModel, buckets: u32) -> Vec<Atom> {
         atoms.push(Atom {
             lo: u,
             hi,
-            weight: model.weight[u..hi].iter().sum(),
-            packets: model.lens[u..hi].iter().sum(),
+            weight: units[u..hi].iter().map(|a| a.weight).sum(),
+            packets: units[u..hi].iter().map(|a| a.packets).sum(),
         });
         u = hi;
     }
     atoms
-}
-
-/// [`flat_density_atoms`], hottest band first (density descending, ties
-/// in flat order) — the ordering the arc seeds consume.
-fn density_atoms(model: &CostModel, buckets: u32) -> Vec<Atom> {
-    let mut atoms = flat_density_atoms(model, buckets);
-    atoms.sort_by(|a, b| {
-        let da = a.weight / a.packets.max(1) as f64;
-        let db = b.weight / b.packets.max(1) as f64;
-        db.total_cmp(&da).then(a.lo.cmp(&b.lo))
-    });
-    atoms
-}
-
-/// Frequency-sorted blocked arcs over atoms: cut the sorted atom
-/// sequence into `channels` contiguous groups (group `g` → channel
-/// `g`), choosing the `channels − 1` boundaries by coordinate descent on
-/// the sweep objective `Σ_c P_c/(P_c + 1) · (L_c − 1)` (prefix sums make
-/// each boundary scan linear). This is the analytic optimum shape for
-/// skewed workloads: the hottest arc is short and repeats often.
-fn arc_seed(model: &CostModel, atoms: &[Atom], channels: u32) -> Vec<u32> {
-    let n = atoms.len();
-    let c = channels as usize;
-    if n <= c {
-        // Too few atoms to cut: one atom per channel (the repair pass
-        // fills any the tail leaves empty).
-        let mut assignment = vec![c as u32 - 1; model.lens.len()];
-        for (i, a) in atoms.iter().enumerate() {
-            for ch in assignment[a.lo..a.hi].iter_mut() {
-                *ch = i.min(c - 1) as u32;
-            }
-        }
-        return assignment;
-    }
-    let mut pw = vec![0.0f64; n + 1];
-    let mut pl = vec![0u64; n + 1];
-    for (i, a) in atoms.iter().enumerate() {
-        pw[i + 1] = pw[i] + a.weight;
-        pl[i + 1] = pl[i] + a.packets;
-    }
-    // Boundaries b[0] < b[1] < … < b[c-2] split [0, n) into c groups;
-    // start from equal packet shares (clamped to keep groups non-empty).
-    let total = pl[n];
-    let mut b: Vec<usize> = (1..c)
-        .map(|g| {
-            let target = total * g as u64 / c as u64;
-            pl.partition_point(|&x| x < target)
-        })
-        .collect();
-    // Normalize to strictly increasing interior boundaries.
-    for i in 0..c - 1 {
-        b[i] = b[i].clamp(i + 1, n - (c - 1 - i));
-        if i > 0 && b[i] <= b[i - 1] {
-            b[i] = b[i - 1] + 1;
-        }
-    }
-    let group_cost = |lo: usize, hi: usize| -> f64 {
-        let p = pw[hi] - pw[lo];
-        (p / (p + 1.0)) * ((pl[hi] - pl[lo]).saturating_sub(1)) as f64
-    };
-    for _ in 0..8 {
-        let mut moved = false;
-        for i in 0..b.len() {
-            let lo = if i == 0 { 0 } else { b[i - 1] };
-            let hi = if i + 1 < b.len() { b[i + 1] } else { n };
-            let mut best_pos = b[i];
-            let mut best = f64::INFINITY;
-            for pos in (lo + 1)..hi {
-                let cost = group_cost(lo, pos) + group_cost(pos, hi);
-                if cost < best {
-                    best = cost;
-                    best_pos = pos;
-                }
-            }
-            if best_pos != b[i] {
-                b[i] = best_pos;
-                moved = true;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    let mut assignment = vec![0u32; model.lens.len()];
-    let mut g = 0usize;
-    for (i, a) in atoms.iter().enumerate() {
-        while g < b.len() && i >= b[g] {
-            g += 1;
-        }
-        for ch in assignment[a.lo..a.hi].iter_mut() {
-            *ch = g as u32;
-        }
-    }
-    assignment
-}
-
-/// Ensures every channel carries at least one unit (a seed can starve
-/// one): steal the last unit of the most-populated channel.
-fn repair_empty_channels(model: &CostModel, assignment: &mut [u32]) {
-    let c = model.channels as usize;
-    loop {
-        let mut units_c = vec![0u32; c];
-        for &ch in assignment.iter() {
-            units_c[ch as usize] += 1;
-        }
-        let Some(empty) = units_c.iter().position(|&k| k == 0) else {
-            return;
-        };
-        let donor = units_c
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &k)| k)
-            .map(|(ch, _)| ch as u32)
-            .expect("at least one channel");
-        let u = assignment
-            .iter()
-            .rposition(|&ch| ch == donor)
-            .expect("donor has units");
-        assignment[u] = empty as u32;
-    }
-}
-
-/// Relabels channels so channel 0 carries the highest entry weight per
-/// packet: clients tune in on channel 0, so starting on the hottest
-/// stream shortens the first navigation step. Pure relabeling — the
-/// model's cost is label-invariant.
-fn relabel_hottest_first(model: &CostModel, assignment: &mut [u32]) {
-    let c = model.channels as usize;
-    let mut weight = vec![0.0f64; c];
-    let mut len = vec![0u64; c];
-    for (u, &ch) in assignment.iter().enumerate() {
-        weight[ch as usize] += model.entry[u];
-        len[ch as usize] += model.lens[u];
-    }
-    let mut order: Vec<usize> = (0..c).collect();
-    order.sort_by(|&a, &b| {
-        let da = weight[a] / len[a].max(1) as f64;
-        let db = weight[b] / len[b].max(1) as f64;
-        db.total_cmp(&da).then(a.cmp(&b))
-    });
-    let mut relabel = vec![0u32; c];
-    for (new, &old) in order.iter().enumerate() {
-        relabel[old] = new as u32;
-    }
-    for ch in assignment.iter_mut() {
-        *ch = relabel[*ch as usize];
-    }
 }
 
 #[cfg(test)]
@@ -1290,6 +717,27 @@ mod tests {
         UnitSchema::from_unit_starts(&starts)
     }
 
+    /// A profile of queries given as the flat positions each one reads.
+    fn profile(n_packets: usize, queries: &[Vec<usize>]) -> AccessProfile {
+        let mut counts = vec![0u64; n_packets];
+        let mut samples = Vec::new();
+        for reads in queries {
+            let mut per_query = vec![0u64; n_packets];
+            for &f in reads {
+                per_query[f] += 1;
+            }
+            samples.push(read_runs(&per_query));
+            for (a, b) in counts.iter_mut().zip(&per_query) {
+                *a += b;
+            }
+        }
+        AccessProfile::new(&counts, samples)
+    }
+
+    fn predict(s: &UnitSchema, p: &AccessProfile, channels: u32, a: &[u32]) -> f64 {
+        predict_latency_packets(s, p, channels, 0, AntennaConfig::single(), a)
+    }
+
     #[test]
     fn schema_derives_starts_and_lens() {
         let s = schema(&[2, 1, 3]);
@@ -1300,51 +748,67 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_prefers_hot_units_on_short_channels() {
-        // Eight one-packet units; unit 0 is read every query, the rest
-        // almost never. A placement that isolates unit 0 on its own
-        // channel (cycle length 1) must beat the balanced split.
+    fn profile_weights_count_every_query() {
+        // A query that read nothing leaves no sample but still counts
+        // towards the per-query weights.
+        let p = profile(4, &[vec![0, 1, 1, 3], vec![]]);
+        assert_eq!(p.weights(), &[0.5, 1.0, 0.0, 0.5]);
+        assert_eq!(p.samples(), &[vec![(0, 2), (3, 1)]]);
+    }
+
+    #[test]
+    fn scorer_prefers_hot_units_on_short_channels() {
+        // Eight one-packet units; unit 0 is read by every query, each
+        // other unit by one query in a thousand. A placement that
+        // isolates unit 0 on its own channel (cycle length 1) must beat
+        // the balanced split.
         let s = schema(&[1; 8]);
-        let mut counts = vec![1u64; 8];
-        counts[0] = 1000;
-        let p = AccessProfile::from_counts(&counts, 1000);
-        let m = CostModel::new(&s, &p, 2, 0, AntennaConfig::single());
-        let isolated = m.predicted_latency_packets(&[1, 0, 0, 0, 0, 0, 0, 0]);
-        let balanced = m.predicted_latency_packets(&[0, 0, 0, 0, 1, 1, 1, 1]);
+        let queries: Vec<Vec<usize>> = (0..1000)
+            .map(|q| {
+                if (1..8).contains(&q) {
+                    vec![0, q]
+                } else {
+                    vec![0]
+                }
+            })
+            .collect();
+        let p = profile(8, &queries);
+        let isolated = predict(&s, &p, 2, &[1, 0, 0, 0, 0, 0, 0, 0]);
+        let balanced = predict(&s, &p, 2, &[0, 0, 0, 0, 1, 1, 1, 1]);
         assert!(isolated < balanced, "{isolated} !< {balanced}");
     }
 
     #[test]
-    fn cost_model_rewards_preserved_adjacency() {
-        // Uniform profile: blocked arcs (adjacency kept) must beat a
-        // stripe (every entry re-waits) at equal channel lengths.
+    fn scorer_rewards_preserved_adjacency() {
+        // Full scans: blocked arcs (adjacency kept) must beat a stripe
+        // (every unit re-waits) at equal channel lengths.
         let s = schema(&[1; 8]);
-        let p = AccessProfile::uniform(8);
-        let m = CostModel::new(&s, &p, 2, 0, AntennaConfig::single());
-        let blocked = m.predicted_latency_packets(&[0, 0, 0, 0, 1, 1, 1, 1]);
-        let stripe = m.predicted_latency_packets(&[0, 1, 0, 1, 0, 1, 0, 1]);
+        let p = profile(8, &vec![(0..8).collect(); 4]);
+        let blocked = predict(&s, &p, 2, &[0, 0, 0, 0, 1, 1, 1, 1]);
+        let stripe = predict(&s, &p, 2, &[0, 1, 0, 1, 0, 1, 0, 1]);
         assert!(blocked < stripe, "{blocked} !< {stripe}");
     }
 
     #[test]
     fn optimizer_isolates_the_hotspot() {
-        // 16 units: units 0..4 are hot (a contiguous hotspot), the rest
-        // cold. The optimizer must place the hotspot on a short channel:
-        // the hot channel's packet count must be well below a balanced
-        // quarter of the cycle.
+        // 16 two-packet units: 90 of 100 queries read units 0..4 (a
+        // contiguous hotspot), the rest one cold unit each. The optimizer
+        // must place the hotspot on a short channel: well below a
+        // balanced quarter of the cycle.
         let lens = vec![2u32; 16];
         let s = schema(&lens);
-        let mut counts = vec![1u64; 32];
-        counts[..8].fill(500);
-        let p = AccessProfile::from_counts(&counts, 100);
-        let opt = optimize_placement(
-            &s,
-            &p,
-            4,
-            2,
-            AntennaConfig::single(),
-            &OptimizeOptions::default(),
-        );
+        let queries: Vec<Vec<usize>> = (0..100)
+            .map(|q| {
+                if q < 90 {
+                    (0..8).collect()
+                } else {
+                    let u = 4 + q % 12;
+                    vec![2 * u, 2 * u + 1]
+                }
+            })
+            .collect();
+        let p = profile(32, &queries);
+        let opt = optimize_placement(&s, &p, 4, 2, AntennaConfig::single());
         // Hot units all share one channel (and after relabeling it is
         // channel 0, where clients tune in).
         let hot_ch = opt.assignment[0];
@@ -1358,41 +822,37 @@ mod tests {
             .map(|(u, _)| lens[u] as u64)
             .sum();
         assert!(hot_packets <= 10, "hot channel too long: {hot_packets}");
+        assert_eq!(opt.arc_cuts, vec![0, 4, 8, 12]);
         // And the result is never worse than the balanced blocked
-        // baseline under the same model (here the hotspot happens to
+        // baseline under the same scorer (here the hotspot happens to
         // align with a blocked arc, so the two can tie).
-        let m = CostModel::new(&s, &p, 4, 2, AntennaConfig::single());
         let blocked: Vec<u32> = (0..16).map(|u| (u / 4) as u32).collect();
+        let blocked_cost = predict_latency_packets(&s, &p, 4, 2, AntennaConfig::single(), &blocked);
         assert!(
-            opt.predicted_latency_packets <= m.predicted_latency_packets(&blocked) + 1e-9,
-            "optimizer lost to its own seed"
+            opt.predicted_latency_packets <= blocked_cost + 1e-9,
+            "optimizer lost to the blocked arcs"
         );
     }
 
     #[test]
     fn optimizer_is_deterministic_and_valid() {
         let s = schema(&[3, 1, 2, 2, 1, 1, 4, 2, 1, 1]);
-        let mut counts = vec![2u64; 18];
-        counts[0] = 40;
-        counts[9] = 90;
-        let p = AccessProfile::from_counts(&counts, 10);
-        let run = || {
-            optimize_placement(
-                &s,
-                &p,
-                3,
-                1,
-                AntennaConfig::new(2),
-                &OptimizeOptions::default(),
-            )
-        };
+        let queries: Vec<Vec<usize>> = (0..10)
+            .map(|q| vec![0, 9, (5 * q) % 18, (5 * q + 1) % 18])
+            .collect();
+        let p = profile(18, &queries);
+        let run = || optimize_placement(&s, &p, 3, 1, AntennaConfig::new(2));
         let a = run();
         let b = run();
         assert_eq!(a.assignment, b.assignment);
+        assert_eq!(a.arc_cuts, b.arc_cuts);
         assert_eq!(a.assignment.len(), s.n_units());
         for c in 0..3u32 {
             assert!(a.assignment.contains(&c), "channel {c} starved");
         }
+        // The prediction is the scorer's value of the returned layout.
+        let again = predict_latency_packets(&s, &p, 3, 1, AntennaConfig::new(2), &a.assignment);
+        assert_eq!(a.predicted_latency_packets.to_bits(), again.to_bits());
         let cfg = a.config(3, 1);
         assert_eq!(cfg.channels, 3);
         assert!(matches!(cfg.placement, Placement::Explicit(_)));
@@ -1401,15 +861,12 @@ mod tests {
     #[test]
     fn single_channel_is_the_trivial_assignment() {
         let s = schema(&[1, 2, 1]);
-        let p = AccessProfile::uniform(4);
-        let opt = optimize_placement(
-            &s,
-            &p,
-            1,
-            0,
-            AntennaConfig::single(),
-            &OptimizeOptions::default(),
-        );
+        let p = profile(4, &[vec![0, 1, 2, 3]]);
+        let opt = optimize_placement(&s, &p, 1, 0, AntennaConfig::single());
         assert_eq!(opt.assignment, vec![0, 0, 0]);
+        assert_eq!(opt.arc_cuts, vec![0]);
+        // One run on a four-packet channel: four reads plus half a
+        // cycle's wait.
+        assert_eq!(opt.predicted_latency_packets, 4.0 + 1.5);
     }
 }

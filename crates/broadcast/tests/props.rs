@@ -3,7 +3,7 @@
 //! planning, monitored-set bounds, switch-cost accounting vs a
 //! step-by-step reference tuner), and the fault-trace text format.
 
-use dsi_broadcast::optimize::{AccessProfile, CostModel, UnitSchema};
+use dsi_broadcast::optimize::{predict_latency_packets, read_runs, AccessProfile, UnitSchema};
 use dsi_broadcast::{
     drive, AirScheme, AntennaConfig, ChannelConfig, FaultTrace, GilbertElliott, LossModel,
     OutageWindow, PacketClass, Payload, Placement, Program, Query, TraceEntry, Tuner,
@@ -26,7 +26,7 @@ impl Payload for P {
 }
 
 /// Packet type with explicit unit boundaries, for the layout round-trip
-/// and cost-model properties.
+/// and latency-prediction properties.
 #[derive(Debug, Clone, PartialEq)]
 struct B {
     unit: u32,
@@ -43,8 +43,8 @@ impl Payload for B {
 
 /// A toy air scheme whose every query reads exactly one unit (`goto` its
 /// first packet, then read it to the end): the one workload whose
-/// expected latency the cost model predicts *exactly*, making
-/// model-vs-measured comparable bit-for-float.
+/// expected latency the sample scorer predicts *exactly*, making
+/// predicted-vs-measured comparable bit-for-float.
 struct OneUnit<'a> {
     program: &'a Program<B>,
     flat: u64,
@@ -392,15 +392,15 @@ proptest! {
     }
 
     #[test]
-    fn cost_model_matches_measured_drive_latency(
+    fn predicted_latency_matches_measured_drive_latency(
         unit_lens in prop::collection::vec(1u32..4, 2..16),
         channels in 2u32..4,
         assign_raw in prop::collection::vec(0u32..4, 16..17),
     ) {
-        // Zero switch cost: the model's expected wait for reading one
-        // unit from a uniform random tune-in is exact, so the mean
-        // measured `drive()` latency over one full channel period must
-        // equal the model's per-unit prediction bit-for-float.
+        // Zero switch cost: the sample scorer's expected wait for reading
+        // one unit from a uniform random tune-in, `l + (L_c − 1)/2`, is
+        // exact, so the mean measured `drive()` latency over one full
+        // channel period must equal the per-unit prediction.
         let n_units = unit_lens.len();
         prop_assume!(n_units >= channels as usize);
         let assignment: Vec<u32> = (0..n_units)
@@ -425,14 +425,15 @@ proptest! {
             &(0..n_flat).map(|i| starts.binary_search(&(i as u64)).is_ok()).collect::<Vec<_>>(),
         );
         for (u, &l) in unit_lens.iter().enumerate() {
-            // Profile of a workload that reads exactly unit u per query.
+            // Profile of one query that reads exactly unit u: one run.
             let mut counts = vec![0u64; n_flat];
             for k in 0..l as u64 {
                 counts[(starts[u] + k) as usize] = 1;
             }
-            let profile = AccessProfile::from_counts(&counts, 1);
-            let model = CostModel::new(&schema, &profile, channels, 0, AntennaConfig::single());
-            let predicted = model.predicted_latency_packets(&assignment);
+            let profile = AccessProfile::new(&counts, vec![read_runs(&counts)]);
+            let predicted = predict_latency_packets(
+                &schema, &profile, channels, 0, AntennaConfig::single(), &assignment,
+            );
             // Measure through the real driver: the toy scheme reads unit
             // u and nothing else; average over one period of the unit's
             // channel (latency is periodic in it).

@@ -155,9 +155,11 @@ pub fn zipf_hotspot(n: usize, n_hotspots: usize, skew: f64, seed: u64) -> Vec<Po
 /// square. This is the format of the rtreeportal.org datasets the paper
 /// uses, so the original REAL file can be substituted for [`clustered`].
 ///
-/// A line whose pair does not parse, or parses to a NaN or infinite
-/// coordinate (`nan`, `inf`, `1e400`), is `InvalidData` naming its line
-/// number: one such point would make the normalising side infinite.
+/// A data line that is not exactly two tokens (a truncated `0.53`, an
+/// extra `7 0.5 0.3`), whose pair does not parse, or that parses to a
+/// NaN or infinite coordinate (`nan`, `inf`, `1e400`), is `InvalidData`
+/// naming its line number: one such point would make the normalising
+/// side infinite.
 pub fn load_points(path: &Path) -> std::io::Result<Vec<Point>> {
     let file = std::fs::File::open(path)?;
     let mut pts = Vec::new();
@@ -168,16 +170,16 @@ pub fn load_points(path: &Path) -> std::io::Result<Vec<Point>> {
             continue;
         }
         let mut it = line.split_whitespace();
-        let (Some(xs), Some(ys)) = (it.next(), it.next()) else {
-            continue;
-        };
-        let problem = match (xs.parse::<f64>(), ys.parse::<f64>()) {
-            (Ok(x), Ok(y)) if x.is_finite() && y.is_finite() => {
-                pts.push(Point::new(x, y));
-                continue;
-            }
-            (Ok(_), Ok(_)) => "non-finite coordinate",
-            _ => "unparseable point",
+        let problem = match (it.next(), it.next(), it.next()) {
+            (Some(xs), Some(ys), None) => match (xs.parse::<f64>(), ys.parse::<f64>()) {
+                (Ok(x), Ok(y)) if x.is_finite() && y.is_finite() => {
+                    pts.push(Point::new(x, y));
+                    continue;
+                }
+                (Ok(_), Ok(_)) => "non-finite coordinate",
+                _ => "unparseable point",
+            },
+            _ => "expected an x y pair",
         };
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -200,9 +202,18 @@ fn normalize_unit(pts: Vec<Point>) -> Vec<Point> {
         max_x = max_x.max(p.x);
         max_y = max_y.max(p.y);
     }
-    let side = (max_x - min_x).max(max_y - min_y).max(1e-12);
+    // A span beyond `f64::MAX` overflows: halve every coordinate first
+    // (exact at such magnitudes), which brings the span back in range.
+    let k = if (max_x - min_x).is_finite() && (max_y - min_y).is_finite() {
+        1.0
+    } else {
+        0.5
+    };
+    let side = (k * max_x - k * min_x)
+        .max(k * max_y - k * min_y)
+        .max(1e-12);
     pts.into_iter()
-        .map(|p| Point::new((p.x - min_x) / side, (p.y - min_y) / side))
+        .map(|p| Point::new((k * p.x - k * min_x) / side, (k * p.y - k * min_y) / side))
         .collect()
 }
 
@@ -271,6 +282,37 @@ mod tests {
         let path = dir.join("bad.txt");
         std::fs::write(&path, "1.0 not-a-number\n").unwrap();
         assert!(load_points(&path).is_err());
+    }
+
+    #[test]
+    fn load_points_rejects_lines_that_are_not_pairs() {
+        let dir = std::env::temp_dir().join("dsi_datagen_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, body, line) in [
+            ("truncated.txt", "0.1 0.2\n0.53", 2),
+            ("extra.txt", "# pts\n0.1 0.2\n\n7 0.5 0.3\n", 4),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, body).unwrap();
+            let err = load_points(&path).expect_err(name);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}");
+            let msg = err.to_string();
+            assert!(
+                msg.starts_with(&format!("line {line}: expected an x y pair")),
+                "{name}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn load_points_normalises_spans_beyond_f64_max() {
+        let dir = std::env::temp_dir().join("dsi_datagen_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("huge.txt");
+        std::fs::write(&path, "-1e308 0\n1e308 1\n0 0\n").unwrap();
+        let pts = load_points(&path).unwrap();
+        let xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
+        assert_eq!(xs, [0.0, 1.0, 0.5]);
     }
 
     #[test]

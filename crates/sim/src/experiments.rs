@@ -16,7 +16,7 @@ use crate::engine::{Engine, Scheme};
 use crate::matrix::{cells_table, run_matrix, ChannelSpec, MatrixCell, MatrixSpec, WorkloadSpec};
 use crate::runner::{run_knn_batch, run_window_batch, BatchOptions, BatchResult};
 use crate::table::{fmt_bytes, fmt_pct, Table};
-use crate::{real_dataset, uniform_dataset, uniform_dataset_n};
+use crate::{env_knob, real_dataset, uniform_dataset, uniform_dataset_n};
 
 /// Packet capacities swept by the paper (bytes).
 pub const CAPACITIES: [u32; 5] = [32, 64, 128, 256, 512];
@@ -46,22 +46,16 @@ pub struct ExpOptions {
 
 impl ExpOptions {
     /// Paper-scale defaults, overridable via `DSI_QUERIES` / `DSI_N` /
-    /// `DSI_VALIDATE=0` environment variables.
+    /// `DSI_VALIDATE` (`0` or `1`) environment variables.
     pub fn from_env() -> Self {
-        let n_queries = std::env::var("DSI_QUERIES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(200);
-        let dataset_n = std::env::var("DSI_N")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10_000);
-        let validate = std::env::var("DSI_VALIDATE")
-            .map(|v| v != "0")
-            .unwrap_or(true);
+        let validate = match env_knob("DSI_VALIDATE", "1".to_string()).as_str() {
+            "0" => false,
+            "1" => true,
+            v => panic!("DSI_VALIDATE={v:?} must be 0 or 1"),
+        };
         Self {
-            n_queries,
-            dataset_n,
+            n_queries: env_knob("DSI_QUERIES", 200),
+            dataset_n: env_knob("DSI_N", 10_000),
             validate,
         }
     }
@@ -865,6 +859,13 @@ pub fn ablations(opts: &ExpOptions) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "DSI_VALIDATE=\"false\" must be 0 or 1")]
+    fn validate_knob_accepts_only_0_or_1() {
+        std::env::set_var("DSI_VALIDATE", "false");
+        ExpOptions::from_env();
+    }
 
     #[test]
     fn fig9_smoke_produces_full_tables() {

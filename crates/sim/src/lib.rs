@@ -51,9 +51,40 @@ pub fn uniform_dataset_n(n: usize) -> SpatialDataset {
     SpatialDataset::build(&uniform(n, 42), EVAL_ORDER)
 }
 
+/// Reads the harness knob `name` (`DSI_N`, `DSI_QUERIES`, …): `default`
+/// when it is unset, its parsed value otherwise. A value that does not
+/// parse panics with the variable's name and value, so a typo such as
+/// `DSI_N=2k` cannot silently run the default scale.
+pub fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
+    let Some(raw) = std::env::var_os(name) else {
+        return default;
+    };
+    let parsed = raw.to_str().and_then(|v| v.parse().ok());
+    parsed.unwrap_or_else(|| panic!("{name}={raw:?} is not a {}", std::any::type_name::<T>()))
+}
+
 /// The REAL-dataset surrogate: 5,848 points (the size of the paper's
 /// Greek towns set) from a heavy-tailed Gaussian mixture; see DESIGN.md
 /// §3.2 for the substitution argument.
 pub fn real_dataset() -> SpatialDataset {
     SpatialDataset::build(&clustered(5_848, 64, 4242), EVAL_ORDER)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::env_knob;
+
+    #[test]
+    fn env_knob_defaults_when_unset_and_parses_when_set() {
+        assert_eq!(env_knob("DSI_TEST_KNOB_UNSET", 7usize), 7);
+        std::env::set_var("DSI_TEST_KNOB_N", "2000");
+        assert_eq!(env_knob("DSI_TEST_KNOB_N", 7usize), 2000);
+    }
+
+    #[test]
+    #[should_panic(expected = "DSI_TEST_KNOB_TYPO=\"2k\" is not a usize")]
+    fn env_knob_names_an_unparseable_value() {
+        std::env::set_var("DSI_TEST_KNOB_TYPO", "2k");
+        let _: usize = env_knob("DSI_TEST_KNOB_TYPO", 10_000);
+    }
 }

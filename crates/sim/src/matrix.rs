@@ -10,9 +10,9 @@
 
 use dsi_broadcast::optimize::{
     arc_assignment, optimize_placement, predict_latency_packets, read_runs, AccessProfile,
-    OptimizeOptions, UnitSchema,
+    UnitSchema,
 };
-use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel, Placement, Query};
+use dsi_broadcast::{AntennaConfig, ChannelConfig, LayoutError, LossModel, Placement, Query};
 use dsi_datagen::{
     knn_points, skewed_knn_points, skewed_window_queries, window_queries, SpatialDataset,
 };
@@ -101,8 +101,8 @@ pub enum ChannelSpec {
     /// A fixed channel configuration, used as given.
     Fixed(ChannelConfig),
     /// `optimized`: profile this spec's workloads on the single-channel
-    /// build, optimize the unit→channel assignment against the air-cost
-    /// model ([`dsi_broadcast::optimize`]), and measure the resulting
+    /// build, optimize the unit→channel assignment with the sample-driven
+    /// arc search ([`dsi_broadcast::optimize`]), and measure the resulting
     /// [`Placement::Explicit`] layout. The training queries are
     /// materialized from a salted seed, disjoint from the evaluation
     /// batch, so the optimizer fits the workload *distribution*, not the
@@ -112,7 +112,7 @@ pub enum ChannelSpec {
         channels: u32,
         /// Retune latency in packets.
         switch_cost: u32,
-        /// Receiver configuration the cost model prices (the matrix
+        /// Receiver configuration the sample scorer prices (the matrix
         /// still measures every entry of the antennas axis).
         antennas: AntennaConfig,
         /// Training queries drawn per workload.
@@ -169,7 +169,7 @@ pub struct MatrixCell {
     pub n_channels: u32,
     /// Aggregated batch metrics (means, switches, per-channel tuning).
     pub result: BatchResult,
-    /// The air-cost model's predicted mean access latency (bytes) for
+    /// The sample scorer's predicted mean access latency (bytes) for
     /// this workload under the built placement — populated only for
     /// [`ChannelSpec::Optimized`] entries, where predicted-vs-measured is
     /// the model's scorecard.
@@ -187,7 +187,10 @@ type WorkloadTrace = (Vec<u64>, Vec<Vec<(u32, u32)>>);
 /// Resolves a [`ChannelSpec::Optimized`] entry for one scheme: profiles
 /// the spec's workloads on the single-channel build, optimizes the
 /// unit→channel assignment, and returns the rebuilt engine plus the
-/// model's per-workload predicted mean latency (bytes).
+/// model's per-workload predicted mean latency (bytes). A cycle that
+/// `Blocked` cannot spread over `channels` returns `Blocked`'s
+/// [`LayoutError`] before any search: `Blocked` is the measured baseline
+/// every candidate must beat, and its fallback.
 fn build_optimized(
     scheme: Scheme,
     dataset: &SpatialDataset,
@@ -196,8 +199,22 @@ fn build_optimized(
     switch_cost: u32,
     model_antennas: AntennaConfig,
     train_queries: usize,
-) -> (Engine, Vec<f64>) {
+) -> Result<(Engine, Vec<f64>), LayoutError> {
     assert!(train_queries > 0, "optimizer needs a training workload");
+    let blocked = Engine::try_build_channels(
+        scheme,
+        dataset,
+        spec.capacity,
+        ChannelConfig {
+            channels,
+            placement: Placement::Blocked,
+            switch_cost,
+        },
+    )?;
+    if spec.workloads.is_empty() {
+        // Nothing to train on, and no cell to measure.
+        return Ok((blocked, Vec::new()));
+    }
     let single = Engine::build(scheme, dataset, spec.capacity);
     let cycle = single.cycle_packets();
     let schema = UnitSchema::from_unit_starts(&single.unit_starts());
@@ -236,27 +253,16 @@ fn build_optimized(
         train_sets.push(train);
         train_starts.push(starts);
     }
-    let profile = if per_workload.is_empty() {
-        AccessProfile::uniform(cycle as usize)
-    } else {
-        AccessProfile::from_counts(&combined, (train_queries * per_workload.len()) as u64)
-            .with_samples(
-                per_workload
-                    .iter()
-                    .flat_map(|(_, s)| s.iter().cloned())
-                    .collect(),
-            )
-    };
-    let opt = optimize_placement(
-        &schema,
-        &profile,
-        channels,
-        switch_cost,
-        model_antennas,
-        &OptimizeOptions::default(),
+    let profile = AccessProfile::new(
+        &combined,
+        per_workload
+            .iter()
+            .flat_map(|(_, s)| s.iter().cloned())
+            .collect(),
     );
+    let opt = optimize_placement(&schema, &profile, channels, switch_cost, model_antennas);
 
-    // Measured simulate-and-select: the cost model ranks candidates
+    // Measured simulate-and-select: the sample scorer ranks candidates
     // within its sweep assumptions, but the server can do better —
     // rebuild finalist cut vectors and *measure* them on the training
     // workload (a lossless k = 1 and a k = 2 client per query), then
@@ -325,8 +331,7 @@ fn build_optimized(
         per_workload
             .iter()
             .map(|(counts, wsamples)| {
-                let p = AccessProfile::from_counts(counts, train_queries as u64)
-                    .with_samples(wsamples.clone());
+                let p = AccessProfile::new(counts, wsamples.clone());
                 predict_latency_packets(
                     &schema,
                     &p,
@@ -347,20 +352,11 @@ fn build_optimized(
             .map(|g| g * nu / channels as usize)
             .collect();
         let predictions = predict_all(&arc_assignment(&schema, &profile, &equal));
-        let cfg = ChannelConfig {
-            channels,
-            placement: Placement::Blocked,
-            switch_cost,
-        };
-        return (
-            Engine::build_channels(scheme, dataset, spec.capacity, cfg),
-            predictions,
-        );
+        return Ok((blocked, predictions));
     }
     let is_window = |queries: &[Query]| matches!(queries.first(), Some(Query::Window(_)));
     let any_window = train_sets.iter().any(|t| is_window(t));
-    let measure = |cfg: ChannelConfig| -> (f64, f64) {
-        let engine = Engine::build_channels(scheme, dataset, spec.capacity, cfg);
+    let measure_engine = |engine: &Engine| -> (f64, f64) {
         let mut mean = [0.0f64; 2];
         let mut count = 0u64;
         for (wi, train) in train_sets.iter().enumerate() {
@@ -389,11 +385,15 @@ fn build_optimized(
         placement: Placement::Explicit(assignment.to_vec()),
         switch_cost,
     };
-    let (base_k1, base_k2) = measure(ChannelConfig {
-        channels,
-        placement: Placement::Blocked,
-        switch_cost,
-    });
+    let measure = |assignment: &[u32]| {
+        measure_engine(&Engine::build_channels(
+            scheme,
+            dataset,
+            spec.capacity,
+            explicit(assignment),
+        ))
+    };
+    let (base_k1, base_k2) = measure_engine(&blocked);
     let score = |(k1, k2): (f64, f64)| -> (f64, f64) {
         let r1 = k1 / base_k1.max(1.0);
         let r2 = k2 / base_k2.max(1.0);
@@ -431,21 +431,21 @@ fn build_optimized(
         }
     }
     let valid = |cuts: &[usize]| cuts.windows(2).all(|w| w[0] < w[1]) && cuts[0] < n_units;
-    if let Some(cuts) = opt.arc_cuts.clone().filter(|c| valid(c)) {
-        candidates.insert(0, cuts);
+    if valid(&opt.arc_cuts) {
+        candidates.insert(0, opt.arc_cuts);
     }
     // Always-valid fallback: equal unit-count cuts.
     let mut best_cuts: Vec<usize> = (0..channels as usize)
         .map(|g| g * n_units / channels as usize)
         .collect();
     let mut best_assignment = cover(arc_assignment(&schema, &profile, &best_cuts));
-    let mut best_score = score(measure(explicit(&best_assignment)));
+    let mut best_score = score(measure(&best_assignment));
     for cuts in candidates {
         if !valid(&cuts) || cuts == best_cuts {
             continue;
         }
         let a = cover(arc_assignment(&schema, &profile, &cuts));
-        let s = score(measure(explicit(&a)));
+        let s = score(measure(&a));
         if better(s, best_score) {
             best_score = s;
             best_cuts = cuts;
@@ -482,7 +482,7 @@ fn build_optimized(
                     continue;
                 }
                 let a = cover(arc_assignment(&schema, &profile, &cuts));
-                let s = score(measure(explicit(&a)));
+                let s = score(measure(&a));
                 if better(s, best_score) {
                     best_score = s;
                     best_cuts = cuts;
@@ -499,7 +499,7 @@ fn build_optimized(
     let base_labels = best_assignment.clone();
     for r in 1..channels {
         let rotated: Vec<u32> = base_labels.iter().map(|&ch| (ch + r) % channels).collect();
-        let s = score(measure(explicit(&rotated)));
+        let s = score(measure(&rotated));
         if better(s, best_score) {
             best_score = s;
             best_assignment = rotated;
@@ -526,23 +526,17 @@ fn build_optimized(
     }
 
     let predictions = predict_all(&best_assignment);
-    let cfg = ChannelConfig {
-        channels,
-        placement: Placement::Explicit(best_assignment),
-        switch_cost,
-    };
-    (
-        Engine::build_channels(scheme, dataset, spec.capacity, cfg),
-        predictions,
-    )
+    let engine =
+        Engine::try_build_channels(scheme, dataset, spec.capacity, explicit(&best_assignment))?;
+    Ok((engine, predictions))
 }
 
 /// Runs every cell of the matrix. Engines are built once per
 /// (scheme, channel) pair; workloads are materialized once per workload.
-/// A fixed channel configuration the scheme's cycle cannot be scheduled
-/// over ([`dsi_broadcast::LayoutError`]) rejects that (scheme, channel)
-/// pair with a diagnostic on stderr instead of panicking; the remaining
-/// cells still run.
+/// A channel entry the scheme's cycle cannot be scheduled over
+/// ([`LayoutError`]) rejects that (scheme, channel) pair with a
+/// diagnostic on stderr instead of panicking; the remaining cells still
+/// run.
 pub fn run_matrix(dataset: &SpatialDataset, spec: &MatrixSpec) -> Vec<MatrixCell> {
     let workloads: Vec<(&String, Vec<Query>)> = spec
         .workloads
@@ -559,36 +553,36 @@ pub fn run_matrix(dataset: &SpatialDataset, spec: &MatrixSpec) -> Vec<MatrixCell
     let mut cells = Vec::new();
     for (scheme_name, scheme) in &spec.schemes {
         for (chan_name, chan) in &spec.channels {
-            let (engine, predictions) = match chan {
+            let built = match chan {
                 ChannelSpec::Fixed(cfg) => {
-                    // A fixed configuration can be structurally invalid
-                    // for this cycle (wrong explicit length, stranded
-                    // channel, …). Reject the cell with its diagnostic
-                    // and keep the rest of the matrix running.
-                    match Engine::try_build_channels(*scheme, dataset, spec.capacity, cfg.clone()) {
-                        Ok(engine) => (engine, None),
-                        Err(e) => {
-                            eprintln!("matrix: rejecting cell {scheme_name} x {chan_name}: {e}");
-                            continue;
-                        }
-                    }
+                    Engine::try_build_channels(*scheme, dataset, spec.capacity, cfg.clone())
+                        .map(|engine| (engine, None))
                 }
                 ChannelSpec::Optimized {
                     channels,
                     switch_cost,
                     antennas,
                     train_queries,
-                } => {
-                    let (engine, preds) = build_optimized(
-                        *scheme,
-                        dataset,
-                        spec,
-                        *channels,
-                        *switch_cost,
-                        *antennas,
-                        *train_queries,
-                    );
-                    (engine, Some(preds))
+                } => build_optimized(
+                    *scheme,
+                    dataset,
+                    spec,
+                    *channels,
+                    *switch_cost,
+                    *antennas,
+                    *train_queries,
+                )
+                .map(|(engine, preds)| (engine, Some(preds))),
+            };
+            // A channel entry can be structurally invalid for this cycle
+            // (wrong explicit length, stranded or empty channel, …).
+            // Reject the cell with its diagnostic and keep the rest of
+            // the matrix running.
+            let (engine, predictions) = match built {
+                Ok(built) => built,
+                Err(e) => {
+                    eprintln!("matrix: rejecting cell {scheme_name} x {chan_name}: {e}");
+                    continue;
                 }
             };
             for (ant_name, ant) in antennas {
@@ -621,7 +615,7 @@ pub fn run_matrix(dataset: &SpatialDataset, spec: &MatrixSpec) -> Vec<MatrixCell
 
 /// Renders matrix cells as one table with channel-aware columns
 /// (per-channel tuning joined as `a / b / …`; the `predicted` column
-/// carries the cost model's latency estimate for optimized placements,
+/// carries the sample scorer's latency estimate for optimized placements,
 /// `-` elsewhere). The trailing robustness columns report the batch's
 /// loss behaviour: mean reads lost per query, the longest stall any
 /// query saw (packets), and mean loss-forced retunes per query.
@@ -782,6 +776,72 @@ mod tests {
         let cells = run_matrix(&ds, &spec);
         assert_eq!(cells.len(), 1, "only the valid channel produces cells");
         assert_eq!(cells[0].channel, "C1");
+    }
+
+    #[test]
+    fn optimized_cells_exist_exactly_when_blocked_ones_do() {
+        // Tiny datasets: a cycle with fewer units than channels cannot be
+        // spread over them, by `Blocked` or by any arc layout. The
+        // optimized entry must reject the same (scheme, C) pairs as the
+        // blocked one, with a diagnostic instead of a panic.
+        let mut rejected = Vec::new();
+        for n in 1..=5 {
+            let ds = uniform_dataset_n(n);
+            let mut channels = Vec::new();
+            for c in [2u32, 4] {
+                channels.push((format!("C{c}-blocked"), ChannelConfig::blocked(c, 2).into()));
+                channels.push((
+                    format!("C{c}-optimized"),
+                    ChannelSpec::Optimized {
+                        channels: c,
+                        switch_cost: 2,
+                        antennas: AntennaConfig::single(),
+                        train_queries: 3,
+                    },
+                ));
+            }
+            let spec = MatrixSpec {
+                schemes: vec![
+                    ("DSI".into(), Scheme::dsi_reorganized(64)),
+                    ("R-tree".into(), Scheme::RTree),
+                    ("HCI".into(), Scheme::Hci),
+                ],
+                capacity: 64,
+                channels,
+                antennas: Vec::new(),
+                losses: vec![("lossless".into(), LossModel::None)],
+                workloads: vec![
+                    ("window30".into(), WorkloadSpec::Window { ratio: 0.3 }, 3),
+                    ("1NN".into(), WorkloadSpec::Knn { k: 1 }, 4),
+                ],
+                n_queries: 2,
+                seed: 7,
+                validate: true,
+            };
+            let cells = run_matrix(&ds, &spec);
+            for scheme in ["DSI", "R-tree", "HCI"] {
+                for c in [2, 4] {
+                    let count = |kind: &str| {
+                        let name = format!("C{c}-{kind}");
+                        cells
+                            .iter()
+                            .filter(|cell| cell.scheme == scheme && cell.channel == name)
+                            .count()
+                    };
+                    assert_eq!(count("optimized"), count("blocked"), "{scheme} N={n} C={c}");
+                    if count("blocked") == 0 {
+                        rejected.push((n, c));
+                    }
+                }
+            }
+        }
+        // Every scheme rejects N = 1 at C = 2 and N <= 3 at C = 4.
+        let expected: Vec<(usize, u32)> = [(1, 2), (1, 4), (2, 4), (3, 4)]
+            .into_iter()
+            .flat_map(|cell| [cell; 3])
+            .collect();
+        rejected.sort_unstable();
+        assert_eq!(rejected, expected);
     }
 
     #[test]

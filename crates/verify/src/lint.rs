@@ -23,8 +23,7 @@
 //! by design. **Why:** an RNG anywhere else in the library makes index
 //! construction or navigation run-dependent, which silently invalidates
 //! every golden. **How to silence:** append `// dsi-lint: allow(rng):
-//! <why this site is deterministic>` on or directly above the line —
-//! e.g. the placement optimizer's fixed-seed candidate search.
+//! <why this site is deterministic>` on or directly above the line.
 //!
 //! ## `hash` — no `HashMap`/`HashSet` in golden-affecting paths
 //!

@@ -16,10 +16,7 @@ use dsi::datagen::{clustered, knn_points, SpatialDataset};
 fn main() {
     // 5,848 points of interest in 64 heavy-tailed clusters — the size and
     // skew of the paper's REAL dataset.
-    let n = std::env::var("DSI_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5_848);
+    let n = dsi::sim::env_knob("DSI_N", 5_848);
     let dataset = SpatialDataset::build(&clustered(n, 64, 7), 12);
     let queries = knn_points(100, 99);
 

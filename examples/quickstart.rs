@@ -13,10 +13,7 @@ fn main() {
     // ---- Server side -----------------------------------------------------
     // 10,000 points uniform in the unit square, snapped onto the Hilbert
     // grid and sorted in curve order (the broadcast order of the paper).
-    let n = std::env::var("DSI_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
+    let n = dsi::sim::env_knob("DSI_N", 10_000);
     let dataset = SpatialDataset::build(&uniform(n, 42), 12);
 
     // The paper's main configuration: 64-byte packets, index base 2,

@@ -17,10 +17,7 @@ use dsi::datagen::{uniform, window_queries, SpatialDataset};
 use dsi::sim::{run_window_batch, BatchOptions, Engine, Scheme};
 
 fn main() {
-    let n = std::env::var("DSI_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
+    let n = dsi::sim::env_knob("DSI_N", 10_000);
     let dataset = SpatialDataset::build(&uniform(n, 42), 12);
     // Viewports of 10 % side length, uniformly placed.
     let viewports = window_queries(150.min(n), 0.1, 11);

@@ -24,7 +24,7 @@
 use dsi::bptree::{BpAir, BpAirConfig};
 use dsi::broadcast::optimize::{
     arc_assignment, optimize_placement, predict_latency_packets, read_runs, AccessProfile,
-    OptimizeOptions, OptimizedPlacement, UnitSchema,
+    OptimizedPlacement, UnitSchema,
 };
 use dsi::broadcast::segmented::{SegmentedAir, TreePacket, MAX_SEGMENTS};
 use dsi::broadcast::{
@@ -1725,8 +1725,8 @@ fn training_draw() -> (Vec<Rect>, Vec<Point>) {
 }
 
 /// Fits a workload-optimized placement for one scheme: profiles a
-/// training workload on the scheme's single-channel build and searches
-/// the air-cost model (see `dsi::broadcast::optimize`). Returns the
+/// training workload on the scheme's single-channel build and runs the
+/// sample-driven arc search (see `dsi::broadcast::optimize`). Returns the
 /// schema and profile the fit used along with its result.
 fn fit_optimized(
     single: &dyn DynScheme,
@@ -1759,14 +1759,13 @@ fn fit_optimized(
         }
     }
     let schema = UnitSchema::from_unit_starts(&single.unit_starts());
-    let profile = AccessProfile::from_counts(&counts, queries.len() as u64).with_samples(samples);
+    let profile = AccessProfile::new(&counts, samples);
     let opt = optimize_placement(
         &schema,
         &profile,
         channels,
         SWITCH_COST,
         AntennaConfig::single(),
-        &OptimizeOptions::default(),
     );
     (schema, profile, opt)
 }
@@ -1786,7 +1785,7 @@ fn optimized_chan(
 /// The tentpole's end-to-end guarantee: a *workload-optimized* explicit
 /// placement — profiled on a training workload drawn from the same
 /// distribution as (but disjoint from) the evaluation queries, fitted by
-/// the air-cost model — preserves answers against brute force across
+/// the arc search — preserves answers against brute force across
 /// scheme × C ∈ {2, 4} × antennas ∈ {1, 2} × loss ∈ {0, 0.05}, with
 /// per-channel tuning reconciling against the aggregate view.
 #[test]
@@ -1863,7 +1862,7 @@ const OPTIMIZER_GOLDEN: &[OptimizerGolden] = &[
 /// Pins the analytic placement search on the six fits that
 /// `optimized_placements_preserve_answers_across_the_grid` makes. The
 /// fits train on the one-channel build, so they move only when the
-/// search or its cost model does.
+/// search or its scorer does.
 #[test]
 fn optimizer_reproduces_pinned_placements() {
     let row = |s: &str, c: u32, cuts: &[usize], arcs: &[u32], fit: u64, equal: u64| {
@@ -1876,11 +1875,7 @@ fn optimizer_reproduces_pinned_placements() {
         for (sname, single) in schemes(&ds, &ChannelConfig::single()) {
             let (schema, profile, opt) =
                 fit_optimized(single.as_ref(), c, &train_windows, &train_points);
-            let cuts = opt
-                .arc_cuts
-                .clone()
-                .expect("the sampled search returns arcs");
-            let arcs: Vec<u32> = cuts.iter().map(|&u| opt.assignment[u]).collect();
+            let arcs: Vec<u32> = opt.arc_cuts.iter().map(|&u| opt.assignment[u]).collect();
             let n = schema.n_units();
             let equal: Vec<usize> = (0..c as usize).map(|g| g * n / c as usize).collect();
             let equal_latency = predict_latency_packets(
@@ -1894,7 +1889,7 @@ fn optimizer_reproduces_pinned_placements() {
             got.push(row(
                 sname,
                 c,
-                &cuts,
+                &opt.arc_cuts,
                 &arcs,
                 opt.predicted_latency_packets.to_bits(),
                 equal_latency.to_bits(),
