@@ -1,6 +1,7 @@
 //! Regenerates the chaos (fault-injection) results: the validated
 //! scheme × placement × C × antennas × fault-family grid plus the
-//! retune-vs-wait ablation; see EXPERIMENTS.md.
+//! retune-vs-wait ablation; see the README's "Fault models &
+//! resilience" section.
 //!
 //! Trace modes (both use a fixed representative query — DSI, C2-blocked,
 //! k = 2, window — under the chaos Gilbert–Elliott channel):

@@ -1,4 +1,5 @@
-//! Regenerates the paper's fig8 results; see EXPERIMENTS.md.
+//! Regenerates the paper's fig8 results; see the README's
+//! "Reproducing the paper's evaluation" section.
 fn main() {
     dsi_bench::run_experiment("fig8", dsi_sim::experiments::fig8);
 }

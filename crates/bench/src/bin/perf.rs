@@ -1,13 +1,12 @@
 //! Perf-tracking harness: measures client query-engine throughput and
 //! writes `BENCH_PR15.json` so later PRs have a trajectory to beat.
 //!
-//! Runs seeded window and 10NN batches over one DSI broadcast twice —
-//! once on the incremental state path and once on the from-scratch
-//! baseline (`dsi_core::hotpath`) — single-threaded for stable timing,
-//! and reports mean **and p50/p95** latency/tuning bytes plus wall-clock
-//! queries per second and the incremental/from-scratch speedup. The
-//! percentiles are deterministic air-cost quantiles (no wall-clock in
-//! them), so they compare exactly across PRs.
+//! Runs seeded window and 10NN batches over one DSI broadcast,
+//! single-threaded for stable timing, and reports mean **and p50/p95**
+//! latency/tuning bytes plus wall-clock queries per second. Each batch's
+//! record sits under an `incremental` key, the shape every committed
+//! `BENCH_PR*.json` has. The percentiles are deterministic air-cost
+//! quantiles (no wall-clock in them), so they compare exactly across PRs.
 //!
 //! `--compare <prev.json>` reads a previous run (e.g. the committed
 //! `BENCH_PR5.json`), prints per-metric deltas, and exits non-zero when
@@ -46,7 +45,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dsi_broadcast::{LossModel, MeanStats, Query, QueryStats, Tuner};
-use dsi_core::hotpath::{self, StatePath};
 use dsi_core::{DsiAir, DsiConfig, KnnStrategy};
 use dsi_datagen::{knn_points, uniform, window_queries, SpatialDataset};
 use dsi_sim::fleet::{baseline_loop, run_fleet, BaselineRun, FleetSpec, FleetStats};
@@ -156,19 +154,10 @@ fn finish(stats: Vec<QueryStats>, t0: Instant) -> BatchMetrics {
     }
 }
 
-fn batch_json(out: &mut String, name: &str, inc: BatchMetrics, scratch: BatchMetrics) {
-    let speedup = inc.queries_per_sec / scratch.queries_per_sec;
+fn batch_json(out: &mut String, name: &str, m: BatchMetrics) {
     let _ = write!(
         out,
-        "  \"{name}\": {{\n    \"incremental\": {},\n    \"from_scratch\": {},\n    \"speedup\": {speedup:.3}\n  }}",
-        metrics_json(inc),
-        metrics_json(scratch),
-    );
-}
-
-fn metrics_json(m: BatchMetrics) -> String {
-    format!(
-        "{{\"queries\": {}, \"wall_seconds\": {:.4}, \"queries_per_sec\": {:.1}, \"mean_latency_bytes\": {:.1}, \"mean_tuning_bytes\": {:.1}, \"p50_latency_bytes\": {}, \"p95_latency_bytes\": {}, \"p50_tuning_bytes\": {}, \"p95_tuning_bytes\": {}}}",
+        "  \"{name}\": {{\n    \"incremental\": {{\"queries\": {}, \"wall_seconds\": {:.4}, \"queries_per_sec\": {:.1}, \"mean_latency_bytes\": {:.1}, \"mean_tuning_bytes\": {:.1}, \"p50_latency_bytes\": {}, \"p95_latency_bytes\": {}, \"p50_tuning_bytes\": {}, \"p95_tuning_bytes\": {}}}\n  }}",
         m.queries,
         m.wall_seconds,
         m.queries_per_sec,
@@ -178,21 +167,19 @@ fn metrics_json(m: BatchMetrics) -> String {
         m.p95_latency_bytes,
         m.p50_tuning_bytes,
         m.p95_tuning_bytes
-    )
+    );
 }
 
-fn report(name: &str, inc: BatchMetrics, scratch: BatchMetrics) {
+fn report(name: &str, m: BatchMetrics) {
     println!(
-        "{name:>8}: incremental {:>9.1} q/s | from-scratch {:>9.1} q/s | speedup {:.2}x | mean latency {:.0} B, tuning {:.0} B | latency p50/p95 {}/{} B | tuning p50/p95 {}/{} B",
-        inc.queries_per_sec,
-        scratch.queries_per_sec,
-        inc.queries_per_sec / scratch.queries_per_sec,
-        inc.mean_latency_bytes,
-        inc.mean_tuning_bytes,
-        inc.p50_latency_bytes,
-        inc.p95_latency_bytes,
-        inc.p50_tuning_bytes,
-        inc.p95_tuning_bytes,
+        "{name:>8}: {:>9.1} q/s | mean latency {:.0} B, tuning {:.0} B | latency p50/p95 {}/{} B | tuning p50/p95 {}/{} B",
+        m.queries_per_sec,
+        m.mean_latency_bytes,
+        m.mean_tuning_bytes,
+        m.p50_latency_bytes,
+        m.p95_latency_bytes,
+        m.p50_tuning_bytes,
+        m.p95_tuning_bytes,
     );
 }
 
@@ -414,16 +401,12 @@ fn main() {
     let windows = window_queries(n_queries, WINDOW_RATIO, 99);
     let points = knn_points(n_queries, 17);
 
-    // Correctness pass (untimed): both paths must answer identically.
-    hotpath::set_state_path(StatePath::Incremental);
-    run_windows(&air, &windows[..n_queries.min(20)], Some(&ds));
-    run_knns(&air, &points[..n_queries.min(20)], Some(&ds));
-    hotpath::set_state_path(StatePath::FromScratch);
+    // Correctness pass (untimed).
     run_windows(&air, &windows[..n_queries.min(20)], Some(&ds));
     run_knns(&air, &points[..n_queries.min(20)], Some(&ds));
 
-    // Timed passes: warm up each path once, then keep the best of three
-    // measured passes — shared-host scheduling noise otherwise dominates
+    // Timed passes: warm up once, then keep the best of three measured
+    // passes — shared-host scheduling noise otherwise dominates
     // run-to-run comparisons of sub-second batches.
     let fastest = |a: BatchMetrics, b: BatchMetrics| {
         if b.wall_seconds < a.wall_seconds {
@@ -432,35 +415,17 @@ fn main() {
             a
         }
     };
-    let mut measured = Vec::new();
-    for path in [StatePath::Incremental, StatePath::FromScratch] {
-        hotpath::set_state_path(path);
-        hotpath::reset_counters();
-        run_windows(&air, &windows, None);
-        run_knns(&air, &points, None);
-        let mut w = run_windows(&air, &windows, None);
-        let mut k = run_knns(&air, &points, None);
-        for _ in 0..2 {
-            w = fastest(w, run_windows(&air, &windows, None));
-            k = fastest(k, run_knns(&air, &points, None));
-        }
-        let (full, events) = hotpath::counters();
-        match path {
-            StatePath::Incremental => assert_eq!(
-                full, 0,
-                "incremental path performed a from-scratch recomputation"
-            ),
-            _ => assert!(full > 0, "baseline path did not recompute"),
-        }
-        let _ = events;
-        measured.push((w, k));
+    run_windows(&air, &windows, None);
+    run_knns(&air, &points, None);
+    let mut win = run_windows(&air, &windows, None);
+    let mut knn = run_knns(&air, &points, None);
+    for _ in 0..2 {
+        win = fastest(win, run_windows(&air, &windows, None));
+        knn = fastest(knn, run_knns(&air, &points, None));
     }
-    hotpath::set_state_path(StatePath::Incremental);
-    let (win_inc, knn_inc) = measured[0];
-    let (win_scr, knn_scr) = measured[1];
 
-    report("window", win_inc, win_scr);
-    report("knn10", knn_inc, knn_scr);
+    report("window", win);
+    report("knn10", knn);
 
     // Fleet phase: the same broadcast serving a concurrent population,
     // interleaved A/B against the classic per-client loop.
@@ -485,8 +450,8 @@ fn main() {
     println!(
         "fleet  knn10: effective {:.0} q/s vs {:.0} q/s classic loop this run ({:.1}x; BENCH_PR6 single-client reference ~529 q/s)",
         fleet_knn.stats.clients_per_sec,
-        knn_inc.queries_per_sec,
-        fleet_knn.stats.clients_per_sec / knn_inc.queries_per_sec,
+        knn.queries_per_sec,
+        fleet_knn.stats.clients_per_sec / knn.queries_per_sec,
     );
 
     let mut json = String::from("{\n");
@@ -494,9 +459,9 @@ fn main() {
         json,
         "  \"bench\": \"dsi_client_query_engine\",\n  \"pr\": {PR},\n  \"compared_against\": {compared_against},\n  \"n\": {n},\n  \"queries_per_batch\": {n_queries},\n  \"capacity_bytes\": {CAPACITY},\n  \"k\": {K},\n  \"window_ratio\": {WINDOW_RATIO},"
     );
-    batch_json(&mut json, "window", win_inc, win_scr);
+    batch_json(&mut json, "window", win);
     json.push_str(",\n");
-    batch_json(&mut json, "knn10", knn_inc, knn_scr);
+    batch_json(&mut json, "knn10", knn);
     json.push_str(",\n");
     let _ = writeln!(
         json,
@@ -511,7 +476,7 @@ fn main() {
     println!("[wrote {out_path}]");
 
     if let Some((prev_path, prev)) = baseline {
-        let batches = [("window", win_inc), ("knn10", knn_inc)];
+        let batches = [("window", win), ("knn10", knn)];
         if compare_against(&prev_path, &prev, &batches, max_regression) {
             eprintln!("perf regression beyond the allowed margin");
             std::process::exit(1);

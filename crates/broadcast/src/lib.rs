@@ -18,8 +18,8 @@
 //!   next cycle, which is how the cost of mis-ordered tree traversals
 //!   emerges naturally.
 //! * [`LossModel`] — the error-prone environment: the paper's §5 i.i.d.
-//!   per-packet loss (optionally scoped to index information; see
-//!   DESIGN.md §3.2 for why the data payload is assumed FEC-protected),
+//!   per-packet loss (optionally scoped to index information, the data
+//!   payload being assumed FEC-protected: see [`LossScope`] for why),
 //!   plus the resilience-testing fault models — per-channel keyed i.i.d.
 //!   streams, a bursty Gilbert–Elliott chain per channel, scheduled
 //!   whole-channel outages, and scripted [`FaultTrace`] replay (see the

@@ -26,15 +26,16 @@
 //! sharing one conservative span, merged with the sorted remainders — at
 //! a cost in known bounds, remainders and candidates instead of in
 //! frames. The sweep over all frames it replaced survives only as the
-//! `StatePath::Audit` oracle for that candidate list (see [`navigate`]).
+//! audit oracle for that candidate list (see [`navigate`]).
 //!
 //! The remainder state is **incremental**: every learned bound and every
 //! resolved header applies a localized delta inside [`QueryState`], so the
 //! steady-state loop re-derives nothing and — together with the scratch
 //! buffers in [`QueryScratch`] — performs no per-iteration allocations on
-//! the no-loss path. The original from-scratch derivation remains
-//! available per thread via [`crate::hotpath`] as benchmark baseline and
-//! differential-test oracle.
+//! the no-loss path. An *audited* query (the `audit` flag of
+//! [`run_query`], set only by the hidden `*_audited` entry points the
+//! differential tests call) also re-derives the state from scratch after
+//! every event and asserts that both derivations agree.
 //!
 //! What differs between queries — which intervals are targets, which
 //! objects qualify, when the query is complete, which remainder to chase
@@ -139,8 +140,9 @@ pub(crate) trait QueryMode {
         None
     }
 
-    /// Audit path only: the exact target set the published targets stand
-    /// for, or `None` when the published targets are themselves exact.
+    /// Audited queries only: the exact target set the published targets
+    /// stand for, or `None` when the published targets are themselves
+    /// exact.
     fn exact_targets(&self) -> Option<Vec<HcRange>> {
         None
     }
@@ -191,14 +193,18 @@ struct QueryScratch {
     nav_marks: Vec<u64>,
 }
 
-/// Runs a query to completion. The tuner carries the metrics.
+/// Runs a query to completion. The tuner carries the metrics. With
+/// `audit`, every state update and remainder read is cross-checked
+/// against the from-scratch oracle (panicking on divergence); the drive
+/// itself is the same.
 pub(crate) fn run_query<M: QueryMode>(
     air: &DsiAir,
     tuner: &mut Tuner<'_, DsiPacket>,
     mode: &mut M,
+    audit: bool,
 ) {
     let l = air.layout();
-    let mut state = QueryState::new(l, air.curve().max_d());
+    let mut state = QueryState::new(l, air.curve().max_d(), audit);
     let mut scratch = QueryScratch::default();
     // The schema's block boundaries are minimum HC values of real objects.
     mode.on_virtuals(l.block_min_hc());
@@ -340,8 +346,8 @@ fn overlaps_any(rem: &[HcRange], lb: u64, ub: u64) -> bool {
 // the remainders it looks at, until its answer is decided by a remainder
 // inside an exact target — so it returns exactly what it would on the
 // exact decomposition, and costs one `refine_target` call more than the
-// plain read when no unrefined range is left. Under `StatePath::Audit`
-// every answer is checked against the oracle remainders.
+// plain read when no unrefined range is left. An audited query checks
+// every answer against the oracle remainders.
 
 /// [`overlaps_any`] on the exact remainders.
 fn rem_overlaps<M: QueryMode>(mode: &mut M, state: &mut QueryState<'_>, lb: u64, ub: u64) -> bool {
@@ -597,8 +603,8 @@ fn approach(
 ///   enumerates them from the client's own state — the runs of frames
 ///   between known bounds, merged with the remainders — and they are
 ///   emitted in broadcast order from the current slot, exactly the list
-///   a sweep over all frames would build. Under `StatePath::Audit` that
-///   sweep ([`sweep_candidates`]) checks the list on every hop.
+///   a sweep over all frames would build. An audited query checks the
+///   list against that sweep ([`sweep_candidates`]) on every hop.
 ///
 /// All candidates are then planned in one batch through the tuner's
 /// earliest-arrival API, which accounts for channel placement and the

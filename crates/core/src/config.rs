@@ -8,8 +8,8 @@ pub const HC_BYTES: u32 = 16;
 pub const POINTER_BYTES: u32 = 2;
 /// Size of one index-table entry `⟨HC'ᵢ, Pᵢ⟩`.
 pub const ENTRY_BYTES: u32 = HC_BYTES + POINTER_BYTES;
-/// Per-packet header: offset to the next index information (reconstructed;
-/// see DESIGN.md §3.2).
+/// Per-packet header: offset to the next index information. The paper
+/// gives no size for it; it takes the 2 bytes of an index pointer.
 pub const PACKET_HEADER_BYTES: u32 = 2;
 /// Fixed index-table header: entry count.
 pub const TABLE_HEADER_BYTES: u32 = 2;
@@ -74,7 +74,7 @@ pub struct DsiConfig {
     /// observation that DSI's access latency is flat across capacities.
     /// Capping the overhead (default 4 %; the realised overhead stays
     /// below ~2.6 % because frame counts step in powers of `r`) reproduces
-    /// that flatness; see DESIGN.md §3.2.
+    /// that flatness (`tests/paper_shapes.rs` checks it).
     pub max_index_overhead: f64,
 }
 

@@ -58,7 +58,7 @@ impl DsiAir {
             published: false,
             found: None,
         };
-        run_query(self, tuner, &mut mode);
+        run_query(self, tuner, &mut mode, false);
         mode.found
     }
 }

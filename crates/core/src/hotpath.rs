@@ -1,89 +1,45 @@
-//! Instrumentation and path selection for the client query hot loop.
+//! Event counters for the client query hot loop.
 //!
 //! The query driver maintains its cleared-region / remainder state
 //! *incrementally* (deltas applied on each `learn` / frame-visit event).
-//! For benchmarking and differential testing the original from-scratch
-//! derivation is kept alive behind a per-thread switch:
+//! The counters tell the two kinds of state work apart: an applied delta,
+//! and a from-scratch derivation of the cleared regions — which only the
+//! audit oracle performs, so a public query leaves that count at zero.
 //!
-//! * [`StatePath::Incremental`] — production path: no full recomputation,
-//!   scratch buffers reused across loop iterations.
-//! * [`StatePath::FromScratch`] — the pre-optimization baseline: cleared
-//!   regions and remainders re-derived from the scan log on every loop
-//!   iteration. The `perf` binary toggles this to measure the speedup.
-//! * [`StatePath::Audit`] — incremental path plus, after every event, an
-//!   `assert_eq!` against the from-scratch oracle. The differential
-//!   property tests run under this.
-//!
-//! The switch and the counters are thread-local, so concurrent tests and
-//! simulations do not interfere.
+//! The counters are thread-local, so concurrent tests and simulations do
+//! not interfere.
 
 use std::cell::Cell;
 
-/// Which derivation of the client query state the driver uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StatePath {
-    /// Incremental deltas, scratch buffers reused (production default).
-    #[default]
-    Incremental,
-    /// Full recomputation every loop iteration (benchmark baseline).
-    FromScratch,
-    /// Incremental, cross-checked against the oracle after every event.
-    Audit,
-}
-
 thread_local! {
-    static PATH: Cell<StatePath> = const { Cell::new(StatePath::Incremental) };
-    static FULL_RECOMPUTES: Cell<u64> = const { Cell::new(0) };
+    static ORACLE_DERIVATIONS: Cell<u64> = const { Cell::new(0) };
     static INCREMENTAL_EVENTS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Selects the state path for queries run on this thread.
-pub fn set_state_path(path: StatePath) {
-    PATH.with(|p| p.set(path));
-}
-
-/// The state path queries on this thread currently use.
-pub fn state_path() -> StatePath {
-    PATH.with(|p| p.get())
 }
 
 /// Zeroes this thread's event counters.
 pub fn reset_counters() {
-    FULL_RECOMPUTES.with(|c| c.set(0));
+    ORACLE_DERIVATIONS.with(|c| c.set(0));
     INCREMENTAL_EVENTS.with(|c| c.set(0));
 }
 
-/// `(full_recomputes, incremental_events)` accrued on this thread since
-/// the last [`reset_counters`]. A full recompute is one from-scratch
-/// cleared-region derivation; an incremental event is one applied delta
-/// (frame contribution grown, or remainder subtraction).
+/// `(oracle_derivations, incremental_events)` accrued on this thread
+/// since the last [`reset_counters`]. An oracle derivation is one
+/// from-scratch cleared-region derivation, run only by audited queries;
+/// an incremental event is one applied delta (frame contribution grown,
+/// or remainder subtraction).
 pub fn counters() -> (u64, u64) {
     (
-        FULL_RECOMPUTES.with(|c| c.get()),
+        ORACLE_DERIVATIONS.with(|c| c.get()),
         INCREMENTAL_EVENTS.with(|c| c.get()),
     )
 }
 
-pub(crate) fn count_full_recompute() {
-    FULL_RECOMPUTES.with(|c| c.set(c.get() + 1));
+pub(crate) fn count_oracle_derivation() {
+    ORACLE_DERIVATIONS.with(|c| c.set(c.get() + 1));
 }
 
 pub(crate) fn count_incremental_event() {
     INCREMENTAL_EVENTS.with(|c| c.set(c.get() + 1));
-}
-
-/// Runs `f` with the thread's state path set to `path`, restoring the
-/// previous path afterwards (also on panic).
-pub fn with_state_path<R>(path: StatePath, f: impl FnOnce() -> R) -> R {
-    struct Restore(StatePath);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_state_path(self.0);
-        }
-    }
-    let _restore = Restore(state_path());
-    set_state_path(path);
-    f()
 }
 
 #[cfg(test)]
@@ -91,34 +47,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn path_is_thread_local_and_restored() {
-        assert_eq!(state_path(), StatePath::Incremental);
-        let observed = with_state_path(StatePath::Audit, || {
-            let inner = state_path();
-            std::thread::spawn(|| {
-                assert_eq!(state_path(), StatePath::Incremental);
-            })
-            .join()
-            .unwrap();
-            inner
-        });
-        assert_eq!(observed, StatePath::Audit);
-        assert_eq!(state_path(), StatePath::Incremental);
-    }
-
-    #[test]
-    fn restored_on_panic() {
-        let r = std::panic::catch_unwind(|| {
-            with_state_path(StatePath::FromScratch, || panic!("boom"));
-        });
-        assert!(r.is_err());
-        assert_eq!(state_path(), StatePath::Incremental);
-    }
-
-    #[test]
     fn counters_accumulate_and_reset() {
         reset_counters();
-        count_full_recompute();
+        count_oracle_derivation();
         count_incremental_event();
         count_incremental_event();
         assert_eq!(counters(), (1, 2));

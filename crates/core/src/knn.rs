@@ -30,11 +30,10 @@
 //! — in place, at the published radius — only when a read reaches a
 //! remainder inside it ([`QueryMode::refine_target`]). Every decision
 //! therefore sees exactly the remainders of the exact decomposition
-//! (checked read by read under `StatePath::Audit`), while most of the rim
-//! of the early, large circles is never resolved to single cells. The
-//! aggressive strategy reads distances off whole targets and the
-//! from-scratch baseline re-derives remainders from the published
-//! targets, so both narrow at full resolution instead.
+//! (checked read by read when the query is audited), while most of the
+//! rim of the early, large circles is never resolved to single cells.
+//! The aggressive strategy reads distances off whole targets, so it
+//! narrows at full resolution instead.
 //!
 //! Two navigation strategies from the paper:
 //!
@@ -60,7 +59,6 @@ use dsi_hilbert::{
 
 use crate::build::{DsiAir, DsiPacket};
 use crate::client::{run_query, NavPick, QueryMode, TargetsChange};
-use crate::hotpath::{self, StatePath};
 use crate::state::Knowledge;
 
 /// kNN search-space navigation strategy (paper §3.4).
@@ -295,11 +293,9 @@ struct KnnMode {
 
 impl KnnMode {
     fn new(air: &DsiAir, q: Point, k: usize, strategy: KnnStrategy) -> Self {
-        // Aggressive navigation reads distances off whole targets, and the
-        // from-scratch baseline re-derives its remainders from the
-        // published targets every iteration: both need exact targets.
-        let exact =
-            strategy == KnnStrategy::Aggressive || hotpath::state_path() == StatePath::FromScratch;
+        // Aggressive navigation reads distances off whole targets, so it
+        // needs exact ones.
+        let exact = strategy == KnnStrategy::Aggressive;
         Self {
             q,
             curve: *air.curve(),
@@ -557,12 +553,37 @@ impl DsiAir {
         k: usize,
         strategy: KnnStrategy,
     ) -> (Vec<u32>, KnnProbe) {
+        self.run_knn(tuner, q, k, strategy, false)
+    }
+
+    /// [`DsiAir::knn_query_probed`] with every state update and remainder
+    /// read cross-checked against the from-scratch oracle; panics on
+    /// divergence. Test support for the differential suites.
+    #[doc(hidden)]
+    pub fn knn_query_audited(
+        &self,
+        tuner: &mut Tuner<'_, DsiPacket>,
+        q: Point,
+        k: usize,
+        strategy: KnnStrategy,
+    ) -> (Vec<u32>, KnnProbe) {
+        self.run_knn(tuner, q, k, strategy, true)
+    }
+
+    fn run_knn(
+        &self,
+        tuner: &mut Tuner<'_, DsiPacket>,
+        q: Point,
+        k: usize,
+        strategy: KnnStrategy,
+        audit: bool,
+    ) -> (Vec<u32>, KnnProbe) {
         let k = k.min(self.objects().len());
         if k == 0 {
             return (Vec::new(), KnnProbe::default());
         }
         let mut mode = KnnMode::new(self, q, k, strategy);
-        run_query(self, tuner, &mut mode);
+        run_query(self, tuner, &mut mode, audit);
         (mode.cands.result_ids(), mode.probe)
     }
 }
@@ -855,14 +876,13 @@ mod tests {
         ));
     }
 
-    /// Lazy narrowing changes no decision. Under `StatePath::Audit` every
-    /// remainder read is asserted equal to the same read on the exact
+    /// Lazy narrowing changes no decision. The audited drive asserts
+    /// every remainder read equal to the same read on the exact
     /// decomposition minus the oracle cleared set; the drive must also
-    /// match, read for read, the from-scratch baseline, which narrows at
+    /// match, read for read, an eager one whose floor of 0 narrows at
     /// full resolution — one channel and four, lossless and lossy.
     #[test]
     fn lazy_targets_read_like_exact_ones() {
-        use crate::hotpath::with_state_path;
         use dsi_broadcast::{AntennaConfig, ChannelConfig};
 
         let ds = SpatialDataset::build(&uniform(1200, 13), 9);
@@ -875,22 +895,23 @@ mod tests {
             let air = DsiAir::build_channels(&ds, DsiConfig::paper_reorganized(), chan);
             for (qi, q) in knn_points(3, 23).into_iter().enumerate() {
                 let start = (qi as u64 * 7717) % air.program().len();
-                let run = |path| {
-                    with_state_path(path, || {
-                        let mut tuner = Tuner::tune_in_with(
-                            air.program(),
-                            start,
-                            loss.clone(),
-                            qi as u64,
-                            AntennaConfig::new(antennas),
-                        );
-                        let (ids, probe) =
-                            air.knn_query_probed(&mut tuner, q, 10, KnnStrategy::Conservative);
-                        (ids, tuner.stats(), probe)
-                    })
+                let run = |eager: bool| {
+                    let mut tuner = Tuner::tune_in_with(
+                        air.program(),
+                        start,
+                        loss.clone(),
+                        qi as u64,
+                        AntennaConfig::new(antennas),
+                    );
+                    let mut mode = KnnMode::new(&air, q, 10, KnnStrategy::Conservative);
+                    if eager {
+                        mode.floor = 0;
+                    }
+                    run_query(&air, &mut tuner, &mut mode, !eager);
+                    (mode.cands.result_ids(), tuner.stats(), mode.probe)
                 };
-                let (ids, stats, lazy) = run(StatePath::Audit);
-                let (want_ids, want_stats, exact) = run(StatePath::FromScratch);
+                let (ids, stats, lazy) = run(false);
+                let (want_ids, want_stats, exact) = run(true);
                 let what = format!("q{qi} {antennas} antenna(s) {loss:?}");
                 assert_eq!(ids, want_ids, "{what}");
                 assert_eq!(ids, ds.brute_knn(q, 10), "{what}");

@@ -7,8 +7,10 @@
 //! frame F is designed to cover the next (nF − 1) frames"): they know `nF`,
 //! `no`, `r` and therefore where every frame starts. [`DsiLayout`] is that
 //! knowledge, including the reorganization permutation σ (broadcast slot ↔
-//! HC-order frame index) and the m block-boundary HC values of §3.5 (see
-//! DESIGN.md §3.2 for the accounting argument).
+//! HC-order frame index) and the m block-boundary HC values of §3.5.
+//! Clients hold the block boundaries before tuning in, so no query pays
+//! air time for them: like `nF`, `no` and `r`, they change only when the
+//! program is rebuilt.
 
 use crate::config::{compute_framing, DsiConfig, Framing};
 

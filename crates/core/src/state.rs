@@ -20,8 +20,8 @@
 //!   **incrementally**: every `learn` / header event applies a localized
 //!   delta instead of re-deriving the whole state, which is what keeps
 //!   the query loop allocation-free in steady state. The from-scratch
-//!   derivation survives as [`cleared_regions`] — the differential-test
-//!   oracle and the benchmark baseline (see [`crate::hotpath`]).
+//!   derivation survives as [`cleared_regions`], the oracle an audited
+//!   query checks every delta against.
 //! * [`Retries`] — object slots whose header or payload was lost and must
 //!   be re-fetched in a later cycle, kept sorted per broadcast slot so
 //!   both visits and navigation read them without re-sorting.
@@ -29,7 +29,7 @@
 use dsi_hilbert::{merge_ranges, HcRange};
 
 use crate::client::TargetsChange;
-use crate::hotpath::{self, StatePath};
+use crate::hotpath;
 use crate::layout::DsiLayout;
 
 /// Accumulated frame-boundary knowledge (exact minimum HC per frame).
@@ -445,9 +445,9 @@ impl ClearedSet {
 }
 
 /// Derives the HC intervals the client has fully accounted for, from
-/// scratch. This is the differential-test **oracle** and the
-/// `StatePath::FromScratch` benchmark baseline; the production path
-/// maintains the same set incrementally in [`QueryState`].
+/// scratch. This is the audit **oracle**; queries maintain the same set
+/// incrementally in [`QueryState`]. Each call counts as one oracle
+/// derivation in [`hotpath::counters`].
 ///
 /// For every scanned frame the resolved *prefix* of object headers
 /// `h₀ … h_{j−1}` clears `[h₀, h_{j−1}]` (those objects were examined, and
@@ -457,6 +457,7 @@ impl ClearedSet {
 /// contains no objects. The region below the global minimum is cleared by
 /// the schema.
 pub(crate) fn cleared_regions(log: &ScanLog, know: &Knowledge, layout: &DsiLayout) -> Vec<HcRange> {
+    hotpath::count_oracle_derivation();
     let mut out = Vec::with_capacity(log.scans.len() + 1);
     if layout.global_min_hc() > 0 {
         out.push(HcRange::new(0, layout.global_min_hc() - 1));
@@ -613,7 +614,7 @@ pub(crate) fn subtract_range_in_place(rem: &mut Vec<HcRange>, c: HcRange) {
 /// The query driver's aggregate state, with incremental cleared/remainder
 /// maintenance.
 ///
-/// Invariant (checked against the oracle under `StatePath::Audit`): after
+/// Invariant (checked against the oracle when the state audits): after
 /// every applied event, `cleared` equals [`cleared_regions`] of the
 /// current scan log and knowledge, and `rem` equals
 /// `targets − cleared` minus ranges the mode declared dead.
@@ -630,11 +631,12 @@ pub(crate) struct QueryState<'l> {
     rem: Vec<HcRange>,
     /// Swap buffer for in-place remainder narrowing.
     rem_scratch: Vec<HcRange>,
-    path: StatePath,
+    /// Cross-check every delta and remainder read against the oracle.
+    audit: bool,
 }
 
 impl<'l> QueryState<'l> {
-    pub fn new(layout: &'l DsiLayout, max_hc: u64) -> Self {
+    pub fn new(layout: &'l DsiLayout, max_hc: u64, audit: bool) -> Self {
         let know = Knowledge::new(layout, max_hc);
         let mut cleared = ClearedSet::default();
         if layout.global_min_hc() > 0 {
@@ -649,7 +651,7 @@ impl<'l> QueryState<'l> {
             targets: Vec::new(),
             rem: Vec::new(),
             rem_scratch: Vec::new(),
-            path: hotpath::state_path(),
+            audit,
         }
     }
 
@@ -690,10 +692,6 @@ impl<'l> QueryState<'l> {
     /// Re-derives frame `t`'s cleared contribution and applies the growth
     /// delta to the cleared set and the remainders.
     fn refresh_frame(&mut self, t: u32) {
-        if self.path == StatePath::FromScratch {
-            // The baseline re-derives everything each loop iteration.
-            return;
-        }
         let Some(scan) = self.log.get(t) else { return };
         let Some(new) = scan.contribution(t, &self.know, self.layout) else {
             return;
@@ -711,7 +709,7 @@ impl<'l> QueryState<'l> {
         hotpath::count_incremental_event();
         self.cleared.insert(new);
         subtract_range_in_place(&mut self.rem, new);
-        if self.path == StatePath::Audit {
+        if self.audit {
             self.audit_cleared();
         }
     }
@@ -722,36 +720,21 @@ impl<'l> QueryState<'l> {
     /// remainders are the old ones intersected with the new targets
     /// (dead ranges previously dropped by liveness lie outside the shrunk
     /// target set, so the intersection re-derives exactly
-    /// `targets − cleared` without touching the cleared set). Under
-    /// `FromScratch` the remainders are instead re-derived fully, every
-    /// call — the pre-optimization behaviour the benchmarks compare
-    /// against.
+    /// `targets − cleared` without touching the cleared set).
     pub fn refresh_targets(
         &mut self,
         refresh: impl FnOnce(&Knowledge, &mut Vec<HcRange>) -> TargetsChange,
     ) {
-        let change = refresh(&self.know, &mut self.targets);
-        match self.path {
-            StatePath::FromScratch => {
-                hotpath::count_full_recompute();
-                // Faithful to the pre-optimization loop: a fresh copy of
-                // the targets, a fresh cleared list and a fresh remainder
-                // list, allocated every iteration.
-                let targets = self.targets.clone();
-                let cleared = cleared_regions(&self.log, &self.know, self.layout);
-                self.rem = subtract_ranges(&targets, &cleared);
+        match refresh(&self.know, &mut self.targets) {
+            TargetsChange::Unchanged => {}
+            TargetsChange::Replaced => {
+                subtract_ranges_into(&self.targets, self.cleared.as_slice(), &mut self.rem);
             }
-            StatePath::Incremental | StatePath::Audit => match change {
-                TargetsChange::Unchanged => {}
-                TargetsChange::Replaced => {
-                    subtract_ranges_into(&self.targets, self.cleared.as_slice(), &mut self.rem);
-                }
-                TargetsChange::Narrowed => {
-                    hotpath::count_incremental_event();
-                    intersect_ranges_into(&self.rem, &self.targets, &mut self.rem_scratch);
-                    std::mem::swap(&mut self.rem, &mut self.rem_scratch);
-                }
-            },
+            TargetsChange::Narrowed => {
+                hotpath::count_incremental_event();
+                intersect_ranges_into(&self.rem, &self.targets, &mut self.rem_scratch);
+                std::mem::swap(&mut self.rem, &mut self.rem_scratch);
+            }
         }
     }
 
@@ -767,9 +750,7 @@ impl<'l> QueryState<'l> {
         let end = start + self.rem[start..].partition_point(|r| r.lo <= old.hi);
         intersect_ranges_into(&self.rem[start..end], pieces, &mut self.rem_scratch);
         self.rem.splice(start..end, self.rem_scratch.drain(..));
-        if self.path == StatePath::Audit {
-            self.audit_rem();
-        }
+        self.audit_rem();
     }
 
     /// Whether nothing is missing: no remainders and no pending retries.
@@ -779,12 +760,12 @@ impl<'l> QueryState<'l> {
 
     /// Whether this query cross-checks its state against the oracle.
     pub fn audits(&self) -> bool {
-        self.path == StatePath::Audit
+        self.audit
     }
 
     /// Oracle remainders: `exact_targets` (the published targets when
     /// `None`) minus the cleared set derived from scratch. What every
-    /// remainder read must agree with under `StatePath::Audit`.
+    /// remainder read of an audited query must agree with.
     pub fn oracle_rem(&self, exact_targets: Option<&[HcRange]>) -> Vec<HcRange> {
         let cleared = cleared_regions(&self.log, &self.know, self.layout);
         subtract_ranges(exact_targets.unwrap_or(&self.targets), &cleared)
@@ -799,8 +780,8 @@ impl<'l> QueryState<'l> {
         );
     }
 
-    /// Audit-path cross-check of the remainder state, called once per
-    /// driver iteration.
+    /// Cross-check of the remainder state when the query audits (a no-op
+    /// otherwise), called once per driver iteration.
     ///
     /// The cleared assert here is not redundant with the per-delta
     /// [`Self::audit_cleared`] in `refresh_frame`: that one fires only
@@ -808,7 +789,7 @@ impl<'l> QueryState<'l> {
     /// *missed* ones (say, a `learn` that failed to refresh its
     /// neighbour frame). This unconditional check catches the misses.
     pub fn audit_rem(&self) {
-        if self.path != StatePath::Audit {
+        if !self.audit {
             return;
         }
         let oracle_cleared = cleared_regions(&self.log, &self.know, self.layout);
@@ -1057,14 +1038,10 @@ mod tests {
 
     #[test]
     fn query_state_applies_deltas_incrementally() {
-        // Audit path: every delta below is cross-checked against the
+        // Audited: every delta below is cross-checked against the
         // from-scratch oracle as it is applied.
-        hotpath::with_state_path(StatePath::Audit, query_state_delta_scenario);
-    }
-
-    fn query_state_delta_scenario() {
         let l = layout();
-        let mut qs = QueryState::new(&l, 1000);
+        let mut qs = QueryState::new(&l, 1000, true);
         // Target the whole space; prime the remainder state.
         qs.refresh_targets(|_, out| {
             out.clear();

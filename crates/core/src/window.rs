@@ -49,6 +49,22 @@ impl DsiAir {
     /// Answers a window query on the air: returns the ids of all objects
     /// inside `window`, ascending. Metrics accrue on `tuner`.
     pub fn window_query(&self, tuner: &mut Tuner<'_, DsiPacket>, window: &Rect) -> Vec<u32> {
+        self.run_window(tuner, window, false)
+    }
+
+    /// [`DsiAir::window_query`] with every state update and remainder
+    /// read cross-checked against the from-scratch oracle; panics on
+    /// divergence. Test support for the differential suites.
+    #[doc(hidden)]
+    pub fn window_query_audited(
+        &self,
+        tuner: &mut Tuner<'_, DsiPacket>,
+        window: &Rect,
+    ) -> Vec<u32> {
+        self.run_window(tuner, window, true)
+    }
+
+    fn run_window(&self, tuner: &mut Tuner<'_, DsiPacket>, window: &Rect, audit: bool) -> Vec<u32> {
         // Through the thread's installed share cache when a fleet worker
         // put one up (bit-identical either way; see `crate::share`).
         let segments = crate::share::window_segments(self.curve(), self.mapper(), window);
@@ -61,7 +77,7 @@ impl DsiAir {
             published: false,
             result: Vec::new(),
         };
-        run_query(self, tuner, &mut mode);
+        run_query(self, tuner, &mut mode, audit);
         mode.result.sort_unstable();
         mode.result
     }

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use dsi_broadcast::{
     AntennaConfig, ChannelConfig, GilbertElliott, LossModel, LossScope, Placement, Tuner,
 };
-use dsi_core::hotpath::{self, StatePath};
+use dsi_core::hotpath;
 use dsi_core::knn_testkit::CandSet;
 use dsi_core::{DsiAir, DsiConfig, FramingPolicy, KnnStrategy, ReorgStyle};
 use dsi_datagen::{uniform, SpatialDataset};
@@ -42,7 +42,7 @@ fn arb_config() -> impl Strategy<Value = DsiConfig> {
 /// 1024-byte object must still have a realistic chance of a clean
 /// transfer (at 32 B packets and θ = 0.33 that chance is ~2·10⁻⁶ — the
 /// channel is physically unusable, which is why the default scope is
-/// IndexOnly; see DESIGN.md §3.2).
+/// IndexOnly).
 fn arb_loss(capacity: u32) -> impl Strategy<Value = LossModel> {
     let all_max = if capacity >= 256 {
         0.3
@@ -154,14 +154,14 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Differential tests of the incremental query-state engine.
 //
-// Under `StatePath::Audit` the driver asserts, after every applied event
-// (learned bound, resolved header) and once per loop iteration, that its
-// incrementally maintained cleared set and remainders equal the
-// from-scratch `cleared_regions` + `subtract_ranges` oracle, and on every
-// multi-channel navigation that its enumerated candidate list equals the
-// full broadcast-order sweep's. Running full lossy window and kNN queries
-// in this mode therefore *is* the differential property test: any
-// divergence panics inside the driver.
+// An audited query (`window_query_audited`, `knn_query_audited`) asserts,
+// after every applied event (learned bound, resolved header) and once per
+// loop iteration, that its incrementally maintained cleared set and
+// remainders equal the from-scratch `cleared_regions` + `subtract_ranges`
+// oracle, and on every multi-channel navigation that its enumerated
+// candidate list equals the full broadcast-order sweep's. Running full
+// lossy audited window and kNN queries therefore *is* the differential
+// property test: any divergence panics inside the driver.
 // ---------------------------------------------------------------------------
 
 /// The channel axis of the audited grid: C ∈ {1, 2, 4} × every analytic
@@ -223,24 +223,22 @@ proptest! {
         };
         let ant = AntennaConfig::new(antennas);
         let start = start_seed % air.program().len();
-        hotpath::with_state_path(StatePath::Audit, || {
-            // Window run: audited against the oracle after every event.
-            let w = Rect::window_in_unit_square(Point::new(cx, cy), side);
-            let mut tuner = Tuner::tune_in_with(air.program(), start, loss.clone(), start_seed, ant);
-            let got = air.window_query(&mut tuner, &w);
-            assert_eq!(got, ds.brute_window(&w));
+        // Window run: audited against the oracle after every event.
+        let w = Rect::window_in_unit_square(Point::new(cx, cy), side);
+        let mut tuner = Tuner::tune_in_with(air.program(), start, loss.clone(), start_seed, ant);
+        let got = air.window_query_audited(&mut tuner, &w);
+        assert_eq!(got, ds.brute_window(&w));
 
-            // kNN run, both navigation strategies reachable.
-            let strategy = if aggressive {
-                KnnStrategy::Aggressive
-            } else {
-                KnnStrategy::Conservative
-            };
-            let q = Point::new(qx, qy);
-            let mut tuner = Tuner::tune_in_with(air.program(), start, loss, start_seed ^ 1, ant);
-            let got = air.knn_query(&mut tuner, q, k, strategy);
-            assert_eq!(got, ds.brute_knn(q, k.min(n)));
-        });
+        // kNN run, both navigation strategies reachable.
+        let strategy = if aggressive {
+            KnnStrategy::Aggressive
+        } else {
+            KnnStrategy::Conservative
+        };
+        let q = Point::new(qx, qy);
+        let mut tuner = Tuner::tune_in_with(air.program(), start, loss, start_seed ^ 1, ant);
+        let (got, _) = air.knn_query_audited(&mut tuner, q, k, strategy);
+        assert_eq!(got, ds.brute_knn(q, k.min(n)));
     }
 }
 
@@ -406,38 +404,42 @@ proptest! {
     }
 }
 
+/// Anti-vacuity of the audit entry points: the audited drives derive the
+/// oracle (the first counter), so the differential tests above check
+/// something; the public entry points never do, and apply deltas instead.
 #[test]
-fn incremental_path_never_recomputes_from_scratch() {
+fn only_audited_drives_run_the_oracle() {
     let ds = SpatialDataset::build(&uniform(400, 7), 9);
-    let air = DsiAir::build(&ds, DsiConfig::paper_reorganized());
+    let air = DsiAir::build_channels(
+        &ds,
+        DsiConfig::paper_reorganized(),
+        ChannelConfig::blocked(4, 2),
+    );
+    let loss = LossModel::Gilbert(GilbertElliott::new(0.02, 0.25, 0.9));
+    let ant = AntennaConfig::new(2);
     let w = Rect::new(0.2, 0.2, 0.6, 0.6);
     let q = Point::new(0.4, 0.4);
+    let tuner = |seed| Tuner::tune_in_with(air.program(), 17, loss.clone(), seed, ant);
 
     hotpath::reset_counters();
-    let mut tuner = Tuner::tune_in(air.program(), 17, LossModel::iid(0.3), 3);
-    let got_w = air.window_query(&mut tuner, &w);
-    let mut tuner = Tuner::tune_in(air.program(), 17, LossModel::iid(0.3), 4);
-    let got_k = air.knn_query(&mut tuner, q, 5, KnnStrategy::Conservative);
-    let (full, events) = hotpath::counters();
-    assert_eq!(full, 0, "incremental path must not recompute from scratch");
-    assert!(events > 0, "incremental path must apply deltas");
+    assert_eq!(
+        air.window_query_audited(&mut tuner(3), &w),
+        ds.brute_window(&w)
+    );
+    let (knn, _) = air.knn_query_audited(&mut tuner(4), q, 10, KnnStrategy::Conservative);
+    assert_eq!(knn, ds.brute_knn(q, 10));
+    let (oracle, _) = hotpath::counters();
+    assert!(oracle > 0, "audited drives must derive the oracle");
 
-    // The from-scratch baseline answers identically but recomputes the
-    // cleared regions on every loop iteration.
-    hotpath::with_state_path(StatePath::FromScratch, || {
-        hotpath::reset_counters();
-        let mut tuner = Tuner::tune_in(air.program(), 17, LossModel::iid(0.3), 3);
-        assert_eq!(air.window_query(&mut tuner, &w), got_w);
-        let mut tuner = Tuner::tune_in(air.program(), 17, LossModel::iid(0.3), 4);
-        assert_eq!(
-            air.knn_query(&mut tuner, q, 5, KnnStrategy::Conservative),
-            got_k
-        );
-        let (full, _) = hotpath::counters();
-        assert!(full > 0, "baseline recomputes every iteration");
-    });
-    assert_eq!(got_w, ds.brute_window(&w));
-    assert_eq!(got_k, ds.brute_knn(q, 5));
+    hotpath::reset_counters();
+    assert_eq!(air.window_query(&mut tuner(3), &w), ds.brute_window(&w));
+    assert_eq!(
+        air.knn_query(&mut tuner(4), q, 10, KnnStrategy::Conservative),
+        ds.brute_knn(q, 10)
+    );
+    let (oracle, events) = hotpath::counters();
+    assert_eq!(oracle, 0, "public queries must not derive the oracle");
+    assert!(events > 0, "public queries must apply deltas");
 }
 
 /// Explicit (optimizer-shaped) placements change scheduling only: a
@@ -503,18 +505,17 @@ fn audited_multi_channel_drives_span_many_frames() {
     );
     let loss = LossModel::Gilbert(GilbertElliott::new(0.02, 0.25, 0.9));
     let ant = AntennaConfig::new(2);
-    hotpath::with_state_path(StatePath::Audit, || {
-        for (i, (x, y)) in [(0.3, 0.6), (0.75, 0.2)].into_iter().enumerate() {
-            let start = 7919 * i as u64;
-            let w = Rect::window_in_unit_square(Point::new(x, y), 0.15);
-            let mut tuner = Tuner::tune_in_with(air.program(), start, loss.clone(), i as u64, ant);
-            assert_eq!(air.window_query(&mut tuner, &w), ds.brute_window(&w));
-            let q = Point::new(y, x);
-            let mut tuner = Tuner::tune_in_with(air.program(), start, loss.clone(), i as u64, ant);
-            assert_eq!(
-                air.knn_query(&mut tuner, q, 5, KnnStrategy::Conservative),
-                ds.brute_knn(q, 5)
-            );
-        }
-    });
+    for (i, (x, y)) in [(0.3, 0.6), (0.75, 0.2)].into_iter().enumerate() {
+        let start = 7919 * i as u64;
+        let w = Rect::window_in_unit_square(Point::new(x, y), 0.15);
+        let mut tuner = Tuner::tune_in_with(air.program(), start, loss.clone(), i as u64, ant);
+        assert_eq!(
+            air.window_query_audited(&mut tuner, &w),
+            ds.brute_window(&w)
+        );
+        let q = Point::new(y, x);
+        let mut tuner = Tuner::tune_in_with(air.program(), start, loss.clone(), i as u64, ant);
+        let (knn, _) = air.knn_query_audited(&mut tuner, q, 5, KnnStrategy::Conservative);
+        assert_eq!(knn, ds.brute_knn(q, 5));
+    }
 }

@@ -30,13 +30,10 @@
 mod curve;
 mod dist;
 mod ranges;
-mod zorder;
 
 pub use curve::HilbertCurve;
 pub use dist::min_dist2_to_range;
 pub use ranges::{
     merge_ranges, narrow_ranges_to_circle_coarse_into, narrow_ranges_to_circle_into,
-    ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect, ranges_in_rect_into,
-    ranges_in_rect_with_dist_into, DistRange, HcRange,
+    ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect, DistRange, HcRange,
 };
-pub use zorder::ZOrderCurve;

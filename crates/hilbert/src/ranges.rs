@@ -62,25 +62,9 @@ impl HcRange {
 /// query). Returns maximal disjoint ranges in ascending order; empty if the
 /// window misses the grid.
 pub fn ranges_in_rect(curve: &HilbertCurve, mapper: &GridMapper, rect: &Rect) -> Vec<HcRange> {
-    let mut out = Vec::new();
-    ranges_in_rect_into(curve, mapper, rect, &mut out);
-    out
-}
-
-/// Like [`ranges_in_rect`], but writes into a caller-provided buffer
-/// (cleared first) so repeated decompositions — e.g. a kNN client
-/// re-deriving its target set every time the search circle shrinks — can
-/// reuse one allocation.
-pub fn ranges_in_rect_into(
-    curve: &HilbertCurve,
-    mapper: &GridMapper,
-    rect: &Rect,
-    out: &mut Vec<HcRange>,
-) {
-    out.clear();
-    if let Some((lo, hi)) = mapper.cells_overlapping(rect) {
-        assert!(lo.x <= hi.x && lo.y <= hi.y, "inverted cell rectangle");
-        descend(curve, lo, hi, out);
+    match mapper.cells_overlapping(rect) {
+        Some((lo, hi)) => ranges_in_cell_rect(curve, lo, hi),
+        None => Vec::new(),
     }
 }
 
@@ -89,7 +73,7 @@ pub fn ranges_in_rect_into(
 pub fn ranges_in_cell_rect(curve: &HilbertCurve, lo: Cell, hi: Cell) -> Vec<HcRange> {
     assert!(lo.x <= hi.x && lo.y <= hi.y, "inverted cell rectangle");
     let mut out = Vec::new();
-    descend(curve, lo, hi, &mut out);
+    descend(0, 0, curve.order(), 0, 0, lo, hi, &mut out);
     out
 }
 
@@ -108,47 +92,6 @@ const CHILD_ORDER: [[(u32, u32); 4]; 4] = [
     [(1, 1), (1, 0), (0, 0), (0, 1)],
 ];
 const CHILD_STATE: [[u8; 4]; 4] = [[1, 0, 0, 2], [0, 1, 1, 3], [3, 2, 2, 0], [2, 3, 3, 1]];
-
-/// Like [`ranges_in_rect_into`], but additionally reports each produced
-/// range's **exact** squared minimum distance from `q` to any cell of the
-/// range. The distance falls out of the decomposition for free (every
-/// emitted block's rectangle is known at emission; merged neighbours
-/// combine by minimum), which saves the caller a branch-and-bound
-/// [`crate::min_dist2_to_range`] per range — the dominant cost of kNN
-/// target refreshes.
-pub fn ranges_in_rect_with_dist_into(
-    curve: &HilbertCurve,
-    mapper: &GridMapper,
-    rect: &Rect,
-    q: Point,
-    out: &mut Vec<(HcRange, f64)>,
-) {
-    out.clear();
-    let Some((lo, hi)) = mapper.cells_overlapping(rect) else {
-        return;
-    };
-    descend_ordered(
-        0,
-        0,
-        curve.order(),
-        0,
-        0,
-        lo,
-        hi,
-        &mut |x0, y0, level, base| {
-            let d2 = block_extent(mapper, x0, y0, level).min_dist2(q);
-            let r = HcRange::new(base, base + (1u64 << (2 * level)) - 1);
-            if let Some(last) = out.last_mut() {
-                if r.lo == last.0.hi + 1 {
-                    last.0.hi = r.hi;
-                    last.1 = last.1.min(d2);
-                    return;
-                }
-            }
-            out.push((r, d2));
-        },
-    );
-}
 
 /// A decomposed HC range annotated with exact squared cell-distance bounds
 /// from the query point: `min_d2` is the smallest and `max_min_d2` the
@@ -435,24 +378,6 @@ fn circle_descend<const COARSE: bool>(
     }
 }
 
-/// The rectangle covering an aligned block's cell extents. Cells tile it,
-/// so its mindist to a point is the exact minimum over the block's cells.
-/// The corner expressions are the same ones [`GridMapper::cell_rect`]
-/// evaluates, so the result is bit-identical to the union of the corner
-/// cells' rectangles at a fraction of the arithmetic — this runs once per
-/// block visited by the circle descent.
-fn block_extent(mapper: &GridMapper, x0: u32, y0: u32, level: u8) -> Rect {
-    let bs = 1u32 << level;
-    let s = mapper.cell_side();
-    let o = mapper.origin();
-    Rect::new(
-        o.x + x0 as f64 * s,
-        o.y + y0 as f64 * s,
-        o.x + (x0 + bs) as f64 * s,
-        o.y + (y0 + bs) as f64 * s,
-    )
-}
-
 /// The smallest grid-aligned block whose HC span contains `r`, as
 /// `(x0, y0, level, orientation, base)` — found by walking the base-4
 /// digits of `r.lo` down from the root through the traversal tables.
@@ -477,36 +402,14 @@ fn block_containing(curve: &HilbertCurve, r: HcRange) -> (u32, u32, u8, u8, u64)
     (x0, y0, level, state, base)
 }
 
-/// Block descent emitting maximal merged ranges, already sorted.
-fn descend(curve: &HilbertCurve, lo: Cell, hi: Cell, out: &mut Vec<HcRange>) {
-    descend_ordered(
-        0,
-        0,
-        curve.order(),
-        0,
-        0,
-        lo,
-        hi,
-        &mut |_, _, level, base| {
-            let r = HcRange::new(base, base + (1u64 << (2 * level)) - 1);
-            if let Some(last) = out.last_mut() {
-                if r.lo == last.hi + 1 {
-                    last.hi = r.hi;
-                    return;
-                }
-            }
-            out.push(r);
-        },
-    );
-}
-
 /// Curve-order recursive block descent. `(x0, y0)` is the block's
 /// lower-left cell, `level` its log2 side length, `state` its curve
-/// orientation and `base` its first HC value. Calls `emit` once per
-/// maximal fully-contained block, in ascending HC order (so emissions
-/// merge with a single look-back).
+/// orientation and `base` its first HC value. Appends the HC interval of
+/// every maximal fully-contained block to `out`; blocks arrive in
+/// ascending HC order, so merging a block into an adjacent predecessor
+/// with a single look-back leaves `out` maximal and sorted.
 #[allow(clippy::too_many_arguments)]
-fn descend_ordered<F: FnMut(u32, u32, u8, u64)>(
+fn descend(
     x0: u32,
     y0: u32,
     level: u8,
@@ -514,7 +417,7 @@ fn descend_ordered<F: FnMut(u32, u32, u8, u64)>(
     base: u64,
     lo: Cell,
     hi: Cell,
-    emit: &mut F,
+    out: &mut Vec<HcRange>,
 ) {
     let bs = 1u32 << level; // block side
     let bx1 = x0 + bs - 1;
@@ -528,7 +431,11 @@ fn descend_ordered<F: FnMut(u32, u32, u8, u64)>(
     // the rectangle is inside it — so the recursion below never splits a
     // cell.
     if x0 >= lo.x && bx1 <= hi.x && y0 >= lo.y && by1 <= hi.y {
-        emit(x0, y0, level, base);
+        let r = HcRange::new(base, base + (1u64 << (2 * level)) - 1);
+        match out.last_mut() {
+            Some(last) if last.hi + 1 == r.lo => last.hi = r.hi,
+            _ => out.push(r),
+        }
         return;
     }
     debug_assert!(level > 0, "partial overlap is impossible for single cells");
@@ -536,7 +443,7 @@ fn descend_ordered<F: FnMut(u32, u32, u8, u64)>(
     let child_span = 1u64 << (2 * (level - 1));
     let s = state as usize;
     for (k, &(dx, dy)) in CHILD_ORDER[s].iter().enumerate() {
-        descend_ordered(
+        descend(
             x0 + dx * half,
             y0 + dy * half,
             level - 1,
@@ -544,7 +451,7 @@ fn descend_ordered<F: FnMut(u32, u32, u8, u64)>(
             base + k as u64 * child_span,
             lo,
             hi,
-            emit,
+            out,
         );
     }
 }

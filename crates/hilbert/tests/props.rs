@@ -4,8 +4,8 @@
 use dsi_geom::{Cell, GridMapper, Point, Rect};
 use dsi_hilbert::{
     min_dist2_to_range, narrow_ranges_to_circle_coarse_into, narrow_ranges_to_circle_into,
-    ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect,
-    ranges_in_rect_with_dist_into, DistRange, HcRange, HilbertCurve,
+    ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect, DistRange, HcRange,
+    HilbertCurve,
 };
 use proptest::prelude::*;
 
@@ -284,29 +284,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(merge_adjacent(&next), direct.clone());
-        }
-    }
-
-    #[test]
-    fn with_dist_decomposition_matches_plain_and_exact_distances(
-        order in 2u8..7,
-        cx in -0.3..1.3f64, cy in -0.3..1.3f64, side in 0.05..0.9f64,
-        qx in -0.5..1.5f64, qy in -0.5..1.5f64,
-    ) {
-        let c = HilbertCurve::new(order);
-        let m = GridMapper::unit_square(order);
-        let w = Rect::window_in_unit_square(Point::new(cx, cy), side);
-        let q = Point::new(qx, qy);
-        let plain = ranges_in_rect(&c, &m, &w);
-        let mut with_dist = Vec::new();
-        ranges_in_rect_with_dist_into(&c, &m, &w, q, &mut with_dist);
-        // Same ranges…
-        let got_ranges: Vec<HcRange> = with_dist.iter().map(|&(r, _)| r).collect();
-        prop_assert_eq!(&got_ranges, &plain);
-        // …and each distance equals the branch-and-bound oracle.
-        for &(r, d2) in &with_dist {
-            let want = min_dist2_to_range(&c, &m, q, r);
-            prop_assert!((d2 - want).abs() < 1e-12, "range {r:?}: got {d2}, want {want}");
         }
     }
 }

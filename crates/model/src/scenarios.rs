@@ -77,7 +77,6 @@ pub fn pool_spawn_steal(bound: usize) -> ScenarioReport {
         let batch = pool.batch();
         for _ in 0..2 {
             let hits = Arc::clone(&hits);
-            // dsi-lint: allow(spawn): model scenario job; touches only counters and the pure cache, no hotpath state
             batch.spawn(move || {
                 hits.fetch_add(1, Ordering::SeqCst);
             });
@@ -100,11 +99,9 @@ pub fn pool_batch_panic(bound: usize) -> ScenarioReport {
         let pool = Pool::with_workers(1);
         let hits = Arc::new(AtomicUsize::new(0));
         let batch = pool.batch();
-        // dsi-lint: allow(spawn): model scenario job; touches only counters and the pure cache, no hotpath state
         batch.spawn(|| panic!("job boom"));
         {
             let hits = Arc::clone(&hits);
-            // dsi-lint: allow(spawn): model scenario job; touches only counters and the pure cache, no hotpath state
             batch.spawn(move || {
                 hits.fetch_add(1, Ordering::SeqCst);
             });
@@ -135,7 +132,6 @@ pub fn pool_shutdown_drains(bound: usize) -> ScenarioReport {
         let pool = Pool::with_workers(1);
         for _ in 0..2 {
             let hits = Arc::clone(&hits);
-            // dsi-lint: allow(spawn): model scenario job; touches only counters and the pure cache, no hotpath state
             pool.spawn(move || {
                 hits.fetch_add(1, Ordering::SeqCst);
             });
@@ -156,17 +152,14 @@ pub fn pool_stray_panic(bound: usize) -> ScenarioReport {
     let check = check(&Options::with_bound(bound), || {
         let pool = Pool::with_workers(1);
         let hits = Arc::new(AtomicUsize::new(0));
-        // dsi-lint: allow(spawn): model scenario job; touches only counters and the pure cache, no hotpath state
         pool.spawn(|| panic!("stray boom"));
         {
             let hits = Arc::clone(&hits);
-            // dsi-lint: allow(spawn): model scenario job; touches only counters and the pure cache, no hotpath state
             pool.spawn(move || {
                 hits.fetch_add(1, Ordering::SeqCst);
             });
         }
         let batch = pool.batch();
-        // dsi-lint: allow(spawn): model scenario job; touches only counters and the pure cache, no hotpath state
         batch.spawn(|| {});
         batch.join();
         let n = hits.load(Ordering::SeqCst);
@@ -191,7 +184,6 @@ pub fn pool_spawn_races_drop(bound: usize) -> ScenarioReport {
         let pool = Pool::with_workers(2);
         {
             let hits = Arc::clone(&hits);
-            // dsi-lint: allow(spawn): model scenario job; touches only counters and the pure cache, no hotpath state
             pool.spawn(move || {
                 hits.fetch_add(1, Ordering::SeqCst);
             });
@@ -220,7 +212,6 @@ pub fn pool_hook_panic(bound: usize) -> ScenarioReport {
         let batch = pool.batch();
         {
             let hits = Arc::clone(&hits);
-            // dsi-lint: allow(spawn): model scenario job; touches only counters and the pure cache, no hotpath state
             batch.spawn(move || {
                 hits.fetch_add(1, Ordering::SeqCst);
             });
@@ -257,7 +248,6 @@ pub fn share_cache_insert_hit(bound: usize) -> ScenarioReport {
                 let cache = Arc::clone(&cache);
                 let curve = curve.clone();
                 let rect = rect;
-                // dsi-lint: allow(spawn): model scenario job; touches only counters and the pure cache, no hotpath state
                 interleave::thread::spawn(move || cache.segments_for(&curve, &mapper, &rect))
             })
             .collect();

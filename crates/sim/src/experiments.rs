@@ -736,7 +736,7 @@ pub fn fleet_summary_on(ds: &SpatialDataset, opts: &ExpOptions, clients: usize) 
     vec![t]
 }
 
-/// Extension ablations called out in DESIGN.md: index base r, segment
+/// Extension ablations beyond the paper's figures: index base r, segment
 /// count m, interleave style, and the loss-scope model.
 pub fn ablations(opts: &ExpOptions) -> Vec<Table> {
     let ds = opts.dataset();

@@ -34,9 +34,7 @@
 //!    from the worker count — and results are merged by client index, so
 //!    **outcomes are bit-identical for any worker count**, including the
 //!    sequential oracle ([`run_fleet_oracle`], a plain per-client drive
-//!    loop). The `dsi_core::hotpath` state path is propagated into every
-//!    worker both by the pool's start hook and at the head of each
-//!    granule job.
+//!    loop).
 //! 4. **Shared decompositions.** Fleet workers install one
 //!    [`dsi_core::share::ShareCache`], so representatives of *different*
 //!    cohorts running the same window query share its HC-segment
@@ -62,7 +60,6 @@ use std::time::Instant;
 use dsi_broadcast::{
     AntennaConfig, ChannelStats, DistSummary, Distribution, LossModel, Query, QueryStats,
 };
-use dsi_core::hotpath;
 use dsi_core::share::{self, ShareCache};
 use dsi_datagen::SpatialDataset;
 use rand::rngs::StdRng;
@@ -528,12 +525,10 @@ pub fn run_fleet(
         keep_channels: spec.keep_channels,
     });
 
-    let state_path = hotpath::state_path();
     let hook_cache = Arc::clone(&cache);
     let pool = steal::Builder::new()
         .workers(workers)
         .on_thread_start(move || {
-            hotpath::set_state_path(state_path);
             share::install(Some(Arc::clone(&hook_cache)));
         })
         .build();
@@ -543,7 +538,6 @@ pub fn run_fleet(
         let shard = Arc::clone(&shared);
         let tx = tx.clone();
         batch.spawn(move || {
-            hotpath::set_state_path(state_path);
             let out = run_granule(&shard, lo, hi);
             let _ = tx.send(out);
         });

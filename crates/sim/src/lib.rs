@@ -64,8 +64,9 @@ pub fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
 }
 
 /// The REAL-dataset surrogate: 5,848 points (the size of the paper's
-/// Greek towns set) from a heavy-tailed Gaussian mixture; see DESIGN.md
-/// §3.2 for the substitution argument.
+/// Greek towns set) from a heavy-tailed Gaussian mixture. The towns'
+/// coordinates are not part of the repository, so a seeded mixture with
+/// the same point count stands in for them.
 pub fn real_dataset() -> SpatialDataset {
     SpatialDataset::build(&clustered(5_848, 64, 4242), EVAL_ORDER)
 }

@@ -141,10 +141,6 @@ pub fn run_query_batch_at(
         .min(queries.len().max(1));
     let chunk = queries.len().div_ceil(threads.max(1)).max(1);
     let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; queries.len()];
-    // The query engine's state-path switch (incremental vs from-scratch,
-    // see `dsi_core::hotpath`) is thread-local; propagate the caller's
-    // choice into the worker threads so batch experiments honour it.
-    let state_path = dsi_core::hotpath::state_path();
     std::thread::scope(|scope| {
         for (qi_chunk, out_chunk) in queries
             .chunks(chunk)
@@ -154,7 +150,6 @@ pub fn run_query_batch_at(
         {
             let ((base, qs), out) = (qi_chunk, out_chunk);
             scope.spawn(move || {
-                dsi_core::hotpath::set_state_path(state_path);
                 for (i, q) in qs.iter().enumerate() {
                     let qi = base + i;
                     let o = engine.drive_antennas(

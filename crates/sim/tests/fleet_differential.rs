@@ -6,12 +6,11 @@
 //! sequential per-client oracle, for every worker count. This suite pins
 //! the contract across the full configuration cross product the harness
 //! supports: scheme × channel placement × antennas × loss model ×
-//! worker count, plus both `hotpath` state paths.
+//! worker count.
 
 use std::sync::Arc;
 
 use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel, Query};
-use dsi_core::hotpath::{self, StatePath};
 use dsi_datagen::{knn_points, window_queries, SpatialDataset};
 use dsi_sim::fleet::{run_fleet, run_fleet_oracle, FleetSpec};
 use dsi_sim::{uniform_dataset_n, Engine, Scheme};
@@ -101,30 +100,5 @@ fn striped_four_channel_placement() {
             &ds,
             &[LossModel::None, LossModel::gilbert(0.02, 0.25, 0.8)],
         );
-    }
-}
-
-#[test]
-fn state_path_does_not_leak_into_outcomes() {
-    // The fleet propagates the spawner's hotpath choice into pool
-    // workers; whichever path runs, outcomes must match the oracle's
-    // (driven on the test thread under the same path).
-    let ds = Arc::new(uniform_dataset_n(200));
-    let engine = Arc::new(Engine::build(Scheme::dsi_reorganized(64), &ds, 64));
-    let mut reference = None;
-    for path in [
-        StatePath::Incremental,
-        StatePath::FromScratch,
-        StatePath::Audit,
-    ] {
-        let prev = hotpath::state_path();
-        hotpath::set_state_path(path);
-        let s = spec(LossModel::None, 1, 3);
-        let (_, outcomes) = run_fleet(&engine, Some(&ds), &s);
-        let oracle = run_fleet_oracle(&engine, Some(&ds), &s);
-        hotpath::set_state_path(prev);
-        assert_eq!(outcomes, oracle, "fleet != oracle under {path:?}");
-        let pinned = reference.get_or_insert_with(|| outcomes.clone());
-        assert_eq!(&outcomes, pinned, "outcomes vary with state path {path:?}");
     }
 }

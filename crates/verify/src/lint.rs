@@ -37,16 +37,6 @@
 //! escapes>` on or directly above the line (e.g. contents are drained
 //! through a sort before anything observable).
 //!
-//! ## `spawn` — every worker must propagate `dsi_core::hotpath`
-//!
-//! **What it catches:** a `spawn(` call with no `hotpath` mention within
-//! the next eight lines. **Why:** the incremental/from-scratch state-path
-//! toggle is thread-local; a worker spawned without
-//! `dsi_core::hotpath::set_state_path(...)` silently falls back to the
-//! default path and benchmarks/tests measure the wrong code. **How to
-//! silence:** propagate the path inside the closure, or annotate
-//! `// dsi-lint: allow(spawn): <why this worker needs no state path>`.
-//!
 //! ## `sync` — shim-scoped code must not use raw `std` primitives
 //!
 //! **What it catches:** `std::sync::{Mutex, Condvar, RwLock, atomic,
@@ -78,10 +68,10 @@
 //!
 //! `lint_workspace` walks `crates/*/src`, the umbrella `src/`, **and**
 //! `vendor/*/src` — the vendored crates are first-party code here (the
-//! fleet engine's thread pool lives in `vendor/steal`), so the `spawn`
-//! rule applies to them like everything else. The `rng`/`hash` rules
-//! stay scoped to the library crates: `vendor/rand` constructs RNGs by
-//! definition, and no vendor crate sits on a golden-affecting path.
+//! fleet engine's thread pool lives in `vendor/steal`, in `sync` scope).
+//! The `rng`/`hash` rules stay scoped to the library crates:
+//! `vendor/rand` constructs RNGs by definition, and no vendor crate sits
+//! on a golden-affecting path.
 //! `target/`, test directories and `#[cfg(test)]` modules are skipped
 //! (tests are free to use RNGs and hash maps) — except by `lockorder`,
 //! which lints test modules too (test code must follow the same lock
@@ -105,8 +95,7 @@ pub struct LintFinding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier: `"rng"`, `"hash"`, `"spawn"`, `"sync"` or
-    /// `"lockorder"`.
+    /// Rule identifier: `"rng"`, `"hash"`, `"sync"` or `"lockorder"`.
     pub rule: &'static str,
     /// The trimmed source line.
     pub excerpt: String,
@@ -144,10 +133,6 @@ const RNG_TOKENS: &[&str] = &[
     "from_entropy(",
     "rand::random",
 ];
-
-/// Lines of context after a `spawn(` within which the `hotpath` token
-/// must appear.
-const SPAWN_WINDOW: usize = 8;
 
 /// Files ported to the `interleave` shims: raw `std` synchronization
 /// there escapes the model scheduler (`sync` rule scope). Entries are
@@ -280,13 +265,6 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<LintFinding> {
         }
         if in_library && (code.contains("HashMap") || code.contains("HashSet")) {
             flag("hash");
-        }
-        if code.contains("spawn(") && !code.contains("fn spawn(") {
-            let window_end = (i + 1 + SPAWN_WINDOW).min(lines.len());
-            let propagated = lines[i..window_end].iter().any(|l| l.contains("hotpath"));
-            if !propagated {
-                flag("spawn");
-            }
         }
         if sync_scope && uses_raw_sync(code) {
             flag("sync");
@@ -577,6 +555,9 @@ mod tests {
         assert!(lint_source("crates/broadcast/src/tuner.rs", src).is_empty());
         assert!(lint_source("crates/sim/src/matrix.rs", src).is_empty());
         assert!(lint_source("crates/datagen/src/lib.rs", src).is_empty());
+        // rng/hash stay library-crate scoped: vendor/rand *is* the RNG.
+        let vendored = "let mut rng = StdRng::seed_from_u64(7);\nuse std::collections::HashMap;\n";
+        assert!(lint_source("vendor/rand/src/lib.rs", vendored).is_empty());
     }
 
     #[test]
@@ -599,35 +580,6 @@ mod tests {
                        fn b() { let _ = StdRng::seed_from_u64(1); }\n\
                    }\n";
         assert!(lint_source("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn spawn_without_hotpath_propagation_is_flagged() {
-        let bare = "scope.spawn(|| {\n    work();\n});\n";
-        let f = lint_source("crates/sim/src/runner.rs", bare);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "spawn");
-        let propagated = "scope.spawn(move || {\n\
-                              dsi_core::hotpath::set_state_path(path);\n\
-                              work();\n\
-                          });\n";
-        assert!(lint_source("crates/sim/src/runner.rs", propagated).is_empty());
-    }
-
-    #[test]
-    fn vendor_sources_get_the_spawn_rule_but_not_rng_or_hash() {
-        // The vendored pool crate is first-party: a worker spawned there
-        // without the hotpath hook (or an audited allow) is a finding.
-        let bare = "interleave::thread::Builder::new().spawn(run).unwrap();\n";
-        let f = lint_source("vendor/steal/src/lib.rs", bare);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "spawn");
-        let allowed = "// dsi-lint: allow(spawn): hook installs hotpath\n\
-                       interleave::thread::Builder::new().spawn(run).unwrap();\n";
-        assert!(lint_source("vendor/steal/src/lib.rs", allowed).is_empty());
-        // rng/hash stay library-crate scoped: vendor/rand *is* the RNG.
-        let rng = "let mut rng = StdRng::seed_from_u64(7);\nuse std::collections::HashMap;\n";
-        assert!(lint_source("vendor/rand/src/lib.rs", rng).is_empty());
     }
 
     #[test]
@@ -685,8 +637,7 @@ mod tests {
         // Inline paths too, and std::thread spawns.
         let inline = "let m = std::sync::atomic::AtomicUsize::new(0);\n";
         assert_eq!(lint_source("vendor/steal/src/lib.rs", inline).len(), 1);
-        let thread = "// dsi-lint: allow(spawn): synthetic\nstd::thread::spawn(f);\n";
-        let f = lint_source("vendor/steal/src/lib.rs", thread);
+        let f = lint_source("vendor/steal/src/lib.rs", "std::thread::spawn(f);\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "sync");
     }

@@ -1,7 +1,7 @@
 //! The repository's own sources must pass every `dsi-lint` rule: stray
 //! RNG outside the loss/tuner homes, hash-ordered containers in
-//! golden-affecting library paths, and spawns that drop the hotpath
-//! marker all land here before they land in CI.
+//! golden-affecting library paths, raw `std` synchronization in shimmed
+//! code and lock-order inversions all land here before they land in CI.
 
 use std::path::Path;
 

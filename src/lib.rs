@@ -22,8 +22,9 @@
 //!   soundness, forward-progress proofs, worst-case latency/tuning
 //!   bounds, and the repo-invariant source lints.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour, and DESIGN.md /
-//! EXPERIMENTS.md for the reproduction methodology and results.
+//! See `examples/quickstart.rs` for a five-minute tour, and the README's
+//! "Reproducing the paper's evaluation" section for the binaries that
+//! regenerate each figure and table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,7 @@
 //! Shape tests: reduced-scale versions of the paper's qualitative claims
-//! that must hold for the reproduction to be meaningful. Full-scale
-//! numbers live in EXPERIMENTS.md (regenerated by `dsi-bench` binaries).
+//! that must hold for the reproduction to be meaningful. The `dsi-bench`
+//! binaries regenerate the full-scale numbers (README, "Reproducing the
+//! paper's evaluation").
 
 use dsi::broadcast::LossModel;
 use dsi::core::KnnStrategy;
