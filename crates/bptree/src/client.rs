@@ -1,11 +1,10 @@
 //! On-air HCI query processing.
 
-// dsi-lint: allow(hash): iteration order never escapes — results are re-sorted by (d2, id)
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BTreeMap;
 
 use dsi_broadcast::segmented::{Children, ReadQueue, TreePacket, OBJECT};
 use dsi_broadcast::Tuner;
-use dsi_geom::{dist2, Point, Rect};
+use dsi_geom::{dist2, BoundOrder, Point, Rect};
 use dsi_hilbert::{ranges_in_rect, HcRange};
 
 use crate::air::BpAir;
@@ -175,9 +174,11 @@ impl BpAir {
         // ---- Phase 2: window-style retrieval over the bounding box.
         let bbox = Rect::bounding_square(q, r2_phase1.sqrt());
         let ranges = ranges_in_rect(&self.curve, &self.mapper, &bbox);
-        // dsi-lint: allow(hash): candidates are drained through a full sort before output
-        let mut cands: HashMap<u64, (f64, u32, bool)> = HashMap::new(); // hc -> (d2, id, retrieved)
-        let mut running = Running::new(k, r2_phase1);
+        // hc -> (d2, id, retrieved); `SpatialDataset` keeps HC values
+        // distinct, so the HC keys each offered object's exact bound.
+        let mut cands: BTreeMap<u64, (f64, u32, bool)> = BTreeMap::new();
+        let mut bounds: BoundOrder<u64> = BoundOrder::default();
+        let r2 = |bounds: &BoundOrder<u64>| r2_phase1.min(bounds.kth(k));
         let mut pending = ReadQueue::seed(&self.air, tuner, u64::MAX);
         while let Some((kind, payload, ub, flat)) = pending.pop(&self.air, tuner) {
             if kind == OBJECT {
@@ -185,7 +186,7 @@ impl BpAir {
                 // listening (the decoded cell distance is schema knowledge).
                 let hc = self.tree.objects[payload as usize].hc;
                 let cell_min = self.mapper.cell_rect(self.curve.d2xy(hc)).min_dist2(q);
-                if cell_min > running.r2() {
+                if cell_min > r2(&bounds) {
                     continue;
                 }
                 tuner.goto(flat);
@@ -193,11 +194,11 @@ impl BpAir {
                     Ok(_) => {
                         let o = &self.tree.objects[payload as usize];
                         let d2 = dist2(q, o.pos);
-                        if d2 <= running.r2() {
+                        if d2 <= r2(&bounds) {
                             // Offer each distinct object once (payload-loss
                             // retries must not shrink the bound twice).
                             cands.entry(o.hc).or_insert_with(|| {
-                                running.offer(d2);
+                                bounds.insert(d2, o.hc);
                                 (d2, o.id, false)
                             });
                             if self.read_payload(tuner) {
@@ -313,56 +314,6 @@ impl dsi_broadcast::AirScheme for BpAir {
     /// that copy's arrival is the coalescing anchor.
     fn tune_anchor(&self, start: u64) -> Option<u64> {
         self.air.root_anchor(start)
-    }
-}
-
-/// Running k-th-distance bound for phase 2, seeded by the phase-1 radius.
-struct Running {
-    k: usize,
-    heap: BinaryHeap<OrderedF64>, // max-heap of the k smallest exact d2
-    seed: f64,
-}
-
-#[derive(PartialEq)]
-struct OrderedF64(f64);
-impl Eq for OrderedF64 {}
-impl PartialOrd for OrderedF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("distances are never NaN")
-    }
-}
-
-impl Running {
-    fn new(k: usize, seed: f64) -> Self {
-        Self {
-            k,
-            heap: BinaryHeap::new(),
-            seed,
-        }
-    }
-
-    fn offer(&mut self, d2: f64) {
-        if self.heap.len() < self.k {
-            self.heap.push(OrderedF64(d2));
-        } else if d2 < self.heap.peek().expect("non-empty").0 {
-            self.heap.pop();
-            self.heap.push(OrderedF64(d2));
-        }
-    }
-
-    fn r2(&self) -> f64 {
-        if self.heap.len() < self.k {
-            self.seed
-        } else {
-            self.heap.peek().expect("non-empty").0.min(self.seed)
-        }
     }
 }
 

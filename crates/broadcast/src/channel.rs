@@ -454,7 +454,7 @@ impl ChannelLayout {
 }
 
 /// The client's receiver hardware: how many channels it can monitor
-/// concurrently.
+/// concurrently, and whether it re-plans reads off a fading channel.
 ///
 /// With `antennas = k` the [`crate::Tuner`] keeps up to `k` channels tuned
 /// at once: content on any monitored channel is readable without a retune
@@ -464,25 +464,32 @@ impl ChannelLayout {
 /// counts one switch in [`ChannelStats`]; moving attention between
 /// already-tuned antennas is free. `antennas = 1` is the classic
 /// single-receiver client and reproduces its accounting bit-for-bit.
+///
+/// Loss resilience: burst detection counts consecutive
+/// [`crate::PacketLost`] reads; once a burst reaches the tuner's burst
+/// threshold, a multi-antenna client with `loss_retune` on biases its
+/// resilient planners (`Tuner::plan_resilient` /
+/// `Tuner::earliest_resilient`) away from the fading channel onto another
+/// monitored channel instead of waiting out the fade. A k = 1 client (or
+/// a single-channel program) always falls back to plain next-occurrence
+/// retries. Whatever the configuration, the tuner's livelock guard aborts
+/// a query after its retry cap of consecutive losses with a diagnostic
+/// panic rather than spinning forever on a schedule that never frees the
+/// packet. The policy only engages under observed bursts, so lossless
+/// runs reproduce classic behaviour bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AntennaConfig {
     /// Number of concurrently tunable receivers, `>= 1`. Capped at the
     /// program's channel count (extra antennas are idle).
     pub antennas: u32,
-    /// Loss-resilience policy (burst detection, loss-aware retune,
-    /// livelock guard). The default reproduces classic behaviour on
-    /// lossless channels bit-for-bit and only engages under observed
-    /// bursts.
-    pub resilience: Resilience,
+    /// Whether a k ≥ 2 client re-plans reads off a fading channel.
+    pub loss_retune: bool,
 }
 
 impl AntennaConfig {
     /// The classic single-receiver client.
     pub fn single() -> Self {
-        Self {
-            antennas: 1,
-            resilience: Resilience::default(),
-        }
+        Self::new(1)
     }
 
     /// A client with `antennas` receivers.
@@ -494,21 +501,15 @@ impl AntennaConfig {
         assert!(antennas >= 1, "a client needs at least one antenna");
         Self {
             antennas,
-            resilience: Resilience::default(),
+            loss_retune: true,
         }
-    }
-
-    /// Replaces the resilience policy.
-    pub fn with_resilience(mut self, resilience: Resilience) -> Self {
-        self.resilience = resilience;
-        self
     }
 
     /// Disables loss-aware retuning (the wait-out-the-fade ablation
     /// client: bursts are ridden out at the next occurrence, as a k = 1
     /// client must).
     pub fn without_loss_retune(mut self) -> Self {
-        self.resilience.loss_retune = false;
+        self.loss_retune = false;
         self
     }
 }
@@ -516,37 +517,6 @@ impl AntennaConfig {
 impl Default for AntennaConfig {
     fn default() -> Self {
         Self::single()
-    }
-}
-
-/// The client's loss-resilience policy.
-///
-/// Burst detection counts consecutive [`crate::PacketLost`] reads; once a
-/// burst reaches `burst_threshold`, a multi-antenna client's resilient
-/// planners (`Tuner::plan_resilient` / `Tuner::earliest_resilient`) bias
-/// the next read away from the fading channel onto another monitored
-/// channel instead of waiting out the fade. A k = 1 client (or a
-/// single-channel program) always falls back to plain next-occurrence
-/// retries, with the retry accounting capped by the livelock guard:
-/// `retry_cap` consecutive losses abort the query with a diagnostic panic
-/// rather than spinning forever on a schedule that never frees the packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Resilience {
-    /// Whether a k ≥ 2 client re-plans reads off a fading channel.
-    pub loss_retune: bool,
-    /// Consecutive lost reads before a burst is declared.
-    pub burst_threshold: u32,
-    /// Consecutive lost reads before the livelock guard aborts the query.
-    pub retry_cap: u32,
-}
-
-impl Default for Resilience {
-    fn default() -> Self {
-        Self {
-            loss_retune: true,
-            burst_threshold: 2,
-            retry_cap: 512,
-        }
     }
 }
 

@@ -59,7 +59,7 @@ pub mod segmented;
 mod stats;
 mod tuner;
 
-pub use channel::{AntennaConfig, ChannelConfig, ChannelStats, LayoutError, Placement, Resilience};
+pub use channel::{AntennaConfig, ChannelConfig, ChannelStats, LayoutError, Placement};
 pub use loss::{
     FaultTrace, GilbertElliott, LossModel, LossScope, OutageSchedule, OutageWindow, TraceEntry,
 };

@@ -3,13 +3,20 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::channel::{AntennaConfig, ChannelStats, Resilience};
+use crate::channel::{AntennaConfig, ChannelStats};
 use crate::loss::{
     stream_seed, FaultTrace, GilbertElliott, LossModel, TraceEntry, GE_DRAW_SALT, GE_STATE_SALT,
     KEYED_DRAW_SALT,
 };
 use crate::program::{PacketClass, Payload, Program};
 use crate::stats::QueryStats;
+
+/// Consecutive lost reads before a burst is declared and a multi-antenna
+/// client's resilient planners start dodging the fading channel.
+const BURST_THRESHOLD: u32 = 2;
+
+/// Consecutive lost reads before the livelock guard aborts the query.
+const RETRY_CAP: u32 = 512;
 
 /// Error returned by [`Tuner::read`] when the packet was corrupted by the
 /// link-error model. The client has still *listened* (tuning time accrues)
@@ -67,8 +74,9 @@ pub struct Tuner<'a, P> {
     /// Per-model fault state (the [`LossModel::None`]/[`LossModel::Iid`]
     /// arm is the frozen historical draw path; see the loss module docs).
     fault: FaultDriver,
-    /// Loss-resilience policy (from the [`AntennaConfig`]).
-    resilience: Resilience,
+    /// Whether a k ≥ 2 client re-plans reads off a fading channel (from
+    /// the [`AntennaConfig`]).
+    loss_retune: bool,
     /// Total reads corrupted by the link-error model.
     lost_reads: u64,
     /// Consecutive lost reads (reset by any successful read).
@@ -207,7 +215,7 @@ impl<'a, P: Payload> Tuner<'a, P> {
             },
             access_counts: Vec::new(),
             fault,
-            resilience: antennas.resilience,
+            loss_retune: antennas.loss_retune,
             lost_reads: 0,
             burst: 0,
             stall_start: 0,
@@ -435,16 +443,15 @@ impl<'a, P: Payload> Tuner<'a, P> {
     }
 
     /// Whether the resilient planners are currently biasing picks away
-    /// from the listened channel: a burst of at least
-    /// [`Resilience::burst_threshold`] losses is open, loss-aware retune
-    /// is enabled, and the client has a spare antenna on a multi-channel
-    /// program to dodge with.
+    /// from the listened channel: a burst of at least [`BURST_THRESHOLD`]
+    /// losses is open, loss-aware retune is enabled, and the client has a
+    /// spare antenna on a multi-channel program to dodge with.
     #[inline]
     fn fade_active(&self) -> bool {
-        self.resilience.loss_retune
+        self.loss_retune
             && self.antennas > 1
             && self.program.n_channels() > 1
-            && self.burst >= self.resilience.burst_threshold
+            && self.burst >= BURST_THRESHOLD
     }
 
     /// Loss-aware [`Tuner::arrival_earliest`]: identical (and loss-blind —
@@ -569,13 +576,13 @@ impl<'a, P: Payload> Tuner<'a, P> {
             // retry re-reads at the next occurrence and loses again).
             // Abort with a diagnostic instead of spinning forever — e.g.
             // under an outage schedule that never frees this packet.
-            if self.burst > self.resilience.retry_cap {
+            if self.burst > RETRY_CAP {
                 panic!(
                     "livelock guard: {} consecutive lost reads (cap {}) on channel {} \
                      at instant {} ({} losses total, monitored {:?}) under {:?} — \
                      the fault schedule never frees this read",
                     self.burst,
-                    self.resilience.retry_cap,
+                    RETRY_CAP,
                     self.channel,
                     instant,
                     self.lost_reads,
@@ -929,19 +936,15 @@ mod tests {
     #[should_panic(expected = "livelock guard")]
     fn livelock_guard_stops_unbounded_retry() {
         let prog = index_program();
-        // A permanent outage with a tiny retry cap: the guard must fire
-        // with a diagnostic rather than let the client spin forever.
+        // A permanent outage: reading past the retry cap must fire the
+        // guard with a diagnostic rather than let the client spin forever.
         let loss = LossModel::outage(vec![OutageWindow {
             channel: 0,
             start: 0,
             len: u64::MAX / 2,
         }]);
-        let ant = AntennaConfig::single().with_resilience(Resilience {
-            retry_cap: 4,
-            ..Resilience::default()
-        });
-        let mut t = Tuner::tune_in_with(&prog, 0, loss, 5, ant);
-        for _ in 0..64 {
+        let mut t = Tuner::tune_in_with(&prog, 0, loss, 5, AntennaConfig::single());
+        for _ in 0..=RETRY_CAP {
             let _ = t.read();
         }
     }

@@ -33,8 +33,8 @@ pub const CHAOS_SWITCH_COST: u32 = 2;
 
 /// The grid's bursty channel: mean good sojourn 50 packets, mean fade
 /// length 4 packets, 90% loss inside a fade. Short fades keep small-N
-/// smoke runs fast while still triggering burst detection
-/// (`burst_threshold` = 2) on most fades.
+/// smoke runs fast while still triggering burst detection (two
+/// consecutive losses) on most fades.
 pub fn bursty_channel() -> LossModel {
     LossModel::Gilbert(GilbertElliott::new(0.02, 0.25, 0.9))
 }

@@ -57,16 +57,13 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dsi_broadcast::{
-    AntennaConfig, ChannelStats, DistSummary, Distribution, LossModel, Query, QueryStats,
-};
+use dsi_broadcast::{AntennaConfig, ChannelStats, LossModel, Query, QueryStats};
 use dsi_core::share::{self, ShareCache};
 use dsi_datagen::SpatialDataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::Engine;
-use crate::runner::{run_query_batch_at, BatchOptions};
 
 /// Multiplier of the per-query seed derivation, shared with
 /// [`crate::run_query_batch`] so fleet populations and classic batches
@@ -126,8 +123,8 @@ impl FleetSpec {
 
 /// The derived client population, structure-of-arrays: column `i` of each
 /// array is client `i`. A pure function of `(spec, cycle)`, shared by the
-/// fleet engine, the sequential oracle and the A/B baseline so all three
-/// drive the *same* clients.
+/// fleet engine and the sequential oracle so both drive the *same*
+/// clients.
 #[derive(Debug, Clone)]
 pub struct Population {
     /// Index into [`FleetSpec::pool`] per client.
@@ -242,9 +239,10 @@ impl FleetOutcomes {
     }
 }
 
-/// Population-level fleet metrics. Outcome-derived fields (distribution
-/// summaries, totals, concurrency) are deterministic; wall-clock rates
-/// and cache counters are measurements.
+/// Population-level fleet counters. `clients`, `drives` and `coalesced`
+/// are deterministic; wall-clock rates and cache counters are
+/// measurements. Population distributions are read from the returned
+/// [`FleetOutcomes`].
 #[derive(Debug, Clone)]
 pub struct FleetStats {
     /// Clients simulated.
@@ -253,31 +251,12 @@ pub struct FleetStats {
     pub drives: usize,
     /// Clients served from a cohort representative's trajectory.
     pub coalesced: usize,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Wall-clock of the engine pass (population derivation through
-    /// outcome assembly).
-    pub wall_seconds: f64,
-    /// Clients completed per wall second.
+    /// Clients completed per wall second of the engine pass (population
+    /// derivation through outcome assembly).
     pub clients_per_sec: f64,
     /// Tuner read events *served* per wall second, across the population
     /// (the per-client cost a per-client simulator would pay).
     pub events_per_sec: f64,
-    /// Tuner read events actually *computed* per wall second
-    /// (representatives only).
-    pub driven_events_per_sec: f64,
-    /// Access-latency distribution over the population, packets.
-    pub latency: DistSummary,
-    /// Tuning-time distribution over the population, packets.
-    pub tuning: DistSummary,
-    /// Most clients simultaneously mid-query at any broadcast instant.
-    pub peak_concurrent: u64,
-    /// Mean concurrent clients over the span any client was active.
-    pub mean_concurrent: f64,
-    /// Concurrent-client curve, sampled: `(instant, active clients)`.
-    pub contention: Vec<(u64, u64)>,
-    /// Population tuning per channel, packets (index = channel).
-    pub per_channel_tuning: Vec<u64>,
     /// Window decompositions served from the share cache.
     pub window_cache_hits: u64,
     /// Window decompositions computed (then published).
@@ -325,7 +304,6 @@ struct GranuleOut {
     rows: Vec<Row>,
     drives: usize,
     coalesced: usize,
-    per_channel_tuning: Vec<u64>,
 }
 
 /// Drives the clients of `order[lo..hi]`: groups them into cohorts (when
@@ -352,7 +330,6 @@ fn run_granule(shared: &Shared, lo: usize, hi: usize) -> GranuleOut {
         rows: Vec::with_capacity(hi - lo),
         drives: 0,
         coalesced: 0,
-        per_channel_tuning: vec![0; shared.engine.n_channels() as usize],
     };
     let mut i = 0;
     while i < items.len() {
@@ -404,13 +381,6 @@ fn run_granule(shared: &Shared, lo: usize, hi: usize) -> GranuleOut {
                 ids: shared.keep_ids.then(|| outcome.ids.clone()),
                 channels: shared.keep_channels.then(|| outcome.channels.clone()),
             });
-            for (c, t) in out
-                .per_channel_tuning
-                .iter_mut()
-                .zip(&outcome.channels.tuning_packets)
-            {
-                *c += *t;
-            }
         }
         out.coalesced += j - i - 1;
         i = j;
@@ -551,13 +521,9 @@ pub fn run_fleet(
     let mut outcomes = FleetOutcomes::with_capacity(n, 0, spec.keep_ids, spec.keep_channels);
     let mut drives = 0usize;
     let mut coalesced = 0usize;
-    let mut per_channel = vec![0u64; shared.engine.n_channels() as usize];
     for g in rx.iter() {
         drives += g.drives;
         coalesced += g.coalesced;
-        for (acc, t) in per_channel.iter_mut().zip(&g.per_channel_tuning) {
-            *acc += *t;
-        }
         for row in g.rows {
             let i = row.client as usize;
             outcomes.capacity = row.stats.capacity;
@@ -576,115 +542,17 @@ pub fn run_fleet(
         }
     }
     let wall = t0.elapsed().as_secs_f64().max(1e-9);
-
-    let stats = assemble_stats(
-        &shared,
-        &outcomes,
-        drives,
-        coalesced,
-        workers,
-        wall,
-        per_channel,
-        cache.window_hits(),
-        cache.window_misses(),
-    );
-    (stats, outcomes)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn assemble_stats(
-    shared: &Shared,
-    outcomes: &FleetOutcomes,
-    drives: usize,
-    coalesced: usize,
-    workers: usize,
-    wall: f64,
-    per_channel_tuning: Vec<u64>,
-    cache_hits: u64,
-    cache_misses: u64,
-) -> FleetStats {
-    let n = outcomes.len();
-    let mut latency = Distribution::with_capacity(n);
-    latency.extend(outcomes.latency.iter().copied());
-    let mut tuning = Distribution::with_capacity(n);
-    tuning.extend(outcomes.tuning.iter().copied());
     let served_events: u64 = outcomes.tuning.iter().sum();
-
-    // Concurrency curve from [start, start + latency) activity intervals.
-    let starts = &shared.pop.start;
-    let max_end = outcomes
-        .latency
-        .iter()
-        .zip(starts)
-        .map(|(&l, &s)| s + l)
-        .max()
-        .unwrap_or(0);
-    let mut diff = vec![0i64; max_end as usize + 2];
-    for (&l, &s) in outcomes.latency.iter().zip(starts) {
-        diff[s as usize] += 1;
-        diff[(s + l) as usize + 1] -= 1;
-    }
-    let mut active = 0i64;
-    let mut peak = 0i64;
-    let mut area = 0i128;
-    let span = max_end as usize + 1;
-    let step = (span / 64).max(1);
-    let mut contention = Vec::with_capacity(span.div_ceil(step));
-    for (t, d) in diff.iter().enumerate().take(span) {
-        active += d;
-        peak = peak.max(active);
-        area += active as i128;
-        if t % step == 0 {
-            contention.push((t as u64, active as u64));
-        }
-    }
-
-    FleetStats {
+    let stats = FleetStats {
         clients: n,
         drives,
         coalesced,
-        workers,
-        wall_seconds: wall,
         clients_per_sec: n as f64 / wall,
         events_per_sec: served_events as f64 / wall,
-        driven_events_per_sec: driven_tuning(outcomes, shared) as f64 / wall,
-        latency: latency.summary(),
-        tuning: tuning.summary(),
-        peak_concurrent: peak as u64,
-        mean_concurrent: area as f64 / span as f64,
-        contention,
-        per_channel_tuning,
-        window_cache_hits: cache_hits,
-        window_cache_misses: cache_misses,
-    }
-}
-
-/// Tuning packets actually computed: one representative per cohort.
-fn driven_tuning(outcomes: &FleetOutcomes, shared: &Shared) -> u64 {
-    if !shared.coalesce {
-        return outcomes.tuning.iter().sum();
-    }
-    // Re-derive cohort representatives the same way granules do: lowest
-    // client id per (anchor, query) key.
-    let mut keys: Vec<(u64, u32, u32)> = (0..outcomes.len())
-        .map(|c| {
-            (
-                shared.anchor[shared.pop.start[c] as usize],
-                shared.pop.query[c],
-                c as u32,
-            )
-        })
-        .collect();
-    keys.sort_unstable();
-    let mut sum = 0u64;
-    let mut prev: Option<(u64, u32)> = None;
-    for (a, q, c) in keys {
-        if prev != Some((a, q)) {
-            sum += outcomes.tuning[c as usize];
-            prev = Some((a, q));
-        }
-    }
-    sum
+        window_cache_hits: cache.window_hits(),
+        window_cache_misses: cache.window_misses(),
+    };
+    (stats, outcomes)
 }
 
 /// The sequential oracle: every client driven individually, no pool, no
@@ -728,62 +596,6 @@ pub fn run_fleet_oracle(
     out
 }
 
-/// One classic-path baseline measurement; see [`baseline_loop`].
-#[derive(Debug, Clone, Copy)]
-pub struct BaselineRun {
-    /// Wall-clock seconds of the loop.
-    pub wall_seconds: f64,
-    /// Clients actually driven (`ceil(population / stride)`).
-    pub clients: usize,
-    /// Total tuning bytes served to those clients (the event volume, in
-    /// the byte unit [`crate::BatchResult`] reports).
-    pub tuning_bytes: f64,
-}
-
-/// The classic-path A/B baseline: loops [`run_query_batch_at`] one client
-/// at a time over the *same* population (same starts, same seeds) — one
-/// full batch-runner invocation, thread scope included, per client, which
-/// is exactly what simulating a fleet cost before this module existed.
-/// `stride` subsamples the population (client 0, `stride`, `2·stride`, …)
-/// so the deliberately slow baseline can be *rate*-measured without
-/// paying the full population; `stride = 1` drives everyone. Returns the
-/// wall clock, the clients driven, and the tuning volume served to them,
-/// from which callers derive baseline events/sec. (Outcome equality is
-/// already pinned by the oracle and the differential suite; the A/B only
-/// measures time.)
-pub fn baseline_loop(
-    engine: &Engine,
-    dataset: &SpatialDataset,
-    spec: &FleetSpec,
-    stride: usize,
-) -> BaselineRun {
-    assert!(stride >= 1, "stride must be at least 1");
-    let cycle = engine.cycle_packets();
-    let pop = Population::derive(spec, cycle);
-    let opts = BatchOptions {
-        loss: spec.loss.clone(),
-        seed: spec.seed,
-        validate: spec.validate,
-        antennas: spec.antennas,
-    };
-    let mut clients = 0usize;
-    let mut tuning_bytes = 0.0f64;
-    let t0 = Instant::now();
-    for c in (0..pop.len()).step_by(stride) {
-        let query = [spec.pool[pop.query[c] as usize]];
-        let start = [pop.start[c]];
-        let seed = [pop.seed[c]];
-        let r = run_query_batch_at(engine, dataset, &query, &start, &seed, &opts);
-        clients += 1;
-        tuning_bytes += r.tuning_bytes;
-    }
-    BaselineRun {
-        wall_seconds: t0.elapsed().as_secs_f64().max(1e-9),
-        clients,
-        tuning_bytes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -818,9 +630,6 @@ mod tests {
         assert_eq!(stats.clients, 400);
         assert!(stats.drives < 400, "lossless fleet must coalesce");
         assert_eq!(stats.drives + stats.coalesced, 400);
-        assert!(stats.peak_concurrent >= 1);
-        assert!(stats.latency.p50 <= stats.latency.p95);
-        assert!(stats.latency.p95 <= stats.latency.max);
     }
 
     #[test]

@@ -24,10 +24,7 @@ pub mod table;
 
 pub use chaos::{chaos_spec, retune_ablation, run_chaos, AblationResult};
 pub use engine::{Engine, Scheme};
-pub use fleet::{
-    baseline_loop, run_fleet, run_fleet_oracle, BaselineRun, FleetOutcomes, FleetSpec, FleetStats,
-    Population,
-};
+pub use fleet::{run_fleet, run_fleet_oracle, FleetOutcomes, FleetSpec, FleetStats, Population};
 pub use matrix::{cells_table, run_matrix, ChannelSpec, MatrixCell, MatrixSpec, WorkloadSpec};
 pub use runner::{
     run_knn_batch, run_query_batch, run_query_batch_at, run_window_batch, BatchOptions, BatchResult,

@@ -121,10 +121,9 @@ pub fn run_query_batch(
 }
 
 /// [`run_query_batch`] with the per-query tune-in instants and loss seeds
-/// pinned by the caller instead of derived from `opts.seed`. This is the
-/// hook the fleet engine's A/B baseline uses to drive *exactly* the fleet
-/// population — same starts, same seeds — through the classic
-/// one-drive-loop-per-client path.
+/// pinned by the caller instead of derived from `opts.seed`, so a caller
+/// can drive a chosen population (a fleet's [`crate::Population`], say)
+/// through the classic one-drive-loop-per-client path.
 pub fn run_query_batch_at(
     engine: &Engine,
     dataset: &SpatialDataset,
