@@ -86,7 +86,7 @@ impl ShareCache {
 
     /// The shared decomposition of `rect`, computing and publishing it on
     /// first sight.
-    fn window_segments(
+    pub fn window_segments(
         &self,
         curve: &HilbertCurve,
         mapper: &GridMapper,
@@ -108,19 +108,6 @@ impl ShareCache {
             .or_insert_with(|| Arc::clone(&segments))
             .clone()
     }
-
-    /// [`ShareCache::window_segments`] for callers outside the crate —
-    /// the `dsi-model` suite drives concurrent insert/hit scenarios
-    /// against the cache directly and asserts bit-identical results in
-    /// every explored schedule.
-    pub fn segments_for(
-        &self,
-        curve: &HilbertCurve,
-        mapper: &GridMapper,
-        rect: &Rect,
-    ) -> Arc<Vec<HcRange>> {
-        self.window_segments(curve, mapper, rect)
-    }
 }
 
 thread_local! {
@@ -130,7 +117,7 @@ thread_local! {
 
 /// Installs `cache` as this thread's decomposition memo (or clears it
 /// with `None`), returning the previously installed cache. Fleet workers
-/// install one shared cache for the duration of a task; plain query
+/// install one shared cache before their first granule; plain query
 /// paths never need to call this.
 pub fn install(cache: Option<Arc<ShareCache>>) -> Option<Arc<ShareCache>> {
     INSTALLED.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), cache))

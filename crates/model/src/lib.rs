@@ -10,7 +10,8 @@
 //!
 //! Under `RUSTFLAGS="--cfg dsi_model"` the crate additionally exposes
 //! [`check`] (the exploration + analysis driver) and [`scenarios`] (the
-//! exhaustive suite over the `steal` pool and `dsi_core::share` cache);
+//! exhaustive suite over the `dsi_sim::fleet` granule dispatch and the
+//! `dsi_core::share` cache);
 //! the `model` binary runs the suite and prints `MODEL OK` for CI.
 //! Under the normal cfg only the pure analyzers build — they need
 //! nothing but event streams.

@@ -1,11 +1,12 @@
 //! The core model-check scenarios for the fleet concurrency layer.
 //!
-//! Each scenario wraps one `steal` pool or `dsi_core::share` pattern in
+//! Each scenario wraps the fleet's dispatch (`dsi_sim::fleet::run_fleet`
+//! itself, not a copy) or one `dsi_core::share` pattern in
 //! [`crate::check::check`], explores every schedule within the given
 //! preemption bound, and asserts the *same outcome facts* hold in every
-//! one of them — job counts, panic propagation, drain-on-drop, cache
-//! bit-identity. The facts are exactly the properties the fleet engine's
-//! `FleetOutcomes` merge relies on.
+//! one of them — outcomes equal to the sequential oracle, the surfaced
+//! granule panic, cache bit-identity. The facts are exactly the
+//! properties the fleet engine's `FleetOutcomes` merge relies on.
 //!
 //! The preemption bound is per-call so the CI job can run the fast
 //! bound while local debugging cranks it up; see [`run_all`] for the
@@ -16,12 +17,14 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use dsi_broadcast::Query;
 use dsi_core::share::ShareCache;
+use dsi_datagen::{knn_points, uniform, SpatialDataset};
 use dsi_geom::{GridMapper, Point, Rect};
 use dsi_hilbert::{ranges_in_rect, HilbertCurve};
-use interleave::sync::atomic::{AtomicUsize, Ordering};
+use dsi_sim::fleet::{run_fleet, run_fleet_oracle, FleetSpec};
+use dsi_sim::{uniform_dataset_n, Engine, Scheme, EVAL_ORDER};
 use interleave::Options;
-use steal::{Builder, Pool};
 
 use crate::check::{check, CheckReport};
 
@@ -66,169 +69,64 @@ fn report(
     }
 }
 
-/// Spawn/steal/park/unpark: two batch jobs on a two-worker pool bump a
-/// shared counter; every schedule must run both exactly once and join
-/// only after both.
-pub fn pool_spawn_steal(bound: usize) -> ScenarioReport {
-    let outcomes: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
-    let check = check(&Options::with_bound(bound), || {
-        let pool = Pool::with_workers(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let batch = pool.batch();
-        for _ in 0..2 {
-            let hits = Arc::clone(&hits);
-            batch.spawn(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        batch.join();
-        let n = hits.load(Ordering::SeqCst);
-        assert_eq!(n, 2, "join returned before both jobs ran");
-        outcomes.borrow_mut().insert(format!("hits={n}"));
-        drop(pool);
-    });
-    report("pool_spawn_steal", bound, check, outcomes.into_inner())
+/// A small lossless DSI fleet of kNN clients on two workers: kNN
+/// drives take no share-cache lock, so the only branch points are the
+/// dispatch's own (spawns, cursor claims, joins). The population is cut
+/// into at least three granules, so one worker must claim twice.
+fn knn_fleet() -> (Arc<Engine>, Arc<SpatialDataset>, FleetSpec) {
+    let ds = Arc::new(uniform_dataset_n(200));
+    let engine = Arc::new(Engine::build(Scheme::dsi_reorganized(64), &ds, 64));
+    let pool = knn_points(3, 5)
+        .into_iter()
+        .map(|p| Query::Knn(p, 3))
+        .collect();
+    let spec = FleetSpec {
+        workers: 2,
+        validate: true,
+        keep_ids: true,
+        ..FleetSpec::new(100, pool)
+    };
+    (engine, ds, spec)
 }
 
-/// Panic propagation: a panicking batch job must surface through
-/// `Batch::join` (and only there) in every schedule, and the sibling
-/// job still runs.
-pub fn pool_batch_panic(bound: usize) -> ScenarioReport {
+/// The fleet's granule dispatch: two workers claiming granules from the
+/// shared cursor must return outcomes equal to the sequential oracle,
+/// and the same drive count, in every schedule.
+pub fn fleet_knn_dispatch(bound: usize) -> ScenarioReport {
+    let (engine, ds, spec) = knn_fleet();
+    let oracle = run_fleet_oracle(&engine, Some(&ds), &spec);
     let outcomes: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
     let check = check(&Options::with_bound(bound), || {
-        let pool = Pool::with_workers(1);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let batch = pool.batch();
-        batch.spawn(|| panic!("job boom"));
-        {
-            let hits = Arc::clone(&hits);
-            batch.spawn(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let joined = catch_unwind(AssertUnwindSafe(|| batch.join()));
-        let payload = joined.expect_err("join must re-raise the job panic");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("?");
-        let n = hits.load(Ordering::SeqCst);
-        assert_eq!(n, 1, "sibling job lost to the panic");
-        assert!(
-            pool.take_stray_panic().is_none(),
-            "batch panic leaked into the stray channel"
-        );
-        outcomes
-            .borrow_mut()
-            .insert(format!("panic={msg} hits={n}"));
-        drop(pool);
+        let (stats, got) = run_fleet(&engine, Some(&ds), &spec);
+        assert!(stats.granules >= 3, "only {} granules", stats.granules);
+        assert!(got == oracle, "fleet outcomes differ from the oracle");
+        outcomes.borrow_mut().insert(format!(
+            "granules={} drives={}",
+            stats.granules, stats.drives
+        ));
     });
-    report("pool_batch_panic", bound, check, outcomes.into_inner())
+    report("fleet_knn_dispatch", bound, check, outcomes.into_inner())
 }
 
-/// Shutdown: fire-and-forget jobs queued before `drop` all run before
-/// the workers join, in every schedule.
-pub fn pool_shutdown_drains(bound: usize) -> ScenarioReport {
+/// A validation mismatch inside a granule: the fleet is validated
+/// against a dataset it was not built on, so representatives' answers
+/// mismatch. `run_fleet` must return (no deadlock) and re-raise the
+/// lowest failing granule's own assert payload, the same one in every
+/// schedule.
+pub fn fleet_granule_panic(bound: usize) -> ScenarioReport {
+    let (engine, _, spec) = knn_fleet();
+    let other = Arc::new(SpatialDataset::build(&uniform(200, 7), EVAL_ORDER));
     let outcomes: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
     let check = check(&Options::with_bound(bound), || {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let pool = Pool::with_workers(1);
-        for _ in 0..2 {
-            let hits = Arc::clone(&hits);
-            pool.spawn(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool);
-        let n = hits.load(Ordering::SeqCst);
-        assert_eq!(n, 2, "drop joined workers before draining the queue");
-        outcomes.borrow_mut().insert(format!("hits={n}"));
+        let run = catch_unwind(AssertUnwindSafe(|| run_fleet(&engine, Some(&other), &spec)));
+        let payload = run.expect_err("a validation mismatch must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("the granule's own assert payload");
+        assert!(msg.contains("fleet answer mismatch (client "), "{msg}");
+        outcomes.borrow_mut().insert(msg.clone());
     });
-    report("pool_shutdown_drains", bound, check, outcomes.into_inner())
-}
-
-/// Worker panic containment: a panicking fire-and-forget job must not
-/// cost the pool its worker — later jobs still run and the payload
-/// surfaces via `take_stray_panic`, in every schedule.
-pub fn pool_stray_panic(bound: usize) -> ScenarioReport {
-    let outcomes: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
-    let check = check(&Options::with_bound(bound), || {
-        let pool = Pool::with_workers(1);
-        let hits = Arc::new(AtomicUsize::new(0));
-        pool.spawn(|| panic!("stray boom"));
-        {
-            let hits = Arc::clone(&hits);
-            pool.spawn(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let batch = pool.batch();
-        batch.spawn(|| {});
-        batch.join();
-        let n = hits.load(Ordering::SeqCst);
-        assert_eq!(n, 1, "worker died to the stray panic");
-        let payload = pool.take_stray_panic().expect("stray panic recorded");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("?");
-        outcomes
-            .borrow_mut()
-            .insert(format!("stray={msg} hits={n}"));
-        drop(pool);
-    });
-    report("pool_stray_panic", bound, check, outcomes.into_inner())
-}
-
-/// Steal racing shutdown: a job enqueued from outside while the pool is
-/// concurrently dropped still runs exactly once — `drop` drains
-/// whatever made it into the queues.
-pub fn pool_spawn_races_drop(bound: usize) -> ScenarioReport {
-    let outcomes: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
-    let check = check(&Options::with_bound(bound), || {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let pool = Pool::with_workers(2);
-        {
-            let hits = Arc::clone(&hits);
-            pool.spawn(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool);
-        let n = hits.load(Ordering::SeqCst);
-        assert_eq!(n, 1, "job lost in the shutdown race");
-        outcomes.borrow_mut().insert(format!("hits={n}"));
-    });
-    report("pool_spawn_races_drop", bound, check, outcomes.into_inner())
-}
-
-/// A panicking `on_thread_start` hook must not decimate the pool: jobs
-/// still drain and the first hook payload surfaces, in every schedule.
-/// Two workers race their hooks against `Builder::build`'s start
-/// countdown: both payloads are in before `build` returns, so taking the
-/// first leaves nothing for a late hook to re-raise at drop.
-pub fn pool_hook_panic(bound: usize) -> ScenarioReport {
-    let outcomes: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
-    let check = check(&Options::with_bound(bound), || {
-        let pool = Builder::new()
-            .workers(2)
-            .on_thread_start(|| panic!("hook boom"))
-            .build();
-        let hits = Arc::new(AtomicUsize::new(0));
-        let batch = pool.batch();
-        {
-            let hits = Arc::clone(&hits);
-            batch.spawn(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        batch.join();
-        let n = hits.load(Ordering::SeqCst);
-        assert_eq!(n, 1, "hook panic cost the pool its worker");
-        let payload = pool.take_stray_panic().expect("hook panic recorded");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("?");
-        assert!(
-            pool.take_stray_panic().is_none(),
-            "a hook panicked after the first payload was taken"
-        );
-        outcomes.borrow_mut().insert(format!("hook={msg} hits={n}"));
-        drop(pool);
-    });
-    report("pool_hook_panic", bound, check, outcomes.into_inner())
+    report("fleet_granule_panic", bound, check, outcomes.into_inner())
 }
 
 /// Concurrent share-cache insert/hit: two threads resolving the same
@@ -248,7 +146,7 @@ pub fn share_cache_insert_hit(bound: usize) -> ScenarioReport {
                 let cache = Arc::clone(&cache);
                 let curve = curve.clone();
                 let rect = rect;
-                interleave::thread::spawn(move || cache.segments_for(&curve, &mapper, &rect))
+                interleave::thread::spawn(move || cache.window_segments(&curve, &mapper, &rect))
             })
             .collect();
         for h in workers {
@@ -273,18 +171,11 @@ pub fn share_cache_insert_hit(bound: usize) -> ScenarioReport {
     )
 }
 
-/// Every scenario with the preemption bound its CI run uses. The pool
-/// scenarios spawn real worker threads per execution, so their
-/// exhaustive bound is kept small; the cache scenario is lighter and
-/// takes a deeper bound.
+/// Every scenario with the preemption bound its CI run uses.
 pub fn run_all() -> Vec<ScenarioReport> {
     vec![
-        pool_spawn_steal(2),
-        pool_batch_panic(2),
-        pool_shutdown_drains(2),
-        pool_stray_panic(2),
-        pool_spawn_races_drop(2),
-        pool_hook_panic(2),
+        fleet_knn_dispatch(3),
+        fleet_granule_panic(3),
         share_cache_insert_hit(3),
     ]
 }

@@ -3,8 +3,8 @@
 //! The explorer reports a deadlock whenever no task can run. For the
 //! condvar parking path the interesting sub-case is the *lost wakeup*:
 //! the signal was sent, but before the sleeper actually parked — the
-//! exact bug the `steal` pool's epoch discipline exists to prevent. The
-//! two are distinguished from the event stream: a waiter whose final
+//! check-then-sleep race that an epoch pinned under the lock prevents.
+//! The two are distinguished from the event stream: a waiter whose final
 //! `CvWait` is preceded by a `Notify` of the same condvar slept through
 //! a signal that will never repeat.
 

@@ -1,7 +1,8 @@
 //! The model-check suite: exhaustive exploration of the fleet
-//! concurrency layer plus anti-vacuity checks — seeded mutations of the
-//! pool's synchronization patterns that the checker must catch, proving
-//! the clean verdicts on the real code mean something.
+//! concurrency layer (the `run_fleet` granule dispatch and the share
+//! cache) plus anti-vacuity checks — seeded mutations of classic
+//! queue, parking and locking patterns that the checker must catch,
+//! proving the clean verdicts on the real code mean something.
 //!
 //! Build and run with `RUSTFLAGS="--cfg dsi_model" cargo test -p
 //! dsi-model`; under the normal cfg this file compiles to nothing.
@@ -21,33 +22,13 @@ use interleave::{Options, SharedCell, Violation};
 // ---------------------------------------------------------------------
 
 #[test]
-fn pool_spawn_steal_is_clean() {
-    scenarios::pool_spawn_steal(1).assert_clean();
+fn fleet_knn_dispatch_is_clean() {
+    scenarios::fleet_knn_dispatch(3).assert_clean();
 }
 
 #[test]
-fn pool_batch_panic_is_clean() {
-    scenarios::pool_batch_panic(2).assert_clean();
-}
-
-#[test]
-fn pool_shutdown_drains_is_clean() {
-    scenarios::pool_shutdown_drains(2).assert_clean();
-}
-
-#[test]
-fn pool_stray_panic_is_clean() {
-    scenarios::pool_stray_panic(2).assert_clean();
-}
-
-#[test]
-fn pool_spawn_races_drop_is_clean() {
-    scenarios::pool_spawn_races_drop(2).assert_clean();
-}
-
-#[test]
-fn pool_hook_panic_is_clean() {
-    scenarios::pool_hook_panic(2).assert_clean();
+fn fleet_granule_panic_is_clean() {
+    scenarios::fleet_granule_panic(3).assert_clean();
 }
 
 #[test]
@@ -56,15 +37,17 @@ fn share_cache_insert_hit_is_clean() {
 }
 
 // ---------------------------------------------------------------------
-// Anti-vacuity: mutated copies of the pool's synchronization patterns.
-// Each mutation removes one ingredient the real code relies on; the
-// checker must catch every one, or a clean verdict proves nothing.
+// Anti-vacuity: mutated copies of synchronization patterns, most of them
+// from the work-stealing pool the fleet ran on before its cursor
+// dispatch. Each mutation removes one ingredient the correct pattern
+// relies on; the checker must catch every one, or a clean verdict
+// proves nothing.
 // ---------------------------------------------------------------------
 
-/// A minimal single-worker queue in the pool's idiom, with one seeded
-/// mutation: `push` forgets to signal the condvar. The consumer parks
-/// forever in schedules where it checks before the push — the explorer
-/// must find that deadlock.
+/// A minimal single-worker condvar queue, with one seeded mutation:
+/// `push` forgets to signal the condvar. The consumer parks forever in
+/// schedules where it checks before the push — the explorer must find
+/// that deadlock.
 #[test]
 fn mutation_missing_notify_is_caught_as_deadlock() {
     let report = check(&Options::with_bound(2), || {
@@ -82,7 +65,7 @@ fn mutation_missing_notify_is_caught_as_deadlock() {
             })
         };
         queue.lock().unwrap().push_back(7);
-        // MUTATION: the real pool bumps the epoch and notifies here.
+        // MUTATION: the correct queue notifies here.
         // ready.notify_all();
         let _ = consumer.join();
     });
@@ -94,9 +77,9 @@ fn mutation_missing_notify_is_caught_as_deadlock() {
 }
 
 /// Check-then-park with the flag read *outside* the lock (the lost
-/// wakeup the pool's pinned-epoch re-scan exists to prevent): the
-/// explorer must find the hang and the wakeup analyzer must classify it
-/// as a lost wakeup, not a plain deadlock.
+/// wakeup a pinned-epoch re-scan prevents): the explorer must find the
+/// hang and the wakeup analyzer must classify it as a lost wakeup, not a
+/// plain deadlock.
 #[test]
 fn mutation_check_then_park_is_caught_as_lost_wakeup() {
     let report = check(&Options::with_bound(2), || {
@@ -106,8 +89,8 @@ fn mutation_check_then_park_is_caught_as_lost_wakeup() {
             let flag = Arc::clone(&flag);
             let ready = Arc::clone(&ready);
             interleave::thread::spawn(move || {
-                // MUTATION: the real pool pins the epoch under the lock
-                // and re-scans before sleeping; this copy checks a
+                // MUTATION: the correct worker pins the epoch under the
+                // lock and re-scans before sleeping; this copy checks a
                 // stale snapshot and parks unconditionally.
                 let set_now = *flag.lock().unwrap();
                 if !set_now {
@@ -192,10 +175,11 @@ fn mutation_opposite_lock_order_is_caught() {
     assert!(!report.cycles.is_empty(), "lock-order cycle went unnoticed");
 }
 
-/// The shutdown bug the model checker found in the real pool (live
-/// check between the empty re-scan and the park, outside the epoch
-/// lock), kept alive here as a mutated mini-worker: the explorer must
-/// keep catching the lost-job schedule that motivated the fix.
+/// The shutdown bug the model checker once found in the fleet's former
+/// work-stealing pool (live check between the empty re-scan and the
+/// park, outside the epoch lock), kept alive here as a mutated
+/// mini-worker: the explorer must keep catching the lost-job schedule
+/// that motivated the fix.
 #[test]
 fn mutation_stale_live_check_loses_jobs() {
     let report = check(&Options::with_bound(2), || {

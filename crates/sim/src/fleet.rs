@@ -27,20 +27,29 @@
 //!    access latency `end − start` (the paper's free-rider premise made
 //!    computational). Lossy or multi-channel populations degrade
 //!    gracefully to per-client drives — same code path, no sharing.
-//! 3. **Batched dispatch on a work-stealing pool.** The sweep is cut into
+//! 3. **Granules from a shared cursor.** The sweep is cut into
 //!    deterministic granules (contiguous wake-index ranges that never
-//!    split an anchor region), which are executed by the vendored `steal`
-//!    pool. Granule boundaries are derived from the population only — not
-//!    from the worker count — and results are merged by client index, so
-//!    **outcomes are bit-identical for any worker count**, including the
-//!    sequential oracle ([`run_fleet_oracle`], a plain per-client drive
-//!    loop).
-//! 4. **Shared decompositions.** Fleet workers install one
-//!    [`dsi_core::share::ShareCache`], so representatives of *different*
-//!    cohorts running the same window query share its HC-segment
-//!    decomposition. Identical kNN queries already share circle
-//!    decompositions and candidate tables wholesale through their cohort
-//!    representative.
+//!    split an anchor region). `min(workers, granules)` threads claim
+//!    granule indices from one atomic cursor until the list runs out,
+//!    and the caller joins them. Granule boundaries are derived from the
+//!    population only — not from the worker count — and results are
+//!    merged by client index, so **outcomes are bit-identical for any
+//!    worker count**, including the sequential oracle
+//!    ([`run_fleet_oracle`], a plain per-client drive loop). A panicking
+//!    granule (a failed validation) ends its worker; once every worker
+//!    has exited, the panic of the lowest-index failing granule is
+//!    re-raised unchanged, so which panic surfaces does not depend on
+//!    the schedule either.
+//! 4. **Shared decompositions.** Every fleet worker installs one
+//!    [`dsi_core::share::ShareCache`] before its first claim (never the
+//!    caller's thread), so representatives of *different* cohorts running
+//!    the same window query share its HC-segment decomposition.
+//!    Identical kNN queries already share circle decompositions and
+//!    candidate tables wholesale through their cohort representative.
+//!
+//! The cursor, the spawns and the joins go through the `interleave`
+//! shims, so `dsi-model` explores this dispatch's schedules under
+//! `--cfg dsi_model`.
 //!
 //! # Determinism contract
 //!
@@ -53,13 +62,15 @@
 //! pins the contract across scheme × placement × antennas × loss ×
 //! worker count.
 
-use std::sync::mpsc;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
 use dsi_broadcast::{AntennaConfig, ChannelStats, LossModel, Query, QueryStats};
 use dsi_core::share::{self, ShareCache};
 use dsi_datagen::SpatialDataset;
+use interleave::sync::atomic::{AtomicUsize, Ordering};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -251,6 +262,8 @@ pub struct FleetStats {
     pub drives: usize,
     /// Clients served from a cohort representative's trajectory.
     pub coalesced: usize,
+    /// Granules the wake index was cut into.
+    pub granules: usize,
     /// Clients completed per wall second of the engine pass (population
     /// derivation through outcome assembly).
     pub clients_per_sec: f64,
@@ -271,7 +284,7 @@ fn brute(dataset: &SpatialDataset, q: &Query) -> Vec<u32> {
     }
 }
 
-/// Inputs shared by every granule task.
+/// Inputs shared by every fleet worker.
 struct Shared {
     engine: Arc<Engine>,
     dataset: Option<Arc<SpatialDataset>>,
@@ -288,9 +301,16 @@ struct Shared {
     validate: bool,
     keep_ids: bool,
     keep_channels: bool,
+    /// Granules as `[lo, hi)` wake-index ranges, in wake order.
+    granules: Vec<(usize, usize)>,
+    /// Index of the next unclaimed granule.
+    next: AtomicUsize,
 }
 
-/// One client's result row, sent back from a granule task.
+/// A granule panic: the granule's index and its payload.
+type GranulePanic = (usize, Box<dyn Any + Send>);
+
+/// One client's result row, produced by a granule.
 struct Row {
     client: u32,
     stats: QueryStats,
@@ -388,10 +408,36 @@ fn run_granule(shared: &Shared, lo: usize, hi: usize) -> GranuleOut {
     out
 }
 
+/// One fleet worker: claims granules from the shared cursor, in list
+/// order, until none is left. A panicking granule ends the worker and
+/// comes back with its index.
+fn run_worker(shared: &Shared) -> Result<Vec<GranuleOut>, GranulePanic> {
+    let mut outs = Vec::new();
+    loop {
+        // Relaxed: the cursor publishes no data. The granule list was
+        // published to this thread by its spawn.
+        let g = shared.next.fetch_add(1, Ordering::Relaxed);
+        let Some(&(lo, hi)) = shared.granules.get(g) else {
+            return Ok(outs);
+        };
+        match catch_unwind(AssertUnwindSafe(|| run_granule(shared, lo, hi))) {
+            Ok(out) => outs.push(out),
+            Err(payload) => return Err((g, payload)),
+        }
+    }
+}
+
 /// Runs a fleet: derives the population, builds the wake index, cuts it
-/// into anchor-aligned granules, executes them on the work-stealing pool,
-/// and assembles per-client outcomes plus population stats. See the
-/// module docs for the determinism contract.
+/// into anchor-aligned granules, runs them on `min(workers, granules)`
+/// threads that claim granules from one shared cursor, and assembles
+/// per-client outcomes plus population stats. See the module docs for
+/// the determinism contract.
+///
+/// # Panics
+///
+/// With the panic of the lowest-index granule that failed (a validation
+/// mismatch names its client), re-raised unchanged after every worker
+/// has exited.
 pub fn run_fleet(
     engine: &Arc<Engine>,
     dataset: Option<&Arc<SpatialDataset>>,
@@ -475,7 +521,7 @@ pub fn run_fleet(
     }
 
     let workers = if spec.workers == 0 {
-        std::thread::available_parallelism().map_or(1, |w| w.get())
+        interleave::thread::available_parallelism().map_or(1, |w| w.get())
     } else {
         spec.workers
     };
@@ -493,53 +539,59 @@ pub fn run_fleet(
         validate: spec.validate,
         keep_ids: spec.keep_ids,
         keep_channels: spec.keep_channels,
+        granules,
+        next: AtomicUsize::new(0),
     });
-
-    let hook_cache = Arc::clone(&cache);
-    let pool = steal::Builder::new()
-        .workers(workers)
-        .on_thread_start(move || {
-            share::install(Some(Arc::clone(&hook_cache)));
+    let handles: Vec<_> = (0..workers.min(shared.granules.len()))
+        .map(|_| {
+            let shared = Arc::clone(&shared);
+            let cache = Arc::clone(&cache);
+            interleave::thread::spawn(move || {
+                share::install(Some(cache));
+                run_worker(&shared)
+            })
         })
-        .build();
-    let batch = pool.batch();
-    let (tx, rx) = mpsc::channel::<GranuleOut>();
-    for &(lo, hi) in &granules {
-        let shard = Arc::clone(&shared);
-        let tx = tx.clone();
-        batch.spawn(move || {
-            let out = run_granule(&shard, lo, hi);
-            let _ = tx.send(out);
-        });
-    }
-    drop(tx);
-    batch.join();
-    drop(pool);
+        .collect();
 
-    // Merge keyed by client id: arrival order of granule outputs cannot
-    // affect the assembled columns.
+    // Merge keyed by client id: which worker ran a granule cannot affect
+    // the assembled columns. A panic outside any granule ranks last.
     let mut outcomes = FleetOutcomes::with_capacity(n, 0, spec.keep_ids, spec.keep_channels);
     let mut drives = 0usize;
     let mut coalesced = 0usize;
-    for g in rx.iter() {
-        drives += g.drives;
-        coalesced += g.coalesced;
-        for row in g.rows {
-            let i = row.client as usize;
-            outcomes.capacity = row.stats.capacity;
-            outcomes.latency[i] = row.stats.latency_packets;
-            outcomes.tuning[i] = row.stats.tuning_packets;
-            outcomes.lost[i] = row.stats.lost_packets;
-            outcomes.longest_stall[i] = row.stats.longest_stall_packets;
-            outcomes.loss_retunes[i] = row.stats.loss_retunes;
-            outcomes.switches[i] = row.switches;
-            if let (Some(ids), Some(row_ids)) = (&mut outcomes.ids, row.ids) {
-                ids[i] = row_ids;
+    let mut failed: Option<GranulePanic> = None;
+    for handle in handles {
+        let outs = match handle.join().unwrap_or_else(|p| Err((usize::MAX, p))) {
+            Ok(outs) => outs,
+            Err((g, payload)) => {
+                if failed.as_ref().is_none_or(|(first, _)| g < *first) {
+                    failed = Some((g, payload));
+                }
+                continue;
             }
-            if let (Some(chs), Some(row_ch)) = (&mut outcomes.channels, row.channels) {
-                chs[i] = row_ch;
+        };
+        for g in outs {
+            drives += g.drives;
+            coalesced += g.coalesced;
+            for row in g.rows {
+                let i = row.client as usize;
+                outcomes.capacity = row.stats.capacity;
+                outcomes.latency[i] = row.stats.latency_packets;
+                outcomes.tuning[i] = row.stats.tuning_packets;
+                outcomes.lost[i] = row.stats.lost_packets;
+                outcomes.longest_stall[i] = row.stats.longest_stall_packets;
+                outcomes.loss_retunes[i] = row.stats.loss_retunes;
+                outcomes.switches[i] = row.switches;
+                if let (Some(ids), Some(row_ids)) = (&mut outcomes.ids, row.ids) {
+                    ids[i] = row_ids;
+                }
+                if let (Some(chs), Some(row_ch)) = (&mut outcomes.channels, row.channels) {
+                    chs[i] = row_ch;
+                }
             }
         }
+    }
+    if let Some((_, payload)) = failed {
+        resume_unwind(payload);
     }
     let wall = t0.elapsed().as_secs_f64().max(1e-9);
     let served_events: u64 = outcomes.tuning.iter().sum();
@@ -547,6 +599,7 @@ pub fn run_fleet(
         clients: n,
         drives,
         coalesced,
+        granules: shared.granules.len(),
         clients_per_sec: n as f64 / wall,
         events_per_sec: served_events as f64 / wall,
         window_cache_hits: cache.window_hits(),
@@ -555,8 +608,8 @@ pub fn run_fleet(
     (stats, outcomes)
 }
 
-/// The sequential oracle: every client driven individually, no pool, no
-/// coalescing, no share cache — the reference the fleet engine must match
+/// The sequential oracle: every client driven individually, no workers,
+/// no coalescing, no share cache — the reference the fleet engine must match
 /// bit for bit. Returns the same [`FleetOutcomes`] columns.
 pub fn run_fleet_oracle(
     engine: &Engine,
@@ -600,9 +653,11 @@ pub fn run_fleet_oracle(
 mod tests {
     use super::*;
     use crate::engine::Scheme;
-    use crate::uniform_dataset_n;
-    use dsi_datagen::{knn_points, window_queries};
+    use crate::{uniform_dataset_n, EVAL_ORDER};
+    use dsi_datagen::{knn_points, uniform, window_queries};
     use dsi_geom::Rect;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn small_spec(clients: usize) -> FleetSpec {
         let mut pool: Vec<Query> = window_queries(4, 0.2, 9)
@@ -656,6 +711,57 @@ mod tests {
         let (stats, outcomes) = run_fleet(&engine, Some(&ds), &spec);
         assert_eq!(stats.drives, 120, "lossy clients cannot share trajectories");
         assert_eq!(outcomes, run_fleet_oracle(&engine, Some(&ds), &spec));
+    }
+
+    #[test]
+    fn granule_panic_propagates_unchanged_at_every_worker_count() {
+        // An engine built on one dataset, validated against another: its
+        // representatives' answers mismatch.
+        let ds = Arc::new(uniform_dataset_n(250));
+        let other = Arc::new(SpatialDataset::build(&uniform(250, 7), EVAL_ORDER));
+        let engine = Arc::new(Engine::build(Scheme::dsi_reorganized(64), &ds, 64));
+        let mut messages = Vec::new();
+        for workers in [1usize, 2] {
+            let spec = FleetSpec {
+                workers,
+                ..small_spec(240)
+            };
+            let (engine, other) = (Arc::clone(&engine), Arc::clone(&other));
+            let (tx, rx) = mpsc::channel();
+            let caller = std::thread::spawn(move || {
+                let run =
+                    catch_unwind(AssertUnwindSafe(|| run_fleet(&engine, Some(&other), &spec)));
+                let _ = tx.send(run.map(|_| ()));
+            });
+            let payload = rx
+                .recv_timeout(Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("run_fleet hung at {workers} workers"))
+                .expect_err("a validation mismatch must panic");
+            caller.join().expect("the caller thread caught the panic");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("the granule's own assert payload")
+                .clone();
+            assert!(msg.contains("fleet answer mismatch (client "), "{msg}");
+            messages.push(msg);
+        }
+        assert_eq!(
+            messages[0], messages[1],
+            "the surfaced panic is worker-count-independent"
+        );
+    }
+
+    #[test]
+    fn zero_client_fleet_is_empty() {
+        let ds = Arc::new(uniform_dataset_n(200));
+        let engine = Arc::new(Engine::build(Scheme::Hci, &ds, 64));
+        let (stats, outcomes) = run_fleet(&engine, Some(&ds), &small_spec(0));
+        assert!(outcomes.is_empty());
+        assert_eq!(
+            outcomes,
+            run_fleet_oracle(&engine, Some(&ds), &small_spec(0))
+        );
+        assert_eq!((stats.clients, stats.drives, stats.granules), (0, 0, 0));
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! ...}` and `std::thread::{spawn, Builder, JoinHandle,
 //! available_parallelism, sleep}` tokens (including inside grouped
 //! imports) in the files ported to the `interleave` shims —
-//! `vendor/steal` and `dsi_core::share`. `Arc` and the non-scheduling
+//! `dsi_core::share` and `dsi_sim::fleet`. `Arc` and the non-scheduling
 //! helpers (`PoisonError`, `std::thread::panicking`, ...) are exempt.
 //! **Why:** one raw `std` primitive in shimmed code is invisible to the
 //! `dsi-model` scheduler, so every exploration result silently stops
@@ -67,8 +67,7 @@
 //! # Scope
 //!
 //! `lint_workspace` walks `crates/*/src`, the umbrella `src/`, **and**
-//! `vendor/*/src` — the vendored crates are first-party code here (the
-//! fleet engine's thread pool lives in `vendor/steal`, in `sync` scope).
+//! `vendor/*/src` — the vendored crates are first-party code here.
 //! The `rng`/`hash` rules stay scoped to the library crates:
 //! `vendor/rand` constructs RNGs by definition, and no vendor crate sits
 //! on a golden-affecting path.
@@ -137,7 +136,7 @@ const RNG_TOKENS: &[&str] = &[
 /// Files ported to the `interleave` shims: raw `std` synchronization
 /// there escapes the model scheduler (`sync` rule scope). Entries are
 /// prefixes, matched against workspace-relative paths.
-const SYNC_SHIM_SCOPE: &[&str] = &["vendor/steal/src/", "crates/core/src/share.rs"];
+const SYNC_SHIM_SCOPE: &[&str] = &["crates/core/src/share.rs", "crates/sim/src/fleet.rs"];
 
 /// `std::sync` items banned in shim scope (the scheduling-relevant
 /// primitives the shims replace). Everything else — `Arc`, the poison
@@ -628,7 +627,7 @@ mod tests {
 
     #[test]
     fn raw_sync_in_shim_scope_is_flagged() {
-        let f = lint_source("vendor/steal/src/lib.rs", "use std::sync::Mutex;\n");
+        let f = lint_source("crates/core/src/share.rs", "use std::sync::Mutex;\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "sync");
         // Grouped imports are seen through.
@@ -636,26 +635,29 @@ mod tests {
         assert_eq!(lint_source("crates/core/src/share.rs", grouped).len(), 1);
         // Inline paths too, and std::thread spawns.
         let inline = "let m = std::sync::atomic::AtomicUsize::new(0);\n";
-        assert_eq!(lint_source("vendor/steal/src/lib.rs", inline).len(), 1);
-        let f = lint_source("vendor/steal/src/lib.rs", "std::thread::spawn(f);\n");
+        assert_eq!(lint_source("crates/core/src/share.rs", inline).len(), 1);
+        let f = lint_source("crates/core/src/share.rs", "std::thread::spawn(f);\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "sync");
+        // The fleet dispatch is in scope too.
+        let workers = "let w = std::thread::available_parallelism();\n";
+        assert_eq!(lint_source("crates/sim/src/fleet.rs", workers).len(), 1);
     }
 
     #[test]
     fn sync_rule_exempts_arc_and_out_of_scope_files() {
-        assert!(lint_source("vendor/steal/src/lib.rs", "use std::sync::Arc;\n").is_empty());
+        assert!(lint_source("crates/core/src/share.rs", "use std::sync::Arc;\n").is_empty());
         assert!(lint_source(
-            "vendor/steal/src/lib.rs",
+            "crates/core/src/share.rs",
             "use std::sync::{Arc, PoisonError};\nif std::thread::panicking() {}\n"
         )
         .is_empty());
         // Outside shim scope, raw std primitives are fine.
-        assert!(lint_source("crates/sim/src/fleet.rs", "use std::sync::Mutex;\n").is_empty());
+        assert!(lint_source("crates/sim/src/runner.rs", "use std::sync::Mutex;\n").is_empty());
         // And an audited allow silences it in scope.
         let allowed = "// dsi-lint: allow(sync): teardown-only, never explored\n\
                        use std::sync::Mutex;\n";
-        assert!(lint_source("vendor/steal/src/lib.rs", allowed).is_empty());
+        assert!(lint_source("crates/core/src/share.rs", allowed).is_empty());
     }
 
     #[test]
