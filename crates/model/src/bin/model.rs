@@ -18,29 +18,20 @@ fn main() {
 fn main() {
     let mut failed = false;
     for s in dsi_model::scenarios::run_all() {
-        let verdict = if s.check.is_clean() && s.distinct_outcomes == 1 {
+        let verdict = if s.is_clean() {
             "OK"
         } else {
             failed = true;
             "FAIL"
         };
         println!(
-            "scenario {:<24} bound={} schedules={:<6} races={} cycles={} outcomes={} {}",
-            s.name,
-            s.bound,
-            s.check.executions(),
-            s.check.races.len(),
-            s.check.cycles.len(),
-            s.distinct_outcomes,
-            verdict
+            "scenario {:<24} bound={} schedules={:<6} outcomes={} {}",
+            s.name, s.bound, s.report.executions, s.distinct_outcomes, verdict
         );
-        if let Some(v) = &s.check.report.violation {
+        if let Some(v) = &s.report.violation {
             println!("  violation: {v}");
-            if let Some(kind) = &s.check.deadlock_kind {
-                println!("  diagnosis: {kind:?}");
-            }
-            if let Some(cx) = &s.check.report.counterexample {
-                println!("  counterexample schedule: {:?}", cx.schedule);
+            if let Some(schedule) = &s.report.counterexample {
+                println!("  counterexample schedule: {schedule:?}");
             }
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! Each scenario wraps the fleet's dispatch (`dsi_sim::fleet::run_fleet`
 //! itself, not a copy) or one `dsi_core::share` pattern in
-//! [`crate::check::check`], explores every schedule within the given
+//! [`interleave::explore`], explores every schedule within the given
 //! preemption bound, and asserts the *same outcome facts* hold in every
 //! one of them — outcomes equal to the sequential oracle, the surfaced
 //! granule panic, cache bit-identity. The facts are exactly the
@@ -24,29 +24,33 @@ use dsi_geom::{GridMapper, Point, Rect};
 use dsi_hilbert::{ranges_in_rect, HilbertCurve};
 use dsi_sim::fleet::{run_fleet, run_fleet_oracle, FleetSpec};
 use dsi_sim::{uniform_dataset_n, Engine, Scheme, EVAL_ORDER};
-use interleave::Options;
+use interleave::{explore, Report};
 
-use crate::check::{check, CheckReport};
-
-/// The outcome of one scenario run: the check verdict plus the set of
-/// distinct outcome facts observed across all schedules (a singleton
-/// set is the determinism proof).
+/// The outcome of one scenario run: the explorer's verdict plus the
+/// set of distinct outcome facts observed across all schedules (a
+/// singleton set is the determinism proof).
 pub struct ScenarioReport {
     /// Scenario name, stable for CI log grepping.
     pub name: &'static str,
     /// Preemption bound the exploration ran under.
     pub bound: usize,
-    /// The combined explorer + analyzer verdict.
-    pub check: CheckReport,
+    /// The explorer's verdict: schedule count, completeness, the first
+    /// violation and its counterexample schedule.
+    pub report: Report,
     /// Distinct outcome facts across schedules (should be 1).
     pub distinct_outcomes: usize,
 }
 
 impl ScenarioReport {
-    /// Panics unless the exploration was exhaustive, violation-free,
-    /// race-free, cycle-free and outcome-deterministic.
+    /// `true` when exploration exhausted the bounded state space with
+    /// no violation and one outcome.
+    pub fn is_clean(&self) -> bool {
+        self.report.complete && self.report.violation.is_none() && self.distinct_outcomes == 1
+    }
+
+    /// Panics with a readable diagnosis unless [`ScenarioReport::is_clean`].
     pub fn assert_clean(&self) {
-        self.check.assert_clean();
+        self.report.assert_ok();
         assert_eq!(
             self.distinct_outcomes, 1,
             "{}: outcomes differ across schedules",
@@ -55,17 +59,19 @@ impl ScenarioReport {
     }
 }
 
-fn report(
-    name: &'static str,
-    bound: usize,
-    check: CheckReport,
-    outcomes: BTreeSet<String>,
-) -> ScenarioReport {
+/// Explores `f` under `bound`, collecting the outcome fact it returns
+/// in every schedule.
+fn scenario(name: &'static str, bound: usize, f: impl Fn() -> String) -> ScenarioReport {
+    let outcomes = RefCell::new(BTreeSet::new());
+    let report = explore(bound, || {
+        let fact = f();
+        outcomes.borrow_mut().insert(fact);
+    });
     ScenarioReport {
         name,
         bound,
-        check,
-        distinct_outcomes: outcomes.len(),
+        report,
+        distinct_outcomes: outcomes.into_inner().len(),
     }
 }
 
@@ -95,17 +101,12 @@ fn knn_fleet() -> (Arc<Engine>, Arc<SpatialDataset>, FleetSpec) {
 pub fn fleet_knn_dispatch(bound: usize) -> ScenarioReport {
     let (engine, ds, spec) = knn_fleet();
     let oracle = run_fleet_oracle(&engine, Some(&ds), &spec);
-    let outcomes: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
-    let check = check(&Options::with_bound(bound), || {
+    scenario("fleet_knn_dispatch", bound, || {
         let (stats, got) = run_fleet(&engine, Some(&ds), &spec);
         assert!(stats.granules >= 3, "only {} granules", stats.granules);
         assert!(got == oracle, "fleet outcomes differ from the oracle");
-        outcomes.borrow_mut().insert(format!(
-            "granules={} drives={}",
-            stats.granules, stats.drives
-        ));
-    });
-    report("fleet_knn_dispatch", bound, check, outcomes.into_inner())
+        format!("granules={} drives={}", stats.granules, stats.drives)
+    })
 }
 
 /// A validation mismatch inside a granule: the fleet is validated
@@ -116,36 +117,31 @@ pub fn fleet_knn_dispatch(bound: usize) -> ScenarioReport {
 pub fn fleet_granule_panic(bound: usize) -> ScenarioReport {
     let (engine, _, spec) = knn_fleet();
     let other = Arc::new(SpatialDataset::build(&uniform(200, 7), EVAL_ORDER));
-    let outcomes: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
-    let check = check(&Options::with_bound(bound), || {
+    scenario("fleet_granule_panic", bound, || {
         let run = catch_unwind(AssertUnwindSafe(|| run_fleet(&engine, Some(&other), &spec)));
         let payload = run.expect_err("a validation mismatch must panic");
         let msg = payload
             .downcast_ref::<String>()
             .expect("the granule's own assert payload");
         assert!(msg.contains("fleet answer mismatch (client "), "{msg}");
-        outcomes.borrow_mut().insert(msg.clone());
-    });
-    report("fleet_granule_panic", bound, check, outcomes.into_inner())
+        msg.clone()
+    })
 }
 
 /// Concurrent share-cache insert/hit: two threads resolving the same
 /// window rectangle must observe bit-identical segments (equal to the
 /// direct computation) and coherent hit/miss counters in every
-/// schedule, with no lockset race anywhere in the cache.
+/// schedule.
 pub fn share_cache_insert_hit(bound: usize) -> ScenarioReport {
     let curve = HilbertCurve::new(3);
     let mapper = GridMapper::new(Point { x: 0.0, y: 0.0 }, 1.0, 3);
     let rect = Rect::new(0.2, 0.2, 0.7, 0.6);
     let expected = Arc::new(ranges_in_rect(&curve, &mapper, &rect));
-    let outcomes: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
-    let check = check(&Options::with_bound(bound), || {
+    scenario("share_cache_insert_hit", bound, || {
         let cache = Arc::new(ShareCache::new());
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let cache = Arc::clone(&cache);
-                let curve = curve.clone();
-                let rect = rect;
                 interleave::thread::spawn(move || cache.window_segments(&curve, &mapper, &rect))
             })
             .collect();
@@ -159,16 +155,8 @@ pub fn share_cache_insert_hit(bound: usize) -> ScenarioReport {
         let (hits, misses) = (cache.window_hits(), cache.window_misses());
         assert_eq!(hits + misses, 2, "each lookup is a hit or a miss");
         assert!(misses >= 1, "someone computed the entry");
-        outcomes
-            .borrow_mut()
-            .insert("segments=bit-identical".to_string());
-    });
-    report(
-        "share_cache_insert_hit",
-        bound,
-        check,
-        outcomes.into_inner(),
-    )
+        "segments=bit-identical".to_string()
+    })
 }
 
 /// Every scenario with the preemption bound its CI run uses.

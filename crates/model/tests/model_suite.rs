@@ -1,21 +1,22 @@
 //! The model-check suite: exhaustive exploration of the fleet
 //! concurrency layer (the `run_fleet` granule dispatch and the share
-//! cache) plus anti-vacuity checks — seeded mutations of classic
-//! queue, parking and locking patterns that the checker must catch,
-//! proving the clean verdicts on the real code mean something.
+//! cache) plus anti-vacuity checks — mutated copies of that dispatch
+//! that the checker must catch, proving the clean verdicts on the real
+//! code mean something.
 //!
 //! Build and run with `RUSTFLAGS="--cfg dsi_model" cargo test -p
 //! dsi-model`; under the normal cfg this file compiles to nothing.
 #![cfg(dsi_model)]
 
-use std::collections::VecDeque;
+use std::any::Any;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use dsi_model::check::check;
 use dsi_model::scenarios;
-use dsi_model::wakeup::DeadlockKind;
-use interleave::sync::{Condvar, Mutex};
-use interleave::{Options, SharedCell, Violation};
+use interleave::sync::atomic::{AtomicUsize, Ordering};
+use interleave::{explore, thread, Report, Violation};
 
 // ---------------------------------------------------------------------
 // The real code: every core scenario must be exhaustively clean.
@@ -37,203 +38,137 @@ fn share_cache_insert_hit_is_clean() {
 }
 
 // ---------------------------------------------------------------------
-// Anti-vacuity: mutated copies of synchronization patterns, most of them
-// from the work-stealing pool the fleet ran on before its cursor
-// dispatch. Each mutation removes one ingredient the correct pattern
-// relies on; the checker must catch every one, or a clean verdict
-// proves nothing.
+// Anti-vacuity: a copy of `run_fleet`'s dispatch (`run_worker`'s claim
+// loop and the merge that picks the panic to re-raise) with one line
+// seeded wrong. Each test runs the faithful copy first, which must be
+// clean, then the mutation, which the checker must catch.
 // ---------------------------------------------------------------------
 
-/// A minimal single-worker condvar queue, with one seeded mutation:
-/// `push` forgets to signal the condvar. The consumer parks forever in
-/// schedules where it checks before the push — the explorer must find
-/// that deadlock.
-#[test]
-fn mutation_missing_notify_is_caught_as_deadlock() {
-    let report = check(&Options::with_bound(2), || {
-        let queue: Arc<Mutex<VecDeque<u32>>> = Arc::new(Mutex::new(VecDeque::new()));
-        let ready = Arc::new(Condvar::new());
-        let consumer = {
-            let queue = Arc::clone(&queue);
-            let ready = Arc::clone(&ready);
-            interleave::thread::spawn(move || {
-                let mut q = queue.lock().unwrap();
-                while q.is_empty() {
-                    q = ready.wait(q).unwrap();
-                }
-                q.pop_front().expect("non-empty after wait")
-            })
-        };
-        queue.lock().unwrap().push_back(7);
-        // MUTATION: the correct queue notifies here.
-        // ready.notify_all();
-        let _ = consumer.join();
-    });
-    assert!(
-        matches!(report.report.violation, Some(Violation::Deadlock { .. })),
-        "missing notify went unnoticed: {:?}",
-        report.report.violation
-    );
+#[derive(Clone, Copy, PartialEq)]
+enum Mutation {
+    None,
+    /// The claim reads the cursor, then advances it: two steps, so two
+    /// workers can claim the same granule and one is skipped.
+    TwoStepClaim,
+    /// The merge re-raises the first failure in join order instead of
+    /// the lowest failing granule's.
+    JoinOrderReraise,
 }
 
-/// Check-then-park with the flag read *outside* the lock (the lost
-/// wakeup a pinned-epoch re-scan prevents): the explorer must find the
-/// hang and the wakeup analyzer must classify it as a lost wakeup, not a
-/// plain deadlock.
-#[test]
-fn mutation_check_then_park_is_caught_as_lost_wakeup() {
-    let report = check(&Options::with_bound(2), || {
-        let flag = Arc::new(Mutex::new(false));
-        let ready = Arc::new(Condvar::new());
-        let waiter = {
-            let flag = Arc::clone(&flag);
-            let ready = Arc::clone(&ready);
-            interleave::thread::spawn(move || {
-                // MUTATION: the correct worker pins the epoch under the
-                // lock and re-scans before sleeping; this copy checks a
-                // stale snapshot and parks unconditionally.
-                let set_now = *flag.lock().unwrap();
-                if !set_now {
-                    let guard = flag.lock().unwrap();
-                    let _guard = ready.wait(guard).unwrap();
-                }
-            })
+type GranulePanic = (usize, Box<dyn Any + Send>);
+
+/// `run_worker`: claims granules from the cursor until none is left. A
+/// granule in `fail` panics with its own payload and ends the worker.
+fn run_worker(
+    next: &AtomicUsize,
+    granules: usize,
+    fail: &[usize],
+    m: Mutation,
+) -> Result<Vec<usize>, GranulePanic> {
+    let mut ran = Vec::new();
+    loop {
+        let g = if m == Mutation::TwoStepClaim {
+            let g = next.load(Ordering::Relaxed);
+            next.fetch_add(1, Ordering::Relaxed);
+            g
+        } else {
+            next.fetch_add(1, Ordering::Relaxed)
         };
-        {
-            let mut f = flag.lock().unwrap();
-            *f = true;
-            ready.notify_all();
+        if g >= granules {
+            return Ok(ran);
         }
-        let _ = waiter.join();
-    });
-    assert!(
-        matches!(report.report.violation, Some(Violation::Deadlock { .. })),
-        "lost wakeup went unnoticed: {:?}",
-        report.report.violation
-    );
-    assert!(
-        matches!(report.deadlock_kind, Some(DeadlockKind::LostWakeup { .. })),
-        "hang not classified as a lost wakeup: {:?}",
-        report.deadlock_kind
-    );
-}
-
-/// Dropped lock acquisition: a shared counter updated without its
-/// mutex. No schedule panics or hangs — only the lockset analyzer can
-/// see this one, and it must.
-#[test]
-fn mutation_dropped_lock_is_caught_by_lockset() {
-    let report = check(&Options::with_bound(2), || {
-        let cell = Arc::new(SharedCell::new(0u32));
-        let guard: Arc<Mutex<()>> = Arc::new(Mutex::new(()));
-        let t = {
-            let cell = Arc::clone(&cell);
-            let guard = Arc::clone(&guard);
-            interleave::thread::spawn(move || {
-                let _g = guard.lock().unwrap();
-                cell.set(cell.get() + 1);
-            })
-        };
-        // MUTATION: the real pattern takes `guard` here too.
-        cell.set(cell.get() + 1);
-        let _ = t.join();
-    });
-    assert!(
-        !report.races.is_empty(),
-        "unprotected shared write went unnoticed"
-    );
-}
-
-/// Opposite-order nested acquisitions: the lock-order analyzer must
-/// report the cycle, and the explorer must find a schedule that
-/// actually hangs.
-#[test]
-fn mutation_opposite_lock_order_is_caught() {
-    let report = check(&Options::with_bound(2), || {
-        let a: Arc<Mutex<()>> = Arc::new(Mutex::new(()));
-        let b: Arc<Mutex<()>> = Arc::new(Mutex::new(()));
-        let t = {
-            let a = Arc::clone(&a);
-            let b = Arc::clone(&b);
-            interleave::thread::spawn(move || {
-                let _ga = a.lock().unwrap();
-                let _gb = b.lock().unwrap();
-            })
-        };
-        // MUTATION: the real discipline is the declared a < b order.
-        let _gb = b.lock().unwrap();
-        let _ga = a.lock().unwrap();
-        drop(_ga);
-        drop(_gb);
-        let _ = t.join();
-    });
-    assert!(
-        matches!(report.report.violation, Some(Violation::Deadlock { .. })),
-        "opposite-order deadlock went unnoticed: {:?}",
-        report.report.violation
-    );
-    assert!(!report.cycles.is_empty(), "lock-order cycle went unnoticed");
-}
-
-/// The shutdown bug the model checker once found in the fleet's former
-/// work-stealing pool (live check between the empty re-scan and the
-/// park, outside the epoch lock), kept alive here as a mutated
-/// mini-worker: the explorer must keep catching the lost-job schedule
-/// that motivated the fix.
-#[test]
-fn mutation_stale_live_check_loses_jobs() {
-    let report = check(&Options::with_bound(2), || {
-        let queue: Arc<Mutex<VecDeque<u32>>> = Arc::new(Mutex::new(VecDeque::new()));
-        let epoch: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-        let available = Arc::new(Condvar::new());
-        let live = Arc::new(Mutex::new(true));
-        let drained = Arc::new(SharedCell::new(0u32));
-        let worker = {
-            let queue = Arc::clone(&queue);
-            let epoch = Arc::clone(&epoch);
-            let available = Arc::clone(&available);
-            let live = Arc::clone(&live);
-            let drained = Arc::clone(&drained);
-            interleave::thread::spawn(move || loop {
-                if queue.lock().unwrap().pop_front().is_some() {
-                    drained.set(drained.get() + 1);
-                    continue;
-                }
-                let seen = *epoch.lock().unwrap();
-                if queue.lock().unwrap().pop_front().is_some() {
-                    drained.set(drained.get() + 1);
-                    continue;
-                }
-                // MUTATION: the fixed worker re-checks the epoch under
-                // its lock before honouring `!live`; this copy returns
-                // on a stale scan, losing jobs pushed in the window.
-                if !*live.lock().unwrap() {
-                    return;
-                }
-                let mut e = epoch.lock().unwrap();
-                while *e == seen && *live.lock().unwrap() {
-                    e = available.wait(e).unwrap();
-                }
-            })
-        };
-        queue.lock().unwrap().push_back(1);
-        {
-            let mut e = epoch.lock().unwrap();
-            *e += 1;
-            available.notify_all();
+        let granule = || assert!(!fail.contains(&g), "granule {g} failed");
+        match catch_unwind(AssertUnwindSafe(granule)) {
+            Ok(()) => ran.push(g),
+            Err(payload) => return Err((g, payload)),
         }
-        *live.lock().unwrap() = false;
-        {
-            let mut e = epoch.lock().unwrap();
-            *e += 1;
-            available.notify_all();
+    }
+}
+
+/// `run_fleet`'s dispatch on two workers: spawn, join every worker,
+/// then re-raise the kept failure. Returns the granules that ran.
+fn dispatch(granules: usize, fail: &'static [usize], m: Mutation) -> Vec<usize> {
+    let next = Arc::new(AtomicUsize::new(0));
+    let handles: Vec<_> = (0..2.min(granules))
+        .map(|_| {
+            let next = Arc::clone(&next);
+            thread::spawn(move || run_worker(&next, granules, fail, m))
+        })
+        .collect();
+    let mut ran = Vec::new();
+    let mut failed: Option<GranulePanic> = None;
+    for handle in handles {
+        match handle.join().unwrap_or_else(|p| Err((usize::MAX, p))) {
+            Ok(outs) => ran.extend(outs),
+            Err((g, payload)) => {
+                let keep = if m == Mutation::JoinOrderReraise {
+                    failed.is_none()
+                } else {
+                    failed.as_ref().is_none_or(|(first, _)| g < *first)
+                };
+                if keep {
+                    failed = Some((g, payload));
+                }
+            }
         }
-        let _ = worker.join();
-        assert_eq!(drained.get(), 1, "job lost in the shutdown race");
-    });
+    }
+    if let Some((_, payload)) = failed {
+        resume_unwind(payload);
+    }
+    ran
+}
+
+/// Every granule of three runs exactly once, in every schedule.
+fn explore_claims(m: Mutation) -> Report {
+    explore(3, || {
+        let mut ran = dispatch(3, &[], m);
+        ran.sort_unstable();
+        assert_eq!(ran, [0, 1, 2], "a granule ran twice or never");
+    })
+}
+
+#[test]
+fn mutation_two_step_claim_is_caught() {
+    explore_claims(Mutation::None).assert_ok();
+    let report = explore_claims(Mutation::TwoStepClaim);
+    match report.violation {
+        Some(Violation::UserPanic { ref message, .. }) => {
+            assert!(message.contains("ran twice or never"), "got: {message}")
+        }
+        ref v => panic!("two-step claim went unnoticed: {v:?}"),
+    }
     assert!(
-        matches!(report.report.violation, Some(Violation::UserPanic { .. })),
-        "stale live check went unnoticed: {:?}",
-        report.report.violation
+        report.counterexample.is_some_and(|s| !s.is_empty()),
+        "a violation comes with its schedule"
+    );
+}
+
+/// The payloads `dispatch` re-raises across every schedule when
+/// granules 0 and 2 of three fail.
+fn reraised_payloads(m: Mutation) -> BTreeSet<String> {
+    let payloads = RefCell::new(BTreeSet::new());
+    explore(3, || {
+        let run = catch_unwind(AssertUnwindSafe(|| dispatch(3, &[0, 2], m)));
+        let payload = run.expect_err("two granules fail");
+        let msg = payload.downcast_ref::<String>().expect("a granule payload");
+        payloads.borrow_mut().insert(msg.clone());
+    })
+    .assert_ok();
+    payloads.into_inner()
+}
+
+#[test]
+fn mutation_join_order_reraise_is_caught() {
+    assert_eq!(
+        reraised_payloads(Mutation::None),
+        BTreeSet::from(["granule 0 failed".to_string()])
+    );
+    assert_eq!(
+        reraised_payloads(Mutation::JoinOrderReraise),
+        BTreeSet::from([
+            "granule 0 failed".to_string(),
+            "granule 2 failed".to_string()
+        ]),
+        "which payload surfaces must depend on the schedule"
     );
 }

@@ -59,9 +59,10 @@
 //! locks are tracked per block: only `let`-bound guards count (a
 //! right-hand side starting with `*` copies through a temporary guard),
 //! `drop(guard)` releases, and so does the end of the guard's block.
-//! **Why:** a total acquisition order is the cheap static complement to
-//! the model checker's cycle detection — it catches inversions in paths
-//! no scenario drives. **How to silence:** extend the directive, or
+//! **Why:** a total acquisition order rules out lock-order deadlocks
+//! statically, including in paths no model scenario drives (the
+//! explorer only finds a deadlock in a schedule it runs). **How to
+//! silence:** extend the directive, or
 //! `// dsi-lint: allow(lockorder): <why this acquisition cannot nest>`.
 //!
 //! # Scope
