@@ -9,7 +9,7 @@
 
 use std::process::ExitCode;
 
-use dsi_broadcast::{ChannelConfig, LossModel, Query};
+use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel, Query};
 use dsi_core::KnnStrategy;
 use dsi_datagen::{knn_points, window_queries, SpatialDataset};
 use dsi_sim::{env_knob, Engine, Scheme};
@@ -107,7 +107,13 @@ fn main() -> ExitCode {
             let mut max_tun = 0u64;
             for (qi, q) in queries.iter().enumerate() {
                 for s in 0..8u64 {
-                    let out = engine.drive(s * cycle / 8, LossModel::None, qi as u64, q);
+                    let out = engine.drive_antennas(
+                        s * cycle / 8,
+                        LossModel::None,
+                        qi as u64,
+                        AntennaConfig::single(),
+                        q,
+                    );
                     max_lat = max_lat.max(out.stats.latency_packets);
                     max_tun = max_tun.max(out.stats.tuning_packets);
                 }

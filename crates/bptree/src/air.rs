@@ -64,27 +64,12 @@ pub struct BpAir {
 impl BpAir {
     /// Builds the single-channel HCI broadcast for a dataset.
     pub fn build(dataset: &SpatialDataset, config: BpAirConfig) -> Self {
-        Self::build_channels(dataset, config, ChannelConfig::single())
+        Self::try_build_channels(dataset, config, ChannelConfig::single())
+            .expect("one channel schedules any cycle")
     }
 
     /// Builds the HCI broadcast scheduled over the channels of `channels`.
-    ///
-    /// Panics when the channel configuration cannot schedule this cycle;
-    /// [`BpAir::try_build_channels`] reports the defect as a
-    /// [`LayoutError`] instead.
-    pub fn build_channels(
-        dataset: &SpatialDataset,
-        config: BpAirConfig,
-        channels: ChannelConfig,
-    ) -> Self {
-        match Self::try_build_channels(dataset, config, channels) {
-            Ok(air) => air,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`BpAir::build_channels`]: structural channel-layout
-    /// defects come back as a [`LayoutError`] instead of a panic.
+    /// Structural channel-layout defects come back as a [`LayoutError`].
     pub fn try_build_channels(
         dataset: &SpatialDataset,
         config: BpAirConfig,

@@ -37,7 +37,8 @@ mod tests {
             ChannelConfig::striped_frames(4, 1),
             ChannelConfig::index_data(2, 1, 2),
         ] {
-            let air = BpAir::build_channels(&ds, BpAirConfig::new(64), chan.clone());
+            let air = BpAir::try_build_channels(&ds, BpAirConfig::new(64), chan.clone())
+                .expect("the layout builds");
             let model = air.static_model();
             let report = dsi_verify::verify(&model).unwrap_or_else(|v| panic!("{chan:?}: {v:?}"));
             assert_eq!(report.n_data_units, 220);

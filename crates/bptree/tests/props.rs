@@ -65,7 +65,7 @@ fn explicit_placement_preserves_answers() {
     const C: u32 = 3;
     assert!(units >= C as usize);
     let assignment: Vec<u32> = (0..units).map(|u| (C - 1) - (u as u32 % C)).collect();
-    let air = BpAir::build_channels(
+    let air = BpAir::try_build_channels(
         &ds,
         BpAirConfig::new(64),
         ChannelConfig {
@@ -73,7 +73,8 @@ fn explicit_placement_preserves_answers() {
             placement: Placement::Explicit(assignment),
             switch_cost: 3,
         },
-    );
+    )
+    .expect("the layout builds");
     let w = Rect::new(0.15, 0.2, 0.6, 0.7);
     let q = Point::new(0.4, 0.5);
     for antennas in [1u32, 2, 3] {

@@ -542,11 +542,6 @@ impl ChannelStats {
     pub fn tuning_bytes(&self, c: usize) -> u64 {
         self.tuning_packets.get(c).copied().unwrap_or(0) * self.capacity as u64
     }
-
-    /// Total tuning across channels, in bytes.
-    pub fn total_tuning_bytes(&self) -> u64 {
-        self.tuning_packets.iter().sum::<u64>() * self.capacity as u64
-    }
 }
 
 #[cfg(test)]

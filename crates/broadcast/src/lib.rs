@@ -1,6 +1,6 @@
 //! Wireless data broadcast channel simulator.
 //!
-//! The paper's evaluation runs on "a simulation model [that] consists of a
+//! The paper's evaluation runs on "a simulation model \[that\] consists of a
 //! base station, an arbitrary number of clients, and a broadcast channel"
 //! (§4). This crate is that substrate, independent of any particular air
 //! index:
@@ -30,19 +30,21 @@
 //!   with a configurable per-switch latency cost and per-channel metrics
 //!   ([`ChannelStats`]). `C = 1` is bit-identical to the classic
 //!   single-channel broadcast.
-//! * [`AirScheme`] / [`DynScheme`] / [`drive`] — the unified scheme
-//!   layer: every air index exposes its program and window/kNN search
-//!   algorithms through one trait, and one driver owns the
-//!   tune-in/loss/stats loop for all of them.
+//! * [`AirScheme`] / [`DynScheme`] / [`drive_antennas`] — the unified
+//!   scheme layer: every air index exposes its program and window/kNN
+//!   search algorithms through one trait, and one driver owns the
+//!   tune-in/loss/stats loop for all of them ([`drive_traced`] is the
+//!   same loop with the tuner's read journal on).
 //! * [`segmented`] — the segmented tree broadcast both tree baselines
 //!   share: the distributed indexing layout (replicated root paths,
 //!   depth-first subtrees, objects), node-copy arrivals, and the pending
 //!   read queue of a tree client.
 //! * [`optimize`] — the workload-aware server-side placement optimizer:
-//!   profile a training workload over the flat schema
-//!   ([`drive_profiled`]), price unit→channel assignments query by query
-//!   from each training query's read runs, and search the contiguous arc
-//!   family for a [`Placement::Explicit`] layout that fits the workload.
+//!   profile a training workload over the flat schema from its read
+//!   journals ([`drive_traced`] on the single-channel build), price
+//!   unit→channel assignments query by query from each training query's
+//!   read runs, and search the contiguous arc family for a
+//!   [`Placement::Explicit`] layout that fits the workload.
 //!
 //! The simulator is deterministic under a fixed seed: every stochastic
 //! choice (loss draws) comes from the tuner's own RNG.
@@ -64,8 +66,6 @@ pub use loss::{
     FaultTrace, GilbertElliott, LossModel, LossScope, OutageSchedule, OutageWindow, TraceEntry,
 };
 pub use program::{PacketClass, Payload, Program};
-pub use scheme::{
-    drive, drive_antennas, drive_profiled, drive_traced, AirScheme, DynScheme, Query, QueryOutcome,
-};
+pub use scheme::{drive_antennas, drive_traced, AirScheme, DynScheme, Query, QueryOutcome};
 pub use stats::{DistSummary, Distribution, MeanStats, QueryStats};
 pub use tuner::{PacketLost, Tuner};

@@ -14,12 +14,13 @@
 //!
 //! This module is that server-side optimizer, in three parts:
 //!
-//! * [`AccessProfile`] — a training workload driven through
-//!   [`crate::drive_profiled`] (the tuner counts every read against its
-//!   flat position): expected reads per query of every flat position,
-//!   plus each query's read runs. A hotspot query concentrates thousands
-//!   of reads on one region of the schema, which mean weights alone
-//!   cannot express and which dominates real sweep latency.
+//! * [`AccessProfile`] — a training workload's read journals, recorded by
+//!   [`crate::drive_traced`] on the single-channel build (every read
+//!   counts against its flat position): expected reads per query of
+//!   every flat position, plus each query's read runs. A hotspot query
+//!   concentrates thousands of reads on one region of the schema, which
+//!   mean weights alone cannot express and which dominates real sweep
+//!   latency.
 //! * The sample scorer ([`predict_latency_packets`]) — the expected
 //!   per-query access latency of a placement, priced query by query. A
 //!   query's reads on channel `c` form `m` read runs; the arrival-order
@@ -45,6 +46,7 @@
 //! only latency and tuning move (the conformance suite pins this).
 
 use crate::channel::{AntennaConfig, ChannelConfig, Placement};
+use crate::loss::FaultTrace;
 
 /// A training workload as the optimizer consumes it: expected reads per
 /// query of each flat schema position, and every query's read runs.
@@ -62,30 +64,45 @@ pub struct AccessProfile {
 }
 
 impl AccessProfile {
-    /// Builds a profile from per-position read counts summed over a
-    /// training workload (see [`crate::drive_profiled`]) and one sample
-    /// per training query: the [`read_runs`] of that query's own counts.
+    /// Builds a profile from one read journal per training query, each
+    /// recorded by [`crate::drive_traced`] on the single-channel build of
+    /// a `cycle`-packet program. Every read, lost ones included, counts
+    /// against its flat position `instant % cycle`. The weights are the
+    /// summed counts over the number of journals; every journal that
+    /// holds a read adds its maximal read runs as one sample.
     ///
     /// # Panics
     ///
-    /// Panics if `counts` is empty, if no sample has a read run, or if a
-    /// run reaches past the last position.
-    pub fn new(counts: &[u64], samples: Vec<Vec<(u32, u32)>>) -> Self {
-        assert!(!counts.is_empty(), "profile needs at least one position");
-        let queries = samples.len() as f64;
-        for runs in &samples {
-            for &(start, len) in runs {
-                assert!(
-                    len > 0 && (start as usize + len as usize) <= counts.len(),
-                    "sample run ({start}, {len}) out of range"
+    /// Panics if `cycle` is zero, if an entry is on a channel other than
+    /// 0 (a multi-channel instant is not a flat position), or if no
+    /// journal holds a read.
+    pub fn from_journals(cycle: u64, journals: &[FaultTrace]) -> Self {
+        assert!(cycle > 0, "profile needs at least one position");
+        let mut counts = vec![0u64; cycle as usize];
+        let mut per_query = vec![0u64; cycle as usize];
+        let mut samples = Vec::new();
+        for journal in journals {
+            per_query.fill(0);
+            for e in journal.entries() {
+                assert_eq!(
+                    e.channel, 0,
+                    "profiles are read on the single-channel build"
                 );
+                per_query[(e.instant % cycle) as usize] += 1;
+            }
+            let runs = read_runs(&per_query);
+            if !runs.is_empty() {
+                samples.push(runs);
+            }
+            for (a, b) in counts.iter_mut().zip(&per_query) {
+                *a += b;
             }
         }
-        let samples: Vec<_> = samples.into_iter().filter(|r| !r.is_empty()).collect();
         assert!(
             !samples.is_empty(),
             "profile needs a query that read something"
         );
+        let queries = journals.len() as f64;
         Self {
             weights: counts.iter().map(|&c| c as f64 / queries).collect(),
             samples,
@@ -113,10 +130,9 @@ impl AccessProfile {
     }
 }
 
-/// Collapses one query's per-position read counts (a fresh buffer from
-/// one [`crate::drive_profiled`] call) into its maximal read runs
-/// `(flat_start, len)` — the sample format of [`AccessProfile::new`].
-pub fn read_runs(counts: &[u64]) -> Vec<(u32, u32)> {
+/// Collapses one query's per-position read counts into its maximal read
+/// runs `(flat_start, len)` — the sample format of [`AccessProfile`].
+fn read_runs(counts: &[u64]) -> Vec<(u32, u32)> {
     let mut runs: Vec<(u32, u32)> = Vec::new();
     for (f, &c) in counts.iter().enumerate() {
         if c == 0 {
@@ -707,6 +723,9 @@ fn flat_density_atoms(units: &[Atom], buckets: u32) -> Vec<Atom> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::{LossModel, TraceEntry};
+    use crate::program::{PacketClass, Payload, Program};
+    use crate::tuner::Tuner;
 
     fn schema(lens: &[u32]) -> UnitSchema {
         let mut starts = Vec::new();
@@ -717,21 +736,24 @@ mod tests {
         UnitSchema::from_unit_starts(&starts)
     }
 
+    /// A single-channel read journal of the flat positions `reads`.
+    fn journal(reads: &[usize]) -> FaultTrace {
+        FaultTrace::new(
+            reads
+                .iter()
+                .map(|&f| TraceEntry {
+                    channel: 0,
+                    instant: f as u64,
+                    lost: false,
+                })
+                .collect(),
+        )
+    }
+
     /// A profile of queries given as the flat positions each one reads.
     fn profile(n_packets: usize, queries: &[Vec<usize>]) -> AccessProfile {
-        let mut counts = vec![0u64; n_packets];
-        let mut samples = Vec::new();
-        for reads in queries {
-            let mut per_query = vec![0u64; n_packets];
-            for &f in reads {
-                per_query[f] += 1;
-            }
-            samples.push(read_runs(&per_query));
-            for (a, b) in counts.iter_mut().zip(&per_query) {
-                *a += b;
-            }
-        }
-        AccessProfile::new(&counts, samples)
+        let journals: Vec<FaultTrace> = queries.iter().map(|r| journal(r)).collect();
+        AccessProfile::from_journals(n_packets as u64, &journals)
     }
 
     fn predict(s: &UnitSchema, p: &AccessProfile, channels: u32, a: &[u32]) -> f64 {
@@ -754,6 +776,34 @@ mod tests {
         let p = profile(4, &[vec![0, 1, 1, 3], vec![]]);
         assert_eq!(p.weights(), &[0.5, 1.0, 0.0, 0.5]);
         assert_eq!(p.samples(), &[vec![(0, 2), (3, 1)]]);
+    }
+
+    #[test]
+    fn profile_counts_a_tuner_journal_per_flat_position() {
+        struct Pkt;
+        impl Payload for Pkt {
+            fn class(&self) -> PacketClass {
+                PacketClass::Index
+            }
+        }
+        let prog = Program::new(64, (0..8).map(|_| Pkt).collect());
+        let mut t = Tuner::tune_in(&prog, 2, LossModel::None, 1);
+        t.enable_fault_recording();
+        let _ = t.read(); // flat 2
+        let _ = t.read(); // flat 3
+        t.goto(2);
+        let _ = t.read(); // flat 2 again, one cycle later
+        let p = AccessProfile::from_journals(prog.len(), &[t.fault_trace()]);
+        assert_eq!(p.weights(), &[0.0, 0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!(p.samples(), &[vec![(2, 2)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "single-channel build")]
+    fn profile_rejects_a_multi_channel_journal() {
+        let mut j = journal(&[0, 1]).entries().to_vec();
+        j[1].channel = 1;
+        AccessProfile::from_journals(4, &[FaultTrace::new(j)]);
     }
 
     #[test]

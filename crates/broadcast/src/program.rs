@@ -212,12 +212,6 @@ impl<P> Program<P> {
         let delta = (cycle_pos + len - from_rel) % len;
         from + delta
     }
-
-    /// The earliest absolute instant strictly after `from` at `cycle_pos`.
-    #[inline]
-    pub fn next_occurrence_after(&self, from: u64, cycle_pos: u64) -> u64 {
-        self.next_occurrence(from + 1, cycle_pos)
-    }
 }
 
 impl<P: Payload> Program<P> {
@@ -353,8 +347,6 @@ mod tests {
         assert_eq!(p.next_occurrence(23, 7), 27);
         // Position behind: wait for next cycle.
         assert_eq!(p.next_occurrence(23, 1), 31);
-        // Strictly-after variant skips the current instant.
-        assert_eq!(p.next_occurrence_after(23, 3), 33);
     }
 
     #[test]

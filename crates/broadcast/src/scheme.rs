@@ -4,10 +4,13 @@
 //! B+-tree) is, from the harness's point of view, the same thing: a built
 //! broadcast [`Program`] plus on-air window and kNN search algorithms that
 //! drive a [`Tuner`]. [`AirScheme`] captures exactly that surface, and
-//! [`drive`] is the one query loop every experiment goes through — it owns
-//! tune-in, loss, and stats collection, so schemes never reimplement the
-//! Tuner/loss/stats plumbing and new scenarios (channel configurations,
-//! loss models, workloads) are wired once instead of per index.
+//! [`drive_antennas`] is the one query loop every experiment goes through
+//! — it owns tune-in, loss, and stats collection, so schemes never
+//! reimplement the Tuner/loss/stats plumbing and new scenarios (channel
+//! configurations, loss models, workloads) are wired once instead of per
+//! index. [`drive_traced`] is the same loop with the tuner's read journal
+//! switched on: the fault harness replays it, and the placement optimizer
+//! profiles a training workload from it.
 //!
 //! [`DynScheme`] erases the scheme's packet type so heterogeneous schemes
 //! can sit in one collection (`Box<dyn DynScheme>`): the experiment matrix
@@ -125,29 +128,14 @@ fn answer<S: AirScheme + ?Sized>(
     }
 }
 
-/// Runs one query to completion: tunes a client in at `start` under
-/// `loss` (seeded by `seed`), dispatches the query to the scheme's search
-/// algorithm, and collects both metric views. This is the only place the
-/// harness touches a [`Tuner`]. Single-antenna client; see
-/// [`drive_antennas`] for the multi-receiver model.
-///
-/// # Panics
-///
-/// Panics if a query coordinate is NaN or infinite (see [`Query`]).
-pub fn drive<S: AirScheme + ?Sized>(
-    scheme: &S,
-    start: u64,
-    loss: LossModel,
-    seed: u64,
-    query: &Query,
-) -> QueryOutcome {
-    drive_antennas(scheme, start, loss, seed, AntennaConfig::single(), query)
-}
-
-/// [`drive`] with an explicit receiver configuration: the client monitors
-/// up to `antennas.antennas` channels concurrently. Antennas change
-/// latency and tuning, never answers (the conformance suite pins this for
-/// every scheme × placement × channel-count × loss combination).
+/// Runs one query to completion: tunes a client with the receiver
+/// configuration `antennas` in at `start` under `loss` (seeded by
+/// `seed`), dispatches the query to the scheme's search algorithm, and
+/// collects both metric views. Together with [`drive_traced`] this is the
+/// only place the harness touches a [`Tuner`]. The client monitors up to
+/// `antennas.antennas` channels concurrently; antennas change latency and
+/// tuning, never answers (the conformance suite pins this for every
+/// scheme × placement × channel-count × loss combination).
 ///
 /// # Panics
 ///
@@ -169,49 +157,14 @@ pub fn drive_antennas<S: AirScheme + ?Sized>(
     }
 }
 
-/// [`drive_antennas`] with per-position access profiling: every read is
-/// additionally counted against its flat schema position in `counts`
-/// (length must equal the program's cycle length). Training a workload
-/// through this and feeding the counts to [`crate::optimize`] is how the
-/// server learns which parts of the schema a workload actually touches.
-///
-/// # Panics
-///
-/// Panics if `counts` does not have one entry per flat cycle position, or
-/// if a query coordinate is NaN or infinite (see [`Query`]).
-pub fn drive_profiled<S: AirScheme + ?Sized>(
-    scheme: &S,
-    start: u64,
-    loss: LossModel,
-    seed: u64,
-    antennas: AntennaConfig,
-    query: &Query,
-    counts: &mut [u64],
-) -> QueryOutcome {
-    assert_eq!(
-        counts.len() as u64,
-        scheme.program().len(),
-        "one counter per flat cycle position"
-    );
-    let mut tuner = Tuner::tune_in_with(scheme.program(), start, loss, seed, antennas);
-    tuner.enable_profiling();
-    let ids = answer(scheme, &mut tuner, query);
-    for (c, n) in counts.iter_mut().zip(tuner.access_counts()) {
-        *c += n;
-    }
-    QueryOutcome {
-        ids,
-        stats: tuner.stats(),
-        channels: tuner.channel_stats(),
-    }
-}
-
-/// [`drive_antennas`] with fault journaling: every read's loss outcome is
-/// recorded and returned as a [`FaultTrace`] alongside the outcome.
-/// Replaying the trace via [`LossModel::Trace`] (same scheme, same start,
-/// same antennas) reproduces the run's loss sequence exactly, with no RNG
-/// involved — the deterministic-reproduction entry point of the fault
-/// harness.
+/// [`drive_antennas`] with a read journal: every read's channel, instant
+/// and loss outcome is recorded and returned as a [`FaultTrace`]
+/// alongside the outcome. Replaying the trace via [`LossModel::Trace`]
+/// (same scheme, same start, same antennas) reproduces the run's loss
+/// sequence exactly, with no RNG involved — the deterministic-reproduction
+/// entry point of the fault harness. The same journal, recorded on a
+/// single-channel build, is a training query's access profile
+/// ([`crate::optimize::AccessProfile::from_journals`]).
 ///
 /// # Panics
 ///
@@ -241,11 +194,7 @@ pub fn drive_traced<S: AirScheme + ?Sized>(
 /// Packet-type-erased [`AirScheme`], so heterogeneous schemes fit one
 /// `Box<dyn DynScheme>`. Blanket-implemented for every `AirScheme`.
 pub trait DynScheme: Send + Sync {
-    /// Runs one query through [`drive`].
-    fn drive(&self, start: u64, loss: LossModel, seed: u64, query: &Query) -> QueryOutcome;
-
-    /// Runs one query through [`drive_antennas`] with an explicit
-    /// receiver configuration.
+    /// Runs one query through [`drive_antennas`].
     fn drive_antennas(
         &self,
         start: u64,
@@ -255,20 +204,8 @@ pub trait DynScheme: Send + Sync {
         query: &Query,
     ) -> QueryOutcome;
 
-    /// Runs one query through [`drive_profiled`], accumulating reads per
-    /// flat schema position into `counts`.
-    fn drive_profiled(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-        counts: &mut [u64],
-    ) -> QueryOutcome;
-
     /// Runs one query through [`drive_traced`], returning the recorded
-    /// fault journal alongside the outcome.
+    /// read journal alongside the outcome.
     fn drive_traced(
         &self,
         start: u64,
@@ -297,10 +234,6 @@ pub trait DynScheme: Send + Sync {
 }
 
 impl<S: AirScheme + Send + Sync> DynScheme for S {
-    fn drive(&self, start: u64, loss: LossModel, seed: u64, query: &Query) -> QueryOutcome {
-        drive(self, start, loss, seed, query)
-    }
-
     fn drive_antennas(
         &self,
         start: u64,
@@ -310,18 +243,6 @@ impl<S: AirScheme + Send + Sync> DynScheme for S {
         query: &Query,
     ) -> QueryOutcome {
         drive_antennas(self, start, loss, seed, antennas, query)
-    }
-
-    fn drive_profiled(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-        counts: &mut [u64],
-    ) -> QueryOutcome {
-        drive_profiled(self, start, loss, seed, antennas, query, counts)
     }
 
     fn drive_traced(

@@ -66,11 +66,6 @@ pub struct Tuner<'a, P> {
     /// single-channel tuner stays allocation-free and pays nothing per
     /// read.
     tuning_by_channel: Vec<u64>,
-    /// Per-flat-position read counters, empty unless
-    /// [`Tuner::enable_profiling`] was called. Feeds the workload-aware
-    /// placement optimizer ([`crate::optimize`]): the counts over a
-    /// training workload are its access-probability profile.
-    access_counts: Vec<u64>,
     /// Per-model fault state (the [`LossModel::None`]/[`LossModel::Iid`]
     /// arm is the frozen historical draw path; see the loss module docs).
     fault: FaultDriver,
@@ -88,8 +83,10 @@ pub struct Tuner<'a, P> {
     /// Retunes forced by loss (resilient planner deviated from the
     /// loss-blind pick).
     loss_retunes: u64,
-    /// Per-read fault journal, recorded when
-    /// [`Tuner::enable_fault_recording`] was called.
+    /// Per-read journal (channel, instant, loss outcome), recorded when
+    /// [`Tuner::enable_fault_recording`] was called: the fault harness
+    /// replays it and the placement optimizer profiles from it
+    /// ([`crate::optimize::AccessProfile::from_journals`]).
     record: Option<Vec<TraceEntry>>,
 }
 
@@ -213,7 +210,6 @@ impl<'a, P: Payload> Tuner<'a, P> {
             } else {
                 Vec::new()
             },
-            access_counts: Vec::new(),
             fault,
             loss_retune: antennas.loss_retune,
             lost_reads: 0,
@@ -225,8 +221,9 @@ impl<'a, P: Payload> Tuner<'a, P> {
         }
     }
 
-    /// Starts journaling every read's loss outcome; retrieve the script
-    /// with [`Tuner::fault_trace`] and replay it via [`LossModel::Trace`].
+    /// Starts journaling every read's channel, instant and loss outcome;
+    /// retrieve the script with [`Tuner::fault_trace`] and replay it via
+    /// [`LossModel::Trace`].
     pub fn enable_fault_recording(&mut self) {
         self.record = Some(Vec::new());
     }
@@ -235,19 +232,6 @@ impl<'a, P: Payload> Tuner<'a, P> {
     /// (empty if recording was never enabled).
     pub fn fault_trace(&self) -> FaultTrace {
         FaultTrace::new(self.record.clone().unwrap_or_default())
-    }
-
-    /// Starts counting reads per flat schema position (one counter per
-    /// packet of the cycle, retrievable via [`Tuner::access_counts`]).
-    /// Off by default so the hot read path pays nothing for it.
-    pub fn enable_profiling(&mut self) {
-        self.access_counts = vec![0; self.program.len() as usize];
-    }
-
-    /// Reads per flat schema position since [`Tuner::enable_profiling`];
-    /// empty if profiling was never enabled.
-    pub fn access_counts(&self) -> &[u64] {
-        &self.access_counts
     }
 
     /// The broadcast program being listened to.
@@ -543,10 +527,6 @@ impl<'a, P: Payload> Tuner<'a, P> {
     #[inline]
     pub fn read(&mut self) -> Result<&'a P, PacketLost> {
         let packet = self.program.packet_at(self.channel, self.pos);
-        if !self.access_counts.is_empty() {
-            let flat = self.program.flat_at(self.channel, self.pos) as usize;
-            self.access_counts[flat] += 1;
-        }
         let instant = self.pos;
         self.pos += 1;
         self.tuning += 1;
@@ -662,13 +642,6 @@ impl<'a, P: Payload> Tuner<'a, P> {
         self.pos = abs;
     }
 
-    /// Dozes (re-tuning if needed) to the next occurrence of flat cycle
-    /// position `cycle_pos` and reads the packet there.
-    pub fn read_at_cycle_pos(&mut self, cycle_pos: u64) -> Result<&'a P, PacketLost> {
-        self.goto(cycle_pos);
-        self.read()
-    }
-
     /// Metrics accrued since tune-in.
     pub fn stats(&self) -> QueryStats {
         QueryStats {
@@ -758,11 +731,12 @@ mod tests {
     }
 
     #[test]
-    fn read_at_cycle_pos_wraps() {
+    fn goto_wraps_to_the_next_cycle() {
         let prog = program();
         let mut t = Tuner::tune_in(&prog, 5, LossModel::None, 1);
         // Position 4 is behind → next cycle (abs 12).
-        assert_eq!(t.read_at_cycle_pos(4).unwrap(), &P::Idx(1));
+        assert_eq!(t.goto(4), 12);
+        assert_eq!(t.read().unwrap(), &P::Idx(1));
         assert_eq!(t.pos(), 13);
         assert_eq!(t.stats().latency_packets, 8);
     }
@@ -811,19 +785,6 @@ mod tests {
         assert_eq!(t.arrival(14), 6);
         assert_eq!(t.arrival(7), 7);
         assert_eq!(t.plan_earliest(&[14, 7], |_| 2), Some((0, 6)));
-    }
-
-    #[test]
-    fn profiling_counts_reads_per_flat_position() {
-        let prog = program();
-        let mut t = Tuner::tune_in(&prog, 2, LossModel::None, 1);
-        assert!(t.access_counts().is_empty(), "off by default");
-        t.enable_profiling();
-        let _ = t.read(); // flat 2
-        let _ = t.read(); // flat 3
-        t.goto(2);
-        let _ = t.read(); // flat 2 again
-        assert_eq!(t.access_counts(), &[0, 0, 2, 1, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! planning, monitored-set bounds, switch-cost accounting vs a
 //! step-by-step reference tuner), and the fault-trace text format.
 
-use dsi_broadcast::optimize::{predict_latency_packets, read_runs, AccessProfile, UnitSchema};
+use dsi_broadcast::optimize::{predict_latency_packets, AccessProfile, UnitSchema};
 use dsi_broadcast::{
-    drive, AirScheme, AntennaConfig, ChannelConfig, FaultTrace, GilbertElliott, LossModel,
-    OutageWindow, PacketClass, Payload, Placement, Program, Query, TraceEntry, Tuner,
+    drive_antennas, drive_traced, AirScheme, AntennaConfig, ChannelConfig, FaultTrace,
+    GilbertElliott, LossModel, OutageWindow, PacketClass, Payload, Placement, Program, Query,
+    TraceEntry, Tuner,
 };
 use dsi_geom::{Point, Rect};
 use proptest::prelude::*;
@@ -399,8 +400,8 @@ proptest! {
     ) {
         // Zero switch cost: the sample scorer's expected wait for reading
         // one unit from a uniform random tune-in, `l + (L_c − 1)/2`, is
-        // exact, so the mean measured `drive()` latency over one full
-        // channel period must equal the per-unit prediction.
+        // exact, so the mean measured `drive_antennas()` latency over one
+        // full channel period must equal the per-unit prediction.
         let n_units = unit_lens.len();
         prop_assume!(n_units >= channels as usize);
         let assignment: Vec<u32> = (0..n_units)
@@ -420,17 +421,17 @@ proptest! {
             placement: Placement::Explicit(assignment.clone()),
             switch_cost: 0,
         };
+        let single = Program::new(64, packets.clone());
         let prog = Program::with_channels(64, packets, cfg);
-        let schema = UnitSchema::from_unit_starts(
-            &(0..n_flat).map(|i| starts.binary_search(&(i as u64)).is_ok()).collect::<Vec<_>>(),
-        );
+        let schema = UnitSchema::from_unit_starts(&single.unit_starts());
+        let query = Query::Window(Rect::new(0.0, 0.0, 1.0, 1.0));
         for (u, &l) in unit_lens.iter().enumerate() {
-            // Profile of one query that reads exactly unit u: one run.
-            let mut counts = vec![0u64; n_flat];
-            for k in 0..l as u64 {
-                counts[(starts[u] + k) as usize] = 1;
-            }
-            let profile = AccessProfile::new(&counts, vec![read_runs(&counts)]);
+            // Profile of one query that reads exactly unit u (one run),
+            // journaled on the single-channel build.
+            let trainer = OneUnit { program: &single, flat: starts[u], len: l as u64 };
+            let (_, journal) =
+                drive_traced(&trainer, 0, LossModel::None, 1, AntennaConfig::single(), &query);
+            let profile = AccessProfile::from_journals(n_flat as u64, &[journal]);
             let predicted = predict_latency_packets(
                 &schema, &profile, channels, 0, AntennaConfig::single(), &assignment,
             );
@@ -440,7 +441,7 @@ proptest! {
             let scheme = OneUnit { program: &prog, flat: starts[u], len: l as u64 };
             let period = prog.channel_len(assignment[u]);
             let mean = (0..period)
-                .map(|s| drive(&scheme, s, LossModel::None, 1, &Query::Window(Rect::new(0.0, 0.0, 1.0, 1.0))).stats.latency_packets as f64)
+                .map(|s| drive_antennas(&scheme, s, LossModel::None, 1, AntennaConfig::single(), &query).stats.latency_packets as f64)
                 .sum::<f64>() / period as f64;
             prop_assert!(
                 (mean - predicted).abs() < 1e-9,

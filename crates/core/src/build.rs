@@ -96,31 +96,16 @@ impl DsiAir {
     /// Builds the single-channel broadcast for a dataset under a
     /// configuration.
     pub fn build(dataset: &SpatialDataset, config: DsiConfig) -> Self {
-        Self::build_channels(dataset, config, ChannelConfig::single())
+        Self::try_build_channels(dataset, config, ChannelConfig::single())
+            .expect("one channel schedules any cycle")
     }
 
     /// Builds the broadcast scheduled over the channels of `channels`.
     /// The flat cycle (the schema clients address) is identical to the
-    /// single-channel build; only the on-air scheduling differs.
-    ///
-    /// Panics when the channel configuration cannot schedule this cycle;
-    /// [`DsiAir::try_build_channels`] reports the defect as a
-    /// [`LayoutError`] instead.
-    pub fn build_channels(
-        dataset: &SpatialDataset,
-        config: DsiConfig,
-        channels: ChannelConfig,
-    ) -> Self {
-        match Self::try_build_channels(dataset, config, channels) {
-            Ok(air) => air,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`DsiAir::build_channels`]: a channel configuration that
-    /// cannot schedule this cycle (zero channels, stranded explicit
-    /// assignment, …) comes back as the structural [`LayoutError`] rather
-    /// than a panic, so batch drivers can reject the cell and continue.
+    /// single-channel build; only the on-air scheduling differs. A channel
+    /// configuration that cannot schedule this cycle (zero channels,
+    /// stranded explicit assignment, …) comes back as the structural
+    /// [`LayoutError`], so batch drivers can reject the cell and continue.
     pub fn try_build_channels(
         dataset: &SpatialDataset,
         config: DsiConfig,
@@ -281,35 +266,6 @@ mod tests {
             ..DsiConfig::paper_default().with_capacity(capacity)
         };
         DsiAir::build(&ds, cfg)
-    }
-
-    /// The scheme-agnostic driver rejects a NaN or infinite query
-    /// coordinate, naming the query, before this client sees it: a NaN
-    /// kNN point used to panic deep inside the search, and a NaN window
-    /// answered nothing.
-    #[test]
-    fn driver_rejects_non_finite_queries() {
-        use dsi_broadcast::{drive, LossModel, Query};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let scheme = DsiScheme {
-            air: air(2, 64),
-            strategy: crate::knn::KnnStrategy::Conservative,
-        };
-        for query in [
-            Query::Knn(Point::new(f64::NAN, 0.5), 3),
-            Query::Knn(Point::new(0.5, f64::INFINITY), 1),
-            Query::Window(Rect {
-                min: Point::new(0.1, f64::NAN),
-                max: Point::new(0.4, 0.4),
-            }),
-        ] {
-            let err = catch_unwind(AssertUnwindSafe(|| {
-                drive(&scheme, 0, LossModel::None, 0, &query)
-            }))
-            .expect_err("a non-finite query was accepted");
-            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
-            assert!(msg.contains("non-finite coordinate"), "{query:?}: {msg}");
-        }
     }
 
     #[test]

@@ -615,7 +615,8 @@ pub mod testkit {
         Some(buf)
     }
 
-    /// A wrapped [`Candidates`] exposing its transitions and checks.
+    /// The client's private `Candidates`, wrapped to expose its
+    /// transitions and checks.
     pub struct CandSet(Candidates);
 
     impl CandSet {
@@ -892,7 +893,8 @@ mod tests {
             (ChannelConfig::blocked(4, 1), 2, LossModel::iid(0.2)),
         ];
         for (chan, antennas, loss) in cases {
-            let air = DsiAir::build_channels(&ds, DsiConfig::paper_reorganized(), chan);
+            let air = DsiAir::try_build_channels(&ds, DsiConfig::paper_reorganized(), chan)
+                .expect("the layout builds");
             for (qi, q) in knn_points(3, 23).into_iter().enumerate() {
                 let start = (qi as u64 * 7717) % air.program().len();
                 let run = |eager: bool| {

@@ -104,7 +104,8 @@ mod tests {
                 ChannelConfig::striped_frames(4, 1),
                 ChannelConfig::index_data(2, 1, 2),
             ] {
-                let air = DsiAir::build_channels(&ds, cfg, chan.clone());
+                let air =
+                    DsiAir::try_build_channels(&ds, cfg, chan.clone()).expect("the layout builds");
                 let model = air.static_model();
                 let report = dsi_verify::verify(&model)
                     .unwrap_or_else(|v| panic!("{chan:?} (m={m}): {v:?}"));

@@ -214,7 +214,7 @@ proptest! {
             DsiConfig::paper_default()
         };
         let ds = SpatialDataset::build(&uniform(n, ds_seed), 8);
-        let air = DsiAir::build_channels(&ds, cfg, chan);
+        let air = DsiAir::try_build_channels(&ds, cfg, chan).expect("the layout builds");
         let loss = if bursty {
             // Fades entered at a θ-scaled rate, mean length 4 packets.
             LossModel::Gilbert(GilbertElliott::new(theta / 4.0, 0.25, 0.9))
@@ -410,11 +410,12 @@ proptest! {
 #[test]
 fn only_audited_drives_run_the_oracle() {
     let ds = SpatialDataset::build(&uniform(400, 7), 9);
-    let air = DsiAir::build_channels(
+    let air = DsiAir::try_build_channels(
         &ds,
         DsiConfig::paper_reorganized(),
         ChannelConfig::blocked(4, 2),
-    );
+    )
+    .expect("the layout builds");
     let loss = LossModel::Gilbert(GilbertElliott::new(0.02, 0.25, 0.9));
     let ant = AntennaConfig::new(2);
     let w = Rect::new(0.2, 0.2, 0.6, 0.6);
@@ -461,7 +462,7 @@ fn explicit_placement_preserves_answers() {
     const C: u32 = 3;
     assert!(units >= C as usize);
     let assignment: Vec<u32> = (0..units).map(|u| (C - 1) - (u as u32 % C)).collect();
-    let air = DsiAir::build_channels(
+    let air = DsiAir::try_build_channels(
         &ds,
         cfg,
         ChannelConfig {
@@ -469,7 +470,8 @@ fn explicit_placement_preserves_answers() {
             placement: Placement::Explicit(assignment),
             switch_cost: 3,
         },
-    );
+    )
+    .expect("the layout builds");
     let w = Rect::new(0.15, 0.2, 0.6, 0.7);
     let q = Point::new(0.4, 0.5);
     for antennas in [1u32, 2, 3] {
@@ -493,11 +495,12 @@ fn explicit_placement_preserves_answers() {
 #[test]
 fn audited_multi_channel_drives_span_many_frames() {
     let ds = SpatialDataset::build(&uniform(2000, 5), 8);
-    let air = DsiAir::build_channels(
+    let air = DsiAir::try_build_channels(
         &ds,
         DsiConfig::paper_reorganized(),
         ChannelConfig::blocked(4, 2),
-    );
+    )
+    .expect("the layout builds");
     assert!(
         air.layout().n_frames() > 128,
         "{} frames",

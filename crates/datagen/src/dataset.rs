@@ -38,11 +38,6 @@ pub struct SpatialDataset {
 }
 
 impl SpatialDataset {
-    /// Default Hilbert order: `4^16 ≈ 4.3·10⁹` cells, enough for the
-    /// paper's 10,000-object datasets to get distinct HC values with
-    /// near-certainty.
-    pub const DEFAULT_ORDER: u8 = 16;
-
     /// Builds a dataset over the unit square with the given Hilbert order.
     ///
     /// # Panics
@@ -85,11 +80,6 @@ impl SpatialDataset {
             curve,
             mapper,
         }
-    }
-
-    /// Builds with [`SpatialDataset::DEFAULT_ORDER`].
-    pub fn build_default(points: &[Point]) -> Self {
-        Self::build(points, Self::DEFAULT_ORDER)
     }
 
     /// Objects in ascending HC order.

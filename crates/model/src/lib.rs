@@ -1,6 +1,6 @@
 //! `dsi-model` — model checking for the workspace's concurrency layer.
 //!
-//! Under `RUSTFLAGS="--cfg dsi_model"` the crate exposes [`scenarios`]:
+//! Under `RUSTFLAGS="--cfg dsi_model"` the crate exposes `scenarios`:
 //! the `dsi_sim::fleet` granule dispatch and the `dsi_core::share`
 //! cache, each explored exhaustively by [`interleave`]'s controlled
 //! scheduler with assertions that must hold in every schedule. The

@@ -74,27 +74,12 @@ impl RTreeAir {
     /// Builds the single-channel broadcast for a point set: STR-packs the
     /// tree with capacity-derived fanouts and lays out the cycle.
     pub fn build(objects: &[(u32, Point)], config: RtreeAirConfig) -> Self {
-        Self::build_channels(objects, config, ChannelConfig::single())
+        Self::try_build_channels(objects, config, ChannelConfig::single())
+            .expect("one channel schedules any cycle")
     }
 
     /// Builds the broadcast scheduled over the channels of `channels`.
-    ///
-    /// Panics when the channel configuration cannot schedule this cycle;
-    /// [`RTreeAir::try_build_channels`] reports the defect as a
-    /// [`LayoutError`] instead.
-    pub fn build_channels(
-        objects: &[(u32, Point)],
-        config: RtreeAirConfig,
-        channels: ChannelConfig,
-    ) -> Self {
-        match Self::try_build_channels(objects, config, channels) {
-            Ok(air) => air,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`RTreeAir::build_channels`]: structural channel-layout
-    /// defects come back as a [`LayoutError`] instead of a panic.
+    /// Structural channel-layout defects come back as a [`LayoutError`].
     pub fn try_build_channels(
         objects: &[(u32, Point)],
         config: RtreeAirConfig,

@@ -49,7 +49,8 @@ mod tests {
             ChannelConfig::striped_frames(4, 1),
             ChannelConfig::index_data(2, 1, 2),
         ] {
-            let air = RTreeAir::build_channels(&pts, RtreeAirConfig::new(64), chan.clone());
+            let air = RTreeAir::try_build_channels(&pts, RtreeAirConfig::new(64), chan.clone())
+                .expect("the layout builds");
             let model = air.static_model();
             let report = dsi_verify::verify(&model).unwrap_or_else(|v| panic!("{chan:?}: {v:?}"));
             assert_eq!(report.n_data_units, 220);

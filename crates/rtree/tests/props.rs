@@ -82,7 +82,7 @@ proptest! {
         antennas in 1u32..3,
     ) {
         let pts = points(n, seed);
-        let air = RTreeAir::build_channels(&pts, RtreeAirConfig::new(64), chan);
+        let air = RTreeAir::try_build_channels(&pts, RtreeAirConfig::new(64), chan).expect("the layout builds");
         let q = Point::new(qx, qy);
         let start = start_seed % air.program().len();
         let ant = AntennaConfig::new(antennas);
@@ -109,7 +109,7 @@ fn explicit_placement_preserves_answers() {
     const C: u32 = 3;
     assert!(units >= C as usize);
     let assignment: Vec<u32> = (0..units).map(|u| (C - 1) - (u as u32 % C)).collect();
-    let air = RTreeAir::build_channels(
+    let air = RTreeAir::try_build_channels(
         &pts,
         RtreeAirConfig::new(64),
         ChannelConfig {
@@ -117,7 +117,8 @@ fn explicit_placement_preserves_answers() {
             placement: Placement::Explicit(assignment),
             switch_cost: 3,
         },
-    );
+    )
+    .expect("the layout builds");
     let w = Rect::new(0.15, 0.2, 0.6, 0.7);
     let q = Point::new(0.4, 0.5);
     for antennas in [1u32, 2, 3] {

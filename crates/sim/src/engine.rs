@@ -5,16 +5,17 @@
 //! duplicated tune-in/loss/stats plumbing). [`Engine`] is now a thin box
 //! around [`DynScheme`]: building is the only scheme-specific step, and
 //! every query — any scheme, channel configuration, loss model, workload —
-//! goes through the one [`dsi_broadcast::drive`] loop.
+//! goes through the one [`dsi_broadcast::drive_antennas`] loop
+//! ([`Engine::drive_traced`] is the same loop with the read journal on).
 
 use dsi_bptree::{BpAir, BpAirConfig};
 use dsi_broadcast::{
     AntennaConfig, ChannelConfig, DynScheme, FaultTrace, LayoutError, LossModel, Query,
-    QueryOutcome, QueryStats,
+    QueryOutcome,
 };
 use dsi_core::{DsiAir, DsiConfig, DsiScheme, KnnStrategy};
 use dsi_datagen::SpatialDataset;
-use dsi_geom::{Point, Rect};
+use dsi_geom::Point;
 use dsi_rtree::{RTreeAir, RtreeAirConfig};
 use dsi_verify::{StaticModel, Verifiable, VerifyReport, Violation};
 
@@ -136,13 +137,9 @@ impl Engine {
         dsi_verify::verify(&self.model)
     }
 
-    /// Runs one query through the scheme-agnostic driver.
-    pub fn drive(&self, start: u64, loss: LossModel, seed: u64, query: &Query) -> QueryOutcome {
-        self.scheme.drive(start, loss, seed, query)
-    }
-
-    /// Runs one query with an explicit receiver configuration (the client
-    /// monitors up to `antennas.antennas` channels concurrently).
+    /// Runs one query through the scheme-agnostic driver with a receiver
+    /// configuration (the client monitors up to `antennas.antennas`
+    /// channels concurrently).
     pub fn drive_antennas(
         &self,
         start: u64,
@@ -155,27 +152,12 @@ impl Engine {
             .drive_antennas(start, loss, seed, antennas, query)
     }
 
-    /// Runs one query while accumulating reads per flat schema position
-    /// into `counts` (length = [`Engine::cycle_packets`]). Training a
-    /// workload through this yields the access-probability profile the
-    /// placement optimizer ([`dsi_broadcast::optimize`]) consumes.
-    pub fn drive_profiled(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-        counts: &mut [u64],
-    ) -> QueryOutcome {
-        self.scheme
-            .drive_profiled(start, loss, seed, antennas, query, counts)
-    }
-
-    /// Runs one query while journaling every read's loss outcome,
-    /// returning the recorded [`FaultTrace`] alongside the outcome. The
-    /// trace replays the run exactly via [`LossModel::Trace`], on any
-    /// seed.
+    /// Runs one query while journaling every read (channel, instant, loss
+    /// outcome), returning the recorded [`FaultTrace`] alongside the
+    /// outcome. The trace replays the run exactly via
+    /// [`LossModel::Trace`], on any seed; on the single-channel build it
+    /// is also the query's access profile for the placement optimizer
+    /// ([`dsi_broadcast::optimize::AccessProfile::from_journals`]).
     pub fn drive_traced(
         &self,
         start: u64,
@@ -216,37 +198,18 @@ impl Engine {
     pub fn n_channels(&self) -> u32 {
         self.scheme.n_channels()
     }
-
-    /// Runs one window query from tune-in packet `start`.
-    pub fn window(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        w: &Rect,
-    ) -> (Vec<u32>, QueryStats) {
-        let out = self.drive(start, loss, seed, &Query::Window(*w));
-        (out.ids, out.stats)
-    }
-
-    /// Runs one kNN query from tune-in packet `start`.
-    pub fn knn(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        q: Point,
-        k: usize,
-    ) -> (Vec<u32>, QueryStats) {
-        let out = self.drive(start, loss, seed, &Query::Knn(q, k));
-        (out.ids, out.stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::uniform_dataset_n;
+    use dsi_geom::Rect;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn run(e: &Engine, start: u64, loss: LossModel, seed: u64, query: Query) -> QueryOutcome {
+        e.drive_antennas(start, loss, seed, AntennaConfig::single(), &query)
+    }
 
     #[test]
     fn all_engines_answer_identically() {
@@ -262,12 +225,12 @@ mod tests {
             Scheme::Hci,
         ] {
             let e = Engine::build(scheme, &ds, 64);
-            let (got_w, sw) = e.window(17, LossModel::None, 5, &w);
-            assert_eq!(got_w, want_w);
-            assert!(sw.tuning_packets <= sw.latency_packets);
-            let (got_k, sk) = e.knn(17, LossModel::None, 5, q, 7);
-            assert_eq!(got_k, want_k);
-            assert!(sk.tuning_packets <= sk.latency_packets);
+            let sw = run(&e, 17, LossModel::None, 5, Query::Window(w));
+            assert_eq!(sw.ids, want_w);
+            assert!(sw.stats.tuning_packets <= sw.stats.latency_packets);
+            let sk = run(&e, 17, LossModel::None, 5, Query::Knn(q, 7));
+            assert_eq!(sk.ids, want_k);
+            assert!(sk.stats.tuning_packets <= sk.stats.latency_packets);
         }
     }
 
@@ -284,10 +247,39 @@ mod tests {
             for scheme in [Scheme::dsi_reorganized(64), Scheme::RTree, Scheme::Hci] {
                 let e = Engine::build_channels(scheme, &ds, 64, chan.clone());
                 assert_eq!(e.n_channels(), 2);
-                let out = e.drive(31, LossModel::iid(0.2), 9, &Query::Window(w));
+                let out = run(&e, 31, LossModel::iid(0.2), 9, Query::Window(w));
                 assert_eq!(out.ids, ds.brute_window(&w), "{chan:?}");
-                let out = e.drive(31, LossModel::iid(0.2), 9, &Query::Knn(q, 4));
+                let out = run(&e, 31, LossModel::iid(0.2), 9, Query::Knn(q, 4));
                 assert_eq!(out.ids, ds.brute_knn(q, 4), "{chan:?}");
+            }
+        }
+    }
+
+    /// The scheme-agnostic driver rejects a NaN or infinite query
+    /// coordinate, naming the query, before any scheme's client sees it:
+    /// a NaN kNN point used to panic deep inside the search, and a NaN
+    /// window answered nothing.
+    #[test]
+    fn driver_rejects_non_finite_queries() {
+        let ds = uniform_dataset_n(100);
+        for scheme in [Scheme::dsi_reorganized(64), Scheme::RTree, Scheme::Hci] {
+            let e = Engine::build(scheme, &ds, 64);
+            for query in [
+                Query::Knn(Point::new(f64::NAN, 0.5), 3),
+                Query::Knn(Point::new(0.5, f64::INFINITY), 1),
+                Query::Window(Rect {
+                    min: Point::new(0.1, f64::NAN),
+                    max: Point::new(0.4, 0.4),
+                }),
+            ] {
+                let err = catch_unwind(AssertUnwindSafe(|| run(&e, 0, LossModel::None, 0, query)))
+                    .expect_err("a non-finite query was accepted");
+                let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    msg.contains("non-finite coordinate"),
+                    "{}: {query:?}: {msg}",
+                    scheme.name()
+                );
             }
         }
     }

@@ -9,10 +9,11 @@
 //! scenario is a spec entry, not a new drive loop.
 
 use dsi_broadcast::optimize::{
-    arc_assignment, optimize_placement, predict_latency_packets, read_runs, AccessProfile,
-    UnitSchema,
+    arc_assignment, optimize_placement, predict_latency_packets, AccessProfile, UnitSchema,
 };
-use dsi_broadcast::{AntennaConfig, ChannelConfig, LayoutError, LossModel, Placement, Query};
+use dsi_broadcast::{
+    AntennaConfig, ChannelConfig, FaultTrace, LayoutError, LossModel, Placement, Query,
+};
 use dsi_datagen::{
     knn_points, skewed_knn_points, skewed_window_queries, window_queries, SpatialDataset,
 };
@@ -180,10 +181,6 @@ pub struct MatrixCell {
 /// training queries, so training and evaluation batches stay disjoint.
 const TRAIN_SALT: u64 = 0x7EA1_5EED;
 
-/// One workload's training by-products: its summed per-position read
-/// counts and the per-query read-run samples.
-type WorkloadTrace = (Vec<u64>, Vec<Vec<(u32, u32)>>);
-
 /// Resolves a [`ChannelSpec::Optimized`] entry for one scheme: profiles
 /// the spec's workloads on the single-channel build, optimizes the
 /// unit→channel assignment, and returns the rebuilt engine plus the
@@ -218,48 +215,33 @@ fn build_optimized(
     let single = Engine::build(scheme, dataset, spec.capacity);
     let cycle = single.cycle_packets();
     let schema = UnitSchema::from_unit_starts(&single.unit_starts());
-    let mut combined = vec![0u64; cycle as usize];
-    let mut per_workload: Vec<WorkloadTrace> = Vec::new();
-    let mut per_query = vec![0u64; cycle as usize];
     let mut rng = StdRng::seed_from_u64(spec.seed ^ TRAIN_SALT);
     let mut train_sets: Vec<Vec<Query>> = Vec::new();
     let mut train_starts: Vec<Vec<u64>> = Vec::new();
+    let mut journals: Vec<FaultTrace> = Vec::new();
+    let mut per_workload: Vec<AccessProfile> = Vec::new();
     for (_, w, wseed) in &spec.workloads {
         let train = w.queries(train_queries, wseed ^ TRAIN_SALT);
-        let mut counts = vec![0u64; cycle as usize];
-        let mut wsamples: Vec<Vec<(u32, u32)>> = Vec::new();
         let mut starts = Vec::with_capacity(train.len());
+        let mut wjournals = Vec::with_capacity(train.len());
         for (qi, q) in train.iter().enumerate() {
             let start = rng.gen_range(0..cycle);
             starts.push(start);
-            per_query.fill(0);
-            let _ = single.drive_profiled(
+            let (_, journal) = single.drive_traced(
                 start,
                 LossModel::None,
                 spec.seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 AntennaConfig::single(),
                 q,
-                &mut per_query,
             );
-            wsamples.push(read_runs(&per_query));
-            for (a, b) in counts.iter_mut().zip(&per_query) {
-                *a += b;
-            }
+            wjournals.push(journal);
         }
-        for (a, b) in combined.iter_mut().zip(&counts) {
-            *a += b;
-        }
-        per_workload.push((counts, wsamples));
+        per_workload.push(AccessProfile::from_journals(cycle, &wjournals));
+        journals.extend(wjournals);
         train_sets.push(train);
         train_starts.push(starts);
     }
-    let profile = AccessProfile::new(
-        &combined,
-        per_workload
-            .iter()
-            .flat_map(|(_, s)| s.iter().cloned())
-            .collect(),
-    );
+    let profile = AccessProfile::from_journals(cycle, &journals);
     let opt = optimize_placement(&schema, &profile, channels, switch_cost, model_antennas);
 
     // Measured simulate-and-select: the sample scorer ranks candidates
@@ -330,11 +312,10 @@ fn build_optimized(
     let predict_all = |assignment: &[u32]| -> Vec<f64> {
         per_workload
             .iter()
-            .map(|(counts, wsamples)| {
-                let p = AccessProfile::new(counts, wsamples.clone());
+            .map(|p| {
                 predict_latency_packets(
                     &schema,
-                    &p,
+                    p,
                     channels,
                     switch_cost,
                     model_antennas,

@@ -4,6 +4,9 @@
 //! channel configuration), any [`Query`] list, any loss model. The window
 //! and kNN entry points are thin workload adapters over it.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
 use dsi_broadcast::{AntennaConfig, LossModel, MeanStats, Query, QueryOutcome};
 use dsi_datagen::SpatialDataset;
 use dsi_geom::{Point, Rect};
@@ -124,6 +127,12 @@ pub fn run_query_batch(
 /// pinned by the caller instead of derived from `opts.seed`, so a caller
 /// can drive a chosen population (a fleet's [`crate::Population`], say)
 /// through the classic one-drive-loop-per-client path.
+///
+/// # Panics
+///
+/// With the panic of the lowest-index query that failed (a validation
+/// mismatch names its query), re-raised unchanged after every worker has
+/// exited, so which panic surfaces does not depend on the schedule.
 pub fn run_query_batch_at(
     engine: &Engine,
     dataset: &SpatialDataset,
@@ -140,32 +149,48 @@ pub fn run_query_batch_at(
         .min(queries.len().max(1));
     let chunk = queries.len().div_ceil(threads.max(1)).max(1);
     let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; queries.len()];
-    std::thread::scope(|scope| {
-        for (qi_chunk, out_chunk) in queries
+    let failed = std::thread::scope(|scope| {
+        let workers: Vec<_> = queries
             .chunks(chunk)
             .zip(outcomes.chunks_mut(chunk))
             .enumerate()
-            .map(|(ci, (q, s))| ((ci * chunk, q), s))
-        {
-            let ((base, qs), out) = (qi_chunk, out_chunk);
-            scope.spawn(move || {
-                for (i, q) in qs.iter().enumerate() {
-                    let qi = base + i;
-                    let o = engine.drive_antennas(
-                        starts[qi],
-                        opts.loss.clone(),
-                        seeds[qi],
-                        opts.antennas,
-                        q,
-                    );
-                    if opts.validate {
-                        assert_eq!(o.ids, brute(dataset, q), "answer mismatch on query {qi}");
+            .map(|(ci, (qs, out))| {
+                scope.spawn(move || -> Result<(), Box<dyn Any + Send>> {
+                    for (i, q) in qs.iter().enumerate() {
+                        let qi = ci * chunk + i;
+                        out[i] = Some(catch_unwind(AssertUnwindSafe(|| {
+                            let o = engine.drive_antennas(
+                                starts[qi],
+                                opts.loss.clone(),
+                                seeds[qi],
+                                opts.antennas,
+                                q,
+                            );
+                            if opts.validate {
+                                assert_eq!(
+                                    o.ids,
+                                    brute(dataset, q),
+                                    "answer mismatch on query {qi}"
+                                );
+                            }
+                            o
+                        }))?);
                     }
-                    out[i] = Some(o);
-                }
-            });
-        }
+                    Ok(())
+                })
+            })
+            .collect();
+        // Chunks are contiguous in query order and each stops at its
+        // first failing query, so the first failing chunk holds the
+        // lowest one whatever the schedule. (The scope itself would
+        // re-raise a worker panic as a bare "a scoped thread panicked".)
+        workers
+            .into_iter()
+            .find_map(|w| w.join().unwrap_or_else(Err).err())
     });
+    if let Some(payload) = failed {
+        resume_unwind(payload);
+    }
     aggregate(
         outcomes
             .into_iter()
@@ -201,9 +226,9 @@ pub fn run_knn_batch(
 mod tests {
     use super::*;
     use crate::engine::Scheme;
-    use crate::uniform_dataset_n;
+    use crate::{uniform_dataset_n, EVAL_ORDER};
     use dsi_broadcast::ChannelConfig;
-    use dsi_datagen::{knn_points, window_queries};
+    use dsi_datagen::{knn_points, uniform, window_queries};
 
     #[test]
     fn batches_are_deterministic_and_validated() {
@@ -221,6 +246,32 @@ mod tests {
         assert_eq!(a.mean_switches, 0.0);
         assert_eq!(a.per_channel_tuning_bytes.len(), 1);
         assert!((a.per_channel_tuning_bytes[0] - a.tuning_bytes).abs() < 1e-6);
+    }
+
+    #[test]
+    fn batch_panic_names_the_lowest_failing_query() {
+        // An engine built on one dataset, validated against another: its
+        // answers mismatch.
+        let ds = uniform_dataset_n(250);
+        let other = SpatialDataset::build(&uniform(250, 7), EVAL_ORDER);
+        let e = Engine::build(Scheme::dsi_reorganized(64), &ds, 64);
+        let ws = window_queries(12, 0.2, 3);
+        let message = || {
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                run_window_batch(&e, &other, &ws, &BatchOptions::default())
+            }))
+            .expect_err("a validation mismatch must panic");
+            err.downcast_ref::<String>()
+                .expect("the query's own assert payload")
+                .clone()
+        };
+        let first = message();
+        assert!(first.contains("answer mismatch on query "), "{first}");
+        assert_eq!(
+            first,
+            message(),
+            "the surfaced panic is schedule-independent"
+        );
     }
 
     #[test]

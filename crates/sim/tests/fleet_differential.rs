@@ -43,23 +43,28 @@ fn spec(loss: LossModel, antennas: u32, workers: usize) -> FleetSpec {
 /// Asserts the contract for one built engine across loss × antennas ×
 /// workers, including answer validation on the lossless single-antenna
 /// cell (the oracle validates; the equality check then covers the fleet).
+/// The counters are checked too: every client is driven or coalesced
+/// exactly once, and the dispatch does the same work at every worker
+/// count (a granule run twice would overwrite identical outcome rows).
 fn check_engine(engine: Engine, dataset: &Arc<SpatialDataset>, losses: &[LossModel]) {
     let engine = Arc::new(engine);
     for loss in losses {
         for antennas in [1u32, 2] {
             let mut reference = None;
+            let mut work = None;
             for workers in [1usize, 2, 5] {
                 let mut s = spec(loss.clone(), antennas, workers);
                 if matches!(loss, LossModel::None) && antennas == 1 {
                     s.validate = true;
                 }
-                let (_, outcomes) = run_fleet(&engine, Some(dataset), &s);
+                let (stats, outcomes) = run_fleet(&engine, Some(dataset), &s);
+                let cell = format!("{loss:?}, {antennas} antennas, {workers} workers");
                 let oracle =
                     reference.get_or_insert_with(|| run_fleet_oracle(&engine, Some(dataset), &s));
-                assert_eq!(
-                    &outcomes, oracle,
-                    "fleet != oracle ({loss:?}, {antennas} antennas, {workers} workers)"
-                );
+                assert_eq!(&outcomes, oracle, "fleet != oracle ({cell})");
+                assert_eq!(stats.drives + stats.coalesced, stats.clients, "({cell})");
+                let counts = (stats.drives, stats.coalesced, stats.granules);
+                assert_eq!(*work.get_or_insert(counts), counts, "({cell})");
             }
         }
     }

@@ -35,7 +35,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::model::{EdgeClaim, StaticModel, UnitKind};
-use crate::verify::{navigate_by_coverage, navigate_by_key, VerifyOptions, Violation};
+use crate::verify::{navigate_by_coverage, navigate_by_key, Violation, PROGRESS_BUDGET};
 
 /// The coalescing verdict attached to a clean [`crate::VerifyReport`].
 #[derive(Debug, Clone, Default)]
@@ -50,7 +50,7 @@ pub struct CoalesceReport {
     /// `(paired starts, target)` witness navigations actually compared.
     pub checked_pairs: u64,
     /// The full witness product (`> checked_pairs` when sampled under
-    /// [`VerifyOptions::progress_budget`]; never silently).
+    /// the verifier's progress budget; never silently).
     pub total_pairs: u64,
     /// Worst doze distance from a tune-in to its anchor, in packets.
     pub max_doze_packets: u64,
@@ -102,14 +102,10 @@ pub fn static_anchor_map(m: &StaticModel) -> Option<Vec<u64>> {
     Some(anchor)
 }
 
-/// Runs the coalescing soundness analysis; called by
-/// [`crate::verify_with`] once the model is structurally clean and every
-/// navigation is known to terminate.
-pub(crate) fn check_coalescing(
-    m: &StaticModel,
-    opts: &VerifyOptions,
-    v: &mut Vec<Violation>,
-) -> CoalesceReport {
+/// Runs the coalescing soundness analysis; called by [`crate::verify`]
+/// once the model is structurally clean and every navigation is known to
+/// terminate.
+pub(crate) fn check_coalescing(m: &StaticModel, v: &mut Vec<Violation>) -> CoalesceReport {
     let mut rep = CoalesceReport::default();
     let Some(anchor) = static_anchor_map(m) else {
         return rep;
@@ -164,7 +160,7 @@ pub(crate) fn check_coalescing(
         .map(|(&a, &(lo, hi))| (a, lo, hi))
         .collect();
     rep.total_pairs = pairs.len() as u64 * data_units.len() as u64;
-    let stride = (rep.total_pairs / opts.progress_budget.max(1)).max(1) as usize;
+    let stride = (rep.total_pairs / PROGRESS_BUDGET).max(1) as usize;
     for (a, lo, hi) in pairs {
         for &t in data_units.iter().step_by(stride) {
             rep.checked_pairs += 1;
@@ -318,7 +314,7 @@ mod tests {
         m.n_channels = 2;
         assert!(static_anchor_map(&m).is_none());
         let mut v = Vec::new();
-        let rep = check_coalescing(&m, &VerifyOptions::default(), &mut v);
+        let rep = check_coalescing(&m, &mut v);
         assert!(!rep.applicable);
         assert!(v.is_empty());
     }
@@ -327,7 +323,7 @@ mod tests {
     fn clean_dsi_like_model_is_coalescing_sound() {
         let m = dsi_like();
         let mut v = Vec::new();
-        let rep = check_coalescing(&m, &VerifyOptions::default(), &mut v);
+        let rep = check_coalescing(&m, &mut v);
         assert!(v.is_empty(), "unexpected violations: {v:?}");
         assert!(rep.applicable);
         assert_eq!(rep.anchors, 3); // instants 0, 3 and the wrapped 5
@@ -344,7 +340,7 @@ mod tests {
         // anchor at 5 — pre-anchor knowledge the anchor map cannot see.
         m.entries = vec![0];
         let mut v = Vec::new();
-        let rep = check_coalescing(&m, &VerifyOptions::default(), &mut v);
+        let rep = check_coalescing(&m, &mut v);
         assert!(rep.applicable);
         assert!(
             v.iter()
@@ -431,7 +427,7 @@ mod tests {
             explicit_placement: false,
         };
         let mut v = Vec::new();
-        let rep = check_coalescing(&m, &VerifyOptions::default(), &mut v);
+        let rep = check_coalescing(&m, &mut v);
         assert!(v.is_empty(), "interior node wrongly flagged: {v:?}");
         assert!(rep.applicable);
         assert_eq!(rep.anchors, 2); // instant 0 and the wrapped 4

@@ -45,4 +45,4 @@ pub use bounds::{compute_bounds, BoundsReport};
 pub use coalesce::{static_anchor_map, CoalesceReport};
 pub use lint::{lint_source, lint_workspace, LintFinding};
 pub use model::{Edge, EdgeClaim, StaticModel, Unit, UnitKind, Verifiable};
-pub use verify::{verify, verify_with, VerifyOptions, VerifyReport, Violation};
+pub use verify::{verify, VerifyReport, Violation};

@@ -224,15 +224,6 @@ impl StaticModel {
         (i < self.units.len() && self.units[i].start == flat).then_some(i)
     }
 
-    /// The unit containing `flat` (any packet of the unit).
-    pub fn unit_containing(&self, flat: u64) -> Option<usize> {
-        if flat >= self.n_packets {
-            return None;
-        }
-        let i = self.units.partition_point(|u| u.start <= flat);
-        (i > 0).then(|| i - 1)
-    }
-
     /// Units of [`UnitKind::Index`].
     pub fn n_index_units(&self) -> usize {
         self.units

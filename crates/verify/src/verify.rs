@@ -15,24 +15,12 @@ use crate::coalesce::CoalesceReport;
 use crate::model::{EdgeClaim, StaticModel, UnitKind};
 use dsi_broadcast::PacketClass;
 
-/// Tuning knobs of the analysis.
-#[derive(Debug, Clone)]
-pub struct VerifyOptions {
-    /// Maximum number of `(entry, data unit)` pairs the forward-progress
-    /// analysis navigates exhaustively. Above this, data targets are
-    /// sampled at a uniform stride per entry (the sampling is recorded in
-    /// [`VerifyReport::checked_pairs`] vs [`VerifyReport::total_pairs`] —
-    /// never silent). Structural checks are always exhaustive.
-    pub progress_budget: u64,
-}
-
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        Self {
-            progress_budget: 1 << 20,
-        }
-    }
-}
+/// Maximum number of `(entry, data unit)` pairs the forward-progress and
+/// coalescing analyses navigate exhaustively. Above this, data targets are
+/// sampled at a uniform stride (the sampling is recorded in
+/// [`VerifyReport::checked_pairs`] vs [`VerifyReport::total_pairs`] —
+/// never silent). Structural checks are always exhaustive.
+pub(crate) const PROGRESS_BUDGET: u64 = 1 << 20;
 
 /// One structural defect of a broadcast program. Each variant names the
 /// invariant it violates; `Display` renders a client-facing diagnostic.
@@ -274,7 +262,7 @@ pub struct VerifyReport {
     pub checked_pairs: u64,
     /// `(entry, data)` pairs in the full product (equals `checked_pairs`
     /// when the analysis ran exhaustively; larger when sampled under
-    /// [`VerifyOptions::progress_budget`]).
+    /// the progress budget).
     pub total_pairs: u64,
     /// Worst pointer-chain length over all navigated pairs.
     pub max_nav_hops: u32,
@@ -307,26 +295,18 @@ impl VerifyReport {
     }
 }
 
-/// Verifies `model` with default options. See [`verify_with`].
-pub fn verify(model: &StaticModel) -> Result<VerifyReport, Vec<Violation>> {
-    verify_with(model, &VerifyOptions::default())
-}
-
 /// Runs every static check over `model`: channel-map consistency, unit
 /// integrity (never split across channels, legal packet classes), pointer
 /// validity (in-range, unit-aligned, claims true), local coverage of
 /// every data unit, per-unit edge schemas, entry sanity, explicit-channel
 /// index coverage, and the forward-progress abstract interpretation of
 /// the client navigation automaton from every entry to every data unit
-/// (budgeted per [`VerifyOptions::progress_budget`]).
+/// (sampled above a fixed budget of pairs).
 ///
 /// Returns the report (with bounds) if the program is clean, otherwise
 /// every violation found. Checks keep running past failures so one pass
 /// reports all defects.
-pub fn verify_with(
-    model: &StaticModel,
-    opts: &VerifyOptions,
-) -> Result<VerifyReport, Vec<Violation>> {
+pub fn verify(model: &StaticModel) -> Result<VerifyReport, Vec<Violation>> {
     let mut v = Vec::new();
     check_channel_maps(model, &mut v);
     check_units(model, &mut v);
@@ -337,13 +317,13 @@ pub fn verify_with(
     // Forward progress only makes sense over a structurally sound graph;
     // on a broken one the structural violations are the diagnosis.
     let (checked, total, max_hops) = if v.is_empty() {
-        check_progress(model, opts, &mut v)
+        check_progress(model, &mut v)
     } else {
         (0, 0, 0)
     };
     // Likewise the coalescing proof assumes every navigation terminates.
     let coalesce = if v.is_empty() {
-        crate::coalesce::check_coalescing(model, opts, &mut v)
+        crate::coalesce::check_coalescing(model, &mut v)
     } else {
         CoalesceReport::default()
     };
@@ -720,11 +700,7 @@ fn check_explicit_channels(m: &StaticModel, v: &mut Vec<Violation>) {
 /// entry, toward every data unit, walk the pointer graph the way a client
 /// would and prove the walk terminates at the target. Returns
 /// `(checked_pairs, total_pairs, max_hops)`.
-fn check_progress(
-    m: &StaticModel,
-    opts: &VerifyOptions,
-    v: &mut Vec<Violation>,
-) -> (u64, u64, u32) {
+fn check_progress(m: &StaticModel, v: &mut Vec<Violation>) -> (u64, u64, u32) {
     let data_units: Vec<usize> = (0..m.units.len())
         .filter(|&u| m.units[u].kind == UnitKind::Data)
         .collect();
@@ -742,7 +718,7 @@ fn check_progress(
     let total = m.entries.len() as u64 * data_units.len() as u64;
     // Sampling above the budget is uniform-stride per entry; the stride
     // and resulting coverage land in the report, never silently.
-    let stride = (total / opts.progress_budget.max(1)).max(1) as usize;
+    let stride = (total / PROGRESS_BUDGET).max(1) as usize;
     let mut checked = 0u64;
     let mut max_hops = 0u32;
     for &entry in &m.entries {

@@ -23,8 +23,8 @@
 
 use dsi::bptree::{BpAir, BpAirConfig};
 use dsi::broadcast::optimize::{
-    arc_assignment, optimize_placement, predict_latency_packets, read_runs, AccessProfile,
-    OptimizedPlacement, UnitSchema,
+    arc_assignment, optimize_placement, predict_latency_packets, AccessProfile, OptimizedPlacement,
+    UnitSchema,
 };
 use dsi::broadcast::segmented::{SegmentedAir, TreePacket, MAX_SEGMENTS};
 use dsi::broadcast::{
@@ -49,26 +49,25 @@ fn dataset() -> SpatialDataset {
 fn build_scheme(ds: &SpatialDataset, name: &str, chan: &ChannelConfig) -> Box<dyn DynScheme> {
     match name {
         "dsi" => Box::new(DsiScheme {
-            air: DsiAir::build_channels(
+            air: DsiAir::try_build_channels(
                 ds,
                 DsiConfig::paper_reorganized().with_capacity(64),
                 chan.clone(),
-            ),
+            )
+            .expect("the layout builds"),
             strategy: KnnStrategy::Conservative,
         }),
         "rtree" => {
             let pts: Vec<(u32, Point)> = ds.objects().iter().map(|o| (o.id, o.pos)).collect();
-            Box::new(RTreeAir::build_channels(
-                &pts,
-                RtreeAirConfig::new(64),
-                chan.clone(),
-            ))
+            Box::new(
+                RTreeAir::try_build_channels(&pts, RtreeAirConfig::new(64), chan.clone())
+                    .expect("the layout builds"),
+            )
         }
-        "hci" => Box::new(BpAir::build_channels(
-            ds,
-            BpAirConfig::new(64),
-            chan.clone(),
-        )),
+        "hci" => Box::new(
+            BpAir::try_build_channels(ds, BpAirConfig::new(64), chan.clone())
+                .expect("the layout builds"),
+        ),
         other => panic!("unknown scheme {other}"),
     }
 }
@@ -1725,9 +1724,10 @@ fn training_draw() -> (Vec<Rect>, Vec<Point>) {
 }
 
 /// Fits a workload-optimized placement for one scheme: profiles a
-/// training workload on the scheme's single-channel build and runs the
-/// sample-driven arc search (see `dsi::broadcast::optimize`). Returns the
-/// schema and profile the fit used along with its result.
+/// training workload from its read journals on the scheme's
+/// single-channel build and runs the sample-driven arc search (see
+/// `dsi::broadcast::optimize`). Returns the schema and profile the fit
+/// used along with its result.
 fn fit_optimized(
     single: &dyn DynScheme,
     channels: u32,
@@ -1735,31 +1735,21 @@ fn fit_optimized(
     points: &[Point],
 ) -> (UnitSchema, AccessProfile, OptimizedPlacement) {
     let flat = single.cycle_packets();
-    let mut counts = vec![0u64; flat as usize];
-    let mut per_query = vec![0u64; flat as usize];
-    let mut samples = Vec::new();
-    let queries: Vec<Query> = windows
+    let journals: Vec<_> = windows
         .iter()
         .map(|w| Query::Window(*w))
         .chain(points.iter().map(|p| Query::Knn(*p, K)))
+        .enumerate()
+        .map(|(qi, q)| {
+            let start = (qi as u64 * 101) % flat;
+            let k1 = AntennaConfig::single();
+            single
+                .drive_traced(start, LossModel::None, qi as u64, k1, &q)
+                .1
+        })
         .collect();
-    for (qi, q) in queries.iter().enumerate() {
-        per_query.fill(0);
-        let _ = single.drive_profiled(
-            (qi as u64 * 101) % flat,
-            LossModel::None,
-            qi as u64,
-            AntennaConfig::single(),
-            q,
-            &mut per_query,
-        );
-        samples.push(read_runs(&per_query));
-        for (a, b) in counts.iter_mut().zip(&per_query) {
-            *a += b;
-        }
-    }
     let schema = UnitSchema::from_unit_starts(&single.unit_starts());
-    let profile = AccessProfile::new(&counts, samples);
+    let profile = AccessProfile::from_journals(flat, &journals);
     let opt = optimize_placement(
         &schema,
         &profile,
@@ -1916,10 +1906,11 @@ fn blocked_beats_unit_stripe_and_stripe_frames_closes_the_gap() {
         let dsi = build_scheme(&ds, "dsi", chan);
         let mut total = 0u64;
         for (qi, w) in windows.iter().enumerate() {
-            let out = dsi.drive(
+            let out = dsi.drive_antennas(
                 (qi as u64 * 7919) % dsi.cycle_packets(),
                 LossModel::None,
                 qi as u64,
+                AntennaConfig::single(),
                 &Query::Window(*w),
             );
             assert_eq!(out.ids, ds.brute_window(w));

@@ -11,7 +11,9 @@
 //! the same way.
 
 use dsi::bptree::{BpAir, BpAirConfig};
-use dsi::broadcast::{ChannelConfig, DynScheme, LossModel, Placement, Query, QueryOutcome};
+use dsi::broadcast::{
+    AntennaConfig, ChannelConfig, DynScheme, LossModel, Placement, Query, QueryOutcome,
+};
 use dsi::core::{DsiAir, DsiConfig, DsiScheme, KnnStrategy};
 use dsi::datagen::{knn_points, uniform, window_queries, SpatialDataset};
 use dsi::rtree::{RTreeAir, RtreeAirConfig};
@@ -94,29 +96,28 @@ fn schemes(ds: &SpatialDataset, chan: &ChannelConfig) -> Vec<(&'static str, Box<
         (
             "dsi",
             Box::new(DsiScheme {
-                air: DsiAir::build_channels(
+                air: DsiAir::try_build_channels(
                     ds,
                     DsiConfig::paper_reorganized().with_capacity(64),
                     chan.clone(),
-                ),
+                )
+                .expect("the layout builds"),
                 strategy: KnnStrategy::Conservative,
             }) as Box<dyn DynScheme>,
         ),
         (
             "rtree",
-            Box::new(RTreeAir::build_channels(
-                &pts,
-                RtreeAirConfig::new(64),
-                chan.clone(),
-            )),
+            Box::new(
+                RTreeAir::try_build_channels(&pts, RtreeAirConfig::new(64), chan.clone())
+                    .expect("the layout builds"),
+            ),
         ),
         (
             "hci",
-            Box::new(BpAir::build_channels(
-                ds,
-                BpAirConfig::new(64),
-                chan.clone(),
-            )),
+            Box::new(
+                BpAir::try_build_channels(ds, BpAirConfig::new(64), chan.clone())
+                    .expect("the layout builds"),
+            ),
         ),
     ]
 }
@@ -130,20 +131,11 @@ fn run(
     points: &[Point],
 ) -> QueryOutcome {
     let cycle = scheme.cycle_packets();
-    match kind {
-        "window" => scheme.drive(
-            (qi as u64 * 7919) % cycle,
-            loss,
-            qi as u64,
-            &Query::Window(windows[qi]),
-        ),
-        _ => scheme.drive(
-            (qi as u64 * 6151) % cycle,
-            loss,
-            qi as u64,
-            &Query::Knn(points[qi], K),
-        ),
-    }
+    let (start, query) = match kind {
+        "window" => ((qi as u64 * 7919) % cycle, Query::Window(windows[qi])),
+        _ => ((qi as u64 * 6151) % cycle, Query::Knn(points[qi], K)),
+    };
+    scheme.drive_antennas(start, loss, qi as u64, AntennaConfig::single(), &query)
 }
 
 #[test]
@@ -155,11 +147,7 @@ fn single_channel_unified_path_reproduces_pre_refactor_stats() {
     schemes.push((
         "dsi_aggressive",
         Box::new(DsiScheme {
-            air: DsiAir::build_channels(
-                &ds,
-                DsiConfig::paper_reorganized().with_capacity(64),
-                ChannelConfig::single(),
-            ),
+            air: DsiAir::build(&ds, DsiConfig::paper_reorganized().with_capacity(64)),
             strategy: KnnStrategy::Aggressive,
         }),
     ));
@@ -243,10 +231,11 @@ fn blocked_channels_shorten_latency_for_window_queries() {
         let (_, dsi) = &schemes[0];
         let mut total = 0u64;
         for (qi, w) in windows.iter().enumerate() {
-            let out = dsi.drive(
+            let out = dsi.drive_antennas(
                 (qi as u64 * 7919) % dsi.cycle_packets(),
                 LossModel::None,
                 qi as u64,
+                AntennaConfig::single(),
                 &Query::Window(*w),
             );
             total += out.stats.latency_packets;
@@ -268,7 +257,13 @@ fn drive_reports_channel_switches_under_split() {
     let windows = window_queries(4, 0.2, 3);
     let chan = ChannelConfig::index_data(2, 1, 1);
     for (name, scheme) in schemes(&ds, &chan) {
-        let out = scheme.drive(17, LossModel::None, 5, &Query::Window(windows[0]));
+        let out = scheme.drive_antennas(
+            17,
+            LossModel::None,
+            5,
+            AntennaConfig::single(),
+            &Query::Window(windows[0]),
+        );
         assert_eq!(out.ids, ds.brute_window(&windows[0]), "{name}");
         assert!(out.channels.switches > 0, "{name}: no switches recorded");
         assert!(
