@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use dsi_broadcast::segmented::{Children, ReadQueue, TreePacket, OBJECT};
+use dsi_broadcast::segmented::{Children, PendingRead, ReadQueue, TreePacket, OBJECT};
 use dsi_broadcast::Tuner;
 use dsi_geom::{dist2, BoundOrder, Point, Rect};
 use dsi_hilbert::{ranges_in_rect, HcRange};
@@ -25,53 +25,66 @@ impl BpAir {
             return result;
         }
         let mut pending = ReadQueue::seed(&self.air, tuner, u64::MAX);
-        while let Some((kind, payload, ub, flat)) = pending.pop(&self.air, tuner) {
+        while let Some(read @ (kind, payload, _, flat)) = pending.pop(&self.air, tuner) {
+            if kind != OBJECT {
+                self.visit_node(tuner, read, &ranges, &mut pending);
+                continue;
+            }
             tuner.goto(flat);
-            if kind == OBJECT {
-                // Header first: exact coordinates decide retrieval.
-                match tuner.read() {
-                    Ok(_) => {
-                        let o = &self.tree.objects[payload as usize];
-                        if window.contains(o.pos) {
-                            if self.read_payload(tuner) {
-                                result.push(o.id);
-                            } else {
-                                self.requeue_object(tuner, payload, &mut pending);
-                            }
-                        }
-                    }
-                    Err(_) => self.requeue_object(tuner, payload, &mut pending),
-                }
-                continue;
-            }
-            let (level, idx) = (kind, payload);
-            if !self.air.read_unit(tuner, level) {
-                pending.push_node(&self.air, tuner, level, idx, ub);
-                continue;
-            }
-            let node = &self.tree.levels[level as usize][idx as usize];
-            match &node.children {
-                Children::Nodes(kids) => {
-                    for (ci, &k) in kids.iter().enumerate() {
-                        let child = &self.tree.levels[level as usize - 1][k as usize];
-                        let cub = self.tree.child_upper(level as usize, node, ci, ub);
-                        if overlaps(&ranges, child.min_hc, cub) {
-                            pending.push_node(&self.air, tuner, level - 1, k, cub);
+            // Header first: exact coordinates decide retrieval.
+            match tuner.read() {
+                Ok(_) => {
+                    let o = &self.tree.objects[payload as usize];
+                    if window.contains(o.pos) {
+                        if self.read_payload(tuner) {
+                            result.push(o.id);
+                        } else {
+                            self.requeue_object(tuner, payload, &mut pending);
                         }
                     }
                 }
-                Children::Objects { start, count } => {
-                    for obj in *start..*start + *count {
-                        let hc = self.tree.objects[obj as usize].hc;
-                        if overlaps(&ranges, hc, hc + 1) {
-                            pending.push_object(&self.air, tuner, obj, hc);
-                        }
-                    }
-                }
+                Err(_) => self.requeue_object(tuner, payload, &mut pending),
             }
         }
         result.sort_unstable();
         result
+    }
+
+    /// Tunes to the node read `(level, idx, ub, flat)` and reads it:
+    /// re-queues it on loss, otherwise queues every child or object whose
+    /// HC span meets `ranges`.
+    fn visit_node(
+        &self,
+        tuner: &mut Tuner<'_, TreePacket>,
+        (level, idx, ub, flat): PendingRead<u64>,
+        ranges: &[HcRange],
+        pending: &mut ReadQueue<u64>,
+    ) {
+        tuner.goto(flat);
+        if !self.air.read_unit(tuner, level) {
+            pending.push_node(&self.air, tuner, level, idx, ub);
+            return;
+        }
+        let node = &self.tree.levels[level as usize][idx as usize];
+        match &node.children {
+            Children::Nodes(kids) => {
+                for (ci, &kid) in kids.iter().enumerate() {
+                    let child = &self.tree.levels[level as usize - 1][kid as usize];
+                    let cub = self.tree.child_upper(level as usize, node, ci, ub);
+                    if overlaps(ranges, child.min_hc, cub) {
+                        pending.push_node(&self.air, tuner, level - 1, kid, cub);
+                    }
+                }
+            }
+            Children::Objects { start, count } => {
+                for obj in *start..*start + *count {
+                    let hc = self.tree.objects[obj as usize].hc;
+                    if overlaps(ranges, hc, hc + 1) {
+                        pending.push_object(&self.air, tuner, obj, hc);
+                    }
+                }
+            }
+        }
     }
 
     fn read_payload(&self, tuner: &mut Tuner<'_, TreePacket>) -> bool {
@@ -129,7 +142,7 @@ impl BpAir {
         } else {
             // Multi-antenna client on parallel channels: HC order no
             // longer orders airings. Keep a window of the next leaves
-            // (one per channel) and read whichever the batch planner says
+            // (one per channel) and read whichever the read planner says
             // airs first; a lost leaf stays in the window and competes at
             // its next occurrence. The walk stops as soon as k entries
             // are known — a leaf skipped by the arrival order costs only
@@ -153,7 +166,7 @@ impl BpAir {
                         .map(|&lf| self.air.node_arrival(tuner, 0, lf).1),
                 );
                 let (i, _) = tuner
-                    .plan_resilient(&flats, |_| self.air.unit_dur(0))
+                    .plan(&flats, |_| self.air.unit_dur(0))
                     .expect("window is non-empty");
                 tuner.goto(flats[i]);
                 if self.air.read_unit(tuner, 0) {
@@ -180,63 +193,38 @@ impl BpAir {
         let mut bounds: BoundOrder<u64> = BoundOrder::default();
         let r2 = |bounds: &BoundOrder<u64>| r2_phase1.min(bounds.kth(k));
         let mut pending = ReadQueue::seed(&self.air, tuner, u64::MAX);
-        while let Some((kind, payload, ub, flat)) = pending.pop(&self.air, tuner) {
-            if kind == OBJECT {
-                // Skip objects provably outside the shrunken space without
-                // listening (the decoded cell distance is schema knowledge).
-                let hc = self.tree.objects[payload as usize].hc;
-                let cell_min = self.mapper.cell_rect(self.curve.d2xy(hc)).min_dist2(q);
-                if cell_min > r2(&bounds) {
-                    continue;
-                }
-                tuner.goto(flat);
-                match tuner.read() {
-                    Ok(_) => {
-                        let o = &self.tree.objects[payload as usize];
-                        let d2 = dist2(q, o.pos);
-                        if d2 <= r2(&bounds) {
-                            // Offer each distinct object once (payload-loss
-                            // retries must not shrink the bound twice).
-                            cands.entry(o.hc).or_insert_with(|| {
-                                bounds.insert(d2, o.hc);
-                                (d2, o.id, false)
-                            });
-                            if self.read_payload(tuner) {
-                                cands.get_mut(&o.hc).expect("just inserted").2 = true;
-                            } else {
-                                self.requeue_object(tuner, payload, &mut pending);
-                            }
-                        }
-                    }
-                    Err(_) => self.requeue_object(tuner, payload, &mut pending),
-                }
+        while let Some(read @ (kind, payload, _, flat)) = pending.pop(&self.air, tuner) {
+            if kind != OBJECT {
+                self.visit_node(tuner, read, &ranges, &mut pending);
                 continue;
             }
-            let (level, idx) = (kind, payload);
+            // Skip objects provably outside the shrunken space without
+            // listening (the decoded cell distance is schema knowledge).
+            let hc = self.tree.objects[payload as usize].hc;
+            let cell_min = self.mapper.cell_rect(self.curve.d2xy(hc)).min_dist2(q);
+            if cell_min > r2(&bounds) {
+                continue;
+            }
             tuner.goto(flat);
-            if !self.air.read_unit(tuner, level) {
-                pending.push_node(&self.air, tuner, level, idx, ub);
-                continue;
-            }
-            let node = &self.tree.levels[level as usize][idx as usize];
-            match &node.children {
-                Children::Nodes(kids) => {
-                    for (ci, &kid) in kids.iter().enumerate() {
-                        let child = &self.tree.levels[level as usize - 1][kid as usize];
-                        let cub = self.tree.child_upper(level as usize, node, ci, ub);
-                        if overlaps(&ranges, child.min_hc, cub) {
-                            pending.push_node(&self.air, tuner, level - 1, kid, cub);
+            match tuner.read() {
+                Ok(_) => {
+                    let o = &self.tree.objects[payload as usize];
+                    let d2 = dist2(q, o.pos);
+                    if d2 <= r2(&bounds) {
+                        // Offer each distinct object once (payload-loss
+                        // retries must not shrink the bound twice).
+                        cands.entry(o.hc).or_insert_with(|| {
+                            bounds.insert(d2, o.hc);
+                            (d2, o.id, false)
+                        });
+                        if self.read_payload(tuner) {
+                            cands.get_mut(&o.hc).expect("just inserted").2 = true;
+                        } else {
+                            self.requeue_object(tuner, payload, &mut pending);
                         }
                     }
                 }
-                Children::Objects { start, count } => {
-                    for obj in *start..*start + *count {
-                        let hc = self.tree.objects[obj as usize].hc;
-                        if overlaps(&ranges, hc, hc + 1) {
-                            pending.push_object(&self.air, tuner, obj, hc);
-                        }
-                    }
-                }
+                Err(_) => self.requeue_object(tuner, payload, &mut pending),
             }
         }
         let mut retr: Vec<(f64, u32)> = cands

@@ -468,11 +468,10 @@ impl ChannelLayout {
 /// Loss resilience: burst detection counts consecutive
 /// [`crate::PacketLost`] reads; once a burst reaches the tuner's burst
 /// threshold, a multi-antenna client with `loss_retune` on biases its
-/// resilient planners (`Tuner::plan_resilient` /
-/// `Tuner::earliest_resilient`) away from the fading channel onto another
-/// monitored channel instead of waiting out the fade. A k = 1 client (or
-/// a single-channel program) always falls back to plain next-occurrence
-/// retries. Whatever the configuration, the tuner's livelock guard aborts
+/// read planner ([`crate::Tuner::plan`]) away from the fading channel
+/// onto another monitored channel instead of waiting out the fade. A
+/// k = 1 client (or a single-channel program) always falls back to plain
+/// next-occurrence retries. Whatever the configuration, the tuner's livelock guard aborts
 /// a query after its retry cap of consecutive losses with a diagnostic
 /// panic rather than spinning forever on a schedule that never frees the
 /// packet. The policy only engages under observed bursts, so lossless

@@ -793,7 +793,7 @@ mod tests {
         let _ = t.read(); // flat 3
         t.goto(2);
         let _ = t.read(); // flat 2 again, one cycle later
-        let p = AccessProfile::from_journals(prog.len(), &[t.fault_trace()]);
+        let p = AccessProfile::from_journals(prog.len(), &[t.into_fault_trace()]);
         assert_eq!(p.weights(), &[0.0, 0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
         assert_eq!(p.samples(), &[vec![(2, 2)]]);
     }

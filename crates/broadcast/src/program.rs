@@ -36,7 +36,7 @@ pub trait Payload {
     /// on one channel. Defaults to [`Payload::unit_start`] (every unit its
     /// own frame); schemes with a larger scan granularity override it, or
     /// pass explicit boundaries via
-    /// [`Program::with_channels_frames`].
+    /// [`Program::try_with_channels_frames`].
     fn frame_start(&self) -> bool {
         self.unit_start()
     }
@@ -234,8 +234,10 @@ impl<P: Payload> Program<P> {
     /// Panics on an empty cycle, zero capacity, an invalid channel
     /// configuration, or a placement that leaves some channel empty.
     pub fn with_channels(capacity: u32, packets: Vec<P>, cfg: ChannelConfig) -> Self {
-        let frame_starts: Vec<bool> = packets.iter().map(|p| p.frame_start()).collect();
-        Self::with_channels_frames(capacity, packets, cfg, &frame_starts)
+        match Self::try_with_channels(capacity, packets, cfg) {
+            Ok(p) => p,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// [`Program::with_channels`] returning the first structural defect as
@@ -249,26 +251,12 @@ impl<P: Payload> Program<P> {
         Self::try_with_channels_frames(capacity, packets, cfg, &frame_starts)
     }
 
-    /// [`Program::with_channels`] with explicit frame boundaries, for
+    /// [`Program::try_with_channels`] with explicit frame boundaries, for
     /// schemes whose frame granularity is not computable from a packet
     /// alone (e.g. the R-tree's segments, whose replicated path copies
     /// look identical at every occurrence). `frame_starts[i]` marks the
     /// flat positions that begin a frame; every frame start must also be a
     /// unit start.
-    pub fn with_channels_frames(
-        capacity: u32,
-        packets: Vec<P>,
-        cfg: ChannelConfig,
-        frame_starts: &[bool],
-    ) -> Self {
-        match Self::try_with_channels_frames(capacity, packets, cfg, frame_starts) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Program::with_channels_frames`] returning the first structural
-    /// defect as a [`LayoutError`] instead of panicking.
     pub fn try_with_channels_frames(
         capacity: u32,
         packets: Vec<P>,

@@ -180,15 +180,12 @@ pub fn drive_traced<S: AirScheme + ?Sized>(
     let mut tuner = Tuner::tune_in_with(scheme.program(), start, loss, seed, antennas);
     tuner.enable_fault_recording();
     let ids = answer(scheme, &mut tuner, query);
-    let trace = tuner.fault_trace();
-    (
-        QueryOutcome {
-            ids,
-            stats: tuner.stats(),
-            channels: tuner.channel_stats(),
-        },
-        trace,
-    )
+    let outcome = QueryOutcome {
+        ids,
+        stats: tuner.stats(),
+        channels: tuner.channel_stats(),
+    };
+    (outcome, tuner.into_fault_trace())
 }
 
 /// Packet-type-erased [`AirScheme`], so heterogeneous schemes fit one

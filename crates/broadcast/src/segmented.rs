@@ -402,7 +402,7 @@ pub type PendingRead<X> = (u8, u32, X, u64);
 /// antennas re-plans every pop instead: it derives each pending read's
 /// earliest copy again (a replicated path node has one copy per covering
 /// segment, and the earliest changes as time passes) and picks through
-/// [`Tuner::plan_resilient`]. With antennas retuning, pushed keys go
+/// [`Tuner::plan`]. With antennas retuning, pushed keys go
 /// stale in both directions: an airing can be missed (key too low) or a
 /// switch penalty can vanish once the channel is monitored (key too
 /// high), and either error costs up to a full channel cycle.
@@ -483,7 +483,7 @@ impl<X: Copy + Ord> ReadQueue<X> {
                 }
                 flats.clear();
                 flats.extend(items.iter().map(|item| item.3));
-                let (pick, _) = tuner.plan_resilient(flats, |i| air.unit_dur(items[i].0))?;
+                let (pick, _) = tuner.plan(flats, |i| air.unit_dur(items[i].0))?;
                 Some(items.swap_remove(pick))
             }
         }

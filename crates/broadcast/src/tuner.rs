@@ -12,7 +12,7 @@ use crate::program::{PacketClass, Payload, Program};
 use crate::stats::QueryStats;
 
 /// Consecutive lost reads before a burst is declared and a multi-antenna
-/// client's resilient planners start dodging the fading channel.
+/// client's planner starts dodging the fading channel.
 const BURST_THRESHOLD: u32 = 2;
 
 /// Consecutive lost reads before the livelock guard aborts the query.
@@ -46,7 +46,6 @@ pub struct Tuner<'a, P> {
     program: &'a Program<P>,
     start: u64,
     pos: u64,
-    tuning: u64,
     loss: LossModel,
     rng: StdRng,
     /// Channel currently listened to (clients tune in on channel 0, the
@@ -56,15 +55,10 @@ pub struct Tuner<'a, P> {
     /// count).
     antennas: u32,
     /// Channels the antennas are currently tuned to, most recently focused
-    /// first (`monitored[0] == channel`); a retune evicts the tail. Left
-    /// empty on single-channel programs so the classic tuner stays
-    /// allocation-free.
+    /// first (`monitored[0] == channel`); a retune evicts the tail.
     monitored: Vec<u32>,
     switches: u64,
-    /// Per-channel tuning counters; left empty on single-channel programs
-    /// (the aggregate counter covers channel 0), so the classic
-    /// single-channel tuner stays allocation-free and pays nothing per
-    /// read.
+    /// Reads per channel; tuning time is their sum.
     tuning_by_channel: Vec<u64>,
     /// Per-model fault state (the [`LossModel::None`]/[`LossModel::Iid`]
     /// arm is the frozen historical draw path; see the loss module docs).
@@ -80,8 +74,8 @@ pub struct Tuner<'a, P> {
     stall_start: u64,
     /// Longest loss stall observed, in packets of broadcast time.
     longest_stall: u64,
-    /// Retunes forced by loss (resilient planner deviated from the
-    /// loss-blind pick).
+    /// Retunes forced by loss (the planner's fade dodge deviated from
+    /// the loss-blind pick).
     loss_retunes: u64,
     /// Per-read journal (channel, instant, loss outcome), recorded when
     /// [`Tuner::enable_fault_recording`] was called: the fault harness
@@ -198,18 +192,13 @@ impl<'a, P: Payload> Tuner<'a, P> {
             program,
             start,
             pos: start,
-            tuning: 0,
             loss,
             rng: StdRng::seed_from_u64(seed),
             channel: 0,
             antennas: antennas.antennas.min(n_channels),
-            monitored: if n_channels > 1 { vec![0] } else { Vec::new() },
+            monitored: vec![0],
             switches: 0,
-            tuning_by_channel: if n_channels > 1 {
-                vec![0; n_channels as usize]
-            } else {
-                Vec::new()
-            },
+            tuning_by_channel: vec![0; n_channels as usize],
             fault,
             loss_retune: antennas.loss_retune,
             lost_reads: 0,
@@ -222,16 +211,17 @@ impl<'a, P: Payload> Tuner<'a, P> {
     }
 
     /// Starts journaling every read's channel, instant and loss outcome;
-    /// retrieve the script with [`Tuner::fault_trace`] and replay it via
+    /// take the script with [`Tuner::into_fault_trace`] and replay it via
     /// [`LossModel::Trace`].
     pub fn enable_fault_recording(&mut self) {
         self.record = Some(Vec::new());
     }
 
-    /// The fault journal recorded since [`Tuner::enable_fault_recording`]
-    /// (empty if recording was never enabled).
-    pub fn fault_trace(&self) -> FaultTrace {
-        FaultTrace::new(self.record.clone().unwrap_or_default())
+    /// Ends the query and hands over the fault journal recorded since
+    /// [`Tuner::enable_fault_recording`] (empty if recording was never
+    /// enabled). Read [`Tuner::stats`] first: the tuner is consumed.
+    pub fn into_fault_trace(self) -> FaultTrace {
+        FaultTrace::new(self.record.unwrap_or_default())
     }
 
     /// The broadcast program being listened to.
@@ -244,18 +234,6 @@ impl<'a, P: Payload> Tuner<'a, P> {
     #[inline]
     pub fn pos(&self) -> u64 {
         self.pos
-    }
-
-    /// Cycle-relative position of the next packet **on the listened
-    /// channel**: each channel repeats its own cycle of
-    /// [`Program::channel_len`] packets, so the slot about to air on the
-    /// current channel is `pos % channel_len(channel)`. On a
-    /// single-channel program this is the classic flat cycle position.
-    /// (It used to be `pos % program.len()`, which on `C > 1` programs
-    /// was neither the channel slot nor a flat position.)
-    #[inline]
-    pub fn cycle_pos(&self) -> u64 {
-        self.pos % self.program.channel_len(self.channel)
     }
 
     /// Channel currently listened to.
@@ -272,8 +250,7 @@ impl<'a, P: Payload> Tuner<'a, P> {
     }
 
     /// Channels currently monitored by the antennas, most recently focused
-    /// first. Empty on single-channel programs (the one channel is
-    /// implicitly monitored).
+    /// first (`[0]` on a single-channel program).
     #[inline]
     pub fn monitored_channels(&self) -> &[u32] {
         &self.monitored
@@ -283,11 +260,7 @@ impl<'a, P: Payload> Tuner<'a, P> {
     /// no retune delay).
     #[inline]
     fn is_monitored(&self, ch: u32) -> bool {
-        if self.monitored.is_empty() {
-            ch == self.channel
-        } else {
-            self.monitored.contains(&ch)
-        }
+        self.monitored.contains(&ch)
     }
 
     /// Makes `ch` the actively decoded channel: free if an antenna is
@@ -312,8 +285,8 @@ impl<'a, P: Payload> Tuner<'a, P> {
     }
 
     /// Flat cycle position of the packet about to air on the current
-    /// channel — "where in the schema" the client is listening. Equal to
-    /// [`Tuner::cycle_pos`] on a single channel.
+    /// channel — "where in the schema" the client is listening. On a
+    /// single channel this is `pos % program.len()`.
     #[inline]
     pub fn flat_pos(&self) -> u64 {
         self.program.flat_at(self.channel, self.pos)
@@ -339,7 +312,7 @@ impl<'a, P: Payload> Tuner<'a, P> {
     /// earliest the packet at `flat_pos` could be read if the client were
     /// free at `from`, charging the retune delay if no antenna currently
     /// monitors the target's channel. This is the costing primitive of
-    /// [`Tuner::plan_earliest`]'s conflict model.
+    /// [`Tuner::plan`]'s conflict model and fade dodge.
     #[inline]
     fn arrival_from(&self, from: u64, flat_pos: u64) -> u64 {
         let ready = if self.is_monitored(self.program.channel_of(flat_pos)) {
@@ -350,36 +323,38 @@ impl<'a, P: Payload> Tuner<'a, P> {
         self.program.next_occurrence_on(ready, flat_pos)
     }
 
-    /// The batch arrival planner: the earliest-arriving position among
-    /// `flats` and its arrival instant (ties go to the lowest index).
-    /// Equals the minimum over per-position [`Tuner::arrival`] calls;
-    /// `None` on an empty slice. This is how channel-aware clients pick
-    /// their next read across candidate targets airing on parallel
-    /// channels.
-    #[inline]
-    pub fn arrival_earliest(&self, flats: &[u64]) -> Option<(usize, u64)> {
-        let mut best: Option<(usize, u64)> = None;
-        for (i, &flat) in flats.iter().enumerate() {
-            let t = self.arrival(flat);
-            if best.is_none_or(|(_, bt)| t < bt) {
-                best = Some((i, t));
-            }
+    /// The tuner's one planning call: which of the candidate reads at
+    /// flat positions `flats` to take next, and the instant it airs
+    /// (`None` on an empty slice).
+    ///
+    /// Loss-blind until a fade is declared, the pick is the
+    /// earliest-arriving candidate (ties to the lowest index), corrected
+    /// for reads occupying the receiver: a read of candidate `i` holds it
+    /// for `dur(i)` packets, so blindly taking the earliest airing can
+    /// trample the runner-up's airing and push it a full channel cycle
+    /// out. When the runner-up airs before the leader's read completes,
+    /// both orders are costed by the completion of the later read — the
+    /// deferred read's re-occurrence charged exactly like
+    /// [`Tuner::arrival`] (retune delay included when its channel is on
+    /// no antenna) — and the cheaper order's first read wins. Arrivals are
+    /// computed once per candidate; `dur` is only consulted for the top
+    /// two. With zero durations the plan is the first minimum over
+    /// [`Tuner::arrival`].
+    ///
+    /// Once burst detection declares a fade on the listened channel (a
+    /// multi-antenna client with loss-aware retune; see
+    /// [`AntennaConfig`]), the dodge dominates conflict costing:
+    /// candidates on the fading channel are costed with an exponential
+    /// backoff (`2^min(burst, 6)` instants) so an airing on another
+    /// monitored channel wins instead of waiting out the fade. Deviations
+    /// from the loss-blind pick are counted in
+    /// [`QueryStats::loss_retunes`]. The planner consumes no loss draws,
+    /// and the returned instant is always the chosen candidate's *true*
+    /// arrival.
+    pub fn plan(&mut self, flats: &[u64], dur: impl Fn(usize) -> u64) -> Option<(usize, u64)> {
+        if self.fade_active() {
+            return self.pick_avoiding_fade(flats);
         }
-        best
-    }
-
-    /// The duration-aware batch planner: like [`Tuner::arrival_earliest`],
-    /// but accounts for reads occupying the receiver. A read of candidate
-    /// `i` holds the receiver for `dur(i)` packets, so blindly taking the
-    /// earliest airing can trample the runner-up's airing and push it a
-    /// full channel cycle out. When the runner-up airs before the
-    /// leader's read completes, both orders are costed by the completion
-    /// of the later read — the deferred read's re-occurrence charged
-    /// exactly like [`Tuner::arrival`] (retune delay included when its
-    /// channel is on no antenna) — and the cheaper order's first read
-    /// wins. Arrivals are computed once per candidate; `dur` is only
-    /// consulted for the top two. Ties go to the lowest index.
-    pub fn plan_earliest(&self, flats: &[u64], dur: impl Fn(usize) -> u64) -> Option<(usize, u64)> {
         let mut best: Option<(usize, u64)> = None;
         let mut second: Option<(usize, u64)> = None;
         for (i, &flat) in flats.iter().enumerate() {
@@ -426,46 +401,14 @@ impl<'a, P: Payload> Tuner<'a, P> {
         self.lost_reads
     }
 
-    /// Whether the resilient planners are currently biasing picks away
-    /// from the listened channel: a burst of at least [`BURST_THRESHOLD`]
-    /// losses is open, loss-aware retune is enabled, and the client has a
-    /// spare antenna on a multi-channel program to dodge with.
+    /// Whether the planner is currently biasing picks away from the
+    /// listened channel: a burst of at least [`BURST_THRESHOLD`] losses is
+    /// open, loss-aware retune is enabled, and the client has a spare
+    /// antenna to dodge with (antennas are capped at the channel count,
+    /// so that needs a multi-channel program).
     #[inline]
     fn fade_active(&self) -> bool {
-        self.loss_retune
-            && self.antennas > 1
-            && self.program.n_channels() > 1
-            && self.burst >= BURST_THRESHOLD
-    }
-
-    /// Loss-aware [`Tuner::arrival_earliest`]: identical (and loss-blind —
-    /// it consumes no RNG draws) until burst detection declares a fade on
-    /// the listened channel, then candidates on that channel are costed
-    /// with an exponential backoff (`2^min(burst, 6)` instants) so an
-    /// airing on another monitored channel wins instead of waiting out
-    /// the fade. Deviations from the loss-blind pick are counted in
-    /// [`QueryStats::loss_retunes`]. The returned instant is always the
-    /// chosen candidate's *true* arrival.
-    pub fn earliest_resilient(&mut self, flats: &[u64]) -> Option<(usize, u64)> {
-        if !self.fade_active() {
-            return self.arrival_earliest(flats);
-        }
-        self.pick_avoiding_fade(flats)
-    }
-
-    /// Loss-aware [`Tuner::plan_earliest`]: identical until a fade is
-    /// declared (see [`Tuner::earliest_resilient`]); under a fade the
-    /// dodge dominates duration-conflict costing, so the biased arrival
-    /// pick is used directly.
-    pub fn plan_resilient(
-        &mut self,
-        flats: &[u64],
-        dur: impl Fn(usize) -> u64,
-    ) -> Option<(usize, u64)> {
-        if !self.fade_active() {
-            return self.plan_earliest(flats, dur);
-        }
-        self.pick_avoiding_fade(flats)
+        self.loss_retune && self.antennas > 1 && self.burst >= BURST_THRESHOLD
     }
 
     /// The fade-biased pick: cost candidates on the fading (listened)
@@ -529,10 +472,7 @@ impl<'a, P: Payload> Tuner<'a, P> {
         let packet = self.program.packet_at(self.channel, self.pos);
         let instant = self.pos;
         self.pos += 1;
-        self.tuning += 1;
-        if let Some(c) = self.tuning_by_channel.get_mut(self.channel as usize) {
-            *c += 1;
-        }
+        self.tuning_by_channel[self.channel as usize] += 1;
         let lost = self.decide_loss(packet.class(), instant);
         if let Some(rec) = self.record.as_mut() {
             rec.push(TraceEntry {
@@ -646,7 +586,7 @@ impl<'a, P: Payload> Tuner<'a, P> {
     pub fn stats(&self) -> QueryStats {
         QueryStats {
             latency_packets: self.pos - self.start,
-            tuning_packets: self.tuning,
+            tuning_packets: self.tuning_by_channel.iter().sum(),
             capacity: self.program.capacity(),
             lost_packets: self.lost_reads,
             longest_stall_packets: self.longest_stall,
@@ -659,11 +599,7 @@ impl<'a, P: Payload> Tuner<'a, P> {
     pub fn channel_stats(&self) -> ChannelStats {
         ChannelStats {
             switches: self.switches,
-            tuning_packets: if self.tuning_by_channel.is_empty() {
-                vec![self.tuning]
-            } else {
-                self.tuning_by_channel.clone()
-            },
+            tuning_packets: self.tuning_by_channel.clone(),
             capacity: self.program.capacity(),
             loss_retunes: self.loss_retunes,
         }
@@ -742,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn cycle_pos_is_the_listened_channels_slot() {
+    fn flat_pos_is_the_listened_channels_slot() {
         use crate::channel::ChannelConfig;
         // Seven one-packet units striped over 3 channels: channel 0
         // carries flats {0,3,6} (3 slots), channel 2 carries {2,5} (2).
@@ -753,20 +689,19 @@ mod tests {
         );
         let mut t = Tuner::tune_in(&prog, 7, LossModel::None, 1);
         assert_eq!(t.channel(), 0);
-        // The listened channel's cycle is 3 packets, not the flat 7.
-        assert_eq!(t.cycle_pos(), 7 % 3);
-        assert_eq!(prog.flat_at(t.channel(), t.cycle_pos()), t.flat_pos());
-        assert_ne!(t.cycle_pos(), t.pos() % prog.len(), "pre-fix value");
+        // The listened channel's cycle is 3 packets, not the flat 7:
+        // instant 7 is its slot 1, flat 3.
+        assert_eq!(t.flat_pos(), prog.flat_at(0, 7 % 3));
+        assert_eq!(t.flat_pos(), 3);
         t.goto(5);
         assert_eq!(t.channel(), 2);
         assert_eq!(t.pos(), 9);
-        assert_eq!(t.cycle_pos(), 9 % prog.channel_len(2));
-        assert_eq!(prog.flat_at(t.channel(), t.cycle_pos()), 5);
-        assert_ne!(t.cycle_pos(), t.pos() % prog.len(), "pre-fix value");
+        assert_eq!(prog.flat_at(2, 9 % prog.channel_len(2)), 5);
+        assert_eq!(t.flat_pos(), 5);
     }
 
     #[test]
-    fn plan_earliest_charges_retune_on_the_deferred_read() {
+    fn plan_charges_retune_on_the_deferred_read() {
         use crate::channel::ChannelConfig;
         // Sixteen one-packet units blocked over 2 channels (flats 0..8 on
         // channel 0, 8..16 on channel 1), switch cost 6. From a fresh
@@ -781,10 +716,10 @@ mod tests {
             (0..16).map(P::Idx).collect(),
             ChannelConfig::blocked(2, 6),
         );
-        let t = Tuner::tune_in(&prog, 0, LossModel::None, 1);
+        let mut t = Tuner::tune_in(&prog, 0, LossModel::None, 1);
         assert_eq!(t.arrival(14), 6);
         assert_eq!(t.arrival(7), 7);
-        assert_eq!(t.plan_earliest(&[14, 7], |_| 2), Some((0, 6)));
+        assert_eq!(t.plan(&[14, 7], |_| 2), Some((0, 6)));
     }
 
     #[test]
@@ -883,14 +818,15 @@ mod tests {
         let mut live = Tuner::tune_in(&prog, 1, LossModel::Gilbert(ge), 21);
         live.enable_fault_recording();
         let lived: Vec<bool> = (0..48).map(|_| live.read().is_ok()).collect();
-        let trace = live.fault_trace();
+        let lived_stats = live.stats();
+        let trace = live.into_fault_trace();
         assert!(lived.iter().any(|ok| !ok), "the run saw losses");
         // Round-trip the trace through its text format, then replay it.
         let replayed = FaultTrace::from_text(&trace.to_text()).expect("text round-trip");
         let mut replay = Tuner::tune_in(&prog, 1, LossModel::Trace(replayed), 999);
         let replays: Vec<bool> = (0..48).map(|_| replay.read().is_ok()).collect();
         assert_eq!(lived, replays, "trace replay is seed-independent");
-        assert_eq!(live.stats(), replay.stats());
+        assert_eq!(lived_stats, replay.stats());
     }
 
     #[test]
@@ -911,7 +847,7 @@ mod tests {
     }
 
     #[test]
-    fn resilient_pick_dodges_the_fading_channel() {
+    fn plan_dodges_the_fading_channel() {
         use crate::channel::ChannelConfig;
         // Sixteen one-packet units blocked over 2 channels, free switches:
         // channel 0 airs flats 0..8, channel 1 airs flats 8..16.
@@ -929,20 +865,23 @@ mod tests {
         assert_eq!(t.read(), Err(PacketLost));
         assert_eq!(t.read(), Err(PacketLost));
         assert_eq!(t.current_burst(), 2, "burst detection is armed");
-        // Loss-blind planning still prefers flat 3 (airs at t = 3 on the
-        // fading channel) over flat 9 (t = 9 on channel 1)…
-        assert_eq!(t.arrival_earliest(&[3, 9]), Some((0, 3)));
-        assert_eq!(t.plan_earliest(&[3, 9], |_| 1), Some((0, 3)));
-        // …but the resilient pick dodges to channel 1, reporting flat 9's
-        // *true* arrival, and counts the forced retune.
-        assert_eq!(t.earliest_resilient(&[3, 9]), Some((1, 9)));
-        assert_eq!(t.plan_resilient(&[3, 9], |_| 1), Some((1, 9)));
+        // Loss-blind, a client at the same instant takes flat 3 (airs at
+        // t = 3 on the fading channel) over flat 9 (t = 9 on channel 1)…
+        let mut blind = Tuner::tune_in_with(&prog, 2, LossModel::None, 13, AntennaConfig::new(2));
+        assert_eq!(blind.plan(&[3, 9], |_| 0), Some((0, 3)));
+        assert_eq!(blind.plan(&[3, 9], |_| 1), Some((0, 3)));
+        // …but under the fade the plan dodges to channel 1, reporting
+        // flat 9's *true* arrival, and counts the forced retune.
+        assert_eq!(t.plan(&[3, 9], |_| 0), Some((1, 9)));
+        assert_eq!(t.plan(&[3, 9], |_| 1), Some((1, 9)));
         assert_eq!(t.stats().loss_retunes, 2);
-        // A successful read closes the burst and restores blind picks.
+        // A successful read closes the burst and restores blind picks:
+        // flat 10 airs now on channel 1 and wins.
         t.goto(9);
         assert_eq!(t.read().unwrap(), &P::Idx(9));
         assert_eq!(t.current_burst(), 0);
-        assert_eq!(t.earliest_resilient(&[3, 12]), t.arrival_earliest(&[3, 12]));
+        assert_eq!(t.plan(&[10, 3], |_| 0), Some((0, 10)));
+        assert_eq!(t.stats().loss_retunes, 2);
     }
 
     #[test]

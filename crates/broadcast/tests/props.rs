@@ -1,6 +1,6 @@
 //! Property tests for the channel substrate: occurrence arithmetic,
-//! tuner accounting, the multi-antenna tuner surface (batch arrival
-//! planning, monitored-set bounds, switch-cost accounting vs a
+//! tuner accounting, the multi-antenna tuner surface (read planning and
+//! its fade dodge, monitored-set bounds, switch-cost accounting vs a
 //! step-by-step reference tuner), and the fault-trace text format.
 
 use dsi_broadcast::optimize::{predict_latency_packets, AccessProfile, UnitSchema};
@@ -162,7 +162,7 @@ proptest! {
     }
 
     #[test]
-    fn arrival_earliest_agrees_with_min_over_arrival(
+    fn plan_with_zero_durations_is_the_first_min_over_arrival(
         len in 8u64..60,
         channels in 2u32..5,
         switch_cost in 0u32..4,
@@ -185,7 +185,7 @@ proptest! {
             t.goto(w % len);
         }
         let flats: Vec<u64> = targets.into_iter().map(|x| x % len).collect();
-        let (i, at) = t.arrival_earliest(&flats).expect("non-empty");
+        let (i, at) = t.plan(&flats, |_| 0).expect("non-empty");
         // Agrees with the min over per-position arrivals, ties to the
         // lowest index.
         let arrivals: Vec<u64> = flats.iter().map(|&f| t.arrival(f)).collect();
@@ -273,7 +273,7 @@ proptest! {
     }
 
     #[test]
-    fn plan_earliest_picks_the_cheaper_order_under_any_switch_cost(
+    fn plan_picks_the_cheaper_order_under_any_switch_cost(
         len in 8u64..60,
         channels in 2u32..5,
         // Deliberately includes costs far beyond a channel cycle: the
@@ -300,7 +300,7 @@ proptest! {
         }
         let flats: Vec<u64> = targets.iter().map(|&(x, _)| x % len).collect();
         let durs: Vec<u64> = targets.iter().map(|&(_, d)| d).collect();
-        let (pick, at) = t.plan_earliest(&flats, |i| durs[i]).expect("non-empty");
+        let (pick, at) = t.plan(&flats, |i| durs[i]).expect("non-empty");
         prop_assert_eq!(at, t.arrival(flats[pick]));
         // Reference model: arrivals per candidate; earliest is x. If the
         // runner-up y airs before x's read completes, both orders are
@@ -317,12 +317,7 @@ proptest! {
             .min_by_key(|&i| (arrivals[i], i))
             .expect("two candidates");
         let charged = |from: u64, i: usize| -> u64 {
-            let ch = prog.channel_of(flats[i]);
-            let monitored = if t.monitored_channels().is_empty() {
-                ch == t.channel()
-            } else {
-                t.monitored_channels().contains(&ch)
-            };
+            let monitored = t.monitored_channels().contains(&prog.channel_of(flats[i]));
             let ready = if monitored { from } else { from + switch_cost as u64 };
             prog.next_occurrence_on(ready, flats[i])
         };
@@ -479,20 +474,20 @@ proptest! {
         let flats: Vec<u64> = targets.iter().map(|&x| x % len).collect();
         let dur = |i: usize| (i as u64 % 3) + 1;
 
-        // The loss-blind planners decide identically under every fault
-        // model: swapping the model changes nothing about planning.
-        let lossless = Tuner::tune_in_with(
+        // Before any loss the planner decides identically under every
+        // fault model: swapping the model changes nothing about planning.
+        let mut lossless = Tuner::tune_in_with(
             &prog, start, LossModel::None, seed, AntennaConfig::new(antennas),
         );
-        let lossy = Tuner::tune_in_with(
+        let mut lossy = Tuner::tune_in_with(
             &prog, start, loss.clone(), seed, AntennaConfig::new(antennas),
         );
-        prop_assert_eq!(lossless.arrival_earliest(&flats), lossy.arrival_earliest(&flats));
-        prop_assert_eq!(lossless.plan_earliest(&flats, dur), lossy.plan_earliest(&flats, dur));
+        prop_assert_eq!(lossless.plan(&flats, |_| 0), lossy.plan(&flats, |_| 0));
+        prop_assert_eq!(lossless.plan(&flats, dur), lossy.plan(&flats, dur));
 
         // And planning consumes no loss draws: interleaving planner calls
-        // (including the resilient wrappers) between reads leaves the
-        // loss outcome of every subsequent read untouched.
+        // (fade dodges included) between reads leaves the loss outcome of
+        // every subsequent read untouched.
         let run = |plan: bool| {
             let mut t = Tuner::tune_in_with(
                 &prog, start, loss.clone(), seed, AntennaConfig::new(antennas),
@@ -500,16 +495,59 @@ proptest! {
             (0..24)
                 .map(|_| {
                     if plan {
-                        let _ = t.arrival_earliest(&flats);
-                        let _ = t.plan_earliest(&flats, dur);
-                        let _ = t.earliest_resilient(&flats);
-                        let _ = t.plan_resilient(&flats, dur);
+                        let _ = t.plan(&flats, |_| 0);
+                        let _ = t.plan(&flats, dur);
                     }
                     t.read().is_ok()
                 })
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(run(false), run(true), "a planner consumed a loss draw");
+    }
+
+    #[test]
+    fn plan_under_a_fade_dodges_off_the_listened_channel_or_keeps_the_blind_pick(
+        len in 8u64..60,
+        channels in 2u32..5,
+        switch_cost in 0u32..4,
+        antennas in 2u32..4,
+        blocked in any::<bool>(),
+        start in 0u64..1_000,
+        lost in 2u32..6,
+        targets in prop::collection::vec((0u64..60, 0u64..12), 1..10),
+    ) {
+        let cfg = if blocked {
+            ChannelConfig::blocked(channels, switch_cost)
+        } else {
+            ChannelConfig::striped(channels, switch_cost)
+        };
+        let prog = multi_channel_program(len, cfg);
+        // Channel 0, where the client tunes in, is dark for good: each
+        // read there is lost, so `lost` reads open a burst.
+        let dark = OutageWindow { channel: 0, start: 0, len: u64::MAX / 2 };
+        let mut t = Tuner::tune_in_with(
+            &prog, start, LossModel::outage(vec![dark]), 1, AntennaConfig::new(antennas),
+        );
+        for _ in 0..lost {
+            prop_assert!(t.read().is_err());
+        }
+        prop_assert_eq!(t.current_burst(), lost);
+        let flats: Vec<u64> = targets.iter().map(|&(x, _)| x % len).collect();
+        let durs: Vec<u64> = targets.iter().map(|&(_, d)| d).collect();
+        let arrivals: Vec<u64> = flats.iter().map(|&f| t.arrival(f)).collect();
+        let blind = (0..flats.len())
+            .min_by_key(|&i| (arrivals[i], i))
+            .expect("non-empty");
+        let before = t.stats().loss_retunes;
+        let (pick, at) = t.plan(&flats, |i| durs[i]).expect("non-empty");
+        prop_assert_eq!(at, arrivals[pick], "not the pick's true arrival");
+        if pick == blind {
+            prop_assert_eq!(t.stats().loss_retunes, before);
+        } else {
+            // A dodge leaves the fading channel and counts one retune.
+            prop_assert!(prog.channel_of(flats[pick]) != t.channel(), "dodged within the fade");
+            prop_assert_eq!(t.stats().loss_retunes, before + 1);
+        }
     }
 
     #[test]

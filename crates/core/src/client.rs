@@ -180,11 +180,8 @@ struct QueryScratch {
     /// [`QueryMode::on_virtuals`].
     virtuals: Vec<u64>,
     /// Flat positions of the current navigation candidates, handed to the
-    /// tuner's batch arrival planner ([`Tuner::arrival_earliest`]).
+    /// tuner's read planner ([`Tuner::plan`]).
     nav_flats: Vec<u64>,
-    /// Arrival instants of the candidates (parallel to `nav_flats`),
-    /// computed once while the candidates are gathered.
-    nav_arrivals: Vec<u64>,
     /// What to do at each navigation candidate (parallel to `nav_flats`).
     nav_plans: Vec<Pending>,
     /// One bit per broadcast slot: the multi-channel navigator marks its
@@ -221,7 +218,7 @@ pub(crate) fn run_query<M: QueryMode>(
             .nav_flats
             .extend((0..l.n_frames()).map(|slot| l.frame_start(slot)));
         let (slot0, _) = tuner
-            .arrival_earliest(&scratch.nav_flats)
+            .plan(&scratch.nav_flats, |_| 0)
             .expect("a cycle has at least one frame");
         tuner.goto(l.frame_start(slot0 as u32));
         slot0 as u32
@@ -467,7 +464,7 @@ fn visit_frame<M: QueryMode>(
             visit_flats.clear();
             visit_flats.extend(visit.iter().map(|&(idx, _)| l.header_packet(slot, idx)));
             let (i, _) = tuner
-                .earliest_resilient(visit_flats)
+                .plan(visit_flats, |_| 0)
                 .expect("visit plan is non-empty");
             let (idx, is_retry) = visit.swap_remove(i);
             if visit_header(
@@ -554,14 +551,14 @@ fn read_payload(tuner: &mut Tuner<'_, DsiPacket>, n: u32) -> bool {
 /// The cheapest way to reach frame `slot` from the tuner's position:
 /// through its index table (fresh frames) or straight to its first unread
 /// header (partially scanned frames, or frames whose table occurrence
-/// already passed). Returns `(arrival, flat target, what to do there)`.
+/// already passed). Returns `(flat target, what to do there)`.
 fn approach(
     air: &DsiAir,
     tuner: &Tuner<'_, DsiPacket>,
     log: &ScanLog,
     slot: u32,
     max_hi: u64,
-) -> (u64, u64, Pending) {
+) -> (u64, Pending) {
     let l = air.layout();
     let t = l.hc_index_of_slot(slot);
     let read_upto = log.get(t).map_or(0, |s| s.read_upto);
@@ -570,10 +567,9 @@ fn approach(
     let table_abs = tuner.arrival(table_flat);
     let visit_abs = tuner.arrival(visit_flat);
     if table_abs <= visit_abs && log.get(t).is_none() {
-        (table_abs, table_flat, Pending::Table(slot))
+        (table_flat, Pending::Table(slot))
     } else {
         (
-            visit_abs,
             visit_flat,
             Pending::Visit {
                 slot,
@@ -606,9 +602,8 @@ fn approach(
 ///   a sweep over all frames would build. An audited query checks the
 ///   list against that sweep ([`sweep_candidates`]) on every hop.
 ///
-/// All candidates are then planned in one batch through the tuner's
-/// earliest-arrival API, which accounts for channel placement and the
-/// antennas' monitored set.
+/// All candidates are then planned in one batch by [`Tuner::plan`], which
+/// accounts for channel placement and the antennas' monitored set.
 fn navigate<M: QueryMode>(
     air: &DsiAir,
     tuner: &mut Tuner<'_, DsiPacket>,
@@ -622,21 +617,17 @@ fn navigate<M: QueryMode>(
         entry_targets,
         useful_entries,
         nav_flats,
-        nav_arrivals,
         nav_plans,
         nav_marks,
         ..
     } = scratch;
     nav_flats.clear();
-    nav_arrivals.clear();
     nav_plans.clear();
 
     // Retry visits: the earliest pending index per slot is the head of its
     // maintained sorted list.
     for (slot, idxs) in state.retries.iter_slots() {
-        let flat = l.header_packet(slot, idxs[0]);
-        nav_flats.push(flat);
-        nav_arrivals.push(tuner.arrival(flat));
+        nav_flats.push(l.header_packet(slot, idxs[0]));
         nav_plans.push(Pending::Visit {
             slot,
             include_fresh: false,
@@ -667,9 +658,8 @@ fn navigate<M: QueryMode>(
     if !state.rem().is_empty() {
         match mode.nav_pick(state.rem(), useful_entries) {
             NavPick::Slot(slot) => {
-                let (abs, flat, p) = approach(air, tuner, &state.log, slot, max_hi);
+                let (flat, p) = approach(air, tuner, &state.log, slot, max_hi);
                 nav_flats.push(flat);
-                nav_arrivals.push(abs);
                 nav_plans.push(p);
             }
             NavPick::Earliest if tuner.program().n_channels() > 1 => {
@@ -679,9 +669,8 @@ fn navigate<M: QueryMode>(
                 nav_marks.resize(nf.div_ceil(64) as usize, 0);
                 mark_candidates(l, mode, state, nav_marks);
                 let mut push = |slot| {
-                    let (abs, flat, p) = approach(air, tuner, &state.log, slot, max_hi);
+                    let (flat, p) = approach(air, tuner, &state.log, slot, max_hi);
                     nav_flats.push(flat);
-                    nav_arrivals.push(abs);
                     nav_plans.push(p);
                 };
                 drain_marks(nav_marks, cur, nf, &mut push);
@@ -689,7 +678,7 @@ fn navigate<M: QueryMode>(
                 if state.audits() {
                     let exact = state.oracle_rem(mode.exact_targets().as_deref());
                     let got: Vec<_> = (base..nav_flats.len())
-                        .map(|j| (nav_flats[j], nav_arrivals[j], nav_plans[j]))
+                        .map(|j| (nav_flats[j], nav_plans[j]))
                         .collect();
                     assert_eq!(
                         got,
@@ -716,9 +705,8 @@ fn navigate<M: QueryMode>(
                     if !rem_overlaps(mode, state, lb, ub) {
                         continue;
                     }
-                    let (abs, flat, p) = approach(air, tuner, &state.log, slot, max_hi);
+                    let (flat, p) = approach(air, tuner, &state.log, slot, max_hi);
                     nav_flats.push(flat);
-                    nav_arrivals.push(abs);
                     nav_plans.push(p);
                     if d > 0 {
                         break;
@@ -728,32 +716,19 @@ fn navigate<M: QueryMode>(
         }
     }
 
-    // One plan over all candidates: the earliest-arriving read wins (ties
-    // to the first candidate, matching the sweep order; the arrivals were
-    // produced by the tuner's channel- and antenna-aware planner while
-    // the candidates were gathered, and the tuner has not moved since).
-    // The multi-antenna client additionally costs the top-2 conflict: its
-    // plans occupy the receiver for a while, so taking the earliest
-    // airing can trample the runner-up's airing and push it a full
-    // channel cycle out — when that happens, whichever order finishes
-    // both reads earlier wins.
-    let mut best: Option<(usize, u64)> = None;
-    for (j, &t) in nav_arrivals.iter().enumerate() {
-        if best.is_none_or(|(_, bt)| t < bt) {
-            best = Some((j, t));
-        }
-    }
-    let (i, _) = best?;
-    let pick = if tuner.antennas() > 1 && nav_flats.len() > 1 {
-        // Multi-antenna: run the duration-aware planner instead (top-2
-        // conflict costing; one plan can trample the runner-up's airing).
-        let (j, _) = tuner.plan_resilient(nav_flats, |j| {
+    // One plan over all candidates: the earliest-arriving read wins, ties
+    // to the first candidate, matching the sweep order. The multi-antenna
+    // client also costs how long each plan occupies the receiver, so the
+    // planner can take the runner-up first when the earliest airing would
+    // trample it; the one-antenna client plans with zero durations.
+    let multi = tuner.antennas() > 1;
+    let (pick, _) = tuner.plan(nav_flats, |j| {
+        if multi {
             plan_duration(l, state, &nav_plans[j], nav_flats[j])
-        })?;
-        j
-    } else {
-        i
-    };
+        } else {
+            0
+        }
+    })?;
     tuner.goto(nav_flats[pick]);
     Some(nav_plans[pick])
 }
@@ -838,15 +813,15 @@ fn drain_marks(marks: &mut [u64], from: u32, to: u32, f: &mut impl FnMut(u32)) {
 
 /// Audit oracle for the multi-channel candidate list: the full sweep of
 /// every frame in broadcast order from the current slot, testing each
-/// against the exact remainders `rem`. Returns `(flat, arrival, plan)`
-/// per candidate, in the order the navigator must list them.
+/// against the exact remainders `rem`. Returns `(flat, plan)` per
+/// candidate, in the order the navigator must list them.
 fn sweep_candidates(
     air: &DsiAir,
     tuner: &Tuner<'_, DsiPacket>,
     state: &QueryState<'_>,
     rem: &[HcRange],
     max_hi: u64,
-) -> Vec<(u64, u64, Pending)> {
+) -> Vec<(u64, Pending)> {
     let l = air.layout();
     let cur = l.slot_of_packet(tuner.flat_pos());
     let nf = l.n_frames();
@@ -857,10 +832,7 @@ fn sweep_candidates(
             let (lb, ub) = state.know.span_est(t);
             !fully_attempted(&state.log, t, l.objects_in_slot(slot)) && overlaps_any(rem, lb, ub)
         })
-        .map(|slot| {
-            let (abs, flat, p) = approach(air, tuner, &state.log, slot, max_hi);
-            (flat, abs, p)
-        })
+        .map(|slot| approach(air, tuner, &state.log, slot, max_hi))
         .collect()
 }
 

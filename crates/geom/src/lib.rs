@@ -2,8 +2,8 @@
 //!
 //! The paper (Lee & Zheng, ICDCS 2005) works in a two-dimensional Euclidean
 //! space where a coordinate is a pair of 8-byte floating point numbers.
-//! This crate provides the value types for that space — [`Point`], [`Rect`],
-//! [`Circle`] — together with the distance kernels used by the query
+//! This crate provides the value types for that space — [`Point`] and
+//! [`Rect`] — together with the distance kernels used by the query
 //! algorithms (squared distances, point↔rectangle *mindist*), and the
 //! [`GridMapper`] that maps continuous coordinates onto the `2^order ×
 //! 2^order` integer grid on which the Hilbert curve is defined.
@@ -18,13 +18,11 @@
 #![warn(missing_docs)]
 
 mod bound;
-mod circle;
 mod grid;
 mod point;
 mod rect;
 
 pub use bound::BoundOrder;
-pub use circle::Circle;
 pub use grid::{Cell, GridMapper};
-pub use point::{dist, dist2, Point};
+pub use point::{dist2, Point};
 pub use rect::Rect;

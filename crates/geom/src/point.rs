@@ -24,12 +24,6 @@ impl Point {
     pub fn dist2(&self, other: Point) -> f64 {
         dist2(*self, other)
     }
-
-    /// Euclidean distance to `other`.
-    #[inline]
-    pub fn dist(&self, other: Point) -> f64 {
-        dist(*self, other)
-    }
 }
 
 impl From<(f64, f64)> for Point {
@@ -50,12 +44,6 @@ pub fn dist2(a: Point, b: Point) -> f64 {
     dx * dx + dy * dy
 }
 
-/// Euclidean distance between two points.
-#[inline]
-pub fn dist(a: Point, b: Point) -> f64 {
-    dist2(a, b).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,7 +53,6 @@ mod tests {
         let a = Point::new(0.25, 0.75);
         let b = Point::new(-1.0, 2.0);
         assert_eq!(dist2(a, b), dist2(b, a));
-        assert_eq!(dist(a, b), dist(b, a));
     }
 
     #[test]
@@ -79,7 +66,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(3.0, 4.0);
         assert_eq!(dist2(a, b), 25.0);
-        assert_eq!(dist(a, b), 5.0);
     }
 
     #[test]

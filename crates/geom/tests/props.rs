@@ -1,6 +1,6 @@
 //! Property tests for the geometry primitives.
 
-use dsi_geom::{dist2, Circle, GridMapper, Point, Rect};
+use dsi_geom::{dist2, GridMapper, Point, Rect};
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -53,14 +53,6 @@ proptest! {
         // A shared point forces intersection.
         if a.contains(p) && b.contains(p) {
             prop_assert!(a.intersects(&b));
-        }
-    }
-
-    #[test]
-    fn circle_bbox_contains_circle_points(c in arb_point(), r in 0.0..1.5f64, q in arb_point()) {
-        let circle = Circle::new(c, r);
-        if circle.contains(q) {
-            prop_assert!(circle.bounding_box().contains(q));
         }
     }
 

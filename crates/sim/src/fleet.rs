@@ -75,11 +75,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::Engine;
-
-/// Multiplier of the per-query seed derivation, shared with
-/// [`crate::run_query_batch`] so fleet populations and classic batches
-/// agree on what "client `i` of master seed `s`" means.
-const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+use crate::runner::query_seed;
 
 /// One fleet scenario: a client population over a query pool.
 #[derive(Debug, Clone)]
@@ -173,7 +169,7 @@ impl Population {
             let u = (rng.gen_range(0..(1u64 << 53)) as f64 / (1u64 << 53) as f64) * total;
             let qi = cum.partition_point(|&c| c <= u).min(spec.pool.len() - 1);
             query.push(qi as u32);
-            seed.push(spec.seed ^ (i as u64).wrapping_mul(SEED_MIX));
+            seed.push(query_seed(spec.seed, i));
         }
         Population { query, start, seed }
     }

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{Engine, Scheme};
-use crate::runner::{run_query_batch, BatchOptions, BatchResult};
+use crate::runner::{query_seed, run_query_batch, BatchOptions, BatchResult};
 use crate::table::{fmt_bytes, Table};
 
 /// A workload family, materialized into concrete queries per cell.
@@ -230,7 +230,7 @@ fn build_optimized(
             let (_, journal) = single.drive_traced(
                 start,
                 LossModel::None,
-                spec.seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                query_seed(spec.seed, qi),
                 AntennaConfig::single(),
                 q,
             );
@@ -349,7 +349,7 @@ fn build_optimized(
                     let out = engine.drive_antennas(
                         train_starts[wi][qi] % engine.cycle_packets(),
                         LossModel::None,
-                        spec.seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        query_seed(spec.seed, qi),
                         AntennaConfig::new(ant),
                         q,
                     );

@@ -94,6 +94,14 @@ fn aggregate(outcomes: Vec<QueryOutcome>) -> BatchResult {
     }
 }
 
+/// The loss seed of query (or client) `i` under master seed `seed`. Every
+/// per-query derivation goes through it, so batches, fleet populations
+/// and the matrix's training drives agree on what "client `i` of master
+/// seed `s`" means.
+pub(crate) fn query_seed(seed: u64, i: usize) -> u64 {
+    seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 /// Ground truth for one query.
 fn brute(dataset: &SpatialDataset, q: &Query) -> Vec<u32> {
     match q {
@@ -118,7 +126,7 @@ pub fn run_query_batch(
         .map(|_| rng.gen_range(0..cycle))
         .collect();
     let seeds: Vec<u64> = (0..queries.len())
-        .map(|qi| opts.seed ^ (qi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .map(|qi| query_seed(opts.seed, qi))
         .collect();
     run_query_batch_at(engine, dataset, queries, &starts, &seeds, opts)
 }
