@@ -391,30 +391,56 @@ impl<'t, N, F: Fn(&N) -> &Children> Builder<'t, N, F> {
 /// to tune to.
 pub type PendingRead<X> = (u8, u32, X, u64);
 
-/// A tree client's pending reads, each keyed by the arrival computed at
-/// push time and then by its [`PendingRead`] fields. Ties break on the
-/// key in that order; the goldens pin it.
+/// A tree client's pending reads.
 ///
-/// A one-antenna client pops the smallest key, that is, by the arrival
-/// computed at push time. That arrival goes stale when the client
-/// retunes, which it does on any program with more than one channel, so
-/// such a client can read in a stale order. A client with two or more
-/// antennas re-plans every pop instead: it derives each pending read's
-/// earliest copy again (a replicated path node has one copy per covering
-/// segment, and the earliest changes as time passes) and picks through
-/// [`Tuner::plan`]. With antennas retuning, pushed keys go
-/// stale in both directions: an airing can be missed (key too low) or a
-/// switch penalty can vanish once the channel is monitored (key too
-/// high), and either error costs up to a full channel cycle.
+/// A one-antenna client keys each read by the arrival computed at push
+/// time and then by its [`PendingRead`] fields, and pops the smallest
+/// key; ties break on the key in that order, and the goldens pin it.
+/// That arrival goes stale when the client retunes, which it does on any
+/// program with more than one channel: an airing can pass while the
+/// client listens elsewhere, and the read then waits up to a full channel
+/// cycle past its key. So such a client can read in a stale order.
+///
+/// A client with two or more antennas pops what [`Tuner::plan`] picks
+/// from every pending read at its earliest copy (a replicated path node
+/// has one copy per covering segment, and the earliest changes as time
+/// passes), ties going to the lowest index of `items`. It stores each
+/// read's arrival as derived at push time or at the read's last check,
+/// and takes the first minimum of the stored keys. It derives that read's
+/// arrival again, which may move a node to a later copy; while the value
+/// changes it stores it and scans again. It settles the runner-up the
+/// same way and hands both to the planner's conflict rule. During a fade
+/// the whole list goes through [`Tuner::plan`] instead. This is exact:
+///
+/// - A stored key never exceeds the read's current arrival. While the
+///   monitored channels stay the same, a flat position's arrival never
+///   decreases as the clock advances, so neither does the minimum over a
+///   node's copies. A retune that starts monitoring a channel lowers the
+///   arrivals there by the switch cost, but the retune itself takes that
+///   long: the clock ends up at least the switch cost past the instant
+///   any older key was derived at. A retune that stops monitoring a
+///   channel only raises arrivals.
+/// - So a key equal to the read's current arrival is exact. Let `x` be
+///   the first minimum of the stored keys, with an exact key `t_x`.
+///   Every other read's arrival is at least its key, which is at least
+///   `t_x`, and strictly greater at lower indices. So `x` is the first
+///   minimum of the current arrivals, the planner's leader. The same
+///   argument over the rest makes the settled runner-up the planner's.
+/// - During a fade the planner backs off every read on the fading
+///   channel, so the stored keys do not give its pick.
 #[derive(Debug, Clone)]
 pub enum ReadQueue<X> {
     /// One antenna: a heap of full keys.
     Scheduled(BinaryHeap<Reverse<(u64, PendingRead<X>)>>),
-    /// Two or more antennas: planned at every pop.
+    /// Two or more antennas: planned at every pop from stored arrivals.
     Planned {
-        /// The pending reads.
+        /// The pending reads: a push appends, a pop moves the last read
+        /// into the popped one's slot.
         items: Vec<PendingRead<X>>,
-        /// Reused flat-position buffer for the planner.
+        /// Each read's arrival, as derived at push time or at its last
+        /// check.
+        at: Vec<u64>,
+        /// Reused flat-position buffer for the full plan.
         flats: Vec<u64>,
     },
 }
@@ -426,6 +452,7 @@ impl<X: Copy + Ord> ReadQueue<X> {
         let mut queue = if tuner.antennas() > 1 {
             ReadQueue::Planned {
                 items: Vec::new(),
+                at: Vec::new(),
                 flats: Vec::new(),
             }
         } else {
@@ -435,10 +462,13 @@ impl<X: Copy + Ord> ReadQueue<X> {
         queue
     }
 
-    fn push(&mut self, at: u64, read: PendingRead<X>) {
+    fn push(&mut self, t: u64, read: PendingRead<X>) {
         match self {
-            ReadQueue::Scheduled(heap) => heap.push(Reverse((at, read))),
-            ReadQueue::Planned { items, .. } => items.push(read),
+            ReadQueue::Scheduled(heap) => heap.push(Reverse((t, read))),
+            ReadQueue::Planned { items, at, .. } => {
+                items.push(read);
+                at.push(t);
+            }
         }
     }
 
@@ -475,17 +505,275 @@ impl<X: Copy + Ord> ReadQueue<X> {
     ) -> Option<PendingRead<X>> {
         match self {
             ReadQueue::Scheduled(heap) => heap.pop().map(|Reverse((_, read))| read),
-            ReadQueue::Planned { items, flats } => {
-                for item in items.iter_mut() {
-                    if item.0 != OBJECT {
-                        item.3 = air.node_arrival(tuner, item.0, item.1).1;
-                    }
-                }
-                flats.clear();
-                flats.extend(items.iter().map(|item| item.3));
-                let (pick, _) = tuner.plan(flats, |i| air.unit_dur(items[i].0))?;
+            ReadQueue::Planned { items, at, flats } => {
+                let pick = if tuner.fade_active() {
+                    replan(air, tuner, items, at, flats)
+                } else {
+                    plan_from_keys(air, tuner, items, at)
+                }?;
+                at.swap_remove(pick);
                 Some(items.swap_remove(pick))
             }
+        }
+    }
+}
+
+/// Derives `read`'s arrival again, moving a node read to its earliest
+/// copy.
+fn rekey<X>(air: &SegmentedAir, tuner: &Tuner<'_, TreePacket>, read: &mut PendingRead<X>) -> u64 {
+    if read.0 == OBJECT {
+        return tuner.arrival(read.3);
+    }
+    let (t, flat) = air.node_arrival(tuner, read.0, read.1);
+    read.3 = flat;
+    t
+}
+
+/// The full plan: derives every key and earliest copy again and hands the
+/// whole list to [`Tuner::plan`]. A fade pops through it; the incremental
+/// pop must return what it returns.
+fn replan<X>(
+    air: &SegmentedAir,
+    tuner: &mut Tuner<'_, TreePacket>,
+    items: &mut [PendingRead<X>],
+    at: &mut [u64],
+    flats: &mut Vec<u64>,
+) -> Option<usize> {
+    for (read, key) in items.iter_mut().zip(at.iter_mut()) {
+        *key = rekey(air, tuner, read);
+    }
+    flats.clear();
+    flats.extend(items.iter().map(|read| read.3));
+    let (pick, _) = tuner.plan(flats, |i| air.unit_dur(items[i].0))?;
+    Some(pick)
+}
+
+/// [`Tuner::plan`]'s loss-blind pick, from keys that are lower bounds on
+/// the current arrivals (see [`ReadQueue`]).
+fn plan_from_keys<X>(
+    air: &SegmentedAir,
+    tuner: &Tuner<'_, TreePacket>,
+    items: &mut [PendingRead<X>],
+    at: &mut [u64],
+) -> Option<usize> {
+    let x = settle_min(air, tuner, items, at, None)?;
+    let y = settle_min(air, tuner, items, at, Some(x.0));
+    let (pick, _) = tuner.settle_conflict(x, y, |i| items[i].3, |i| air.unit_dur(items[i].0));
+    Some(pick)
+}
+
+/// The first minimum of the keys, `skip` aside, and its arrival: derives
+/// the minimum's arrival again and scans again until its key holds.
+fn settle_min<X>(
+    air: &SegmentedAir,
+    tuner: &Tuner<'_, TreePacket>,
+    items: &mut [PendingRead<X>],
+    at: &mut [u64],
+    skip: Option<usize>,
+) -> Option<(usize, u64)> {
+    loop {
+        let mut min: Option<(usize, u64)> = None;
+        for (i, &t) in at.iter().enumerate() {
+            if min.is_none_or(|(_, m)| t < m) && skip != Some(i) {
+                min = Some((i, t));
+            }
+        }
+        let (i, key) = min?;
+        let t = rekey(air, tuner, &mut items[i]);
+        if t == key {
+            return Some((i, t));
+        }
+        debug_assert!(t > key, "a stored key exceeds its read's arrival");
+        at[i] = t;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AntennaConfig, GilbertElliott, OutageWindow, Placement};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random tree of 16 to 128 leaves, leaves first: each leaf holds
+    /// one to three objects and each upper level groups runs of two to
+    /// four nodes. The leaves are the cut level, so every internal node
+    /// airs as replicated path copies.
+    fn random_tree(rng: &mut StdRng) -> Vec<Vec<Children>> {
+        let mut objects = 0;
+        let leaves: Vec<Children> = (0..rng.gen_range(16..129usize))
+            .map(|_| {
+                let count = rng.gen_range(1..4u64) as u32;
+                objects += count;
+                Children::Objects {
+                    start: objects - count,
+                    count,
+                }
+            })
+            .collect();
+        let mut levels = vec![leaves];
+        while levels.last().expect("leaves").len() > 1 {
+            let below = levels.last().expect("leaves").len() as u32;
+            let mut level = Vec::new();
+            let mut first = 0;
+            while first < below {
+                let last = (first + rng.gen_range(2..5u64) as u32).min(below);
+                level.push(Children::Nodes((first..last).collect()));
+                first = last;
+            }
+            levels.push(level);
+        }
+        levels
+    }
+
+    /// A unit-to-channel map that gives each of the first `channels` index
+    /// units its own channel and every other unit a random one.
+    fn random_assignment(
+        program: &Program<TreePacket>,
+        channels: u32,
+        rng: &mut StdRng,
+    ) -> Vec<u32> {
+        let mut index_units = 0;
+        (0..program.len())
+            .filter(|&flat| program.get(flat).unit_start())
+            .map(|flat| match program.get(flat).class() {
+                PacketClass::Index if index_units < channels => {
+                    index_units += 1;
+                    index_units - 1
+                }
+                _ => rng.gen_range(0..channels as u64) as u32,
+            })
+            .collect()
+    }
+
+    /// The full plan as a pop: what [`ReadQueue::pop`] must return.
+    fn pop_replanned(
+        queue: &mut ReadQueue<()>,
+        air: &SegmentedAir,
+        tuner: &mut Tuner<'_, TreePacket>,
+    ) -> Option<PendingRead<()>> {
+        let ReadQueue::Planned {
+            items, at, flats, ..
+        } = queue
+        else {
+            panic!("a multi-antenna queue plans");
+        };
+        let pick = replan(air, tuner, items, at, flats)?;
+        at.swap_remove(pick);
+        Some(items.swap_remove(pick))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Two clients walk one random tree in lockstep on identical
+        /// tuners; one pops incrementally, the other through the full
+        /// plan. Every pop, every instant and the final metrics agree.
+        #[test]
+        fn incremental_pop_equals_full_replan(
+            seed in any::<u64>(),
+            channels in 2u32..5,
+            placement in 0u32..4,
+            switch_cost in 0u32..5,
+            loss in 0u32..4,
+            start_seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut levels = random_tree(&mut rng);
+            let mut size = || rng.gen_range(1..3u64);
+            let slots = if placement == 1 {
+                let s = size();
+                SlotPackets { leaf: s, internal: s, object: s }
+            } else {
+                SlotPackets { leaf: size(), internal: size(), object: size() }
+            };
+            let build = |levels: &[Vec<Children>], channels| {
+                SegmentedAir::try_build(64, channels, slots, levels, |c| c)
+                    .expect("the layout builds")
+            };
+            let one_channel = build(&levels, ChannelConfig::single());
+            let placement = match placement {
+                0 => Placement::Blocked,
+                1 => {
+                    // One unit size and a unit count divisible by C give
+                    // every channel the same length, so each stripe row
+                    // airs at one instant and reads on different channels
+                    // tie.
+                    let units = one_channel.program().unit_starts().iter().filter(|&&u| u).count();
+                    let Some(Children::Objects { count, .. }) = levels[0].last_mut() else {
+                        unreachable!("leaves hold objects");
+                    };
+                    *count += (channels - units as u32 % channels) % channels;
+                    Placement::Stripe
+                }
+                2 => Placement::IndexData {
+                    index_channels: rng.gen_range(1..channels as u64) as u32,
+                },
+                _ => {
+                    let assignment = random_assignment(one_channel.program(), channels, &mut rng);
+                    Placement::Explicit(assignment)
+                }
+            };
+            let air = build(&levels, ChannelConfig {
+                channels,
+                placement,
+                switch_cost,
+            });
+            let start = start_seed % air.program().len();
+            let loss = match loss {
+                0 => LossModel::None,
+                1 => LossModel::iid(0.3),
+                2 => LossModel::Gilbert(GilbertElliott::new(0.075, 0.25, 0.9)),
+                _ => LossModel::outage(vec![OutageWindow {
+                    channel: 0,
+                    start,
+                    len: rng.gen_range(20..300u64),
+                }]),
+            };
+            let antennas = AntennaConfig::new(rng.gen_range(2..channels as u64 + 1) as u32);
+            let tune_in =
+                || Tuner::tune_in_with(air.program(), start, loss.clone(), seed, antennas);
+            let (mut fast, mut full) = (tune_in(), tune_in());
+            let mut fast_q = ReadQueue::seed(&air, &fast, ());
+            let mut full_q = ReadQueue::seed(&air, &full, ());
+            loop {
+                let read = fast_q.pop(&air, &mut fast);
+                prop_assert_eq!(read, pop_replanned(&mut full_q, &air, &mut full));
+                let Some((kind, idx, (), flat)) = read else {
+                    break;
+                };
+                prop_assert_eq!(fast.goto(flat), full.goto(flat));
+                let ok = air.read_unit(&mut fast, kind);
+                prop_assert_eq!(ok, air.read_unit(&mut full, kind));
+                let mut push = |level, idx| {
+                    for (q, t) in [(&mut fast_q, &fast), (&mut full_q, &full)] {
+                        if level == OBJECT {
+                            q.push_object(&air, t, idx, ());
+                        } else {
+                            q.push_node(&air, t, level, idx, ());
+                        }
+                    }
+                };
+                if !ok {
+                    push(kind, idx);
+                } else if kind != OBJECT {
+                    match &levels[kind as usize][idx as usize] {
+                        Children::Nodes(kids) => {
+                            for &kid in kids.iter().filter(|_| rng.gen_bool(0.8)) {
+                                push(kind - 1, kid);
+                            }
+                        }
+                        Children::Objects { start, count } => {
+                            for obj in (*start..start + count).filter(|_| rng.gen_bool(0.8)) {
+                                push(OBJECT, obj);
+                            }
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(fast.stats(), full.stats());
+            prop_assert_eq!(fast.channel_stats(), full.channel_stats());
         }
     }
 }

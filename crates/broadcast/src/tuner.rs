@@ -366,7 +366,21 @@ impl<'a, P: Payload> Tuner<'a, P> {
                 second = Some((i, t));
             }
         }
-        let (x, t_x) = best?;
+        Some(self.settle_conflict(best?, second, |i| flats[i], dur))
+    }
+
+    /// [`Tuner::plan`]'s conflict rule, given the loss-blind top two: `x`
+    /// is the earliest candidate (ties to the lowest index) arriving at
+    /// `t_x`, `second` the earliest of the rest. `flat(i)` and `dur(i)`
+    /// are candidate `i`'s flat position and read duration. Returns the
+    /// read to take and the instant it airs.
+    pub(crate) fn settle_conflict(
+        &self,
+        (x, t_x): (usize, u64),
+        second: Option<(usize, u64)>,
+        flat: impl Fn(usize) -> u64,
+        dur: impl Fn(usize) -> u64,
+    ) -> (usize, u64) {
         if let Some((y, t_y)) = second {
             let dx = dur(x);
             if t_y < t_x + dx {
@@ -378,14 +392,14 @@ impl<'a, P: Payload> Tuner<'a, P> {
                 // understated the deferred side by the switch cost, so a
                 // large `switch_cost` could flip the decision the wrong
                 // way.
-                let y_after_x = self.arrival_from(t_x + dx, flats[y]) + dy;
-                let x_after_y = self.arrival_from(t_y + dy, flats[x]) + dx;
+                let y_after_x = self.arrival_from(t_x + dx, flat(y)) + dy;
+                let x_after_y = self.arrival_from(t_y + dy, flat(x)) + dx;
                 if x_after_y < y_after_x {
-                    return Some((y, t_y));
+                    return (y, t_y);
                 }
             }
         }
-        Some((x, t_x))
+        (x, t_x)
     }
 
     /// Consecutive lost reads of the currently open burst (0 after any
@@ -407,7 +421,7 @@ impl<'a, P: Payload> Tuner<'a, P> {
     /// antenna to dodge with (antennas are capped at the channel count,
     /// so that needs a multi-channel program).
     #[inline]
-    fn fade_active(&self) -> bool {
+    pub(crate) fn fade_active(&self) -> bool {
         self.loss_retune && self.antennas > 1 && self.burst >= BURST_THRESHOLD
     }
 

@@ -33,6 +33,25 @@ fn brute_knn(pts: &[(u32, Point)], q: Point, k: usize) -> Vec<u32> {
     ids
 }
 
+/// No loss, i.i.d. loss, or Gilbert–Elliott fades entered at rate 0.075
+/// with a mean length of 4 packets.
+fn loss_models() -> impl Strategy<Value = LossModel> {
+    prop_oneof![
+        Just(LossModel::None),
+        Just(LossModel::iid(0.3)),
+        Just(LossModel::Gilbert(GilbertElliott::new(0.075, 0.25, 0.9))),
+    ]
+}
+
+/// One channel, or four blocked or striped ones.
+fn channel_configs() -> impl Strategy<Value = ChannelConfig> {
+    prop_oneof![
+        Just(ChannelConfig::single()),
+        Just(ChannelConfig::blocked(4, 2)),
+        Just(ChannelConfig::striped(4, 2)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -42,19 +61,26 @@ proptest! {
         t.validate();
     }
 
+    /// Channels, antennas and bursty loss as in `air_knn_matches_brute`:
+    /// two antennas put the window walk in front of the multi-antenna
+    /// planner.
     #[test]
     fn air_window_matches_brute(
         n in 10usize..150, seed in any::<u64>(),
         cap in prop_oneof![Just(64u32), Just(128), Just(512)],
         start_seed in any::<u64>(),
         cx in 0.0..1.0f64, cy in 0.0..1.0f64, side in 0.05..0.6f64,
-        theta in prop_oneof![Just(0.0f64), Just(0.3)],
+        loss in loss_models(),
+        chan in channel_configs(),
+        antennas in 1u32..3,
     ) {
         let pts = points(n, seed);
-        let air = RTreeAir::build(&pts, RtreeAirConfig::new(cap));
+        let air = RTreeAir::try_build_channels(&pts, RtreeAirConfig::new(cap), chan)
+            .expect("the layout builds");
         let w = Rect::window_in_unit_square(Point::new(cx, cy), side);
         let start = start_seed % air.program().len();
-        let mut t = Tuner::tune_in(air.program(), start, LossModel::iid(theta), start_seed);
+        let ant = AntennaConfig::new(antennas);
+        let mut t = Tuner::tune_in_with(air.program(), start, loss, start_seed, ant);
         prop_assert_eq!(air.window_query(&mut t, &w), brute_window(&pts, &w));
     }
 
@@ -68,17 +94,8 @@ proptest! {
         n in 10usize..600, seed in any::<u64>(),
         start_seed in any::<u64>(),
         qx in 0.0..1.0f64, qy in 0.0..1.0f64, k in 1usize..10,
-        loss in prop_oneof![
-            Just(LossModel::None),
-            Just(LossModel::iid(0.3)),
-            // Fades entered at rate 0.075, mean length 4 packets.
-            Just(LossModel::Gilbert(GilbertElliott::new(0.075, 0.25, 0.9))),
-        ],
-        chan in prop_oneof![
-            Just(ChannelConfig::single()),
-            Just(ChannelConfig::blocked(4, 2)),
-            Just(ChannelConfig::striped(4, 2)),
-        ],
+        loss in loss_models(),
+        chan in channel_configs(),
         antennas in 1u32..3,
     ) {
         let pts = points(n, seed);
