@@ -120,7 +120,39 @@ impl<P> Program<P> {
     pub fn channel_of(&self, flat_pos: u64) -> u32 {
         match &self.layout {
             None => 0,
-            Some(l) => l.chan_of[(flat_pos % self.len()) as usize],
+            Some(l) => l.chan_of[self.wrap(flat_pos) as usize],
+        }
+    }
+
+    /// `flat_pos % len()`, dividing only when `flat_pos` lies past the
+    /// cycle (every in-cycle position is its own residue).
+    #[inline]
+    fn wrap(&self, flat_pos: u64) -> u64 {
+        let len = self.len();
+        if flat_pos < len {
+            flat_pos
+        } else {
+            flat_pos % len
+        }
+    }
+
+    /// Where the packet at flat position `flat_pos` airs: its channel,
+    /// that channel's cycle length, and its slot in that cycle. The
+    /// tuner's arrivals look a target up once through this and finish
+    /// with [`next_at`].
+    #[inline]
+    pub(crate) fn airing(&self, flat_pos: u64) -> (u32, u64, u64) {
+        let flat = self.wrap(flat_pos);
+        match &self.layout {
+            None => (0, self.len(), flat),
+            Some(l) => {
+                let ch = l.chan_of[flat as usize];
+                (
+                    ch,
+                    l.by_channel[ch as usize].len() as u64,
+                    l.chan_pos[flat as usize],
+                )
+            }
         }
     }
 
@@ -159,16 +191,8 @@ impl<P> Program<P> {
     /// single channel the two agree.
     #[inline]
     pub fn next_occurrence_on(&self, from: u64, flat_pos: u64) -> u64 {
-        match &self.layout {
-            None => self.next_occurrence(from, flat_pos),
-            Some(l) => {
-                let flat = (flat_pos % self.len()) as usize;
-                let len = l.by_channel[l.chan_of[flat] as usize].len() as u64;
-                let q = l.chan_pos[flat];
-                let from_rel = from % len;
-                from + (q + len - from_rel) % len
-            }
-        }
+        let (_, len, slot) = self.airing(flat_pos);
+        next_at(from, len, slot)
     }
 
     /// Packets per cycle.
@@ -206,11 +230,24 @@ impl<P> Program<P> {
     /// wake-up time; pointers into the past roll over to the next cycle.
     #[inline]
     pub fn next_occurrence(&self, from: u64, cycle_pos: u64) -> u64 {
-        let len = self.len();
-        debug_assert!(cycle_pos < len, "cycle position {cycle_pos} out of range");
-        let from_rel = from % len;
-        let delta = (cycle_pos + len - from_rel) % len;
-        from + delta
+        debug_assert!(
+            cycle_pos < self.len(),
+            "cycle position {cycle_pos} out of range"
+        );
+        next_at(from, self.len(), self.wrap(cycle_pos))
+    }
+}
+
+/// The earliest instant `t >= from` with `t % len == slot`, for
+/// `slot < len`. Both residues lie in `[0, len)`, so their difference
+/// needs a compare and at most one addition of `len`, not a second `%`.
+#[inline]
+pub(crate) fn next_at(from: u64, len: u64, slot: u64) -> u64 {
+    let from_rel = from % len;
+    from + if slot >= from_rel {
+        slot - from_rel
+    } else {
+        slot + len - from_rel
     }
 }
 

@@ -8,7 +8,7 @@ use crate::loss::{
     stream_seed, FaultTrace, GilbertElliott, LossModel, TraceEntry, GE_DRAW_SALT, GE_STATE_SALT,
     KEYED_DRAW_SALT,
 };
-use crate::program::{PacketClass, Payload, Program};
+use crate::program::{next_at, PacketClass, Payload, Program};
 use crate::stats::QueryStats;
 
 /// Consecutive lost reads before a burst is declared and a multi-antenna
@@ -113,19 +113,24 @@ struct GeChain {
     state_rng: StdRng,
     /// Within-state loss-draw stream (`GE_DRAW_SALT`).
     draw_rng: StdRng,
+    /// `ln(1 − leave)` of the good and the bad state, the divisor of every
+    /// sojourn draw in that state, computed once per chain.
+    ln_stay: [f64; 2],
 }
 
 impl GeChain {
     fn new(seed: u64, channel: u32, ge: &GilbertElliott) -> Self {
         let mut state_rng = StdRng::seed_from_u64(stream_seed(seed, channel, GE_STATE_SALT));
+        let ln_stay = [(1.0 - ge.p_gb).ln(), (1.0 - ge.p_bg).ln()];
         // Chains start in the good state; the first transition instant is
         // the initial good sojourn.
-        let until = sojourn(&mut state_rng, ge.p_gb);
+        let until = sojourn(&mut state_rng, ge.p_gb, ln_stay[0]);
         Self {
             bad: false,
             until,
             state_rng,
             draw_rng: StdRng::seed_from_u64(stream_seed(seed, channel, GE_DRAW_SALT)),
+            ln_stay,
         }
     }
 
@@ -135,19 +140,19 @@ impl GeChain {
         while self.until <= t {
             self.bad = !self.bad;
             let leave = if self.bad { ge.p_bg } else { ge.p_gb };
-            self.until += sojourn(&mut self.state_rng, leave);
+            self.until += sojourn(&mut self.state_rng, leave, self.ln_stay[self.bad as usize]);
         }
     }
 }
 
 /// One geometric sojourn length (≥ 1 instants) for a state left with
-/// per-instant probability `leave`.
-fn sojourn(rng: &mut StdRng, leave: f64) -> u64 {
+/// per-instant probability `leave`, where `ln_stay = ln(1 − leave)`.
+fn sojourn(rng: &mut StdRng, leave: f64, ln_stay: f64) -> u64 {
     if leave >= 1.0 {
         return 1;
     }
     let u: f64 = rng.gen();
-    let len = 1.0 + ((1.0 - u).ln() / (1.0 - leave).ln()).floor();
+    let len = 1.0 + ((1.0 - u).ln() / ln_stay).floor();
     (len as u64).clamp(1, 1 << 32)
 }
 
@@ -315,12 +320,19 @@ impl<'a, P: Payload> Tuner<'a, P> {
     /// [`Tuner::plan`]'s conflict model and fade dodge.
     #[inline]
     fn arrival_from(&self, from: u64, flat_pos: u64) -> u64 {
-        let ready = if self.is_monitored(self.program.channel_of(flat_pos)) {
+        self.arrival_on(from, self.program.airing(flat_pos))
+    }
+
+    /// [`Tuner::arrival_from`] of a target already looked up by
+    /// [`Program::airing`].
+    #[inline]
+    fn arrival_on(&self, from: u64, (channel, len, slot): (u32, u64, u64)) -> u64 {
+        let ready = if self.is_monitored(channel) {
             from
         } else {
             from + self.program.switch_cost() as u64
         };
-        self.program.next_occurrence_on(ready, flat_pos)
+        next_at(ready, len, slot)
     }
 
     /// The tuner's one planning call: which of the candidate reads at
@@ -374,7 +386,11 @@ impl<'a, P: Payload> Tuner<'a, P> {
     /// `t_x`, `second` the earliest of the rest. `flat(i)` and `dur(i)`
     /// are candidate `i`'s flat position and read duration. Returns the
     /// read to take and the instant it airs.
-    pub(crate) fn settle_conflict(
+    ///
+    /// A client that keeps its candidates' arrivals between picks settles
+    /// its own top two and calls this instead of [`Tuner::plan`]; the pick
+    /// is `plan`'s whenever [`Tuner::fade_active`] is false.
+    pub fn settle_conflict(
         &self,
         (x, t_x): (usize, u64),
         second: Option<(usize, u64)>,
@@ -416,12 +432,14 @@ impl<'a, P: Payload> Tuner<'a, P> {
     }
 
     /// Whether the planner is currently biasing picks away from the
-    /// listened channel: a burst of at least [`BURST_THRESHOLD`] losses is
+    /// listened channel: a burst of at least `BURST_THRESHOLD` losses is
     /// open, loss-aware retune is enabled, and the client has a spare
     /// antenna to dodge with (antennas are capped at the channel count,
-    /// so that needs a multi-channel program).
+    /// so that needs a multi-channel program). While it is, [`Tuner::plan`]
+    /// backs off reads on the fading channel, so its pick is not the
+    /// earliest arrival and stored arrivals do not give it.
     #[inline]
-    pub(crate) fn fade_active(&self) -> bool {
+    pub fn fade_active(&self) -> bool {
         self.loss_retune && self.antennas > 1 && self.burst >= BURST_THRESHOLD
     }
 
@@ -471,8 +489,9 @@ impl<'a, P: Payload> Tuner<'a, P> {
     /// tuning.
     #[inline]
     pub fn goto(&mut self, flat_pos: u64) -> u64 {
-        let t = self.arrival(flat_pos);
-        self.focus(self.program.channel_of(flat_pos));
+        let airing = self.program.airing(flat_pos);
+        let t = self.arrival_on(self.pos, airing);
+        self.focus(airing.0);
         self.pos = t;
         t
     }
@@ -803,6 +822,38 @@ mod tests {
         );
         assert!(sa.longest_stall_packets >= 2, "stall spans the burst");
         assert_ne!(a, run(4).0, "different seeds diverge");
+    }
+
+    #[test]
+    fn cached_sojourn_logs_keep_the_chain_trajectory() {
+        // The sojourn draw as it was before `ln(1 − leave)` was cached.
+        fn sojourn_uncached(rng: &mut StdRng, leave: f64) -> u64 {
+            if leave >= 1.0 {
+                return 1;
+            }
+            let u: f64 = rng.gen();
+            let len = 1.0 + ((1.0 - u).ln() / (1.0 - leave).ln()).floor();
+            (len as u64).clamp(1, 1 << 32)
+        }
+        let ps = [0.02, 0.25, 1.0 / 6000.0, 1.0 / 1500.0, 1.0];
+        for (i, &p_gb) in ps.iter().enumerate() {
+            let p_bg = ps[(i + 2) % ps.len()];
+            let ge = GilbertElliott::new(p_gb, p_bg, 0.9);
+            let mut chain = GeChain::new(11, 3, &ge);
+            let mut rng = StdRng::seed_from_u64(stream_seed(11, 3, GE_STATE_SALT));
+            let (mut bad, mut until) = (false, sojourn_uncached(&mut rng, p_gb));
+            for _ in 0..10_000 {
+                assert_eq!(
+                    (chain.bad, chain.until),
+                    (bad, until),
+                    "p_gb {p_gb} p_bg {p_bg}"
+                );
+                // One transition: advance to the instant the sojourn ends.
+                chain.advance(chain.until, &ge);
+                bad = !bad;
+                until += sojourn_uncached(&mut rng, if bad { p_bg } else { p_gb });
+            }
+        }
     }
 
     #[test]

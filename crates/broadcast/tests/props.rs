@@ -138,6 +138,63 @@ proptest! {
     }
 
     #[test]
+    fn arrivals_equal_the_modulo_formula(
+        len in 12u64..120,
+        channels in 1u32..5,
+        family in 0u32..5,
+        switch_cost in 0u32..4,
+        from in 0u64..1 << 62,
+        assign_seed in any::<u64>(),
+    ) {
+        let placement = match family {
+            0 => Placement::Blocked,
+            1 => Placement::Stripe,
+            2 => Placement::StripeFrames(2),
+            3 => Placement::IndexData { index_channels: 1 },
+            // Every packet is its own unit here, and every third an
+            // index unit; the first `channels` index units take distinct
+            // channels, so every channel carries an index.
+            _ => Placement::Explicit(
+                (0..len)
+                    .map(|u| match u {
+                        u if u % 3 == 0 && u / 3 < channels as u64 => (u / 3) as u32,
+                        u => (assign_seed.wrapping_mul(2 * u + 1) >> 33) as u32 % channels,
+                    })
+                    .collect(),
+            ),
+        };
+        let cfg = if channels == 1 {
+            ChannelConfig::single()
+        } else {
+            ChannelConfig { channels, placement, switch_cost }
+        };
+        let prog = multi_channel_program(len, cfg);
+        // Each flat position's slot in its channel's cycle.
+        let mut slot = vec![0u64; len as usize];
+        for c in 0..prog.n_channels() {
+            for s in 0..prog.channel_len(c) {
+                slot[prog.flat_at(c, s) as usize] = s;
+            }
+        }
+        // A fresh client monitors channel 0 only.
+        let tuner = Tuner::tune_in(&prog, from, LossModel::None, 1);
+        for flat in 0..2 * len {
+            // The formula the arrivals replaced: reduce the flat, the
+            // instant and the difference each modulo its cycle.
+            let ch = prog.channel_of(flat);
+            let cycle = prog.channel_len(ch);
+            let q = slot[(flat % len) as usize];
+            let modulo = |from: u64| from + (q + cycle - from % cycle) % cycle;
+            prop_assert_eq!(prog.next_occurrence_on(from, flat), modulo(from));
+            let ready = if ch == 0 { from } else { from + prog.switch_cost() as u64 };
+            prop_assert_eq!(tuner.arrival(flat), modulo(ready));
+            if channels == 1 && flat < len {
+                prop_assert_eq!(prog.next_occurrence(from, flat), modulo(from));
+            }
+        }
+    }
+
+    #[test]
     fn tuner_accounting_is_exact(
         len in 2u64..100,
         start in 0u64..1_000,

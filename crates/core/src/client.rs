@@ -21,12 +21,15 @@
 //! Navigation finds its candidate frames in one of two ways, chosen by the
 //! program's channel count. On one channel, broadcast order is arrival
 //! order, so a walk from the current slot stops at the first qualifying
-//! successor. On several channels every qualifying frame is a candidate;
-//! they are enumerated from the client's own state — runs of frames
-//! sharing one conservative span, merged with the sorted remainders — at
-//! a cost in known bounds, remainders and candidates instead of in
-//! frames. The sweep over all frames it replaced survives only as the
-//! audit oracle for that candidate list (see [`navigate`]).
+//! successor. On several channels every qualifying frame is a candidate.
+//! The first hop enumerates them from the client's own state — runs of
+//! frames sharing one conservative span, merged with the sorted
+//! remainders — and keeps them in a min-heap keyed by arrival. Candidates
+//! only drop out and a stored arrival never exceeds the current one, so
+//! later hops settle the earliest frames from the heap and derive only
+//! their arrivals again. The sweep over all frames survives as the audit
+//! oracle for the enumerated list, and the full plan over that list as
+//! the oracle for every heap pick (see [`navigate`]).
 //!
 //! The remainder state is **incremental**: every learned bound and every
 //! resolved header applies a localized delta inside [`QueryState`], so the
@@ -44,6 +47,9 @@
 //! or payload is recorded in [`Retries`](crate::state::Retries) and
 //! re-fetched a cycle later, while all previously gathered knowledge stays
 //! valid (§5).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use dsi_broadcast::Tuner;
 use dsi_datagen::Object;
@@ -162,6 +168,15 @@ enum Pending {
     },
 }
 
+impl Pending {
+    /// The broadcast slot of the frame this plan reads from.
+    fn slot(self) -> u32 {
+        match self {
+            Pending::Table(slot) | Pending::Visit { slot, .. } => slot,
+        }
+    }
+}
+
 /// Reusable buffers owned by the driver so the steady-state loop performs
 /// no per-iteration allocations.
 #[derive(Default)]
@@ -179,15 +194,23 @@ struct QueryScratch {
     /// HC values of the current table's entries, batched for
     /// [`QueryMode::on_virtuals`].
     virtuals: Vec<u64>,
-    /// Flat positions of the current navigation candidates, handed to the
-    /// tuner's read planner ([`Tuner::plan`]).
+    /// Flat positions of the current navigation candidates, retries
+    /// first, handed to the tuner's read planner ([`Tuner::plan`]).
     nav_flats: Vec<u64>,
     /// What to do at each navigation candidate (parallel to `nav_flats`).
     nav_plans: Vec<Pending>,
+    /// Arrival of each multi-channel navigation candidate (parallel to
+    /// `nav_flats`; a full listing keeps only its frames' arrivals and
+    /// leaves the retries' entries at 0).
+    nav_at: Vec<u64>,
     /// One bit per broadcast slot: the multi-channel navigator marks its
     /// candidate frames here, then drains them in broadcast order. All
     /// bits are clear between navigations.
     nav_marks: Vec<u64>,
+    /// The multi-channel navigator's candidate frames between hops, as
+    /// `(stored arrival, slot)` in a min-heap; `None` until the first
+    /// multi-channel hop lists them (see [`navigate`]).
+    nav_heap: Option<BinaryHeap<Reverse<(u64, u32)>>>,
 }
 
 /// Runs a query to completion. The tuner carries the metrics. With
@@ -551,14 +574,15 @@ fn read_payload(tuner: &mut Tuner<'_, DsiPacket>, n: u32) -> bool {
 /// The cheapest way to reach frame `slot` from the tuner's position:
 /// through its index table (fresh frames) or straight to its first unread
 /// header (partially scanned frames, or frames whose table occurrence
-/// already passed). Returns `(flat target, what to do there)`.
+/// already passed). Returns `(flat target, what to do there, its
+/// arrival)`.
 fn approach(
     air: &DsiAir,
     tuner: &Tuner<'_, DsiPacket>,
     log: &ScanLog,
     slot: u32,
     max_hi: u64,
-) -> (u64, Pending) {
+) -> (u64, Pending, u64) {
     let l = air.layout();
     let t = l.hc_index_of_slot(slot);
     let read_upto = log.get(t).map_or(0, |s| s.read_upto);
@@ -567,7 +591,7 @@ fn approach(
     let table_abs = tuner.arrival(table_flat);
     let visit_abs = tuner.arrival(visit_flat);
     if table_abs <= visit_abs && log.get(t).is_none() {
-        (table_flat, Pending::Table(slot))
+        (table_flat, Pending::Table(slot), table_abs)
     } else {
         (
             visit_flat,
@@ -576,6 +600,7 @@ fn approach(
                 include_fresh: true,
                 max_hi,
             },
+            visit_abs,
         )
     }
 }
@@ -595,15 +620,35 @@ fn approach(
 ///   usually stops within a few frames, where the enumeration below
 ///   would still walk every run that meets a remainder.
 /// - **Several channels:** broadcast order no longer orders arrivals and
-///   every qualifying frame is a candidate. [`mark_candidates`]
-///   enumerates them from the client's own state — the runs of frames
-///   between known bounds, merged with the remainders — and they are
-///   emitted in broadcast order from the current slot, exactly the list
-///   a sweep over all frames would build. An audited query checks the
-///   list against that sweep ([`sweep_candidates`]) on every hop.
+///   every qualifying frame is a candidate. [`list_frames`] enumerates
+///   them from the client's own state, exactly the list a sweep over all
+///   frames would build; an audited query checks it against that sweep
+///   ([`sweep_candidates`]). The first such hop hands every candidate to
+///   [`Tuner::plan`] and keeps the frames in a min-heap keyed by their
+///   arrivals. Later hops settle the pick from the heap
+///   ([`settle_stored`]) and list no frame again.
 ///
-/// All candidates are then planned in one batch by [`Tuner::plan`], which
-/// accounts for channel placement and the antennas' monitored set.
+/// The heap gives [`Tuner::plan`]'s pick because of two facts.
+///
+/// - **The candidate set only shrinks.** Knowledge only adds bounds, so
+///   spans only tighten; the exact remainders only shrink (window targets
+///   are published once, kNN targets only narrow, a refinement replaces a
+///   target by its exact pieces, and the cleared set only grows); scan
+///   progress never goes back. So the frames listed at the first hop hold
+///   every later candidate, and a frame dropped once never returns.
+/// - **A stored key never exceeds the frame's current arrival.** The
+///   clock only advances. A retune lowers arrivals on the channel it
+///   starts monitoring by at most the switch cost, and the retune itself
+///   spends that cost. An unscanned frame's arrival is the earlier of its
+///   table's and its first header's, each bounded below in turn. A frame
+///   visited since its key was stored was reached no earlier than that
+///   key, and that instant has passed.
+///
+/// During a fade the planner backs reads off the fading channel, so the
+/// stored keys do not give its pick: such a hop lists and plans every
+/// candidate again, and rebuilds the heap from the exact arrivals. An
+/// audited query runs that full plan after every stored-key pick as well,
+/// and asserts both agree.
 fn navigate<M: QueryMode>(
     air: &DsiAir,
     tuner: &mut Tuner<'_, DsiPacket>,
@@ -613,33 +658,18 @@ fn navigate<M: QueryMode>(
 ) -> Option<Pending> {
     let l = air.layout();
     let max_hi = rem_max_hi(mode, state);
-    let QueryScratch {
-        entry_targets,
-        useful_entries,
-        nav_flats,
-        nav_plans,
-        nav_marks,
-        ..
-    } = scratch;
-    nav_flats.clear();
-    nav_plans.clear();
-
-    // Retry visits: the earliest pending index per slot is the head of its
-    // maintained sorted list.
-    for (slot, idxs) in state.retries.iter_slots() {
-        nav_flats.push(l.header_packet(slot, idxs[0]));
-        nav_plans.push(Pending::Visit {
-            slot,
-            include_fresh: false,
-            max_hi,
-        });
-    }
+    list_retries(l, state, max_hi, scratch);
 
     // Entry targets the strategy may pick from: frames not yet fully
     // attempted whose conservative span can still overlap a remainder.
     // Without this filter the aggressive strategy would keep re-picking a
     // "nearest" frame that has nothing left to offer. Strategies that
     // never read the entries skip it.
+    let QueryScratch {
+        entry_targets,
+        useful_entries,
+        ..
+    } = scratch;
     useful_entries.clear();
     if mode.picks_entries() {
         for &(slot, hc) in entry_targets.iter() {
@@ -656,36 +686,34 @@ fn navigate<M: QueryMode>(
 
     // `rem_max_hi` left the last remainder exact: emptiness is exact.
     if !state.rem().is_empty() {
-        match mode.nav_pick(state.rem(), useful_entries) {
+        match mode.nav_pick(state.rem(), &scratch.useful_entries) {
             NavPick::Slot(slot) => {
-                let (flat, p) = approach(air, tuner, &state.log, slot, max_hi);
-                nav_flats.push(flat);
-                nav_plans.push(p);
+                let (flat, p, _) = approach(air, tuner, &state.log, slot, max_hi);
+                scratch.nav_flats.push(flat);
+                scratch.nav_plans.push(p);
             }
             NavPick::Earliest if tuner.program().n_channels() > 1 => {
-                let base = nav_flats.len();
-                let nf = l.n_frames();
-                let cur = l.slot_of_packet(tuner.flat_pos());
-                nav_marks.resize(nf.div_ceil(64) as usize, 0);
-                mark_candidates(l, mode, state, nav_marks);
-                let mut push = |slot| {
-                    let (flat, p) = approach(air, tuner, &state.log, slot, max_hi);
-                    nav_flats.push(flat);
-                    nav_plans.push(p);
-                };
-                drain_marks(nav_marks, cur, nf, &mut push);
-                drain_marks(nav_marks, 0, cur, &mut push);
-                if state.audits() {
-                    let exact = state.oracle_rem(mode.exact_targets().as_deref());
-                    let got: Vec<_> = (base..nav_flats.len())
-                        .map(|j| (nav_flats[j], nav_plans[j]))
-                        .collect();
-                    assert_eq!(
-                        got,
-                        sweep_candidates(air, tuner, state, &exact, max_hi),
-                        "multi-channel navigation candidates differ from the full sweep"
-                    );
+                if scratch.nav_heap.is_some() && !tuner.fade_active() {
+                    let pick = settle_stored(air, tuner, mode, state, scratch, max_hi);
+                    if state.audits() {
+                        assert_eq!(
+                            pick,
+                            plan_full(air, tuner, mode, state, scratch, max_hi),
+                            "the stored-key pick differs from the full plan"
+                        );
+                    }
+                    let (flat, p) = pick?;
+                    tuner.goto(flat);
+                    return Some(p);
                 }
+                let base = scratch.nav_flats.len();
+                list_frames(air, tuner, mode, state, scratch, max_hi);
+                let heap = scratch.nav_heap.get_or_insert_with(BinaryHeap::new);
+                heap.clear();
+                heap.extend(
+                    (base..scratch.nav_flats.len())
+                        .map(|j| Reverse((scratch.nav_at[j], scratch.nav_plans[j].slot()))),
+                );
             }
             NavPick::Earliest => {
                 // One channel: arrivals are monotone in broadcast distance
@@ -705,9 +733,9 @@ fn navigate<M: QueryMode>(
                     if !rem_overlaps(mode, state, lb, ub) {
                         continue;
                     }
-                    let (flat, p) = approach(air, tuner, &state.log, slot, max_hi);
-                    nav_flats.push(flat);
-                    nav_plans.push(p);
+                    let (flat, p, _) = approach(air, tuner, &state.log, slot, max_hi);
+                    scratch.nav_flats.push(flat);
+                    scratch.nav_plans.push(p);
                     if d > 0 {
                         break;
                     }
@@ -716,11 +744,94 @@ fn navigate<M: QueryMode>(
         }
     }
 
-    // One plan over all candidates: the earliest-arriving read wins, ties
-    // to the first candidate, matching the sweep order. The multi-antenna
-    // client also costs how long each plan occupies the receiver, so the
-    // planner can take the runner-up first when the earliest airing would
-    // trample it; the one-antenna client plans with zero durations.
+    let pick = plan_listed(l, tuner, state, scratch)?;
+    tuner.goto(scratch.nav_flats[pick]);
+    Some(scratch.nav_plans[pick])
+}
+
+/// Lists the retry visits as navigation candidates, replacing the
+/// previous list: the earliest pending index per slot is the head of its
+/// maintained sorted list.
+fn list_retries(l: &DsiLayout, state: &QueryState<'_>, max_hi: u64, scratch: &mut QueryScratch) {
+    scratch.nav_flats.clear();
+    scratch.nav_plans.clear();
+    scratch.nav_at.clear();
+    for (slot, idxs) in state.retries.iter_slots() {
+        scratch.nav_flats.push(l.header_packet(slot, idxs[0]));
+        scratch.nav_plans.push(Pending::Visit {
+            slot,
+            include_fresh: false,
+            max_hi,
+        });
+    }
+}
+
+/// Appends every multi-channel candidate frame to the navigation
+/// candidates, with its arrival. [`mark_candidates`] enumerates them from
+/// the client's own state — the runs of frames between known bounds,
+/// merged with the remainders — and they are emitted in broadcast order
+/// from the current slot, exactly the list a sweep over all frames would
+/// build. An audited query checks the list against that sweep.
+fn list_frames<M: QueryMode>(
+    air: &DsiAir,
+    tuner: &Tuner<'_, DsiPacket>,
+    mode: &mut M,
+    state: &mut QueryState<'_>,
+    scratch: &mut QueryScratch,
+    max_hi: u64,
+) {
+    let l = air.layout();
+    let QueryScratch {
+        nav_flats,
+        nav_plans,
+        nav_at,
+        nav_marks,
+        ..
+    } = scratch;
+    let base = nav_flats.len();
+    nav_at.resize(base, 0);
+    let nf = l.n_frames();
+    let cur = l.slot_of_packet(tuner.flat_pos());
+    nav_marks.resize(nf.div_ceil(64) as usize, 0);
+    mark_candidates(l, mode, state, nav_marks);
+    let mut push = |slot| {
+        let (flat, p, at) = approach(air, tuner, &state.log, slot, max_hi);
+        nav_flats.push(flat);
+        nav_plans.push(p);
+        nav_at.push(at);
+    };
+    drain_marks(nav_marks, cur, nf, &mut push);
+    drain_marks(nav_marks, 0, cur, &mut push);
+    if state.audits() {
+        let exact = state.oracle_rem(mode.exact_targets().as_deref());
+        let got: Vec<_> = (base..nav_flats.len())
+            .map(|j| (nav_flats[j], nav_plans[j], nav_at[j]))
+            .collect();
+        assert_eq!(
+            got,
+            sweep_candidates(air, tuner, state, &exact, max_hi),
+            "multi-channel navigation candidates differ from the full sweep"
+        );
+    }
+}
+
+/// One plan over the listed candidates: the earliest-arriving read wins,
+/// ties to the first candidate, matching the sweep order. The
+/// multi-antenna client also costs how long each plan occupies the
+/// receiver, so the planner can take the runner-up first when the
+/// earliest airing would trample it; the one-antenna client plans with
+/// zero durations.
+fn plan_listed(
+    l: &DsiLayout,
+    tuner: &mut Tuner<'_, DsiPacket>,
+    state: &QueryState<'_>,
+    scratch: &QueryScratch,
+) -> Option<usize> {
+    let QueryScratch {
+        nav_flats,
+        nav_plans,
+        ..
+    } = scratch;
     let multi = tuner.antennas() > 1;
     let (pick, _) = tuner.plan(nav_flats, |j| {
         if multi {
@@ -729,8 +840,117 @@ fn navigate<M: QueryMode>(
             0
         }
     })?;
-    tuner.goto(nav_flats[pick]);
-    Some(nav_plans[pick])
+    Some(pick)
+}
+
+/// The audit oracle of a stored-key pick: lists every multi-channel
+/// candidate again and plans over the whole list, as the first hop does.
+fn plan_full<M: QueryMode>(
+    air: &DsiAir,
+    tuner: &mut Tuner<'_, DsiPacket>,
+    mode: &mut M,
+    state: &mut QueryState<'_>,
+    scratch: &mut QueryScratch,
+    max_hi: u64,
+) -> Option<(u64, Pending)> {
+    list_retries(air.layout(), state, max_hi, scratch);
+    list_frames(air, tuner, mode, state, scratch, max_hi);
+    let pick = plan_listed(air.layout(), tuner, state, scratch)?;
+    Some((scratch.nav_flats[pick], scratch.nav_plans[pick]))
+}
+
+/// [`Tuner::plan`]'s loss-blind pick over the retries already listed and
+/// the heap's frames, whose stored keys are lower bounds on their
+/// arrivals (see [`navigate`]). Returns `(flat target, what to do
+/// there)`.
+///
+/// The leader is settled by popping the heap while its least key is at
+/// most the best arrival found so far. A popped frame that no longer
+/// qualifies is dropped for good; one that does gets its exact arrival
+/// and joins the listed candidates. Once the least key exceeds the best
+/// arrival, no frame left in the heap can arrive as early. The runner-up
+/// is settled the same way over the rest. Every frame popped and kept
+/// returns to the heap under its exact arrival, and the two go to the
+/// planner's conflict rule ([`Tuner::settle_conflict`]). A one-antenna
+/// client plans with zero durations ([`plan_listed`]), under which that
+/// rule never defers the leader, so it settles no runner-up.
+fn settle_stored<M: QueryMode>(
+    air: &DsiAir,
+    tuner: &Tuner<'_, DsiPacket>,
+    mode: &mut M,
+    state: &mut QueryState<'_>,
+    scratch: &mut QueryScratch,
+    max_hi: u64,
+) -> Option<(u64, Pending)> {
+    let l = air.layout();
+    let QueryScratch {
+        nav_flats,
+        nav_plans,
+        nav_at,
+        nav_heap,
+        ..
+    } = scratch;
+    let heap = nav_heap.as_mut().expect("the first hop lists the frames");
+    let n_retries = nav_flats.len();
+    nav_at.clear();
+    nav_at.extend(nav_flats.iter().map(|&flat| tuner.arrival(flat)));
+    let cur = l.slot_of_packet(tuner.flat_pos());
+    let nf = l.n_frames();
+    // `Tuner::plan`'s order over the full list: arrival, then list
+    // position — retries in `Retries::iter_slots` order, then frames in
+    // broadcast order from the current slot.
+    let rank = |j: usize, at: &[u64], plans: &[Pending]| {
+        if j < n_retries {
+            (at[j], false, j as u32)
+        } else {
+            (at[j], true, (plans[j].slot() + nf - cur) % nf)
+        }
+    };
+    let mut settle = |skip: Option<usize>| {
+        let mut best = (0..nav_flats.len())
+            .filter(|&j| Some(j) != skip)
+            .min_by_key(|&j| rank(j, nav_at, nav_plans));
+        while let Some(&Reverse((key, slot))) = heap.peek() {
+            if best.is_some_and(|b| key > nav_at[b]) {
+                break;
+            }
+            heap.pop();
+            let t = l.hc_index_of_slot(slot);
+            if fully_attempted(&state.log, t, l.objects_in_slot(slot)) {
+                continue;
+            }
+            let (lb, ub) = state.know.span_est(t);
+            if !rem_overlaps(mode, state, lb, ub) {
+                continue;
+            }
+            let (flat, p, at) = approach(air, tuner, &state.log, slot, max_hi);
+            debug_assert!(at >= key, "a stored key exceeds its frame's arrival");
+            nav_flats.push(flat);
+            nav_plans.push(p);
+            nav_at.push(at);
+            let j = nav_flats.len() - 1;
+            if best.is_none_or(|b| rank(j, nav_at, nav_plans) < rank(b, nav_at, nav_plans)) {
+                best = Some(j);
+            }
+        }
+        best
+    };
+    let leader = settle(None);
+    let runner_up = match leader {
+        Some(x) if tuner.antennas() > 1 => settle(Some(x)),
+        _ => None,
+    };
+    for j in n_retries..nav_flats.len() {
+        heap.push(Reverse((nav_at[j], nav_plans[j].slot())));
+    }
+    let x = leader?;
+    let (pick, _) = tuner.settle_conflict(
+        (x, nav_at[x]),
+        runner_up.map(|y| (y, nav_at[y])),
+        |j| nav_flats[j],
+        |j| plan_duration(l, state, &nav_plans[j], nav_flats[j]),
+    );
+    Some((nav_flats[pick], nav_plans[pick]))
 }
 
 /// Whether HC-order frame `t` still has an object index never attempted.
@@ -813,15 +1033,15 @@ fn drain_marks(marks: &mut [u64], from: u32, to: u32, f: &mut impl FnMut(u32)) {
 
 /// Audit oracle for the multi-channel candidate list: the full sweep of
 /// every frame in broadcast order from the current slot, testing each
-/// against the exact remainders `rem`. Returns `(flat, plan)` per
-/// candidate, in the order the navigator must list them.
+/// against the exact remainders `rem`. Returns `(flat, plan, arrival)`
+/// per candidate, in the order the navigator must list them.
 fn sweep_candidates(
     air: &DsiAir,
     tuner: &Tuner<'_, DsiPacket>,
     state: &QueryState<'_>,
     rem: &[HcRange],
     max_hi: u64,
-) -> Vec<(u64, Pending)> {
+) -> Vec<(u64, Pending, u64)> {
     let l = air.layout();
     let cur = l.slot_of_packet(tuner.flat_pos());
     let nf = l.n_frames();

@@ -547,21 +547,33 @@ pub(crate) fn subtract_ranges(targets: &[HcRange], cleared: &[HcRange]) -> Vec<H
 }
 
 /// `a ∩ b` into a caller-provided buffer (cleared first). Both inputs must
-/// be sorted and disjoint; the result is too, split wherever either input
-/// is (so remainders stay split at target boundaries, as the oracle's
-/// per-target subtraction splits them). This is the remainder-narrowing
-/// kernel: when a mode reports its new targets are a subset of the old
+/// be sorted and disjoint; the result is too, split wherever `b` is and
+/// wherever `a` leaves a gap. This is the remainder-narrowing kernel: when
+/// a mode reports its new targets are a subset of the old
 /// ([`TargetsChange::Narrowed`]), or refines one target in place, the new
 /// remainders are exactly `old remainders ∩ new targets` — no cleared-set
 /// subtraction needed.
+///
+/// Remainders split exactly where the oracle's per-target subtraction
+/// splits them: at target boundaries and around cleared ranges. Two
+/// adjacent pieces of `a` meet at an old target boundary (a cleared range
+/// would have left a gap), which a coarse narrowing can drop by publishing
+/// one target over both; so adjacent pieces cut from one range of `b` are
+/// joined.
 pub(crate) fn intersect_ranges_into(a: &[HcRange], b: &[HcRange], out: &mut Vec<HcRange>) {
     out.clear();
     let (mut i, mut j) = (0usize, 0usize);
+    // The range of `b` the last piece was cut from.
+    let mut last_j = usize::MAX;
     while i < a.len() && j < b.len() {
         let lo = a[i].lo.max(b[j].lo);
         let hi = a[i].hi.min(b[j].hi);
         if lo <= hi {
-            out.push(HcRange::new(lo, hi));
+            match out.last_mut() {
+                Some(prev) if last_j == j && prev.hi + 1 == lo => prev.hi = hi,
+                _ => out.push(HcRange::new(lo, hi)),
+            }
+            last_j = j;
         }
         if a[i].hi < b[j].hi {
             i += 1;
@@ -1094,5 +1106,24 @@ mod tests {
         assert_eq!(out, a);
         intersect_ranges_into(&a, &[], &mut out);
         assert!(out.is_empty());
+        // Remainders split only by an old target boundary join under one
+        // new target; a boundary `b` keeps, or a gap in `a`, still splits.
+        let a = vec![
+            HcRange::new(55296, 56319),
+            HcRange::new(56320, 57001),
+            HcRange::new(57002, 57100),
+            HcRange::new(57200, 57300),
+        ];
+        intersect_ranges_into(&a, &[HcRange::new(55296, 57250)], &mut out);
+        assert_eq!(
+            out,
+            vec![HcRange::new(55296, 57100), HcRange::new(57200, 57250)]
+        );
+        let b = vec![HcRange::new(55300, 56400), HcRange::new(56401, 56500)];
+        intersect_ranges_into(&a, &b, &mut out);
+        assert_eq!(
+            out,
+            vec![HcRange::new(55300, 56400), HcRange::new(56401, 56500)]
+        );
     }
 }

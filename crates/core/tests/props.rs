@@ -5,7 +5,8 @@
 use std::collections::HashMap;
 
 use dsi_broadcast::{
-    AntennaConfig, ChannelConfig, GilbertElliott, LossModel, LossScope, Placement, Tuner,
+    AntennaConfig, ChannelConfig, GilbertElliott, LossModel, LossScope, OutageWindow, Placement,
+    Tuner,
 };
 use dsi_core::hotpath;
 use dsi_core::knn_testkit::CandSet;
@@ -158,15 +159,17 @@ proptest! {
 // after every applied event (learned bound, resolved header) and once per
 // loop iteration, that its incrementally maintained cleared set and
 // remainders equal the from-scratch `cleared_regions` + `subtract_ranges`
-// oracle, and on every multi-channel navigation that its enumerated
-// candidate list equals the full broadcast-order sweep's. Running full
-// lossy audited window and kNN queries therefore *is* the differential
-// property test: any divergence panics inside the driver.
+// oracle; on every multi-channel navigation that its enumerated
+// candidate list equals the full broadcast-order sweep's; and on every
+// multi-channel hop that picks from stored arrivals that the pick equals
+// the full plan's. Running full lossy audited window and kNN queries
+// therefore *is* the differential property test: any divergence panics
+// inside the driver.
 // ---------------------------------------------------------------------------
 
 /// The channel axis of the audited grid: C ∈ {1, 2, 4} × every analytic
-/// placement family (C = 1 is the classic single channel whatever the
-/// placement).
+/// placement family × switch cost 0–4 (C = 1 is the classic single
+/// channel whatever the placement).
 fn arb_channels() -> impl Strategy<Value = ChannelConfig> {
     (
         prop_oneof![Just(1u32), Just(2), Just(4)],
@@ -176,26 +179,54 @@ fn arb_channels() -> impl Strategy<Value = ChannelConfig> {
             Just(Placement::StripeFrames(2)),
             Just(Placement::IndexData { index_channels: 1 }),
         ],
+        0u32..5,
     )
-        .prop_map(|(channels, placement)| {
+        .prop_map(|(channels, placement, switch_cost)| {
             if channels == 1 {
                 ChannelConfig::single()
             } else {
                 ChannelConfig {
                     channels,
                     placement,
-                    switch_cost: 2,
+                    switch_cost,
                 }
             }
         })
 }
 
+/// The program axis of the audited grid, `(N, channels)`. Half the cases
+/// draw N freely over [`arb_channels`]. The other half build equal
+/// frames: N = 32, 64 or 128 makes 8, 16 or 32 frames of one table and
+/// four objects each, striped unit by unit or frame by frame over C ∈ {2,
+/// 4}. Every channel then airs a cycle of the same length, so tables and
+/// headers on different channels air at one instant, and ties between
+/// channels decide picks.
+fn arb_program() -> impl Strategy<Value = (usize, ChannelConfig)> {
+    prop_oneof![
+        (30usize..140, arb_channels()),
+        (
+            prop_oneof![Just(32usize), Just(64), Just(128)],
+            prop_oneof![Just(2u32), Just(4)],
+            prop_oneof![Just(Placement::Stripe), Just(Placement::StripeFrames(1))],
+            0u32..5,
+        )
+            .prop_map(|(n, channels, placement, switch_cost)| {
+                let chan = ChannelConfig {
+                    channels,
+                    placement,
+                    switch_cost,
+                };
+                (n, chan)
+            }),
+    ]
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn incremental_state_equals_oracle_under_loss(
-        n in 30usize..140,
+        (n, chan) in arb_program(),
         ds_seed in any::<u64>(),
         start_seed in any::<u64>(),
         theta in 0.05..0.45f64,
@@ -204,9 +235,9 @@ proptest! {
         k in 1usize..10,
         aggressive in any::<bool>(),
         reorganized in any::<bool>(),
-        chan in arb_channels(),
-        antennas in 1u32..3,
-        bursty in any::<bool>(),
+        antennas in 1u32..5,
+        loss in 0u32..3,
+        outage_len in 20u64..300,
     ) {
         let cfg = if reorganized {
             DsiConfig::paper_reorganized()
@@ -215,14 +246,21 @@ proptest! {
         };
         let ds = SpatialDataset::build(&uniform(n, ds_seed), 8);
         let air = DsiAir::try_build_channels(&ds, cfg, chan).expect("the layout builds");
-        let loss = if bursty {
-            // Fades entered at a θ-scaled rate, mean length 4 packets.
-            LossModel::Gilbert(GilbertElliott::new(theta / 4.0, 0.25, 0.9))
-        } else {
-            LossModel::iid(theta)
-        };
-        let ant = AntennaConfig::new(antennas);
         let start = start_seed % air.program().len();
+        let loss = match loss {
+            0 => LossModel::iid(theta),
+            // Fades entered at a θ-scaled rate, mean length 4 packets.
+            1 => LossModel::Gilbert(GilbertElliott::new(theta / 4.0, 0.25, 0.9)),
+            // Channel 0, where every client tunes in, goes dark from the
+            // tune-in on.
+            _ => LossModel::outage(vec![OutageWindow {
+                channel: 0,
+                start,
+                len: outage_len,
+            }]),
+        };
+        // The tuner caps the antennas at the channel count.
+        let ant = AntennaConfig::new(antennas);
         // Window run: audited against the oracle after every event.
         let w = Rect::window_in_unit_square(Point::new(cx, cy), side);
         let mut tuner = Tuner::tune_in_with(air.program(), start, loss.clone(), start_seed, ant);
@@ -441,6 +479,21 @@ fn only_audited_drives_run_the_oracle() {
     let (oracle, events) = hotpath::counters();
     assert_eq!(oracle, 0, "public queries must not derive the oracle");
     assert!(events > 0, "public queries must apply deltas");
+}
+
+/// A coarse kNN narrowing can publish one target where two adjacent ones
+/// stood (here `[55296, 56575]` after `[55296, 56319]` and `[56320,
+/// 57001]`). The narrowed remainders must then join the two pieces the old
+/// boundary split, as the oracle's per-target subtraction does.
+#[test]
+fn audited_knn_joins_remainders_a_narrowing_merges() {
+    let ds = SpatialDataset::build(&uniform(40, 2), 8);
+    let air = DsiAir::build(&ds, DsiConfig::paper_reorganized());
+    assert_eq!(air.program().len(), 648);
+    let q = Point::new(0.5, 0.2);
+    let mut tuner = Tuner::tune_in(air.program(), 286, LossModel::None, 3);
+    let (got, _) = air.knn_query_audited(&mut tuner, q, 4, KnnStrategy::Conservative);
+    assert_eq!(got, ds.brute_knn(q, 4));
 }
 
 /// Explicit (optimizer-shaped) placements change scheduling only: a
