@@ -3,11 +3,11 @@
 //!
 //! Two phases:
 //!
-//! 1. **Equality gate** — a reduced fleet (capped at 2,000 clients) is
-//!    run at 1, 2 and auto worker counts and compared bit-for-bit against
-//!    the sequential per-client oracle, on a lossless and a
-//!    Gilbert–Elliott channel. Any mismatch panics; CI greps the `OK`
-//!    line.
+//! 1. **Equality gate** — for every scheme (reorganized DSI, R-tree,
+//!    HCI), a reduced fleet (capped at 2,000 clients) is run at 1, 2 and
+//!    auto worker counts and compared bit-for-bit against the sequential
+//!    per-client oracle, on a lossless and a Gilbert–Elliott channel. Any
+//!    mismatch panics; CI greps the `OK` line, which names the schemes.
 //! 2. **Throughput** — the full fleet (`DSI_FLEET_CLIENTS`, default
 //!    100,000) runs per scheme via `fleet_summary_on` and prints
 //!    clients/sec, events/sec and population latency/tuning percentiles.
@@ -38,28 +38,35 @@ fn main() {
         .map(Query::Window)
         .collect();
     pool.extend(knn_points(4, 13).into_iter().map(|p| Query::Knn(p, 10)));
-    let engine = Arc::new(Engine::build(Scheme::dsi_reorganized(64), &ds, 64));
     let gate_clients = clients.min(2_000);
-    for loss in [LossModel::None, LossModel::gilbert(0.05, 0.3, 0.9)] {
-        let mut spec = FleetSpec {
-            skew: 1.1,
-            keep_ids: true,
-            keep_channels: true,
-            loss: loss.clone(),
-            ..FleetSpec::new(gate_clients, pool.clone())
-        };
-        let oracle = run_fleet_oracle(&engine, Some(&ds), &spec);
-        for workers in [1usize, 2, 0] {
-            spec.workers = workers;
-            let (_, outcomes) = run_fleet(&engine, Some(&ds), &spec);
-            assert_eq!(
-                outcomes, oracle,
-                "fleet != sequential oracle ({loss:?}, workers = {workers})"
-            );
+    let schemes = [Scheme::dsi_reorganized(64), Scheme::RTree, Scheme::Hci];
+    for scheme in schemes {
+        let engine = Arc::new(Engine::build(scheme, &ds, 64));
+        for loss in [LossModel::None, LossModel::gilbert(0.05, 0.3, 0.9)] {
+            let mut spec = FleetSpec {
+                skew: 1.1,
+                keep_ids: true,
+                keep_channels: true,
+                loss: loss.clone(),
+                ..FleetSpec::new(gate_clients, pool.clone())
+            };
+            let oracle = run_fleet_oracle(&engine, Some(&ds), &spec);
+            for workers in [1usize, 2, 0] {
+                spec.workers = workers;
+                let (_, outcomes) = run_fleet(&engine, Some(&ds), &spec);
+                assert_eq!(
+                    outcomes,
+                    oracle,
+                    "fleet != sequential oracle ({}, {loss:?}, workers = {workers})",
+                    scheme.name()
+                );
+            }
         }
     }
+    let names: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
     println!(
-        "fleet-vs-sequential equality: OK ({gate_clients} clients x workers 1/2/auto x lossless+gilbert)"
+        "fleet-vs-sequential equality: OK ({} x {gate_clients} clients x workers 1/2/auto x lossless+gilbert)",
+        names.join("/")
     );
 
     // Phase 2: full-scale throughput per scheme.

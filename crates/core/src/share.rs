@@ -124,22 +124,20 @@ pub fn install(cache: Option<Arc<ShareCache>>) -> Option<Arc<ShareCache>> {
 }
 
 /// The window-segment decomposition of `rect`: through this thread's
-/// installed [`ShareCache`] when one is present (shared, memoized),
-/// computed directly otherwise. Bit-identical either way.
+/// installed [`ShareCache`] when one is present (shared, memoized, a hit
+/// copies nothing), computed directly otherwise. Bit-identical either way.
 pub(crate) fn window_segments(
     curve: &HilbertCurve,
     mapper: &GridMapper,
     rect: &Rect,
-) -> Vec<HcRange> {
-    let cached = INSTALLED.with(|slot| {
-        slot.borrow()
-            .as_ref()
-            .map(|cache| cache.window_segments(curve, mapper, rect))
-    });
-    match cached {
-        Some(shared) => shared.as_ref().clone(),
-        None => ranges_in_rect(curve, mapper, rect),
-    }
+) -> Arc<Vec<HcRange>> {
+    INSTALLED
+        .with(|slot| {
+            slot.borrow()
+                .as_ref()
+                .map(|cache| cache.window_segments(curve, mapper, rect))
+        })
+        .unwrap_or_else(|| Arc::new(ranges_in_rect(curve, mapper, rect)))
 }
 
 #[cfg(test)]
@@ -163,14 +161,14 @@ mod tests {
         let second = window_segments(air.curve(), air.mapper(), &rect);
         install(None);
 
-        assert_eq!(first, direct);
-        assert_eq!(second, direct);
+        assert_eq!(*first, direct);
+        assert!(Arc::ptr_eq(&first, &second), "a hit shares the entry");
         assert_eq!(cache.window_misses(), 1);
         assert_eq!(cache.window_hits(), 1);
 
         // With the cache uninstalled, lookups bypass it entirely.
         let third = window_segments(air.curve(), air.mapper(), &rect);
-        assert_eq!(third, direct);
+        assert_eq!(*third, direct);
         assert_eq!(cache.window_hits(), 1);
     }
 

@@ -8,6 +8,8 @@
 //! window, and terminates once every segment is covered by cleared HC
 //! regions.
 
+use std::sync::Arc;
+
 use dsi_broadcast::Tuner;
 use dsi_datagen::Object;
 use dsi_geom::Rect;
@@ -19,7 +21,9 @@ use crate::state::Knowledge;
 
 struct WindowMode {
     window: Rect,
-    segments: Vec<HcRange>,
+    /// The decomposition, shared with the fleet's share cache when one is
+    /// installed: it is copied once, into the driver's targets.
+    segments: Arc<Vec<HcRange>>,
     /// Targets are static: they are handed to the driver exactly once.
     published: bool,
     result: Vec<u32>,

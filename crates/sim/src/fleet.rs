@@ -9,37 +9,36 @@
 //! harness path ([`crate::run_query_batch`]) simulates that population
 //! one client at a time — N clients cost N full drive loops, even though
 //! most of those loops are, from the channel's point of view, the same
-//! loop. The fleet engine exploits exactly the property the paper sells:
+//! loop. The fleet engine exploits exactly the property the paper sells,
+//! in three phases: settle every cohort before any thread starts, drive
+//! each cohort once, then fill the per-client columns.
 //!
-//! 1. **Structure-of-arrays population.** Client state lives in flat
-//!    parallel arrays ([`Population`]: query index, tune-in instant, loss
-//!    seed; [`FleetOutcomes`]: one column per metric), not in N client
-//!    objects. A counting-sort **wake index** buckets clients by tune-in
-//!    instant, so one ascending sweep of the cycle visits exactly the
-//!    clients waiting at each instant.
-//! 2. **Cohort coalescing.** Under a lossless single-channel broadcast a
+//! 1. **Structure-of-arrays population and a cohort table.** Client state
+//!    lives in flat parallel arrays ([`Population`]: query index, tune-in
+//!    instant, loss seed; [`FleetOutcomes`]: one column per metric), not
+//!    in N client objects. Under a lossless single-channel broadcast a
 //!    client's outcome is a pure function of `(query, first scheduled
-//!    action)`. Every scheme reports that first action via
-//!    [`Engine::tune_anchor`]; clients in the same wake region with equal
-//!    anchor and equal query form a *cohort* that is driven **once**. The
-//!    representative's absolute trajectory is shared: every member gets
-//!    identical answers, tuning, switches and channel stats, and its own
-//!    access latency `end − start` (the paper's free-rider premise made
-//!    computational). Lossy or multi-channel populations degrade
-//!    gracefully to per-client drives — same code path, no sharing.
-//! 3. **Granules from a shared cursor.** The sweep is cut into
-//!    deterministic granules (contiguous wake-index ranges that never
-//!    split an anchor region). `min(workers, granules)` threads claim
-//!    granule indices from one atomic cursor until the list runs out,
-//!    and the caller joins them. Granule boundaries are derived from the
-//!    population only — not from the worker count — and results are
-//!    merged by client index, so **outcomes are bit-identical for any
-//!    worker count**, including the sequential oracle
-//!    ([`run_fleet_oracle`], a plain per-client drive loop). A panicking
-//!    granule (a failed validation) ends its worker; once every worker
-//!    has exited, the panic of the lowest-index failing granule is
-//!    re-raised unchanged, so which panic surfaces does not depend on
-//!    the schedule either.
+//!    action)`, and every scheme reports that first action via
+//!    [`Engine::tune_anchor`]. Before spawning, `run_fleet` gives every
+//!    client a cohort id, its `(anchor, query)` pair numbered in order of
+//!    first appearance, so each cohort's representative is its lowest
+//!    client id. Lossy or multi-channel populations degrade gracefully:
+//!    every client is its own cohort, same code path, no sharing.
+//! 2. **Granules from a shared cursor.** The cohort ids are cut into
+//!    deterministic granules (contiguous id ranges sized from the cohort
+//!    count alone, not from the worker count). `min(workers, granules)`
+//!    threads claim granule indices from one atomic cursor until the list
+//!    runs out, and the caller joins them. A granule drives each of its
+//!    cohorts' representatives once and returns one compact record per
+//!    cohort; records are merged by granule index. A panicking granule (a
+//!    failed validation) ends its worker; once every worker has exited,
+//!    the panic of the lowest-index failing granule is re-raised
+//!    unchanged, so which panic surfaces does not depend on the schedule.
+//! 3. **Column assembly in client order.** One sequential pass per column
+//!    over the clients in id order fills [`FleetOutcomes`]: every member
+//!    gets its cohort's answers, tuning, switches and channel stats, and
+//!    its own access latency `end − start` from the shared absolute
+//!    trajectory (the paper's free-rider premise made computational).
 //! 4. **Shared decompositions.** Every fleet worker installs one
 //!    [`dsi_core::share::ShareCache`] before its first claim (never the
 //!    caller's thread), so representatives of *different* cohorts running
@@ -55,14 +54,18 @@
 //!
 //! For a fixed [`FleetSpec`], [`run_fleet`] returns bit-identical
 //! [`FleetOutcomes`] for every worker count, equal to the sequential
-//! oracle's. Wall-clock figures and the share-cache hit/miss counters are
-//! measurements, not outcomes: they vary run to run (concurrent misses of
-//! the same key may both compute), and are reported for observability
-//! only. The differential suite (`crates/sim/tests/fleet_differential`)
-//! pins the contract across scheme × placement × antennas × loss ×
-//! worker count.
+//! oracle's ([`run_fleet_oracle`], a plain per-client drive loop):
+//! cohorts and granules are fixed before any thread runs, and the columns
+//! are filled from the records in client order. Wall-clock figures and
+//! the share-cache hit/miss counters are measurements, not outcomes: they
+//! vary run to run (concurrent misses of the same key may both compute),
+//! and are reported for observability only. The differential suite
+//! (`crates/sim/tests/fleet_differential`) pins the contract across
+//! scheme × placement × antennas × loss × worker count.
 
 use std::any::Any;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -246,19 +249,23 @@ impl FleetOutcomes {
     }
 }
 
-/// Population-level fleet counters. `clients`, `drives` and `coalesced`
-/// are deterministic; wall-clock rates and cache counters are
+/// Population-level fleet counters. `clients`, `drives`, `coalesced` and
+/// `granules` are deterministic; wall-clock rates and cache counters are
 /// measurements. Population distributions are read from the returned
 /// [`FleetOutcomes`].
 #[derive(Debug, Clone)]
 pub struct FleetStats {
     /// Clients simulated.
     pub clients: usize,
-    /// Drive loops actually executed (cohort representatives).
+    /// Drive loops actually executed: one per cohort, so the number of
+    /// distinct `(tune anchor, query)` pairs when the fleet coalesces and
+    /// `clients` otherwise.
     pub drives: usize,
-    /// Clients served from a cohort representative's trajectory.
+    /// Clients served from a cohort representative's trajectory
+    /// (`clients − drives`).
     pub coalesced: usize,
-    /// Granules the wake index was cut into.
+    /// Granules the cohorts were cut into: contiguous cohort-id ranges of
+    /// `(drives / 256).clamp(32, 8192)` cohorts each.
     pub granules: usize,
     /// Clients completed per wall second of the engine pass (population
     /// derivation through outcome assembly).
@@ -286,19 +293,17 @@ struct Shared {
     dataset: Option<Arc<SpatialDataset>>,
     pool: Vec<Query>,
     pop: Population,
-    /// Client ids sorted by (start instant, id) — the wake index order.
-    order: Vec<u32>,
-    /// Coalescing anchor per cycle instant (`u64::MAX` where unused or
-    /// coalescing is off).
-    anchor: Vec<u64>,
-    coalesce: bool,
+    /// Each cohort's representative, its lowest client id.
+    reps: Vec<u32>,
     loss: LossModel,
     antennas: AntennaConfig,
     validate: bool,
     keep_ids: bool,
     keep_channels: bool,
-    /// Granules as `[lo, hi)` wake-index ranges, in wake order.
-    granules: Vec<(usize, usize)>,
+    /// Cohorts per granule: granule `g` drives cohorts from `g * granule`.
+    granule: usize,
+    /// Number of granules.
+    granules: usize,
     /// Index of the next unclaimed granule.
     next: AtomicUsize,
 }
@@ -306,128 +311,157 @@ struct Shared {
 /// A granule panic: the granule's index and its payload.
 type GranulePanic = (usize, Box<dyn Any + Send>);
 
-/// One client's result row, produced by a granule.
-struct Row {
-    client: u32,
+/// One cohort's shared trajectory, as its representative drove it.
+struct Record {
+    /// The absolute instant the trajectory ends (`start + latency` of the
+    /// representative).
+    end: u64,
     stats: QueryStats,
     switches: u64,
+    /// Kept only when [`FleetSpec::keep_ids`] asks for them.
     ids: Option<Vec<u32>>,
+    /// Kept only when [`FleetSpec::keep_channels`] asks for them.
     channels: Option<ChannelStats>,
 }
 
-/// One granule's output.
-struct GranuleOut {
-    rows: Vec<Row>,
-    drives: usize,
-    coalesced: usize,
+/// A seedless multiply-rotate hasher (FxHash's mix) for the cohort
+/// table's keys: a million lookups per pass cost a few nanoseconds each
+/// instead of SipHash's tens. The keys are anchor instants and anchor
+/// and pool indices the engine derives, never outside input.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
-/// Drives the clients of `order[lo..hi]`: groups them into cohorts (when
-/// coalescing), drives one representative per cohort, and fans the shared
-/// trajectory out to the members. Pure function of its inputs — granule
-/// results do not depend on scheduling.
-fn run_granule(shared: &Shared, lo: usize, hi: usize) -> GranuleOut {
-    // (cohort key, query, client): sorting groups cohorts; client id
-    // ascending within a cohort makes the lowest id the representative.
-    let mut items: Vec<(u64, u32, u32)> = shared.order[lo..hi]
-        .iter()
-        .map(|&c| {
-            let key = if shared.coalesce {
-                shared.anchor[shared.pop.start[c as usize] as usize]
-            } else {
-                c as u64 // unique key: every client its own cohort
-            };
-            (key, shared.pop.query[c as usize], c)
-        })
-        .collect();
-    items.sort_unstable();
+/// Ids of keys, numbered in order of arrival.
+type Numbering = HashMap<u64, u32, BuildHasherDefault<FxHasher>>;
 
-    let mut out = GranuleOut {
-        rows: Vec::with_capacity(hi - lo),
-        drives: 0,
-        coalesced: 0,
+/// The id `map` gives `key`, numbering an unseen key next.
+fn number(map: &mut Numbering, key: u64) -> u32 {
+    let next = map.len() as u32;
+    *map.entry(key).or_insert(next)
+}
+
+/// Phase 1, the cohort table: each client's cohort id and each cohort's
+/// representative. When the fleet coalesces (lossless, and every
+/// populated instant has a tune anchor), a cohort is an `(anchor, query)`
+/// pair; cohorts are numbered in order of first appearance, so the first
+/// client seen, the lowest id, represents its cohort. Otherwise every
+/// client is its own cohort. Only keyed lookups touch the hash maps, so
+/// their iteration order never shows.
+fn cohorts(engine: &Engine, loss: &LossModel, pop: &Population) -> (Vec<u32>, Vec<u32>) {
+    let own = || {
+        let ids: Vec<u32> = (0..pop.len() as u32).collect();
+        (ids.clone(), ids)
     };
-    let mut i = 0;
-    while i < items.len() {
-        let (key, qidx, rep) = items[i];
-        let mut j = i + 1;
-        while j < items.len() && items[j].0 == key && items[j].1 == qidx {
-            j += 1;
+    if !matches!(loss, LossModel::None) {
+        return own();
+    }
+    // Anchor number per tune-in instant, derived on the instant's first
+    // client.
+    let mut anchor_of = vec![u32::MAX; engine.cycle_packets() as usize];
+    let (mut anchors, mut pairs) = (Numbering::default(), Numbering::default());
+    let mut of = Vec::with_capacity(pop.len());
+    let mut reps = Vec::new();
+    for (c, (&start, &query)) in pop.start.iter().zip(&pop.query).enumerate() {
+        let slot = &mut anchor_of[start as usize];
+        if *slot == u32::MAX {
+            let Some(anchor) = engine.tune_anchor(start) else {
+                return own();
+            };
+            *slot = number(&mut anchors, anchor);
         }
-        let query = &shared.pool[qidx as usize];
-        let rep_start = shared.pop.start[rep as usize];
-        let outcome = shared.engine.drive_antennas(
-            rep_start,
-            shared.loss.clone(),
-            shared.pop.seed[rep as usize],
-            shared.antennas,
-            query,
-        );
-        out.drives += 1;
-        if let Some(ds) = &shared.dataset {
-            if shared.validate {
+        let k = number(&mut pairs, u64::from(*slot) << 32 | u64::from(query));
+        if k as usize == reps.len() {
+            reps.push(c as u32);
+        }
+        of.push(k);
+    }
+    (of, reps)
+}
+
+/// Phase 2, one granule: drives the representatives of its cohorts and
+/// returns their records, in cohort order. Pure function of its inputs —
+/// granule results do not depend on scheduling.
+fn run_granule(shared: &Shared, g: usize) -> Vec<Record> {
+    let lo = g * shared.granule;
+    let hi = (lo + shared.granule).min(shared.reps.len());
+    shared.reps[lo..hi]
+        .iter()
+        .map(|&rep| {
+            let c = rep as usize;
+            let query = &shared.pool[shared.pop.query[c] as usize];
+            let start = shared.pop.start[c];
+            let outcome = shared.engine.drive_antennas(
+                start,
+                shared.loss.clone(),
+                shared.pop.seed[c],
+                shared.antennas,
+                query,
+            );
+            if let (true, Some(ds)) = (shared.validate, &shared.dataset) {
                 assert_eq!(
                     outcome.ids,
                     brute(ds, query),
                     "fleet answer mismatch (client {rep})"
                 );
             }
-        }
-        // The cohort's shared trajectory ends at this absolute instant;
-        // each member's latency is `end − its own start` (equal to the
-        // representative's for the representative itself). The only case
-        // with `end < start` is a query that answers instantly (empty
-        // target set, latency 0 at every start), where saturation yields
-        // exactly the member's own 0.
-        let end = rep_start + outcome.stats.latency_packets;
-        for &(_, _, member) in &items[i..j] {
-            let m_start = shared.pop.start[member as usize];
-            debug_assert!(end >= m_start || outcome.stats.latency_packets == 0);
-            out.rows.push(Row {
-                client: member,
-                stats: QueryStats {
-                    latency_packets: if member == rep {
-                        outcome.stats.latency_packets
-                    } else {
-                        end.saturating_sub(m_start)
-                    },
-                    ..outcome.stats
-                },
+            Record {
+                end: start + outcome.stats.latency_packets,
+                stats: outcome.stats,
                 switches: outcome.channels.switches,
-                ids: shared.keep_ids.then(|| outcome.ids.clone()),
-                channels: shared.keep_channels.then(|| outcome.channels.clone()),
-            });
-        }
-        out.coalesced += j - i - 1;
-        i = j;
-    }
-    out
+                ids: shared.keep_ids.then_some(outcome.ids),
+                channels: shared.keep_channels.then_some(outcome.channels),
+            }
+        })
+        .collect()
 }
 
 /// One fleet worker: claims granules from the shared cursor, in list
-/// order, until none is left. A panicking granule ends the worker and
-/// comes back with its index.
-fn run_worker(shared: &Shared) -> Result<Vec<GranuleOut>, GranulePanic> {
+/// order, until none is left, and returns each granule's records with
+/// its index. A panicking granule ends the worker and comes back with
+/// its index.
+fn run_worker(shared: &Shared) -> Result<Vec<(usize, Vec<Record>)>, GranulePanic> {
     let mut outs = Vec::new();
     loop {
-        // Relaxed: the cursor publishes no data. The granule list was
+        // Relaxed: the cursor publishes no data. The cohort table was
         // published to this thread by its spawn.
         let g = shared.next.fetch_add(1, Ordering::Relaxed);
-        let Some(&(lo, hi)) = shared.granules.get(g) else {
+        if g >= shared.granules {
             return Ok(outs);
-        };
-        match catch_unwind(AssertUnwindSafe(|| run_granule(shared, lo, hi))) {
-            Ok(out) => outs.push(out),
+        }
+        match catch_unwind(AssertUnwindSafe(|| run_granule(shared, g))) {
+            Ok(records) => outs.push((g, records)),
             Err(payload) => return Err((g, payload)),
         }
     }
 }
 
-/// Runs a fleet: derives the population, builds the wake index, cuts it
-/// into anchor-aligned granules, runs them on `min(workers, granules)`
-/// threads that claim granules from one shared cursor, and assembles
-/// per-client outcomes plus population stats. See the module docs for
-/// the determinism contract.
+/// One outcome column in client order: `field` of each client's cohort
+/// record, gathered from a per-cohort copy of the field (a few hundred
+/// kilobytes at most when the fleet coalesces, so it stays in cache).
+fn column(of: &[u32], records: &[&Record], field: impl Fn(&Record) -> u64) -> Vec<u64> {
+    let by_cohort: Vec<u64> = records.iter().map(|r| field(r)).collect();
+    of.iter().map(|&k| by_cohort[k as usize]).collect()
+}
+
+/// Runs a fleet: derives the population and its cohort table, cuts the
+/// cohorts into granules, drives them on `min(workers, granules)` threads
+/// that claim granules from one shared cursor, and fills the per-client
+/// outcome columns plus population stats. See the module docs for the
+/// determinism contract.
 ///
 /// # Panics
 ///
@@ -444,78 +478,14 @@ pub fn run_fleet(
         "fleet validation needs the dataset"
     );
     let t0 = Instant::now();
-    let cycle = engine.cycle_packets();
-    let pop = Population::derive(spec, cycle);
+    let pop = Population::derive(spec, engine.cycle_packets());
     let n = pop.len();
+    let (of, reps) = cohorts(engine, &spec.loss, &pop);
 
-    // Wake index: counting sort of clients by tune-in instant (stable in
-    // client id, so cohort representatives are reproducible).
-    let mut counts = vec![0u32; cycle as usize + 1];
-    for &s in &pop.start {
-        counts[s as usize + 1] += 1;
-    }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let offsets = counts; // prefix sums: bucket b = order[offsets[b]..offsets[b+1]]
-    let mut cursor = offsets.clone();
-    let mut order = vec![0u32; n];
-    for c in 0..n {
-        let b = pop.start[c] as usize;
-        order[cursor[b] as usize] = c as u32;
-        cursor[b] += 1;
-    }
-
-    // Coalescing anchors per populated instant. Any `None` anchor (e.g. a
-    // multi-channel program) or a lossy model disables coalescing.
-    let mut coalesce = matches!(spec.loss, LossModel::None);
-    let mut anchor = vec![u64::MAX; cycle as usize];
-    if coalesce {
-        'outer: for b in 0..cycle as usize {
-            if offsets[b] == offsets[b + 1] {
-                continue;
-            }
-            match engine.tune_anchor(b as u64) {
-                Some(a) => anchor[b] = a,
-                None => {
-                    coalesce = false;
-                    break 'outer;
-                }
-            }
-        }
-    }
-
-    // Granules: contiguous wake-index ranges, preferentially cut where
-    // the anchor changes (so cohorts rarely straddle a cut — a straddle
-    // would only cost an extra representative drive, never correctness),
-    // sized from the population alone so the task structure is
+    // Granule size from the cohort count alone, so the task structure is
     // independent of the worker count.
-    let target = (n / 256).clamp(32, 8192);
-    let mut granules: Vec<(usize, usize)> = Vec::new();
-    {
-        let mut lo = 0usize;
-        let mut at = 0usize; // wake-index position before instant `b`
-        let mut prev_anchor = u64::MAX;
-        for b in 0..cycle as usize {
-            let next = offsets[b + 1] as usize;
-            if next == at {
-                continue;
-            }
-            // Cut before instant `b` once the granule is full, waiting
-            // for an anchor change when coalescing (cohorts are anchor
-            // runs in wake order, so this keeps them whole).
-            if at - lo >= target && (!coalesce || anchor[b] != prev_anchor) {
-                granules.push((lo, at));
-                lo = at;
-            }
-            prev_anchor = anchor[b];
-            at = next;
-        }
-        if lo < n {
-            granules.push((lo, n));
-        }
-    }
-
+    let granule = (reps.len() / 256).clamp(32, 8192);
+    let granules = reps.len().div_ceil(granule);
     let workers = if spec.workers == 0 {
         interleave::thread::available_parallelism().map_or(1, |w| w.get())
     } else {
@@ -527,18 +497,17 @@ pub fn run_fleet(
         dataset: dataset.map(Arc::clone),
         pool: spec.pool.clone(),
         pop,
-        order,
-        anchor,
-        coalesce,
+        reps,
         loss: spec.loss.clone(),
         antennas: spec.antennas,
         validate: spec.validate,
         keep_ids: spec.keep_ids,
         keep_channels: spec.keep_channels,
+        granule,
         granules,
         next: AtomicUsize::new(0),
     });
-    let handles: Vec<_> = (0..workers.min(shared.granules.len()))
+    let handles: Vec<_> = (0..workers.min(granules))
         .map(|_| {
             let shared = Arc::clone(&shared);
             let cache = Arc::clone(&cache);
@@ -549,39 +518,22 @@ pub fn run_fleet(
         })
         .collect();
 
-    // Merge keyed by client id: which worker ran a granule cannot affect
-    // the assembled columns. A panic outside any granule ranks last.
-    let mut outcomes = FleetOutcomes::with_capacity(n, 0, spec.keep_ids, spec.keep_channels);
-    let mut drives = 0usize;
-    let mut coalesced = 0usize;
+    // Records land by granule index: which worker ran a granule cannot
+    // affect the assembled columns. A panic outside any granule ranks
+    // last.
+    let mut parts: Vec<Vec<Record>> = Vec::new();
+    parts.resize_with(granules, Vec::new);
     let mut failed: Option<GranulePanic> = None;
     for handle in handles {
-        let outs = match handle.join().unwrap_or_else(|p| Err((usize::MAX, p))) {
-            Ok(outs) => outs,
+        match handle.join().unwrap_or_else(|p| Err((usize::MAX, p))) {
+            Ok(outs) => {
+                for (g, records) in outs {
+                    parts[g] = records;
+                }
+            }
             Err((g, payload)) => {
                 if failed.as_ref().is_none_or(|(first, _)| g < *first) {
                     failed = Some((g, payload));
-                }
-                continue;
-            }
-        };
-        for g in outs {
-            drives += g.drives;
-            coalesced += g.coalesced;
-            for row in g.rows {
-                let i = row.client as usize;
-                outcomes.capacity = row.stats.capacity;
-                outcomes.latency[i] = row.stats.latency_packets;
-                outcomes.tuning[i] = row.stats.tuning_packets;
-                outcomes.lost[i] = row.stats.lost_packets;
-                outcomes.longest_stall[i] = row.stats.longest_stall_packets;
-                outcomes.loss_retunes[i] = row.stats.loss_retunes;
-                outcomes.switches[i] = row.switches;
-                if let (Some(ids), Some(row_ids)) = (&mut outcomes.ids, row.ids) {
-                    ids[i] = row_ids;
-                }
-                if let (Some(chs), Some(row_ch)) = (&mut outcomes.channels, row.channels) {
-                    chs[i] = row_ch;
                 }
             }
         }
@@ -589,13 +541,45 @@ pub fn run_fleet(
     if let Some((_, payload)) = failed {
         resume_unwind(payload);
     }
+    let records: Vec<&Record> = parts.iter().flatten().collect();
+
+    // Phase 3: the columns, each one sequential pass in client order. A
+    // member's latency is `end − its own start` (the representative's
+    // own latency for the representative itself). The only case with
+    // `end < start` is a query that answers instantly (empty target set,
+    // latency 0 at every start), where saturation yields exactly the
+    // member's own 0.
+    let ends: Vec<u64> = records.iter().map(|r| r.end).collect();
+    let outcomes = FleetOutcomes {
+        latency: of
+            .iter()
+            .zip(&shared.pop.start)
+            .map(|(&k, &start)| ends[k as usize].saturating_sub(start))
+            .collect(),
+        tuning: column(&of, &records, |r| r.stats.tuning_packets),
+        lost: column(&of, &records, |r| r.stats.lost_packets),
+        longest_stall: column(&of, &records, |r| r.stats.longest_stall_packets),
+        loss_retunes: column(&of, &records, |r| r.stats.loss_retunes),
+        switches: column(&of, &records, |r| r.switches),
+        capacity: records.first().map_or(0, |r| r.stats.capacity),
+        ids: spec.keep_ids.then(|| {
+            of.iter()
+                .map(|&k| records[k as usize].ids.clone().unwrap_or_default())
+                .collect()
+        }),
+        channels: spec.keep_channels.then(|| {
+            of.iter()
+                .map(|&k| records[k as usize].channels.clone().unwrap_or_default())
+                .collect()
+        }),
+    };
     let wall = t0.elapsed().as_secs_f64().max(1e-9);
     let served_events: u64 = outcomes.tuning.iter().sum();
     let stats = FleetStats {
         clients: n,
-        drives,
-        coalesced,
-        granules: shared.granules.len(),
+        drives: records.len(),
+        coalesced: n - records.len(),
+        granules,
         clients_per_sec: n as f64 / wall,
         events_per_sec: served_events as f64 / wall,
         window_cache_hits: cache.window_hits(),

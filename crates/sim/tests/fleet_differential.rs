@@ -8,11 +8,12 @@
 //! supports: scheme × channel placement × antennas × loss model ×
 //! worker count.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel, Query};
 use dsi_datagen::{knn_points, window_queries, SpatialDataset};
-use dsi_sim::fleet::{run_fleet, run_fleet_oracle, FleetSpec};
+use dsi_sim::fleet::{run_fleet, run_fleet_oracle, FleetSpec, Population};
 use dsi_sim::{uniform_dataset_n, Engine, Scheme};
 
 fn mixed_pool() -> Vec<Query> {
@@ -46,8 +47,19 @@ fn spec(loss: LossModel, antennas: u32, workers: usize) -> FleetSpec {
 /// The counters are checked too: every client is driven or coalesced
 /// exactly once, and the dispatch does the same work at every worker
 /// count (a granule run twice would overwrite identical outcome rows).
+/// The drive count pins the cohort contract the column assembly relies
+/// on: one drive per distinct `(tune anchor, query)` pair on a lossless
+/// single-channel engine, one per client under loss or on several
+/// channels.
 fn check_engine(engine: Engine, dataset: &Arc<SpatialDataset>, losses: &[LossModel]) {
     let engine = Arc::new(engine);
+    let pop = Population::derive(&spec(LossModel::None, 1, 1), engine.cycle_packets());
+    let pairs: Option<BTreeSet<(u64, u32)>> = pop
+        .start
+        .iter()
+        .zip(&pop.query)
+        .map(|(&start, &query)| Some((engine.tune_anchor(start)?, query)))
+        .collect();
     for loss in losses {
         for antennas in [1u32, 2] {
             let mut reference = None;
@@ -63,6 +75,15 @@ fn check_engine(engine: Engine, dataset: &Arc<SpatialDataset>, losses: &[LossMod
                     reference.get_or_insert_with(|| run_fleet_oracle(&engine, Some(dataset), &s));
                 assert_eq!(&outcomes, oracle, "fleet != oracle ({cell})");
                 assert_eq!(stats.drives + stats.coalesced, stats.clients, "({cell})");
+                let cohorts = if matches!(loss, LossModel::None) && engine.n_channels() == 1 {
+                    pairs
+                        .as_ref()
+                        .expect("one channel anchors every tune-in")
+                        .len()
+                } else {
+                    stats.clients
+                };
+                assert_eq!(stats.drives, cohorts, "({cell})");
                 let counts = (stats.drives, stats.coalesced, stats.granules);
                 assert_eq!(*work.get_or_insert(counts), counts, "({cell})");
             }

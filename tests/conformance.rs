@@ -15,7 +15,10 @@
 //!     single-antenna client on the batch (mean access latency per cell);
 //! (d) the 2-antenna clients of all three schemes reproduce pinned
 //!     [`ChannelStats`] rows on multi-channel programs, lossless and under
-//!     bursty fades.
+//!     bursty fades;
+//! (e) DSI on four equal-length channels reproduces pinned
+//!     [`ChannelStats`] rows that depend on how its navigator breaks ties
+//!     between frames on different channels.
 //!
 //! A final regression test pins the PR 3 measured finding that motivated
 //! this layer: at C = 4 unit-granular striping hurts the serial-scan DSI
@@ -1714,6 +1717,100 @@ fn two_antenna_reproduces_pinned_channel_stats() {
         }
     }
     assert_eq!(checked, TWO_ANTENNA_GOLDEN.len());
+}
+
+/// (placement, antennas, query kind, query index, latency_packets,
+/// tuning_packets, switches, per-channel tuning packets) of lossless
+/// reorganized DSI on 64 objects at order 8: 16 frames of one index
+/// table and four objects each, aired over four equal-length channels
+/// with no switch cost. Frames on different channels then often arrive at
+/// the same instant, so these rows pin how the multi-channel navigator
+/// breaks such ties (by broadcast distance from the current slot): the
+/// `stripef4` window queries 8 and 11 and the kNN query 10 move when
+/// frame ties are ranked by slot instead.
+type TieGoldenRow = (
+    &'static str,
+    u32,
+    &'static str,
+    usize,
+    u64,
+    u64,
+    u64,
+    &'static [u64],
+);
+
+#[rustfmt::skip]
+const TIE_GOLDEN: &[TieGoldenRow] = &[
+    ("stripe4", 1, "window", 8, 3937, 126, 25, &[56, 24, 21, 25]),
+    ("stripe4", 1, "window", 9, 1644, 44, 10, &[19, 4, 17, 4]),
+    ("stripe4", 1, "window", 10, 2553, 51, 14, &[24, 3, 6, 18]),
+    ("stripe4", 1, "window", 11, 3050, 110, 14, &[9, 18, 50, 33]),
+    ("stripe4", 1, "knn", 8, 5805, 246, 29, &[85, 51, 57, 53]),
+    ("stripe4", 1, "knn", 9, 7426, 318, 38, &[85, 91, 85, 57]),
+    ("stripe4", 1, "knn", 10, 3337, 144, 17, &[23, 33, 54, 34]),
+    ("stripe4", 1, "knn", 11, 7532, 291, 42, &[73, 74, 72, 72]),
+    ("stripe4", 2, "window", 8, 3673, 128, 19, &[56, 24, 22, 26]),
+    ("stripe4", 2, "window", 9, 1380, 44, 7, &[19, 4, 17, 4]),
+    ("stripe4", 2, "window", 10, 2025, 51, 11, &[24, 3, 6, 18]),
+    ("stripe4", 2, "window", 11, 2271, 110, 11, &[9, 18, 50, 33]),
+    ("stripe4", 2, "knn", 8, 4485, 186, 22, &[85, 51, 27, 23]),
+    ("stripe4", 2, "knn", 9, 6122, 243, 29, &[85, 59, 40, 59]),
+    ("stripe4", 2, "knn", 10, 2543, 144, 13, &[23, 33, 54, 34]),
+    ("stripe4", 2, "knn", 11, 7036, 270, 44, &[59, 61, 76, 74]),
+    ("stripef4", 1, "window", 8, 521, 124, 6, &[4, 88, 6, 26]),
+    ("stripef4", 1, "window", 9, 324, 48, 2, &[2, 40, 0, 6]),
+    ("stripef4", 1, "window", 10, 441, 49, 3, &[10, 0, 39, 0]),
+    ("stripef4", 1, "window", 11, 458, 111, 2, &[89, 0, 22, 0]),
+    ("stripef4", 1, "knn", 8, 541, 248, 4, &[134, 6, 108, 0]),
+    ("stripef4", 1, "knn", 9, 594, 239, 5, &[68, 140, 6, 25]),
+    ("stripef4", 1, "knn", 10, 449, 173, 2, &[119, 0, 54, 0]),
+    ("stripef4", 1, "knn", 11, 979, 230, 4, &[102, 20, 57, 51]),
+    ("stripef4", 2, "window", 8, 521, 124, 5, &[4, 88, 6, 26]),
+    ("stripef4", 2, "window", 9, 324, 48, 2, &[2, 40, 0, 6]),
+    ("stripef4", 2, "window", 10, 441, 49, 1, &[10, 0, 39, 0]),
+    ("stripef4", 2, "window", 11, 458, 111, 1, &[89, 0, 22, 0]),
+    ("stripef4", 2, "knn", 8, 541, 248, 2, &[134, 6, 108, 0]),
+    ("stripef4", 2, "knn", 9, 594, 239, 3, &[68, 140, 6, 25]),
+    ("stripef4", 2, "knn", 10, 449, 173, 1, &[119, 0, 54, 0]),
+    ("stripef4", 2, "knn", 11, 979, 230, 3, &[102, 20, 57, 51]),
+];
+
+#[test]
+fn dsi_cross_channel_ties_reproduce_pinned_channel_stats() {
+    let ds = SpatialDataset::build(&uniform(64, 42), 8);
+    let windows = window_queries(12, 0.2, 3);
+    let points = knn_points(12, 9);
+    let configs = [
+        ("stripe4", ChannelConfig::striped(4, 0)),
+        ("stripef4", ChannelConfig::striped_frames(4, 0)),
+    ];
+    for (cname, chan) in &configs {
+        let scheme = build_scheme(&ds, "dsi", chan);
+        for &(gc, antennas, kind, qi, latency, tuning, switches, per_chan) in TIE_GOLDEN {
+            if gc != *cname {
+                continue;
+            }
+            let out = run(
+                scheme.as_ref(),
+                LossModel::None,
+                AntennaConfig::new(antennas),
+                kind,
+                qi,
+                &windows,
+                &points,
+            );
+            assert_eq!(
+                (
+                    out.stats.latency_packets,
+                    out.stats.tuning_packets,
+                    out.channels.switches,
+                    out.channels.tuning_packets.as_slice(),
+                ),
+                (latency, tuning, switches, per_chan),
+                "dsi/{cname}/k{antennas}/{kind} q{qi} diverged from the pinned stats"
+            );
+        }
+    }
 }
 
 /// The optimizer's training draw: the evaluation families of
