@@ -13,14 +13,18 @@ use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel, Query};
 use dsi_core::KnnStrategy;
 use dsi_datagen::{knn_points, window_queries, SpatialDataset};
 use dsi_sim::{env_knob, Engine, Scheme};
+use dsi_verify::{StaticModel, VerifyReport};
 
 /// The static coalescing proof talks about the *static* anchor map; the
 /// fleet dedups on the *dynamic* `Engine::tune_anchor`. Soundness needs
 /// the dynamic partition to refine the static one: whenever two tune-ins
 /// get the same dynamic anchor (and so share one drive), the static
 /// proof must also place them in one cohort. Sampled over the cycle.
-fn crosscheck_anchors(engine: &Engine, report: &dsi_verify::VerifyReport) -> Result<(), String> {
-    let model = engine.static_model();
+fn crosscheck_anchors(
+    engine: &Engine,
+    model: &StaticModel,
+    report: &VerifyReport,
+) -> Result<(), String> {
     let cycle = engine.cycle_packets();
     let statics = dsi_verify::static_anchor_map(model);
     if !report.coalesce.applicable {
@@ -88,7 +92,8 @@ fn main() -> ExitCode {
                     continue;
                 }
             };
-            let report = match engine.verify() {
+            let model = engine.static_model();
+            let report = match dsi_verify::verify(&model) {
                 Ok(r) => r,
                 Err(violations) => {
                     eprintln!(
@@ -132,7 +137,7 @@ fn main() -> ExitCode {
             // engine: equal dynamic anchors must imply equal static
             // anchors (the dedup keys on the dynamic one), and a cell the
             // static proof calls inapplicable must never hand out anchors.
-            if let Err(e) = crosscheck_anchors(&engine, &report) {
+            if let Err(e) = crosscheck_anchors(&engine, &model, &report) {
                 eprintln!("verify: {sname} x {cname}: anchor cross-check: {e}");
                 failed = true;
             }

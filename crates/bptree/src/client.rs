@@ -123,57 +123,45 @@ impl BpAir {
         // descend target in HC order.
         let n_leaves = self.tree.levels[0].len() as u32;
         let mut entry_hcs: Vec<u64> = Vec::with_capacity(k + 8);
-        if tuner.antennas() <= 1 {
-            // Single receiver: keep the classic serial walk (this is the
-            // pinned pre-refactor baseline; on one channel the next leaf
-            // in HC order is also the next to air anyway).
-            let mut leaf = leaf0;
-            let mut visited = 0u32;
-            while entry_hcs.len() < k && visited < n_leaves {
-                let (_, flat) = self.air.node_arrival(tuner, 0, leaf);
-                tuner.goto(flat);
-                if self.air.read_unit(tuner, 0) {
-                    self.leaf_entries(leaf, &mut entry_hcs);
-                    visited += 1;
-                    leaf = (leaf + 1) % n_leaves;
-                }
-                // On loss, retry the same leaf at its next occurrence.
-            }
+        // Keep a window of the next leaves in HC order and read whichever
+        // the read planner says airs first; a lost leaf stays in the
+        // window and competes at its next occurrence. A multi-antenna
+        // client keeps one leaf per channel, since on parallel channels HC
+        // order no longer orders airings. A one-antenna client keeps one,
+        // so it reads the leaves serially in HC order (the goldens pin
+        // that walk). The walk stops as soon as k entries are known — a
+        // leaf skipped by the arrival order costs only radius slack, never
+        // the full-cycle wait reading it would.
+        let width = if tuner.antennas() <= 1 {
+            1
         } else {
-            // Multi-antenna client on parallel channels: HC order no
-            // longer orders airings. Keep a window of the next leaves
-            // (one per channel) and read whichever the read planner says
-            // airs first; a lost leaf stays in the window and competes at
-            // its next occurrence. The walk stops as soon as k entries
-            // are known — a leaf skipped by the arrival order costs only
-            // radius slack, never the full-cycle wait reading it would.
-            let c = tuner.program().n_channels() as usize;
-            let mut window: Vec<u32> = Vec::new();
-            let mut flats: Vec<u64> = Vec::new();
-            let mut cursor = leaf0;
-            let mut unqueued = n_leaves;
-            let mut visited = 0u32;
-            while entry_hcs.len() < k && visited < n_leaves {
-                while window.len() < c && unqueued > 0 {
-                    window.push(cursor);
-                    cursor = (cursor + 1) % n_leaves;
-                    unqueued -= 1;
-                }
-                flats.clear();
-                flats.extend(
-                    window
-                        .iter()
-                        .map(|&lf| self.air.node_arrival(tuner, 0, lf).1),
-                );
-                let (i, _) = tuner
-                    .plan(&flats, |_| self.air.unit_dur(0))
-                    .expect("window is non-empty");
-                tuner.goto(flats[i]);
-                if self.air.read_unit(tuner, 0) {
-                    self.leaf_entries(window[i], &mut entry_hcs);
-                    visited += 1;
-                    window.swap_remove(i);
-                }
+            tuner.program().n_channels() as usize
+        };
+        let mut window: Vec<u32> = Vec::new();
+        let mut flats: Vec<u64> = Vec::new();
+        let mut cursor = leaf0;
+        let mut unqueued = n_leaves;
+        let mut visited = 0u32;
+        while entry_hcs.len() < k && visited < n_leaves {
+            while window.len() < width && unqueued > 0 {
+                window.push(cursor);
+                cursor = (cursor + 1) % n_leaves;
+                unqueued -= 1;
+            }
+            flats.clear();
+            flats.extend(
+                window
+                    .iter()
+                    .map(|&lf| self.air.node_arrival(tuner, 0, lf).1),
+            );
+            let (i, _) = tuner
+                .plan(&flats, |_| self.air.unit_dur(0))
+                .expect("window is non-empty");
+            tuner.goto(flats[i]);
+            if self.air.read_unit(tuner, 0) {
+                self.leaf_entries(window[i], &mut entry_hcs);
+                visited += 1;
+                window.swap_remove(i);
             }
         }
         // Radius: k-th smallest cell-max-distance over the entries.

@@ -7,16 +7,9 @@ use dsi_verify::{StaticModel, Verifiable};
 
 use crate::air::BpAir;
 
-impl BpAir {
-    /// The static model of this broadcast (see the module docs).
-    pub fn static_model(&self) -> StaticModel {
-        StaticModel::from_segmented("HCI", &self.air, &self.tree.levels, |n| &n.children)
-    }
-}
-
 impl Verifiable for BpAir {
     fn static_model(&self) -> StaticModel {
-        BpAir::static_model(self)
+        StaticModel::from_segmented("HCI", &self.air, &self.tree.levels, |n| &n.children)
     }
 }
 

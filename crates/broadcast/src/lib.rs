@@ -30,11 +30,11 @@
 //!   with a configurable per-switch latency cost and per-channel metrics
 //!   ([`ChannelStats`]). `C = 1` is bit-identical to the classic
 //!   single-channel broadcast.
-//! * [`AirScheme`] / [`DynScheme`] / [`drive_antennas`] — the unified
-//!   scheme layer: every air index exposes its program and window/kNN
-//!   search algorithms through one trait, and one driver owns the
-//!   tune-in/loss/stats loop for all of them ([`drive_traced`] is the
-//!   same loop with the tuner's read journal on).
+//! * [`AirScheme`] / [`drive_antennas`] — the unified scheme layer: every
+//!   air index exposes its program and window/kNN search algorithms
+//!   through one trait, and one generic driver owns the tune-in/loss/stats
+//!   loop for all of them ([`drive_traced`] is the same loop with the
+//!   tuner's read journal on).
 //! * [`segmented`] — the segmented tree broadcast both tree baselines
 //!   share: the distributed indexing layout (replicated root paths,
 //!   depth-first subtrees, objects), node-copy arrivals, and the pending
@@ -66,6 +66,6 @@ pub use loss::{
     FaultTrace, GilbertElliott, LossModel, LossScope, OutageSchedule, OutageWindow, TraceEntry,
 };
 pub use program::{PacketClass, Payload, Program};
-pub use scheme::{drive_antennas, drive_traced, AirScheme, DynScheme, Query, QueryOutcome};
+pub use scheme::{drive_antennas, drive_traced, AirScheme, Query, QueryOutcome};
 pub use stats::{DistSummary, Distribution, MeanStats, QueryStats};
 pub use tuner::{PacketLost, Tuner};

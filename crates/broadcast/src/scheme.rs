@@ -12,10 +12,11 @@
 //! switched on: the fault harness replays it, and the placement optimizer
 //! profiles a training workload from it.
 //!
-//! [`DynScheme`] erases the scheme's packet type so heterogeneous schemes
-//! can sit in one collection (`Box<dyn DynScheme>`): the experiment matrix
-//! of `dsi-sim` iterates scheme × channel-config × loss × workload over
-//! it from a single code path.
+//! Both drivers are generic over the scheme, so each index gets its own
+//! monomorphized query loop. `dsi_sim::Engine` holds whichever index was
+//! built and matches on it to reach them: the experiment matrix of
+//! `dsi-sim` iterates scheme × channel-config × loss × workload through
+//! that one type.
 
 use dsi_geom::{Point, Rect};
 
@@ -186,90 +187,4 @@ pub fn drive_traced<S: AirScheme + ?Sized>(
         channels: tuner.channel_stats(),
     };
     (outcome, tuner.into_fault_trace())
-}
-
-/// Packet-type-erased [`AirScheme`], so heterogeneous schemes fit one
-/// `Box<dyn DynScheme>`. Blanket-implemented for every `AirScheme`.
-pub trait DynScheme: Send + Sync {
-    /// Runs one query through [`drive_antennas`].
-    fn drive_antennas(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-    ) -> QueryOutcome;
-
-    /// Runs one query through [`drive_traced`], returning the recorded
-    /// read journal alongside the outcome.
-    fn drive_traced(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-    ) -> (QueryOutcome, FaultTrace);
-
-    /// The cohort-coalescing anchor of a tune-in at `start`; see
-    /// [`AirScheme::tune_anchor`] for the exact contract.
-    fn tune_anchor(&self, start: u64) -> Option<u64>;
-
-    /// Packets per (flat) broadcast cycle.
-    fn cycle_packets(&self) -> u64;
-
-    /// Bytes per (flat) broadcast cycle.
-    fn cycle_bytes(&self) -> u64;
-
-    /// Number of parallel channels the program is scheduled over.
-    fn n_channels(&self) -> u32;
-
-    /// Which flat positions begin an indivisible unit (the structure the
-    /// placement optimizer assigns to channels).
-    fn unit_starts(&self) -> Vec<bool>;
-}
-
-impl<S: AirScheme + Send + Sync> DynScheme for S {
-    fn drive_antennas(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-    ) -> QueryOutcome {
-        drive_antennas(self, start, loss, seed, antennas, query)
-    }
-
-    fn drive_traced(
-        &self,
-        start: u64,
-        loss: LossModel,
-        seed: u64,
-        antennas: AntennaConfig,
-        query: &Query,
-    ) -> (QueryOutcome, FaultTrace) {
-        drive_traced(self, start, loss, seed, antennas, query)
-    }
-
-    fn tune_anchor(&self, start: u64) -> Option<u64> {
-        AirScheme::tune_anchor(self, start)
-    }
-
-    fn cycle_packets(&self) -> u64 {
-        self.program().len()
-    }
-
-    fn cycle_bytes(&self) -> u64 {
-        self.program().cycle_bytes()
-    }
-
-    fn n_channels(&self) -> u32 {
-        self.program().n_channels()
-    }
-
-    fn unit_starts(&self) -> Vec<bool> {
-        self.program().unit_starts()
-    }
 }

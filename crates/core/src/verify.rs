@@ -6,14 +6,14 @@ use dsi_verify::{Edge, EdgeClaim, StaticModel, Verifiable};
 
 use crate::build::{DsiAir, DsiScheme};
 
-impl DsiAir {
-    /// The static model of this broadcast: one index unit per table, one
-    /// data unit per object, `MinKey` edges for the table entries
-    /// (claiming the pointed frame's minimum HC, exactly what the 16-byte
-    /// on-air `hc` field promises) and `Local` edges for each frame's
-    /// announced objects. Every table is a navigation entry: a client can
-    /// tune in anywhere and waits at most one frame for a table.
-    pub fn static_model(&self) -> StaticModel {
+/// The static model of a DSI broadcast: one index unit per table, one
+/// data unit per object, `MinKey` edges for the table entries (claiming
+/// the pointed frame's minimum HC, exactly what the 16-byte on-air `hc`
+/// field promises) and `Local` edges for each frame's announced objects.
+/// Every table is a navigation entry: a client can tune in anywhere and
+/// waits at most one frame for a table.
+impl Verifiable for DsiAir {
+    fn static_model(&self) -> StaticModel {
         let l = self.layout();
         let mut m = StaticModel::from_program("DSI", self.program());
         // Worst DSI query: the window/kNN drivers scan result frames
@@ -63,12 +63,6 @@ impl DsiAir {
             m.entries.push(unit as u32);
         }
         m
-    }
-}
-
-impl Verifiable for DsiAir {
-    fn static_model(&self) -> StaticModel {
-        DsiAir::static_model(self)
     }
 }
 

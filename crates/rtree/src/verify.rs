@@ -10,16 +10,9 @@ use dsi_verify::{StaticModel, Verifiable};
 
 use crate::air::RTreeAir;
 
-impl RTreeAir {
-    /// The static model of this broadcast (see the module docs).
-    pub fn static_model(&self) -> StaticModel {
-        StaticModel::from_segmented("R-tree", &self.air, &self.tree.levels, |n| &n.children)
-    }
-}
-
 impl Verifiable for RTreeAir {
     fn static_model(&self) -> StaticModel {
-        RTreeAir::static_model(self)
+        StaticModel::from_segmented("R-tree", &self.air, &self.tree.levels, |n| &n.children)
     }
 }
 

@@ -1,16 +1,19 @@
-//! Scheme construction: one enum of buildable schemes, one erased engine.
+//! Scheme construction: one enum of buildable schemes, one engine that
+//! holds whichever index was built.
 //!
-//! Before the unified air-scheme layer every query type was dispatched
-//! through a per-index match arm here (three schemes × two query types of
-//! duplicated tune-in/loss/stats plumbing). [`Engine`] is now a thin box
-//! around [`DynScheme`]: building is the only scheme-specific step, and
-//! every query — any scheme, channel configuration, loss model, workload —
-//! goes through the one [`dsi_broadcast::drive_antennas`] loop
-//! ([`Engine::drive_traced`] is the same loop with the read journal on).
+//! Building is the only scheme-specific step. [`Engine`] keeps the built
+//! index in a private three-arm enum, and each method matches on it once
+//! to reach the generic code, so every query — any scheme, channel
+//! configuration, loss model, workload — goes through the one
+//! [`dsi_broadcast::drive_antennas`] loop ([`Engine::drive_traced`] is the
+//! same loop with the read journal on), and no index repeats the
+//! tune-in/loss/stats plumbing. The static model the verifier reads is
+//! derived state: the engine keeps none and extracts one when asked
+//! ([`Engine::static_model`]).
 
 use dsi_bptree::{BpAir, BpAirConfig};
 use dsi_broadcast::{
-    AntennaConfig, ChannelConfig, DynScheme, FaultTrace, LayoutError, LossModel, Query,
+    AirScheme, AntennaConfig, ChannelConfig, FaultTrace, LayoutError, LossModel, Query,
     QueryOutcome,
 };
 use dsi_core::{DsiAir, DsiConfig, DsiScheme, KnnStrategy};
@@ -55,13 +58,29 @@ impl Scheme {
     }
 }
 
-/// A built broadcast behind the unified [`DynScheme`] interface.
+/// The built index of an [`Engine`], one arm per [`Scheme`].
+enum Built {
+    Dsi(DsiScheme),
+    RTree(RTreeAir),
+    Hci(BpAir),
+}
+
+/// Evaluates `$body` with `$s` bound to the built index, whatever its
+/// scheme: the one place an [`Engine`] call reaches the generic code.
+macro_rules! with_built {
+    ($built:expr, $s:ident => $body:expr) => {
+        match $built {
+            Built::Dsi($s) => $body,
+            Built::RTree($s) => $body,
+            Built::Hci($s) => $body,
+        }
+    };
+}
+
+/// A built broadcast: any [`Scheme`] behind one set of drive and program
+/// calls.
 pub struct Engine {
-    scheme: Box<dyn DynScheme>,
-    /// The static pointer-graph model extracted at build time, so any
-    /// engine — whatever scheme or placement produced it — can be handed
-    /// to the `dsi-verify` analyzer without re-deriving scheme internals.
-    model: StaticModel,
+    built: Built,
 }
 
 impl Engine {
@@ -96,45 +115,43 @@ impl Engine {
         capacity: u32,
         channels: ChannelConfig,
     ) -> Result<Self, LayoutError> {
-        let (scheme, model): (Box<dyn DynScheme>, StaticModel) = match scheme {
-            Scheme::Dsi(cfg, strategy) => {
-                let s = DsiScheme {
-                    air: DsiAir::try_build_channels(
-                        dataset,
-                        cfg.with_capacity(capacity),
-                        channels,
-                    )?,
-                    strategy,
-                };
-                let model = s.static_model();
-                (Box::new(s), model)
-            }
+        let built = match scheme {
+            Scheme::Dsi(cfg, strategy) => Built::Dsi(DsiScheme {
+                air: DsiAir::try_build_channels(dataset, cfg.with_capacity(capacity), channels)?,
+                strategy,
+            }),
             Scheme::RTree => {
                 let pts: Vec<(u32, Point)> =
                     dataset.objects().iter().map(|o| (o.id, o.pos)).collect();
-                let air =
-                    RTreeAir::try_build_channels(&pts, RtreeAirConfig::new(capacity), channels)?;
-                let model = air.static_model();
-                (Box::new(air), model)
+                Built::RTree(RTreeAir::try_build_channels(
+                    &pts,
+                    RtreeAirConfig::new(capacity),
+                    channels,
+                )?)
             }
-            Scheme::Hci => {
-                let air = BpAir::try_build_channels(dataset, BpAirConfig::new(capacity), channels)?;
-                let model = air.static_model();
-                (Box::new(air), model)
-            }
+            Scheme::Hci => Built::Hci(BpAir::try_build_channels(
+                dataset,
+                BpAirConfig::new(capacity),
+                channels,
+            )?),
         };
-        Ok(Self { scheme, model })
+        Ok(Self { built })
     }
 
-    /// The static model extracted when this engine was built.
-    pub fn static_model(&self) -> &StaticModel {
-        &self.model
+    /// Extracts the static pointer-graph model of this engine's broadcast
+    /// program, whatever scheme or placement produced it, for the
+    /// `dsi-verify` analyzer. Nothing is cached: each call walks the
+    /// program again, at the cost of building it or more, so a caller
+    /// that reads the model more than once extracts it once and keeps it.
+    pub fn static_model(&self) -> StaticModel {
+        with_built!(&self.built, s => s.static_model())
     }
 
     /// Runs the full `dsi-verify` analysis (structure, progress, bounds)
-    /// over this engine's broadcast program.
+    /// over this engine's broadcast program, on a freshly extracted
+    /// [`Engine::static_model`].
     pub fn verify(&self) -> Result<VerifyReport, Vec<Violation>> {
-        dsi_verify::verify(&self.model)
+        dsi_verify::verify(&self.static_model())
     }
 
     /// Runs one query through the scheme-agnostic driver with a receiver
@@ -148,8 +165,9 @@ impl Engine {
         antennas: AntennaConfig,
         query: &Query,
     ) -> QueryOutcome {
-        self.scheme
-            .drive_antennas(start, loss, seed, antennas, query)
+        with_built!(&self.built, s => {
+            dsi_broadcast::drive_antennas(s, start, loss, seed, antennas, query)
+        })
     }
 
     /// Runs one query while journaling every read (channel, instant, loss
@@ -166,7 +184,9 @@ impl Engine {
         antennas: AntennaConfig,
         query: &Query,
     ) -> (QueryOutcome, FaultTrace) {
-        self.scheme.drive_traced(start, loss, seed, antennas, query)
+        with_built!(&self.built, s => {
+            dsi_broadcast::drive_traced(s, start, loss, seed, antennas, query)
+        })
     }
 
     /// The cohort-coalescing anchor of a tune-in at `start` — the
@@ -175,28 +195,28 @@ impl Engine {
     /// [`dsi_broadcast::AirScheme::tune_anchor`] for the exact contract;
     /// `dsi_sim::fleet` builds its deduplicated cohorts on it.
     pub fn tune_anchor(&self, start: u64) -> Option<u64> {
-        self.scheme.tune_anchor(start)
+        with_built!(&self.built, s => s.tune_anchor(start))
     }
 
     /// Which flat positions begin an indivisible broadcast unit — the
     /// structure a placement assigns to channels.
     pub fn unit_starts(&self) -> Vec<bool> {
-        self.scheme.unit_starts()
+        with_built!(&self.built, s => s.program().unit_starts())
     }
 
     /// Packets per (flat) broadcast cycle.
     pub fn cycle_packets(&self) -> u64 {
-        self.scheme.cycle_packets()
+        with_built!(&self.built, s => s.program().len())
     }
 
     /// Bytes per (flat) broadcast cycle.
     pub fn cycle_bytes(&self) -> u64 {
-        self.scheme.cycle_bytes()
+        with_built!(&self.built, s => s.program().cycle_bytes())
     }
 
     /// Number of parallel channels.
     pub fn n_channels(&self) -> u32 {
-        self.scheme.n_channels()
+        with_built!(&self.built, s => s.program().n_channels())
     }
 }
 

@@ -2,11 +2,16 @@
 //! summaries, extension ablations) plus the multi-channel extension
 //! scenarios.
 //!
-//! Every function is a selection of cells from the experiment matrix
-//! ([`crate::matrix`]): it names schemes, channel configurations, loss
-//! models and workloads, lets [`run_matrix`] drive the unified query loop
-//! (validating all answers), and shapes the resulting cells like the
-//! paper's panels: the x-axis in the first column, one series per curve.
+//! The figure, Table 1 and channel functions ([`fig8`] … [`fig12`],
+//! [`table1`], [`channels`]) are selections of cells from the experiment
+//! matrix ([`crate::matrix`]): each names schemes, channel
+//! configurations, loss models and workloads, lets [`run_matrix`] drive
+//! the unified query loop (validating all answers), and shapes the
+//! resulting cells like the paper's panels: the x-axis in the first
+//! column, one series per curve. The rest build their engines
+//! themselves: [`real_summary_on`] (behind [`real_summary`]) and
+//! [`ablations`] run [`run_window_batch`] / [`run_knn_batch`] directly,
+//! and [`fleet_summary_on`] runs [`crate::fleet::run_fleet`].
 
 use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel};
 use dsi_core::{DsiConfig, KnnStrategy, ReorgStyle};

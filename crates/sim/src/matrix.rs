@@ -261,10 +261,9 @@ fn build_optimized(
     // latency metric, so when the spec has any, the selection scores
     // those (kNN-only specs fall back to everything). Each measurement
     // rebuilds the engine from scratch even though only the channel
-    // layout differs — the flat schema is identical across candidates —
-    // which is the dominant fixed cost here; a rebuild-layout-only path
-    // on the index crates would remove it if the search ever needs to
-    // scale further.
+    // layout differs — the flat schema is identical across candidates; a
+    // rebuild-layout-only path on the index crates would save that build
+    // if the search ever needs to scale further.
     let m_cap = 120usize;
     // Explicit placements must give every channel at least one index
     // unit — the layout builder rejects stranded channels outright

@@ -31,12 +31,12 @@ use dsi::broadcast::optimize::{
 };
 use dsi::broadcast::segmented::{SegmentedAir, TreePacket, MAX_SEGMENTS};
 use dsi::broadcast::{
-    AntennaConfig, ChannelConfig, DynScheme, GilbertElliott, LayoutError, LossModel,
-    OutageSchedule, OutageWindow, Placement, Query, QueryOutcome,
+    AntennaConfig, ChannelConfig, GilbertElliott, LayoutError, LossModel, OutageSchedule,
+    OutageWindow, Placement, Query, QueryOutcome,
 };
-use dsi::core::{DsiAir, DsiConfig, DsiScheme, KnnStrategy};
 use dsi::datagen::{knn_points, uniform, window_queries, SpatialDataset};
 use dsi::rtree::{RTreeAir, RtreeAirConfig};
+use dsi::sim::{Engine, Scheme};
 use dsi::{Point, Rect};
 
 const K: usize = 5;
@@ -49,33 +49,22 @@ fn dataset() -> SpatialDataset {
 /// Builds one scheme by name under a channel configuration (explicit
 /// placements are per-scheme: unit counts differ, so an optimized
 /// assignment only fits the scheme it was fitted for).
-fn build_scheme(ds: &SpatialDataset, name: &str, chan: &ChannelConfig) -> Box<dyn DynScheme> {
-    match name {
-        "dsi" => Box::new(DsiScheme {
-            air: DsiAir::try_build_channels(
-                ds,
-                DsiConfig::paper_reorganized().with_capacity(64),
-                chan.clone(),
-            )
-            .expect("the layout builds"),
-            strategy: KnnStrategy::Conservative,
-        }),
-        "rtree" => {
-            let pts: Vec<(u32, Point)> = ds.objects().iter().map(|o| (o.id, o.pos)).collect();
-            Box::new(
-                RTreeAir::try_build_channels(&pts, RtreeAirConfig::new(64), chan.clone())
-                    .expect("the layout builds"),
-            )
-        }
-        "hci" => Box::new(
-            BpAir::try_build_channels(ds, BpAirConfig::new(64), chan.clone())
-                .expect("the layout builds"),
-        ),
-        other => panic!("unknown scheme {other}"),
-    }
+fn build_scheme(ds: &SpatialDataset, name: &str, chan: &ChannelConfig) -> Engine {
+    try_build(ds, name, chan).expect("the layout builds")
 }
 
-fn schemes(ds: &SpatialDataset, chan: &ChannelConfig) -> Vec<(&'static str, Box<dyn DynScheme>)> {
+/// [`build_scheme`] that hands back a layout the channels cannot hold.
+fn try_build(ds: &SpatialDataset, name: &str, chan: &ChannelConfig) -> Result<Engine, LayoutError> {
+    let scheme = match name {
+        "dsi" => Scheme::dsi_reorganized(64),
+        "rtree" => Scheme::RTree,
+        "hci" => Scheme::Hci,
+        other => panic!("unknown scheme {other}"),
+    };
+    Engine::try_build_channels(scheme, ds, 64, chan.clone())
+}
+
+fn schemes(ds: &SpatialDataset, chan: &ChannelConfig) -> Vec<(&'static str, Engine)> {
     ["dsi", "rtree", "hci"]
         .into_iter()
         .map(|name| (name, build_scheme(ds, name, chan)))
@@ -105,7 +94,7 @@ fn channel_grid() -> Vec<(String, ChannelConfig)> {
 }
 
 fn run(
-    scheme: &dyn DynScheme,
+    scheme: &Engine,
     loss: LossModel,
     antennas: AntennaConfig,
     kind: &str,
@@ -156,15 +145,8 @@ fn answers_match_oracle_and_antennas_never_slow_the_batch() {
                         .enumerate()
                     {
                         for qi in 0..NQ {
-                            let out = run(
-                                scheme.as_ref(),
-                                loss.clone(),
-                                antennas,
-                                kind,
-                                qi,
-                                &windows,
-                                &points,
-                            );
+                            let out =
+                                run(&scheme, loss.clone(), antennas, kind, qi, &windows, &points);
                             let want = match kind {
                                 "window" => ds.brute_window(&windows[qi]),
                                 _ => ds.brute_knn(points[qi], K),
@@ -263,15 +245,8 @@ fn answers_survive_bursty_faults_across_the_grid() {
                 for kind in ["window", "knn"] {
                     for antennas in [AntennaConfig::single(), AntennaConfig::new(2)] {
                         for qi in 0..NQ {
-                            let out = run(
-                                scheme.as_ref(),
-                                loss.clone(),
-                                antennas,
-                                kind,
-                                qi,
-                                &windows,
-                                &points,
-                            );
+                            let out =
+                                run(&scheme, loss.clone(), antennas, kind, qi, &windows, &points);
                             let want = match kind {
                                 "window" => ds.brute_window(&windows[qi]),
                                 _ => ds.brute_knn(points[qi], K),
@@ -1537,7 +1512,7 @@ fn single_antenna_reproduces_pre_refactor_channel_stats() {
                 _ => LossModel::iid(0.05),
             };
             let out = run(
-                scheme.as_ref(),
+                scheme,
                 loss,
                 AntennaConfig::single(),
                 kind,
@@ -1684,7 +1659,7 @@ fn two_antenna_reproduces_pinned_channel_stats() {
                 for kind in ["window", "knn"] {
                     for qi in 0..2 {
                         let out = run(
-                            scheme.as_ref(),
+                            &scheme,
                             loss.clone(),
                             AntennaConfig::new(2),
                             kind,
@@ -1791,7 +1766,7 @@ fn dsi_cross_channel_ties_reproduce_pinned_channel_stats() {
                 continue;
             }
             let out = run(
-                scheme.as_ref(),
+                &scheme,
                 LossModel::None,
                 AntennaConfig::new(antennas),
                 kind,
@@ -1826,7 +1801,7 @@ fn training_draw() -> (Vec<Rect>, Vec<Point>) {
 /// `dsi::broadcast::optimize`). Returns the schema and profile the fit
 /// used along with its result.
 fn fit_optimized(
-    single: &dyn DynScheme,
+    single: &Engine,
     channels: u32,
     windows: &[Rect],
     points: &[Point],
@@ -1859,7 +1834,7 @@ fn fit_optimized(
 
 /// [`fit_optimized`] as a ready-to-build explicit channel configuration.
 fn optimized_chan(
-    single: &dyn DynScheme,
+    single: &Engine,
     channels: u32,
     windows: &[Rect],
     points: &[Point],
@@ -1886,21 +1861,14 @@ fn optimized_placements_preserve_answers_across_the_grid() {
     let singles = schemes(&ds, &ChannelConfig::single());
     for c in [2u32, 4] {
         for (sname, single) in &singles {
-            let chan = optimized_chan(single.as_ref(), c, &train_windows, &train_points);
+            let chan = optimized_chan(single, c, &train_windows, &train_points);
             let scheme = build_scheme(&ds, sname, &chan);
             for (lname, loss) in [("none", LossModel::None), ("iid5", LossModel::iid(0.05))] {
                 for antennas in [AntennaConfig::single(), AntennaConfig::new(2)] {
                     for kind in ["window", "knn"] {
                         for qi in 0..NQ {
-                            let out = run(
-                                scheme.as_ref(),
-                                loss.clone(),
-                                antennas,
-                                kind,
-                                qi,
-                                &windows,
-                                &points,
-                            );
+                            let out =
+                                run(&scheme, loss.clone(), antennas, kind, qi, &windows, &points);
                             let want = match kind {
                                 "window" => ds.brute_window(&windows[qi]),
                                 _ => ds.brute_knn(points[qi], K),
@@ -1960,8 +1928,7 @@ fn optimizer_reproduces_pinned_placements() {
     let mut got = Vec::new();
     for c in [2u32, 4] {
         for (sname, single) in schemes(&ds, &ChannelConfig::single()) {
-            let (schema, profile, opt) =
-                fit_optimized(single.as_ref(), c, &train_windows, &train_points);
+            let (schema, profile, opt) = fit_optimized(&single, c, &train_windows, &train_points);
             let arcs: Vec<u32> = opt.arc_cuts.iter().map(|&u| opt.assignment[u]).collect();
             let n = schema.n_units();
             let equal: Vec<usize> = (0..c as usize).map(|g| g * n / c as usize).collect();
@@ -2037,7 +2004,7 @@ fn blocked_beats_unit_stripe_and_stripe_frames_closes_the_gap() {
     // at this tiny scale.
     let single = build_scheme(&ds, "dsi", &ChannelConfig::single());
     let (train_windows, train_points) = training_draw();
-    let chan = optimized_chan(single.as_ref(), 4, &train_windows, &train_points);
+    let chan = optimized_chan(&single, 4, &train_windows, &train_points);
     let optimized = mean(&chan);
     assert!(
         optimized < stripe,
@@ -2156,16 +2123,7 @@ fn tiny_trees_answer_exactly_or_reject_the_layout() {
         let q = knn_points(1, 13)[0];
         for (cname, chan) in &configs {
             for sname in ["rtree", "hci"] {
-                let built: Result<Box<dyn DynScheme>, LayoutError> = match sname {
-                    "rtree" => RTreeAir::try_build_channels(
-                        &id_points(&ds),
-                        RtreeAirConfig::new(64),
-                        chan.clone(),
-                    )
-                    .map(|a| Box::new(a) as Box<dyn DynScheme>),
-                    _ => BpAir::try_build_channels(&ds, BpAirConfig::new(64), chan.clone())
-                        .map(|a| Box::new(a) as Box<dyn DynScheme>),
-                };
+                let built = try_build(&ds, sname, chan);
                 let rejected = match *cname {
                     "blocked4" => n <= 3,
                     "stripe4" => n <= 2,

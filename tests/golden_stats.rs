@@ -10,13 +10,10 @@
 //! before the kNN client's lazy circle decomposition, and pin that change
 //! the same way.
 
-use dsi::bptree::{BpAir, BpAirConfig};
-use dsi::broadcast::{
-    AntennaConfig, ChannelConfig, DynScheme, LossModel, Placement, Query, QueryOutcome,
-};
-use dsi::core::{DsiAir, DsiConfig, DsiScheme, KnnStrategy};
+use dsi::broadcast::{AntennaConfig, ChannelConfig, LossModel, Placement, Query, QueryOutcome};
+use dsi::core::{DsiConfig, KnnStrategy};
 use dsi::datagen::{knn_points, uniform, window_queries, SpatialDataset};
-use dsi::rtree::{RTreeAir, RtreeAirConfig};
+use dsi::sim::{Engine, Scheme};
 use dsi::{Point, Rect};
 
 /// (scheme, loss, query kind, query index, latency_packets, tuning_packets)
@@ -90,40 +87,22 @@ fn dataset() -> SpatialDataset {
     SpatialDataset::build(&uniform(300, 42), 9)
 }
 
-fn schemes(ds: &SpatialDataset, chan: &ChannelConfig) -> Vec<(&'static str, Box<dyn DynScheme>)> {
-    let pts: Vec<(u32, Point)> = ds.objects().iter().map(|o| (o.id, o.pos)).collect();
-    vec![
-        (
-            "dsi",
-            Box::new(DsiScheme {
-                air: DsiAir::try_build_channels(
-                    ds,
-                    DsiConfig::paper_reorganized().with_capacity(64),
-                    chan.clone(),
-                )
-                .expect("the layout builds"),
-                strategy: KnnStrategy::Conservative,
-            }) as Box<dyn DynScheme>,
-        ),
-        (
-            "rtree",
-            Box::new(
-                RTreeAir::try_build_channels(&pts, RtreeAirConfig::new(64), chan.clone())
-                    .expect("the layout builds"),
-            ),
-        ),
-        (
-            "hci",
-            Box::new(
-                BpAir::try_build_channels(ds, BpAirConfig::new(64), chan.clone())
-                    .expect("the layout builds"),
-            ),
-        ),
+fn schemes(ds: &SpatialDataset, chan: &ChannelConfig) -> Vec<(&'static str, Engine)> {
+    [
+        ("dsi", Scheme::dsi_reorganized(64)),
+        ("rtree", Scheme::RTree),
+        ("hci", Scheme::Hci),
     ]
+    .into_iter()
+    .map(|(name, scheme)| {
+        let built = Engine::try_build_channels(scheme, ds, 64, chan.clone());
+        (name, built.expect("the layout builds"))
+    })
+    .collect()
 }
 
 fn run(
-    scheme: &dyn DynScheme,
+    scheme: &Engine,
     loss: LossModel,
     kind: &str,
     qi: usize,
@@ -144,13 +123,8 @@ fn single_channel_unified_path_reproduces_pre_refactor_stats() {
     let windows = window_queries(4, 0.2, 3);
     let points = knn_points(4, 9);
     let mut schemes = schemes(&ds, &ChannelConfig::single());
-    schemes.push((
-        "dsi_aggressive",
-        Box::new(DsiScheme {
-            air: DsiAir::build(&ds, DsiConfig::paper_reorganized().with_capacity(64)),
-            strategy: KnnStrategy::Aggressive,
-        }),
-    ));
+    let aggressive = Scheme::Dsi(DsiConfig::paper_reorganized(), KnnStrategy::Aggressive);
+    schemes.push(("dsi_aggressive", Engine::build(aggressive, &ds, 64)));
     for &(scheme_name, loss_name, kind, qi, latency, tuning) in GOLDEN {
         let loss = match loss_name {
             "none" => LossModel::None,
@@ -160,7 +134,7 @@ fn single_channel_unified_path_reproduces_pre_refactor_stats() {
             .iter()
             .find(|(n, _)| *n == scheme_name)
             .expect("scheme exists");
-        let out = run(scheme.as_ref(), loss, kind, qi, &windows, &points);
+        let out = run(scheme, loss, kind, qi, &windows, &points);
         assert_eq!(
             (out.stats.latency_packets, out.stats.tuning_packets),
             (latency, tuning),
@@ -196,7 +170,7 @@ fn multi_channel_answers_stay_exact() {
             for (loss_name, loss) in [("none", LossModel::None), ("iid30", LossModel::iid(0.3))] {
                 for kind in ["window", "knn"] {
                     for qi in 0..4 {
-                        let out = run(scheme.as_ref(), loss.clone(), kind, qi, &windows, &points);
+                        let out = run(&scheme, loss.clone(), kind, qi, &windows, &points);
                         let want = match kind {
                             "window" => ds.brute_window(&windows[qi]),
                             _ => ds.brute_knn(points[qi], K),

@@ -166,7 +166,7 @@ proptest! {
             engine.verify().is_ok(),
             "grid-valid program must verify clean before mutation"
         );
-        let mut m = engine.static_model().clone();
+        let mut m = engine.static_model();
         type Mutation = fn(&mut StaticModel, usize) -> bool;
         let mutations: [(&str, Mutation); 5] = [
             ("flip_pointer", flip_pointer),
