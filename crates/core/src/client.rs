@@ -12,11 +12,14 @@
 //! 4. scan the current frame's object headers if its (conservatively
 //!    estimated) span may overlap a remainder, retrieving qualifying
 //!    objects;
-//! 5. navigate: jump to the *safe frame* for the chosen remainder — the
-//!    frame with the largest known bound ≤ the remainder's start, which can
-//!    never overshoot. This is exactly the paper's energy-efficient
-//!    forwarding generalised to interval targets; repeated hops converge
-//!    like a base-`r` search.
+//! 5. navigate: doze to the earliest-arriving frame whose conservative
+//!    span ([`Knowledge::span_est`]) meets a remainder. A frame's true span
+//!    lies inside its conservative one, so no frame that may hold a target
+//!    is skipped. This is the paper's energy-efficient forwarding
+//!    generalised to interval targets; every table read tightens the
+//!    spans, so repeated hops converge like a base-`r` search. (The
+//!    aggressive kNN strategy instead jumps to the frame, among its last
+//!    table's entries, closest to the query point: [`NavPick::Slot`].)
 //!
 //! Navigation finds its candidate frames in one of two ways, chosen by the
 //! program's channel count. On one channel, broadcast order is arrival

@@ -136,33 +136,6 @@ impl Knowledge {
             .saturating_sub(1)
     }
 
-    /// Exact span of frame `idx`, if both end-points are known.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn exact_span(&self, idx: u32) -> Option<(u64, u64)> {
-        let lo = self.known(idx)?;
-        let hi = if idx + 1 == self.n_frames {
-            self.max_hc_excl
-        } else {
-            self.known(idx + 1)?
-        };
-        Some((lo, hi))
-    }
-
-    /// The latest frame that is *safe* for a forward jump targeting `hc`:
-    /// the frame with the largest known bound ≤ `hc`. Jumping there can
-    /// never overshoot the frame that actually contains `hc`. Returns frame
-    /// 0 for targets below the global minimum (which the schema always
-    /// knows).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn safe_frame_for(&self, hc: u64) -> u32 {
-        let pos = self.bounds.partition_point(|&(_, h)| h <= hc);
-        if pos > 0 {
-            self.bounds[pos - 1].0
-        } else {
-            0
-        }
-    }
-
     /// One past the largest representable HC value.
     pub fn max_hc_excl(&self) -> u64 {
         self.max_hc_excl
@@ -845,12 +818,6 @@ mod tests {
         assert_eq!(k.span_est(3), (30, 60));
         assert_eq!(k.span_est(2), (30, 60));
         assert_eq!(k.span_est(6), (60, 1001));
-        assert_eq!(k.exact_span(2), None);
-        k.learn(3, 40);
-        assert_eq!(k.exact_span(2), Some((30, 40)));
-        assert_eq!(k.exact_span(7), None);
-        k.learn(7, 80);
-        assert_eq!(k.exact_span(7), Some((80, 1001)));
     }
 
     #[test]
@@ -874,19 +841,6 @@ mod tests {
         }
         assert_eq!(next, l.n_frames());
         assert_eq!(k.run_of_hc(0), 0, "below the first bound");
-    }
-
-    #[test]
-    fn safe_frame_never_overshoots() {
-        let l = layout();
-        let mut k = Knowledge::new(&l, 1000);
-        k.learn(2, 30);
-        k.learn(5, 60);
-        assert_eq!(k.safe_frame_for(5), 0); // below global min → frame 0
-        assert_eq!(k.safe_frame_for(30), 2);
-        assert_eq!(k.safe_frame_for(59), 2);
-        assert_eq!(k.safe_frame_for(60), 5);
-        assert_eq!(k.safe_frame_for(999), 5);
     }
 
     fn scan_frame(log: &mut ScanLog, idx: u32, hcs: &[Option<u64>]) {

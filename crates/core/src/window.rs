@@ -21,8 +21,8 @@ use crate::state::Knowledge;
 
 struct WindowMode {
     window: Rect,
-    /// The decomposition, shared with the fleet's share cache when one is
-    /// installed: it is copied once, into the driver's targets.
+    /// The decomposition, shared with the fleet's decomposition table when
+    /// one is installed: it is copied once, into the driver's targets.
     segments: Arc<Vec<HcRange>>,
     /// Targets are static: they are handed to the driver exactly once.
     published: bool,
@@ -69,8 +69,8 @@ impl DsiAir {
     }
 
     fn run_window(&self, tuner: &mut Tuner<'_, DsiPacket>, window: &Rect, audit: bool) -> Vec<u32> {
-        // Through the thread's installed share cache when a fleet worker
-        // put one up (bit-identical either way; see `crate::share`).
+        // From the thread's installed decomposition table when a fleet
+        // worker put one up (bit-identical either way; see `crate::share`).
         let segments = crate::share::window_segments(self.curve(), self.mapper(), window);
         if segments.is_empty() {
             return Vec::new();

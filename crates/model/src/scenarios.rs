@@ -1,12 +1,11 @@
 //! The core model-check scenarios for the fleet concurrency layer.
 //!
 //! Each scenario wraps the fleet's dispatch (`dsi_sim::fleet::run_fleet`
-//! itself, not a copy) or one `dsi_core::share` pattern in
-//! [`interleave::explore`], explores every schedule within the given
-//! preemption bound, and asserts the *same outcome facts* hold in every
-//! one of them — outcomes equal to the sequential oracle, the surfaced
-//! granule panic, cache bit-identity. The facts are exactly the
-//! properties the fleet engine's `FleetOutcomes` merge relies on.
+//! itself, not a copy) in [`interleave::explore`], explores every
+//! schedule within the given preemption bound, and asserts the *same
+//! outcome facts* hold in every one of them — outcomes equal to the
+//! sequential oracle, the surfaced granule panic. The facts are exactly
+//! the properties the fleet engine's `FleetOutcomes` merge relies on.
 //!
 //! The preemption bound is per-call so the CI job can run the fast
 //! bound while local debugging cranks it up; see [`run_all`] for the
@@ -18,10 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use dsi_broadcast::Query;
-use dsi_core::share::ShareCache;
 use dsi_datagen::{knn_points, uniform, SpatialDataset};
-use dsi_geom::{GridMapper, Point, Rect};
-use dsi_hilbert::{ranges_in_rect, HilbertCurve};
 use dsi_sim::fleet::{run_fleet, run_fleet_oracle, FleetSpec};
 use dsi_sim::{uniform_dataset_n, Engine, Scheme, EVAL_ORDER};
 use interleave::{explore, Report};
@@ -75,10 +71,11 @@ fn scenario(name: &'static str, bound: usize, f: impl Fn() -> String) -> Scenari
     }
 }
 
-/// A small lossless DSI fleet of kNN clients on two workers: kNN
-/// drives take no share-cache lock, so the only branch points are the
-/// dispatch's own (spawns, cursor claims, joins). The population is cut
-/// into at least three granules, so one worker must claim twice.
+/// A small lossless DSI fleet of kNN clients on two workers. The only
+/// branch points are the dispatch's own (spawns, cursor claims, joins):
+/// the decomposition table is built before the spawns and only read
+/// after. The population is cut into at least three granules, so one
+/// worker must claim twice.
 fn knn_fleet() -> (Arc<Engine>, Arc<SpatialDataset>, FleetSpec) {
     let ds = Arc::new(uniform_dataset_n(200));
     let engine = Arc::new(Engine::build(Scheme::dsi_reorganized(64), &ds, 64));
@@ -128,42 +125,7 @@ pub fn fleet_granule_panic(bound: usize) -> ScenarioReport {
     })
 }
 
-/// Concurrent share-cache insert/hit: two threads resolving the same
-/// window rectangle must observe bit-identical segments (equal to the
-/// direct computation) and coherent hit/miss counters in every
-/// schedule.
-pub fn share_cache_insert_hit(bound: usize) -> ScenarioReport {
-    let curve = HilbertCurve::new(3);
-    let mapper = GridMapper::new(Point { x: 0.0, y: 0.0 }, 1.0, 3);
-    let rect = Rect::new(0.2, 0.2, 0.7, 0.6);
-    let expected = Arc::new(ranges_in_rect(&curve, &mapper, &rect));
-    scenario("share_cache_insert_hit", bound, || {
-        let cache = Arc::new(ShareCache::new());
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                interleave::thread::spawn(move || cache.window_segments(&curve, &mapper, &rect))
-            })
-            .collect();
-        for h in workers {
-            let got = h.join().expect("cache worker panicked");
-            assert_eq!(
-                *got, *expected,
-                "cache returned segments differing from the direct computation"
-            );
-        }
-        let (hits, misses) = (cache.window_hits(), cache.window_misses());
-        assert_eq!(hits + misses, 2, "each lookup is a hit or a miss");
-        assert!(misses >= 1, "someone computed the entry");
-        "segments=bit-identical".to_string()
-    })
-}
-
 /// Every scenario with the preemption bound its CI run uses.
 pub fn run_all() -> Vec<ScenarioReport> {
-    vec![
-        fleet_knn_dispatch(3),
-        fleet_granule_panic(3),
-        share_cache_insert_hit(3),
-    ]
+    vec![fleet_knn_dispatch(3), fleet_granule_panic(3)]
 }

@@ -1,8 +1,8 @@
 //! The model-check suite: exhaustive exploration of the fleet
-//! concurrency layer (the `run_fleet` granule dispatch and the share
-//! cache) plus anti-vacuity checks — mutated copies of that dispatch
-//! that the checker must catch, proving the clean verdicts on the real
-//! code mean something.
+//! concurrency layer (the `run_fleet` granule dispatch) plus
+//! anti-vacuity checks — mutated copies of that dispatch that the
+//! checker must catch, proving the clean verdicts on the real code mean
+//! something.
 //!
 //! Build and run with `RUSTFLAGS="--cfg dsi_model" cargo test -p
 //! dsi-model`; under the normal cfg this file compiles to nothing.
@@ -30,11 +30,6 @@ fn fleet_knn_dispatch_is_clean() {
 #[test]
 fn fleet_granule_panic_is_clean() {
     scenarios::fleet_granule_panic(3).assert_clean();
-}
-
-#[test]
-fn share_cache_insert_hit_is_clean() {
-    scenarios::share_cache_insert_hit(3).assert_clean();
 }
 
 // ---------------------------------------------------------------------

@@ -16,9 +16,10 @@ use dsi_broadcast::{
     AirScheme, AntennaConfig, ChannelConfig, FaultTrace, LayoutError, LossModel, Query,
     QueryOutcome,
 };
+use dsi_core::share::ShareCache;
 use dsi_core::{DsiAir, DsiConfig, DsiScheme, KnnStrategy};
 use dsi_datagen::SpatialDataset;
-use dsi_geom::Point;
+use dsi_geom::{Point, Rect};
 use dsi_rtree::{RTreeAir, RtreeAirConfig};
 use dsi_verify::{StaticModel, Verifiable, VerifyReport, Violation};
 
@@ -189,6 +190,16 @@ impl Engine {
         })
     }
 
+    /// The fleet's decomposition table for the windows `rects`: DSI
+    /// decomposes each distinct one on its curve and grid; the R-tree and
+    /// HCI, whose clients never consult the table, get an empty one.
+    pub(crate) fn window_table<'a>(&self, rects: impl IntoIterator<Item = &'a Rect>) -> ShareCache {
+        match &self.built {
+            Built::Dsi(s) => ShareCache::from_windows(s.air.curve(), s.air.mapper(), rects),
+            Built::RTree(_) | Built::Hci(_) => ShareCache::new(),
+        }
+    }
+
     /// The cohort-coalescing anchor of a tune-in at `start` — the
     /// absolute instant of the client's first scheme-defined action, or
     /// `None` when no sound anchor exists (multi-channel programs). See
@@ -224,7 +235,6 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::uniform_dataset_n;
-    use dsi_geom::Rect;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn run(e: &Engine, start: u64, loss: LossModel, seed: u64, query: Query) -> QueryOutcome {

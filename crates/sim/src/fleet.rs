@@ -39,10 +39,12 @@
 //!    gets its cohort's answers, tuning, switches and channel stats, and
 //!    its own access latency `end − start` from the shared absolute
 //!    trajectory (the paper's free-rider premise made computational).
-//! 4. **Shared decompositions.** Every fleet worker installs one
-//!    [`dsi_core::share::ShareCache`] before its first claim (never the
-//!    caller's thread), so representatives of *different* cohorts running
-//!    the same window query share its HC-segment decomposition.
+//! 4. **Shared decompositions.** Before spawning, `run_fleet` decomposes
+//!    every distinct window its representatives will drive into one
+//!    immutable [`dsi_core::share::ShareCache`], and every worker installs
+//!    that one table before its first claim (never the caller's thread),
+//!    so representatives of *different* cohorts running the same window
+//!    query share its HC-segment decomposition. Workers only read it.
 //!    Identical kNN queries already share circle decompositions and
 //!    candidate tables wholesale through their cohort representative.
 //!
@@ -56,10 +58,10 @@
 //! [`FleetOutcomes`] for every worker count, equal to the sequential
 //! oracle's ([`run_fleet_oracle`], a plain per-client drive loop):
 //! cohorts and granules are fixed before any thread runs, and the columns
-//! are filled from the records in client order. Wall-clock figures and
-//! the share-cache hit/miss counters are measurements, not outcomes: they
-//! vary run to run (concurrent misses of the same key may both compute),
-//! and are reported for observability only. The differential suite
+//! are filled from the records in client order. Every [`FleetStats`]
+//! counter, the window-table ones included, is a pure function of the
+//! engine and the spec as well; only the wall-clock rates vary run to run,
+//! and they are reported for observability only. The differential suite
 //! (`crates/sim/tests/fleet_differential`) pins the contract across
 //! scheme × placement × antennas × loss × worker count.
 
@@ -71,7 +73,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dsi_broadcast::{AntennaConfig, ChannelStats, LossModel, Query, QueryStats};
-use dsi_core::share::{self, ShareCache};
+use dsi_core::share;
 use dsi_datagen::SpatialDataset;
 use interleave::sync::atomic::{AtomicUsize, Ordering};
 use rand::rngs::StdRng;
@@ -249,8 +251,8 @@ impl FleetOutcomes {
     }
 }
 
-/// Population-level fleet counters. `clients`, `drives`, `coalesced` and
-/// `granules` are deterministic; wall-clock rates and cache counters are
+/// Population-level fleet counters. Every count is a pure function of
+/// the engine and the [`FleetSpec`]; only the wall-clock rates are
 /// measurements. Population distributions are read from the returned
 /// [`FleetOutcomes`].
 #[derive(Debug, Clone)]
@@ -273,9 +275,13 @@ pub struct FleetStats {
     /// Tuner read events *served* per wall second, across the population
     /// (the per-client cost a per-client simulator would pay).
     pub events_per_sec: f64,
-    /// Window decompositions served from the share cache.
+    /// Representative window drives served from the run's decomposition
+    /// table beyond the first drive of each window: DSI's window drives
+    /// less [`FleetStats::window_cache_misses`]. The R-tree and HCI never
+    /// consult the table and report 0.
     pub window_cache_hits: u64,
-    /// Window decompositions computed (then published).
+    /// Distinct windows decomposed into the run's table before any worker
+    /// started; 0 for the R-tree and HCI, whose table is empty.
     pub window_cache_misses: u64,
 }
 
@@ -491,7 +497,22 @@ pub fn run_fleet(
     } else {
         spec.workers
     };
-    let cache = Arc::new(ShareCache::new());
+    // Every window the representatives will drive, decomposed once into
+    // the run's table before any worker starts.
+    let windows: Vec<_> = reps
+        .iter()
+        .filter_map(|&rep| match &spec.pool[pop.query[rep as usize] as usize] {
+            Query::Window(w) => Some(w),
+            Query::Knn(..) => None,
+        })
+        .collect();
+    let table = Arc::new(engine.window_table(windows.iter().copied()));
+    // DSI decomposes every window, so each window drive beyond a window's
+    // first is a hit; the trees' table is empty and serves none.
+    let (window_cache_hits, window_cache_misses) = match table.len() {
+        0 => (0, 0),
+        n => ((windows.len() - n) as u64, n as u64),
+    };
     let shared = Arc::new(Shared {
         engine: Arc::clone(engine),
         dataset: dataset.map(Arc::clone),
@@ -510,9 +531,9 @@ pub fn run_fleet(
     let handles: Vec<_> = (0..workers.min(granules))
         .map(|_| {
             let shared = Arc::clone(&shared);
-            let cache = Arc::clone(&cache);
+            let table = Arc::clone(&table);
             interleave::thread::spawn(move || {
-                share::install(Some(cache));
+                share::install(Some(table));
                 run_worker(&shared)
             })
         })
@@ -582,15 +603,15 @@ pub fn run_fleet(
         granules,
         clients_per_sec: n as f64 / wall,
         events_per_sec: served_events as f64 / wall,
-        window_cache_hits: cache.window_hits(),
-        window_cache_misses: cache.window_misses(),
+        window_cache_hits,
+        window_cache_misses,
     };
     (stats, outcomes)
 }
 
 /// The sequential oracle: every client driven individually, no workers,
-/// no coalescing, no share cache — the reference the fleet engine must match
-/// bit for bit. Returns the same [`FleetOutcomes`] columns.
+/// no coalescing, no decomposition table — the reference the fleet engine
+/// must match bit for bit. Returns the same [`FleetOutcomes`] columns.
 pub fn run_fleet_oracle(
     engine: &Engine,
     dataset: Option<&SpatialDataset>,

@@ -41,24 +41,42 @@ fn spec(loss: LossModel, antennas: u32, workers: usize) -> FleetSpec {
     }
 }
 
-/// Asserts the contract for one built engine across loss × antennas ×
-/// workers, including answer validation on the lossless single-antenna
-/// cell (the oracle validates; the equality check then covers the fleet).
-/// The counters are checked too: every client is driven or coalesced
-/// exactly once, and the dispatch does the same work at every worker
-/// count (a granule run twice would overwrite identical outcome rows).
-/// The drive count pins the cohort contract the column assembly relies
-/// on: one drive per distinct `(tune anchor, query)` pair on a lossless
+/// Asserts the contract for `scheme` built over `channels` across loss ×
+/// antennas × workers, including answer validation on the lossless
+/// single-antenna cell (the oracle validates; the equality check then
+/// covers the fleet). The counters are checked too: every client is
+/// driven or coalesced exactly once, and the dispatch does the same work
+/// and reports the same window-table counters at every worker count (a
+/// granule run twice would overwrite identical outcome rows). The drive
+/// count pins the cohort contract the column assembly relies on: one
+/// drive per distinct `(tune anchor, query)` pair on a lossless
 /// single-channel engine, one per client under loss or on several
-/// channels.
-fn check_engine(engine: Engine, dataset: &Arc<SpatialDataset>, losses: &[LossModel]) {
-    let engine = Arc::new(engine);
+/// channels. DSI decomposes each distinct window the population drew
+/// once and serves every other window drive from that table; the R-tree
+/// and HCI never consult it.
+fn check_engine(
+    scheme: Scheme,
+    channels: ChannelConfig,
+    dataset: &Arc<SpatialDataset>,
+    losses: &[LossModel],
+) {
+    let engine = Arc::new(Engine::build_channels(scheme, dataset, 64, channels));
+    let pool = mixed_pool();
+    let is_window = |query: u32| matches!(pool[query as usize], Query::Window(_));
     let pop = Population::derive(&spec(LossModel::None, 1, 1), engine.cycle_packets());
     let pairs: Option<BTreeSet<(u64, u32)>> = pop
         .start
         .iter()
         .zip(&pop.query)
         .map(|(&start, &query)| Some((engine.tune_anchor(start)?, query)))
+        .collect();
+    // The pool's windows are distinct rectangles, so the population drew
+    // as many distinct windows as distinct window indices.
+    let windows_drawn: BTreeSet<u32> = pop
+        .query
+        .iter()
+        .copied()
+        .filter(|&q| is_window(q))
         .collect();
     for loss in losses {
         for antennas in [1u32, 2] {
@@ -75,17 +93,37 @@ fn check_engine(engine: Engine, dataset: &Arc<SpatialDataset>, losses: &[LossMod
                     reference.get_or_insert_with(|| run_fleet_oracle(&engine, Some(dataset), &s));
                 assert_eq!(&outcomes, oracle, "fleet != oracle ({cell})");
                 assert_eq!(stats.drives + stats.coalesced, stats.clients, "({cell})");
-                let cohorts = if matches!(loss, LossModel::None) && engine.n_channels() == 1 {
-                    pairs
-                        .as_ref()
-                        .expect("one channel anchors every tune-in")
-                        .len()
+                let coalesces = matches!(loss, LossModel::None) && engine.n_channels() == 1;
+                let anchored = || pairs.as_ref().expect("one channel anchors every tune-in");
+                let cohorts = if coalesces {
+                    anchored().len()
                 } else {
                     stats.clients
                 };
                 assert_eq!(stats.drives, cohorts, "({cell})");
-                let counts = (stats.drives, stats.coalesced, stats.granules);
+                let counts = (
+                    stats.drives,
+                    stats.coalesced,
+                    stats.granules,
+                    stats.window_cache_hits,
+                    stats.window_cache_misses,
+                );
                 assert_eq!(*work.get_or_insert(counts), counts, "({cell})");
+                let table = (
+                    stats.window_cache_hits + stats.window_cache_misses,
+                    stats.window_cache_misses,
+                );
+                if matches!(scheme, Scheme::Dsi(..)) {
+                    let window_drives = if coalesces {
+                        anchored().iter().filter(|&&(_, q)| is_window(q)).count()
+                    } else {
+                        pop.query.iter().filter(|&&q| is_window(q)).count()
+                    };
+                    let want = (window_drives as u64, windows_drawn.len() as u64);
+                    assert_eq!(table, want, "window drives and distinct windows ({cell})");
+                } else {
+                    assert_eq!(table, (0, 0), "the trees never consult the table ({cell})");
+                }
             }
         }
     }
@@ -101,7 +139,7 @@ fn single_channel_all_schemes_all_losses() {
         LossModel::gilbert(0.05, 0.3, 0.9),
     ];
     for scheme in [Scheme::dsi_reorganized(64), Scheme::RTree, Scheme::Hci] {
-        check_engine(Engine::build(scheme, &ds, 64), &ds, &losses);
+        check_engine(scheme, ChannelConfig::single(), &ds, &losses);
     }
 }
 
@@ -110,7 +148,8 @@ fn blocked_two_channel_placement() {
     let ds = Arc::new(uniform_dataset_n(220));
     for scheme in [Scheme::dsi_reorganized(64), Scheme::Hci] {
         check_engine(
-            Engine::build_channels(scheme, &ds, 64, ChannelConfig::blocked(2, 1)),
+            scheme,
+            ChannelConfig::blocked(2, 1),
             &ds,
             &[LossModel::None, LossModel::keyed_iid(0.2)],
         );
@@ -122,7 +161,8 @@ fn striped_four_channel_placement() {
     let ds = Arc::new(uniform_dataset_n(220));
     for scheme in [Scheme::dsi_reorganized(64), Scheme::RTree] {
         check_engine(
-            Engine::build_channels(scheme, &ds, 64, ChannelConfig::striped(4, 1)),
+            scheme,
+            ChannelConfig::striped(4, 1),
             &ds,
             &[LossModel::None, LossModel::gilbert(0.02, 0.25, 0.8)],
         );

@@ -42,28 +42,16 @@
 //! **What it catches:** `std::sync::{Mutex, Condvar, RwLock, atomic,
 //! ...}` and `std::thread::{spawn, Builder, JoinHandle,
 //! available_parallelism, sleep}` tokens (including inside grouped
-//! imports) in the files ported to the `interleave` shims —
-//! `dsi_core::share` and `dsi_sim::fleet`. `Arc` and the non-scheduling
-//! helpers (`PoisonError`, `std::thread::panicking`, ...) are exempt.
-//! **Why:** one raw `std` primitive in shimmed code is invisible to the
-//! `dsi-model` scheduler, so every exploration result silently stops
-//! covering that path. **How to silence:** `// dsi-lint: allow(sync):
-//! <why the model need not see this primitive>`.
-//!
-//! ## `lockorder` — declared lock order in shimmed concurrency files
-//!
-//! **What it catches:** in any file carrying a `// dsi-lint:
-//! lock-order: a < b < c` directive, a `.lock()` call whose receiver's
-//! final identifier is not declared in the order, or is acquired while
-//! a lock declared *later* in the order is held (an inversion). Held
-//! locks are tracked per block: only `let`-bound guards count (a
-//! right-hand side starting with `*` copies through a temporary guard),
-//! `drop(guard)` releases, and so does the end of the guard's block.
-//! **Why:** a total acquisition order rules out lock-order deadlocks
-//! statically, including in paths no model scenario drives (the
-//! explorer only finds a deadlock in a schedule it runs). **How to
-//! silence:** extend the directive, or
-//! `// dsi-lint: allow(lockorder): <why this acquisition cannot nest>`.
+//! imports) in the files holding what the fleet's workers share —
+//! `dsi_sim::fleet` (the dispatch, ported to the `interleave` shims) and
+//! `dsi_core::share` (the decomposition table, immutable once shared, so
+//! it needs none). `Arc` and the non-scheduling helpers (`PoisonError`,
+//! `std::thread::panicking`, ...) are exempt. **Why:** one raw `std`
+//! primitive there is invisible to the `dsi-model` scheduler, so every
+//! exploration result silently stops covering that path; a primitive
+//! that code needs goes through the shim, model half first. **How to
+//! silence:** `// dsi-lint: allow(sync): <why the model need not see
+//! this primitive>`.
 //!
 //! # Scope
 //!
@@ -73,9 +61,7 @@
 //! `vendor/rand` constructs RNGs by definition, and no vendor crate sits
 //! on a golden-affecting path.
 //! `target/`, test directories and `#[cfg(test)]` modules are skipped
-//! (tests are free to use RNGs and hash maps) — except by `lockorder`,
-//! which lints test modules too (test code must follow the same lock
-//! discipline it exercises).
+//! (tests are free to use RNGs and hash maps).
 //!
 //! Token matching runs on *code only*: a cross-line state machine
 //! strips `//` comments, nested `/* */` blocks, and the contents of
@@ -95,7 +81,7 @@ pub struct LintFinding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier: `"rng"`, `"hash"`, `"sync"` or `"lockorder"`.
+    /// Rule identifier: `"rng"`, `"hash"` or `"sync"`.
     pub rule: &'static str,
     /// The trimmed source line.
     pub excerpt: String,
@@ -134,9 +120,10 @@ const RNG_TOKENS: &[&str] = &[
     "rand::random",
 ];
 
-/// Files ported to the `interleave` shims: raw `std` synchronization
-/// there escapes the model scheduler (`sync` rule scope). Entries are
-/// prefixes, matched against workspace-relative paths.
+/// Files holding what the fleet's workers share: raw `std`
+/// synchronization there escapes the model scheduler (`sync` rule
+/// scope). Entries are prefixes, matched against workspace-relative
+/// paths.
 const SYNC_SHIM_SCOPE: &[&str] = &["crates/core/src/share.rs", "crates/sim/src/fleet.rs"];
 
 /// `std::sync` items banned in shim scope (the scheduling-relevant
@@ -270,7 +257,6 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<LintFinding> {
             flag("sync");
         }
     }
-    findings.extend(lint_lock_order(rel, &lines, &stripped));
     findings
 }
 
@@ -307,114 +293,6 @@ fn first_ident(s: &str) -> &str {
         .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
         .unwrap_or(s.len());
     &s[..end]
-}
-
-/// The `lockorder` rule: runs only on files that declare a
-/// `// dsi-lint: lock-order: a < b < c` directive. Every `.lock()`
-/// receiver must be declared, and no lock may be acquired while a
-/// later-ranked one is held.
-fn lint_lock_order(rel: &str, lines: &[&str], stripped: &[String]) -> Vec<LintFinding> {
-    let order: Vec<String> = match lines.iter().find_map(|l| {
-        l.find("dsi-lint: lock-order:")
-            .map(|p| &l[p + "dsi-lint: lock-order:".len()..])
-    }) {
-        Some(list) => list
-            .split('<')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect(),
-        None => return Vec::new(),
-    };
-    let rank = |ident: &str| order.iter().position(|o| o == ident);
-    let mut findings = Vec::new();
-    // Held guards: (brace depth at binding, lock rank, guard name).
-    let mut held: Vec<(i64, usize, String)> = Vec::new();
-    let mut depth: i64 = 0;
-    for (i, code) in stripped.iter().enumerate() {
-        let allow = {
-            let directive = "dsi-lint: allow(lockorder)";
-            lines[i].contains(directive) || (i > 0 && lines[i - 1].contains(directive))
-        };
-        let flag = |findings: &mut Vec<LintFinding>| {
-            if !allow {
-                findings.push(LintFinding {
-                    file: rel.to_string(),
-                    line: i + 1,
-                    rule: "lockorder",
-                    excerpt: lines[i].trim().chars().take(100).collect(),
-                });
-            }
-        };
-        // `drop(guard)` releases that guard wherever it appears.
-        let mut rest = code.as_str();
-        while let Some(at) = rest.find("drop(") {
-            let arg = first_ident(&rest[at + 5..]);
-            held.retain(|(_, _, g)| g != arg);
-            rest = &rest[at + 5..];
-        }
-        let trimmed = code.trim_start();
-        let let_bound = trimmed.starts_with("let ")
-            && trimmed
-                .split_once('=')
-                .is_some_and(|(_, rhs)| !rhs.trim_start().starts_with('*'));
-        let mut search = 0usize;
-        let mut first_lock_on_line = true;
-        while let Some(at) = code[search..].find(".lock()") {
-            let dot = search + at;
-            search = dot + ".lock()".len();
-            let Some(ident) = receiver_ident(code, dot) else {
-                continue;
-            };
-            match rank(&ident) {
-                None => flag(&mut findings),
-                Some(r) => {
-                    if held.iter().any(|&(_, hr, _)| hr > r) {
-                        flag(&mut findings);
-                    }
-                    if let_bound && first_lock_on_line {
-                        let after_let = trimmed[4..].trim_start();
-                        let guard =
-                            first_ident(after_let.strip_prefix("mut ").unwrap_or(after_let));
-                        held.push((depth, r, guard.to_string()));
-                    }
-                }
-            }
-            first_lock_on_line = false;
-        }
-        depth += code.matches('{').count() as i64;
-        depth -= code.matches('}').count() as i64;
-        held.retain(|&(d, _, _)| d <= depth);
-    }
-    findings
-}
-
-/// The final identifier of the receiver chain ending at `code[dot]`
-/// (the `.` of `.lock()`), stepping back over one index `[...]` group:
-/// `shared.locals[me].lock()` → `locals`.
-fn receiver_ident(code: &str, dot: usize) -> Option<String> {
-    let b = code.as_bytes();
-    let mut i = dot;
-    if i > 0 && b[i - 1] == b']' {
-        let mut depth = 1i32;
-        i -= 1;
-        while i > 0 && depth > 0 {
-            i -= 1;
-            match b[i] {
-                b']' => depth += 1,
-                b'[' => depth -= 1,
-                _ => {}
-            }
-        }
-    }
-    let end = i;
-    while i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_') {
-        i -= 1;
-    }
-    if i == end {
-        None
-    } else {
-        Some(code[i..end].to_string())
-    }
 }
 
 /// Per-line code with comments and literal contents removed: a
@@ -659,65 +537,5 @@ mod tests {
         let allowed = "// dsi-lint: allow(sync): teardown-only, never explored\n\
                        use std::sync::Mutex;\n";
         assert!(lint_source("crates/core/src/share.rs", allowed).is_empty());
-    }
-
-    #[test]
-    fn lockorder_undeclared_receiver_is_flagged() {
-        let src = "// dsi-lint: lock-order: alpha < beta\n\
-                   fn f(s: &S) {\n\
-                       s.alpha.lock().unwrap();\n\
-                       s.gamma.lock().unwrap();\n\
-                   }\n";
-        let f = lint_source("crates/sim/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "lockorder");
-        assert_eq!(f[0].line, 4);
-    }
-
-    #[test]
-    fn lockorder_inversion_is_flagged_and_order_is_clean() {
-        let inverted = "// dsi-lint: lock-order: alpha < beta\n\
-                        fn f(s: &S) {\n\
-                            let b = s.beta.lock().unwrap();\n\
-                            let a = s.alpha.lock().unwrap();\n\
-                        }\n";
-        let f = lint_source("crates/sim/src/x.rs", inverted);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 4);
-        let ordered = "// dsi-lint: lock-order: alpha < beta\n\
-                       fn f(s: &S) {\n\
-                           let a = s.alpha.lock().unwrap();\n\
-                           let b = s.beta.lock().unwrap();\n\
-                       }\n";
-        assert!(lint_source("crates/sim/src/x.rs", ordered).is_empty());
-    }
-
-    #[test]
-    fn lockorder_releases_on_drop_and_scope_end() {
-        // drop() releases: re-acquiring an earlier lock afterwards is
-        // not an inversion.
-        let dropped = "// dsi-lint: lock-order: alpha < beta\n\
-                       fn f(s: &S) {\n\
-                           let b = s.beta.lock().unwrap();\n\
-                           drop(b);\n\
-                           let a = s.alpha.lock().unwrap();\n\
-                       }\n";
-        assert!(lint_source("crates/sim/src/x.rs", dropped).is_empty());
-        // Scope end releases too, and `let x = *..lock()` is a
-        // temporary (copies through the guard), holding nothing.
-        let scoped = "// dsi-lint: lock-order: alpha < beta\n\
-                      fn f(s: &S) {\n\
-                          { let b = s.beta.lock().unwrap(); }\n\
-                          let snap = *s.beta.lock().unwrap();\n\
-                          let a = s.alpha.lock().unwrap();\n\
-                      }\n";
-        assert!(lint_source("crates/sim/src/x.rs", scoped).is_empty());
-        // Indexed receivers resolve to their final identifier.
-        let indexed = "// dsi-lint: lock-order: locals < epoch\n\
-                       fn f(s: &S, me: usize) {\n\
-                           s.locals[me].lock().unwrap().pop_back();\n\
-                           let e = s.epoch.lock().unwrap();\n\
-                       }\n";
-        assert!(lint_source("crates/sim/src/x.rs", indexed).is_empty());
     }
 }
