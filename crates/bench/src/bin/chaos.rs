@@ -1,6 +1,6 @@
 //! Regenerates the chaos (fault-injection) results: the validated
 //! scheme × placement × C × antennas × fault-family grid plus the
-//! retune-vs-wait ablation; see the README's "Fault models &
+//! retune-vs-wait race; see the README's "Fault models &
 //! resilience" section.
 //!
 //! Trace modes (both use a fixed representative query — DSI, C2-blocked,
@@ -17,7 +17,7 @@ use dsi_broadcast::{
     AntennaConfig, ChannelConfig, FaultTrace, GilbertElliott, LossModel, LossScope, Query,
 };
 use dsi_sim::chaos::{chaos_experiment, CHAOS_SWITCH_COST};
-use dsi_sim::{uniform_dataset_n, Engine, Scheme};
+use dsi_sim::{ground_truth, uniform_dataset_n, Engine, Scheme};
 
 /// The traced run's channel: fades every ~50 packets, 90% loss inside,
 /// all packet classes — dense enough that a ~200-read query always
@@ -44,11 +44,11 @@ fn traced_setup() -> (Engine, dsi_datagen::SpatialDataset, Query) {
 fn record_trace(path: &str) {
     let (e, ds, q) = traced_setup();
     let (out, trace) = e.drive_traced(5, traced_channel(), 21, AntennaConfig::new(2), &q);
-    let want = match &q {
-        Query::Window(w) => ds.brute_window(w),
-        Query::Knn(p, k) => ds.brute_knn(*p, *k),
-    };
-    assert_eq!(out.ids, want, "recorded run diverged from brute force");
+    assert_eq!(
+        out.ids,
+        ground_truth(&ds, &q),
+        "recorded run diverged from brute force"
+    );
     if let Some(dir) = std::path::Path::new(path)
         .parent()
         .filter(|d| !d.as_os_str().is_empty())
@@ -79,11 +79,11 @@ fn replay_trace(path: &str) {
         AntennaConfig::new(2),
         &q,
     );
-    let want = match &q {
-        Query::Window(w) => ds.brute_window(w),
-        Query::Knn(p, k) => ds.brute_knn(*p, *k),
-    };
-    assert_eq!(out.ids, want, "replayed run diverged from brute force");
+    assert_eq!(
+        out.ids,
+        ground_truth(&ds, &q),
+        "replayed run diverged from brute force"
+    );
     println!(
         "replayed {} fault entries from {path}: latency {} packets, {} lost reads, longest stall {}",
         trace.entries().len(),

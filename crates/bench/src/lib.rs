@@ -4,11 +4,9 @@
 //! is a thin wrapper: it calls the corresponding `dsi_sim::experiments`
 //! function, prints the resulting tables, and drops both CSV copies
 //! (`results/<name>_<i>.csv`) and one combined JSON result
-//! (`results/<name>.json`) under `results/`. The figure, `table1` and
-//! `channels` functions are selections of cells from the
-//! `dsi_sim::matrix` experiment matrix; `real` and `ablations` drive
-//! query batches on engines they build themselves
-//! (`dsi_sim::run_window_batch` / `run_knn_batch`). Scale knobs come from
+//! (`results/<name>.json`) under `results/`. Every experiment function
+//! is a selection of cells from the `dsi_sim::matrix` experiment matrix;
+//! `real` adds a fleet table from `dsi_sim::fleet`. Scale knobs come from
 //! the environment: `DSI_QUERIES` (default 200), `DSI_N` (default 10,000),
 //! `DSI_VALIDATE=0` to skip ground-truth checks.
 

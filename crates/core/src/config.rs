@@ -17,25 +17,21 @@ pub const TABLE_HEADER_BYTES: u32 = 2;
 /// How the object factor `no` / frame count `nF` are derived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FramingPolicy {
-    /// The paper's literal rule (§4): "we allocate one packet for each
-    /// index table associated with a frame", so the entry count is what
-    /// fits in one packet and `nF = r^entries` (clamped to `[2, N]` and the
-    /// overhead bound).
-    ///
-    /// Taken literally this collapses `nF` to 2–8 at small capacities
-    /// (frames of >1,000 objects), which contradicts the paper's own
-    /// relative tuning results — a DSI client would pay far more than HCI
-    /// scanning object headers inside such frames. Kept for the framing
-    /// ablation; experiments default to [`FramingPolicy::OverheadBound`].
-    OnePacketTable,
     /// Default: the largest power-of-`r` frame count whose index tables
     /// (spanning as many packets as they need) keep the total index share
     /// of the cycle within [`DsiConfig::max_index_overhead`]. Yields object
     /// factors of roughly 10–40 at every capacity of the paper's sweep,
     /// matching the flat-latency, low-tuning behaviour it reports.
+    ///
+    /// This deviates from the paper's literal rule (§4, "we allocate one
+    /// packet for each index table associated with a frame"), which
+    /// collapses `nF` to 2–8 at small capacities (frames of >1,000
+    /// objects) and so contradicts the paper's own relative tuning
+    /// results — a DSI client would pay far more than HCI scanning object
+    /// headers inside such frames.
     OverheadBound,
     /// Fixed number of objects per frame; the table grows to however many
-    /// packets it needs. Used by ablations.
+    /// packets it needs. Tests use it to pin a frame geometry.
     FixedObjectFactor(u32),
     /// Fixed number of frames; ditto.
     FixedFrameCount(u32),
@@ -60,7 +56,7 @@ pub struct DsiConfig {
     pub capacity: u32,
     /// Exponential index base `r` (paper fixes 2 in the simulation).
     pub index_base: u32,
-    /// Framing policy (paper: one packet per index table).
+    /// Framing policy ([`FramingPolicy::OverheadBound`] by default).
     pub framing: FramingPolicy,
     /// Number of interleaved broadcast segments `m` (§3.5); 1 = the
     /// original ascending-HC broadcast, 2 = the paper's reorganization.
@@ -80,7 +76,8 @@ pub struct DsiConfig {
 
 impl DsiConfig {
     /// The paper's default configuration: 64-byte packets, base 2,
-    /// one-packet tables, original (non-reorganized) broadcast order.
+    /// overhead-bounded framing, original (non-reorganized) broadcast
+    /// order.
     pub fn paper_default() -> Self {
         Self {
             capacity: 64,
@@ -156,32 +153,7 @@ pub(crate) fn ceil_log(base: u32, n: u32) -> u32 {
 pub fn compute_framing(cfg: &DsiConfig, n_objects: u32) -> Framing {
     cfg.validate();
     assert!(n_objects >= 1, "cannot frame an empty dataset");
-    let usable = cfg
-        .capacity
-        .saturating_sub(PACKET_HEADER_BYTES + TABLE_HEADER_BYTES);
     let n_frames = match cfg.framing {
-        FramingPolicy::OnePacketTable => {
-            let fit = usable / ENTRY_BYTES;
-            assert!(
-                fit >= 1,
-                "capacity {} cannot fit one index entry ({} bytes)",
-                cfg.capacity,
-                ENTRY_BYTES
-            );
-            // nF = r^fit, clamped to [2, N] (one object per frame at most)
-            // and to the index-overhead bound: one table packet per frame
-            // must not exceed `max_index_overhead` of the data packets.
-            let data_packets = n_objects as u64 * OBJECT_BYTES.div_ceil(cfg.capacity) as u64;
-            let overhead_cap = ((data_packets as f64 * cfg.max_index_overhead) as u64).max(2);
-            let mut nf = 1u64;
-            for _ in 0..fit {
-                nf = nf.saturating_mul(cfg.index_base as u64);
-                if nf >= n_objects as u64 || nf >= overhead_cap {
-                    break;
-                }
-            }
-            (nf.min(n_objects as u64).min(overhead_cap) as u32).max(2.min(n_objects))
-        }
         FramingPolicy::OverheadBound => {
             let per_packet = (cfg.capacity - PACKET_HEADER_BYTES) as u64;
             let data_packets = n_objects as u64 * OBJECT_BYTES.div_ceil(cfg.capacity) as u64;
@@ -249,23 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_sizing_at_64_bytes_one_packet_rule() {
-        // Paper §4 literal rule: at C = 64 a one-packet table holds 3
-        // entries → nF = 8.
-        let cfg = DsiConfig {
-            framing: FramingPolicy::OnePacketTable,
-            ..DsiConfig::paper_default()
-        };
-        let f = compute_framing(&cfg, 10_000);
-        assert_eq!(f.n_frames, 8);
-        assert_eq!(f.n_entries, 3);
-        assert_eq!(f.table_packets, 1);
-        assert_eq!(f.object_packets, 16);
-        assert_eq!(f.objects_per_frame.iter().sum::<u32>(), 10_000);
-        assert_eq!(f.objects_per_frame, vec![1250; 8]);
-    }
-
-    #[test]
     fn overhead_bound_framing_keeps_small_object_factor() {
         // Default policy: frames of tens of objects at every capacity, with
         // total table packets within 2 % of the data packets.
@@ -280,47 +235,6 @@ mod tests {
                 "cap {cap}: index overhead too large"
             );
         }
-    }
-
-    #[test]
-    fn one_packet_rule_clamps_to_overhead_bound_at_large_capacity() {
-        // At C = 512 the fit (28 entries → 2^28 frames) would clamp to N,
-        // but one table packet per frame would then be half the cycle; the
-        // 4 % overhead bound caps nF at 0.04 × N × (1024/512) = 800.
-        let cfg = DsiConfig {
-            framing: FramingPolicy::OnePacketTable,
-            ..DsiConfig::paper_default().with_capacity(512)
-        };
-        let f = compute_framing(&cfg, 10_000);
-        assert_eq!(f.n_frames, 800);
-        assert_eq!(f.n_entries, 10); // ceil(log2 800)
-        assert_eq!(f.table_packets, 1); // 2 + 10*18 = 182 <= 510
-        assert_eq!(f.objects_per_frame.iter().sum::<u32>(), 10_000);
-    }
-
-    #[test]
-    fn overhead_bound_can_be_lifted() {
-        let cfg = DsiConfig {
-            framing: FramingPolicy::OnePacketTable,
-            max_index_overhead: 10.0,
-            ..DsiConfig::paper_default().with_capacity(512)
-        };
-        let f = compute_framing(&cfg, 10_000);
-        assert_eq!(f.n_frames, 10_000);
-        assert_eq!(f.n_entries, 14);
-        assert!(f.objects_per_frame.iter().all(|&n| n == 1));
-    }
-
-    #[test]
-    fn tiny_capacity_still_works_under_one_packet_rule() {
-        let cfg = DsiConfig {
-            framing: FramingPolicy::OnePacketTable,
-            ..DsiConfig::paper_default().with_capacity(32)
-        };
-        let f = compute_framing(&cfg, 10_000);
-        assert_eq!(f.n_frames, 2);
-        assert_eq!(f.n_entries, 1);
-        assert_eq!(f.object_packets, 32);
     }
 
     #[test]

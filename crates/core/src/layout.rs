@@ -238,11 +238,12 @@ mod tests {
     use crate::config::FramingPolicy;
 
     fn layout(n: u32, m: u32, capacity: u32) -> DsiLayout {
-        // Pin the one-packet rule so frame counts below stay stable
-        // (nF = 8 at 64 B for 10,000 objects).
+        // Pin eight frames so the geometry below stays stable (1,250
+        // objects and a one-packet table per frame at 64 B for 10,000
+        // objects).
         let cfg = DsiConfig {
             segments: m,
-            framing: FramingPolicy::OnePacketTable,
+            framing: FramingPolicy::FixedFrameCount(8),
             ..DsiConfig::paper_default().with_capacity(capacity)
         };
         // Synthetic ascending frame minima.
@@ -277,7 +278,7 @@ mod tests {
     fn sigma_interleaves_two_blocks_round_robin() {
         let cfg = DsiConfig {
             segments: 2,
-            framing: FramingPolicy::OnePacketTable,
+            framing: FramingPolicy::FixedFrameCount(8),
             reorg_style: crate::config::ReorgStyle::RoundRobin,
             ..DsiConfig::paper_default()
         };
@@ -290,8 +291,7 @@ mod tests {
 
     #[test]
     fn sigma_is_permutation_for_uneven_blocks() {
-        // 10 objects, C=64 → nF=8? fit=3 → nF=8 but clamp to N=10 → 8; use
-        // odd m to exercise uneven chunks.
+        // 10 objects in 8 frames; odd m exercises uneven chunks.
         let l = layout(10, 3, 64);
         let nf = l.n_frames();
         let mut seen = vec![false; nf as usize];

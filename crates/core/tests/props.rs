@@ -21,7 +21,7 @@ fn arb_config() -> impl Strategy<Value = DsiConfig> {
         prop_oneof![Just(2u32), Just(4)],
         prop_oneof![
             Just(FramingPolicy::OverheadBound),
-            Just(FramingPolicy::OnePacketTable),
+            (2u32..9).prop_map(FramingPolicy::FixedFrameCount),
             (1u32..16).prop_map(FramingPolicy::FixedObjectFactor),
         ],
         1u32..5,

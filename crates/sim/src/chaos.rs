@@ -10,22 +10,21 @@
 //! retune decision bit-for-bit (see [`dsi_broadcast::loss`] for the
 //! stream-keying guarantees).
 //!
-//! [`run_chaos`] executes the grid; [`retune_ablation`] isolates the
-//! value of loss-aware retuning by racing the default resilient client
-//! against a wait-out-the-fade client
-//! ([`AntennaConfig::without_loss_retune`]) on the same engine, queries,
-//! and fault sequence.
+//! [`run_chaos`] executes the grid. [`chaos_experiment`] adds a second
+//! matrix run that isolates the value of loss-aware retuning: its
+//! antennas axis races the default resilient client against a
+//! wait-out-the-fade client ([`AntennaConfig::without_loss_retune`]), so
+//! both see the same engine, queries and per-(query, channel) fault
+//! streams, and only the reaction to a detected burst differs.
 
 use dsi_broadcast::{
     AntennaConfig, ChannelConfig, GilbertElliott, LossModel, LossScope, OutageSchedule,
-    OutageWindow, Query,
+    OutageWindow,
 };
-use dsi_datagen::{skewed_window_queries, zipf_hotspot, SpatialDataset};
+use dsi_datagen::{zipf_hotspot, SpatialDataset};
 
-use crate::engine::{Engine, Scheme};
-use crate::experiments::{ExpOptions, HOTSPOTS};
+use crate::experiments::{paper_schemes, ExpOptions, HOTSPOTS};
 use crate::matrix::{cells_table, run_matrix, MatrixCell, MatrixSpec, WorkloadSpec};
-use crate::runner::{run_query_batch, BatchOptions, BatchResult};
 use crate::table::{fmt_bytes, Table};
 
 /// Retune latency (packets) used across the chaos grid.
@@ -94,11 +93,7 @@ pub fn chaos_losses() -> Vec<(String, LossModel)> {
 /// brute force.
 pub fn chaos_spec(n_queries: usize, seed: u64) -> MatrixSpec {
     MatrixSpec {
-        schemes: vec![
-            ("DSI".into(), Scheme::dsi_reorganized(64)),
-            ("R-tree".into(), Scheme::RTree),
-            ("HCI".into(), Scheme::Hci),
-        ],
+        schemes: paper_schemes(64),
         capacity: 64,
         channels: vec![
             ("C1".into(), ChannelConfig::single().into()),
@@ -136,52 +131,11 @@ pub fn run_chaos(dataset: &SpatialDataset, n_queries: usize, seed: u64) -> Vec<M
     run_matrix(dataset, &chaos_spec(n_queries, seed))
 }
 
-/// Outcome of one retune-vs-wait ablation run.
-#[derive(Debug, Clone)]
-pub struct AblationResult {
-    /// The default resilient client (loss-aware retune on).
-    pub retune: BatchResult,
-    /// The wait-out-the-fade client (loss-aware retune off).
-    pub wait: BatchResult,
-}
-
-/// Races the default resilient k≥2 client against the wait-out-the-fade
-/// ablation on identical queries, seeds, and fault models. Both clients
-/// see the same per-(query, channel) fault streams; only the reaction
-/// to a detected burst differs, so any latency gap is attributable to
-/// the loss-aware retune policy.
-pub fn retune_ablation(
-    engine: &Engine,
-    dataset: &SpatialDataset,
-    queries: &[Query],
-    loss: LossModel,
-    antennas: u32,
-    seed: u64,
-) -> AblationResult {
-    let base = BatchOptions {
-        loss,
-        seed,
-        validate: true,
-        antennas: AntennaConfig::new(antennas),
-    };
-    let retune = run_query_batch(engine, dataset, queries, &base);
-    let wait = run_query_batch(
-        engine,
-        dataset,
-        queries,
-        &BatchOptions {
-            antennas: AntennaConfig::new(antennas).without_loss_retune(),
-            ..base
-        },
-    );
-    AblationResult { retune, wait }
-}
-
 /// The chaos experiment, `dsi-bench` shape: one panel sweeping the
 /// validated fault-injection grid at smoke scale, and one retune-vs-wait
-/// ablation on the Zipf-hotspot skewed scenario (C = 4 blocked, k = 2)
-/// under [`deep_fade_channel`] — the measured case for loss-aware
-/// retuning over waiting out the fade.
+/// race on the Zipf-hotspot skewed scenario (C = 4 blocked, k = 2) under
+/// [`deep_fade_channel`] — the measured case for loss-aware retuning over
+/// waiting out the fade.
 pub fn chaos_experiment(opts: &ExpOptions) -> Vec<Table> {
     // Panel 1: the conformance grid. Scale is capped — the grid's value
     // is coverage (scheme × placement × C × antennas × fault family),
@@ -194,18 +148,41 @@ pub fn chaos_experiment(opts: &ExpOptions) -> Vec<Table> {
         &cells,
     );
 
-    // Panel 2: retune vs wait-out-the-fade, per scheme.
+    // Panel 2: retune vs wait-out-the-fade, per scheme: two antennas
+    // entries that differ only in the loss-retune policy.
     let (n_hotspots, skew, hotspot_seed) = HOTSPOTS;
     let zds = SpatialDataset::build(
         &zipf_hotspot(opts.dataset_n, n_hotspots, skew, hotspot_seed),
         crate::EVAL_ORDER,
     );
-    let queries: Vec<Query> =
-        skewed_window_queries(opts.n_queries, 0.1, n_hotspots, skew, hotspot_seed, 3)
-            .into_iter()
-            .map(Query::Window)
-            .collect();
-    let mut ablation = Table::new(
+    let spec = MatrixSpec {
+        schemes: paper_schemes(64),
+        capacity: 64,
+        channels: vec![(
+            "C4-blocked".into(),
+            ChannelConfig::blocked(4, CHAOS_SWITCH_COST).into(),
+        )],
+        antennas: vec![
+            ("retune".into(), AntennaConfig::new(2)),
+            ("wait".into(), AntennaConfig::new(2).without_loss_retune()),
+        ],
+        losses: vec![("deep-fade".into(), deep_fade_channel())],
+        workloads: vec![(
+            "skewed-window10".into(),
+            WorkloadSpec::SkewedWindow {
+                ratio: 0.1,
+                n_hotspots,
+                skew,
+                hotspot_seed,
+            },
+            3,
+        )],
+        n_queries: opts.n_queries,
+        seed: 7,
+        validate: true,
+    };
+    let cells = run_matrix(&zds, &spec);
+    let mut race = Table::new(
         "Loss-aware retune vs wait-out-the-fade — skewed data, C4-blocked, k = 2, deep fades (64 B)",
         vec![
             "scheme".into(),
@@ -218,26 +195,16 @@ pub fn chaos_experiment(opts: &ExpOptions) -> Vec<Table> {
             "latency vs wait".into(),
         ],
     );
-    for (name, scheme) in [
-        ("DSI", Scheme::dsi_reorganized(64)),
-        ("R-tree", Scheme::RTree),
-        ("HCI", Scheme::Hci),
-    ] {
-        let engine = Engine::build_channels(
-            scheme,
-            &zds,
-            64,
-            ChannelConfig::blocked(4, CHAOS_SWITCH_COST),
-        );
-        let r = retune_ablation(&engine, &zds, &queries, deep_fade_channel(), 2, 7);
-        let gain = 100.0 * (1.0 - r.retune.latency_bytes / r.wait.latency_bytes);
-        for (policy, b, vs) in [
-            ("retune", &r.retune, format!("{gain:+.1}%")),
-            ("wait", &r.wait, "—".into()),
-        ] {
-            ablation.push_row(vec![
-                name.into(),
-                policy.into(),
+    for policies in cells.chunk_by(|a, b| a.scheme == b.scheme) {
+        let [retune, wait] = policies else {
+            unreachable!("both policies run on each built scheme")
+        };
+        let gain = 100.0 * (1.0 - retune.result.latency_bytes / wait.result.latency_bytes);
+        for (c, vs) in [(retune, format!("{gain:+.1}%")), (wait, "—".into())] {
+            let b = &c.result;
+            race.push_row(vec![
+                c.scheme.clone(),
+                c.antenna.clone(),
                 fmt_bytes(b.latency_bytes),
                 fmt_bytes(b.tuning_bytes),
                 format!("{:.2}", b.mean_lost_packets),
@@ -247,14 +214,13 @@ pub fn chaos_experiment(opts: &ExpOptions) -> Vec<Table> {
             ]);
         }
     }
-    vec![grid, ablation]
+    vec![grid, race]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::uniform_dataset_n;
-    use dsi_datagen::window_queries;
 
     #[test]
     fn chaos_grid_smoke() {
@@ -274,26 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn ablation_reports_both_arms() {
-        let ds = uniform_dataset_n(200);
-        let e = Engine::build_channels(
-            Scheme::dsi_reorganized(64),
-            &ds,
-            64,
-            ChannelConfig::blocked(2, CHAOS_SWITCH_COST),
-        );
-        let qs: Vec<Query> = window_queries(4, 0.15, 3)
-            .into_iter()
-            .map(Query::Window)
-            .collect();
-        let r = retune_ablation(&e, &ds, &qs, bursty_channel(), 2, 7);
-        assert_eq!(r.retune.queries, 4);
-        assert_eq!(r.wait.queries, 4);
-        // The ablation arm never retunes on loss; the default arm may.
-        assert_eq!(r.wait.mean_loss_retunes, 0.0);
-    }
-
-    #[test]
     fn chaos_experiment_smoke() {
         let tables = chaos_experiment(&ExpOptions::smoke());
         assert_eq!(tables.len(), 2);
@@ -303,5 +249,9 @@ mod tests {
             tables[1].rows.iter().any(|r| r[6] != "0.00"),
             "the resilient arm retuned under deep fades"
         );
+        // The wait arm never retunes on loss.
+        for r in tables[1].rows.iter().filter(|r| r[1] == "wait") {
+            assert_eq!(r[6], "0.00", "{r:?}");
+        }
     }
 }

@@ -2,24 +2,23 @@
 //! summaries, extension ablations) plus the multi-channel extension
 //! scenarios.
 //!
-//! The figure, Table 1 and channel functions ([`fig8`] … [`fig12`],
-//! [`table1`], [`channels`]) are selections of cells from the experiment
-//! matrix ([`crate::matrix`]): each names schemes, channel
-//! configurations, loss models and workloads, lets [`run_matrix`] drive
-//! the unified query loop (validating all answers), and shapes the
-//! resulting cells like the paper's panels: the x-axis in the first
-//! column, one series per curve. The rest build their engines
-//! themselves: [`real_summary_on`] (behind [`real_summary`]) and
-//! [`ablations`] run [`run_window_batch`] / [`run_knn_batch`] directly,
-//! and [`fleet_summary_on`] runs [`crate::fleet::run_fleet`].
+//! Every function that runs a query set is a selection of cells from the
+//! experiment matrix ([`crate::matrix`]): it names schemes, channel
+//! configurations, antennas, loss models and workloads, lets
+//! [`run_matrix`] drive the one validated batch loop, and shapes the
+//! returned cells like the paper's panels — the x-axis in the first
+//! column and one series per curve for the figures, one row per scheme
+//! (or loss model) for [`real_summary_on`] and [`ablations`]. Only
+//! [`fleet_summary_on`] builds its own engines, to run a listener
+//! population through [`crate::fleet::run_fleet`].
 
-use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel};
+use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel, LossScope};
 use dsi_core::{DsiConfig, KnnStrategy, ReorgStyle};
 use dsi_datagen::{knn_points, window_queries, zipf_hotspot, SpatialDataset};
 
 use crate::engine::{Engine, Scheme};
 use crate::matrix::{cells_table, run_matrix, ChannelSpec, MatrixCell, MatrixSpec, WorkloadSpec};
-use crate::runner::{run_knn_batch, run_window_batch, BatchOptions, BatchResult};
+use crate::runner::BatchResult;
 use crate::table::{fmt_bytes, fmt_pct, Table};
 use crate::{env_knob, real_dataset, uniform_dataset, uniform_dataset_n};
 
@@ -82,15 +81,6 @@ impl ExpOptions {
         }
     }
 
-    fn batch(&self) -> BatchOptions {
-        BatchOptions {
-            loss: LossModel::None,
-            seed: 7,
-            validate: self.validate,
-            ..BatchOptions::default()
-        }
-    }
-
     /// A single-cell matrix spec: the per-experiment functions fill in the
     /// axes they sweep.
     fn spec(&self, capacity: u32) -> MatrixSpec {
@@ -118,6 +108,24 @@ fn cell<'a>(
     cells
         .iter()
         .find(|c| c.scheme == scheme && c.workload == workload && c.loss == loss)
+}
+
+/// The paper's default window workload: side ratio [`DEFAULT_RATIO`] at
+/// seed 11, labelled `window`.
+fn default_window() -> (String, WorkloadSpec, u64) {
+    (
+        "window".into(),
+        WorkloadSpec::Window {
+            ratio: DEFAULT_RATIO,
+        },
+        11,
+    )
+}
+
+/// The paper's default kNN workload: [`DEFAULT_K`] neighbours at seed 13,
+/// labelled `10NN`.
+fn default_knn() -> (String, WorkloadSpec, u64) {
+    ("10NN".into(), WorkloadSpec::Knn { k: DEFAULT_K }, 13)
 }
 
 fn series_tables(
@@ -152,6 +160,36 @@ fn series_tables(
     (lat, tun)
 }
 
+/// The latency and tuning columns of a row of window then 10NN cells.
+const WINDOW_KNN_COLUMNS: [&str; 4] = ["win latency", "win tuning", "10NN latency", "10NN tuning"];
+
+/// Shapes `cells` as one row per run of consecutive cells that differ
+/// only in their workload (the matrix nests workloads innermost): `label`
+/// names the row, then each cell adds its latency and tuning columns, in
+/// workload order.
+fn workload_rows(
+    title: &str,
+    label_column: &str,
+    metric_columns: &[&str],
+    cells: &[MatrixCell],
+    label: fn(&MatrixCell) -> &str,
+) -> Table {
+    let columns = std::iter::once(&label_column).chain(metric_columns);
+    let mut t = Table::new(title, columns.map(|c| c.to_string()).collect());
+    let same_row = |a: &MatrixCell, b: &MatrixCell| {
+        (&a.scheme, &a.channel, &a.antenna, &a.loss) == (&b.scheme, &b.channel, &b.antenna, &b.loss)
+    };
+    for group in cells.chunk_by(same_row) {
+        let mut row = vec![label(&group[0]).to_string()];
+        for c in group {
+            row.push(fmt_bytes(c.result.latency_bytes));
+            row.push(fmt_bytes(c.result.tuning_bytes));
+        }
+        t.push_row(row);
+    }
+    t
+}
+
 /// Figure 8 — broadcast reorganization (UNIFORM): window latency/tuning of
 /// the original vs reorganized DSI broadcast, and 10NN latency/tuning of
 /// reorganized vs conservative vs aggressive.
@@ -175,13 +213,7 @@ pub fn fig8(opts: &ExpOptions) -> Vec<Table> {
             ),
             ("Reorganized".into(), Scheme::dsi_reorganized(cap)),
         ];
-        wspec.workloads = vec![(
-            "window".into(),
-            WorkloadSpec::Window {
-                ratio: DEFAULT_RATIO,
-            },
-            11,
-        )];
+        wspec.workloads = vec![default_window()];
         let wcells = run_matrix(&ds, &wspec);
         let rw = |s: &str| cell(&wcells, s, "window", "lossless").map(|c| c.result.clone());
         win_orig.push(rw("Original"));
@@ -200,7 +232,7 @@ pub fn fig8(opts: &ExpOptions) -> Vec<Table> {
             ),
             ("Reorganized".into(), Scheme::dsi_reorganized(cap)),
         ];
-        kspec.workloads = vec![("10NN".into(), WorkloadSpec::Knn { k: DEFAULT_K }, 13)];
+        kspec.workloads = vec![default_knn()];
         let kcells = run_matrix(&ds, &kspec);
         let rk = |s: &str| cell(&kcells, s, "10NN", "lossless").map(|c| c.result.clone());
         knn_cons.push(rk("Conservative"));
@@ -233,7 +265,7 @@ pub fn fig8(opts: &ExpOptions) -> Vec<Table> {
 
 /// The three paper schemes at one capacity (R-tree omitted where an
 /// internal entry cannot fit the packet).
-fn paper_schemes(cap: u32) -> Vec<(String, Scheme)> {
+pub(crate) fn paper_schemes(cap: u32) -> Vec<(String, Scheme)> {
     let mut v = vec![("DSI".to_string(), Scheme::dsi_reorganized(cap))];
     if RTREE_CAPACITIES.contains(&cap) {
         v.push(("R-tree".into(), Scheme::RTree));
@@ -266,6 +298,36 @@ fn three_scheme_sweep(
     series
 }
 
+/// Sweeps the three schemes at 64 B over one workload per x value, each
+/// labelled by its x value, and shapes the cells as a latency and a
+/// tuning table.
+fn workload_sweep(
+    opts: &ExpOptions,
+    title_latency: &str,
+    title_tuning: &str,
+    x_label: &str,
+    workloads: Vec<(String, WorkloadSpec, u64)>,
+) -> Vec<Table> {
+    let mut spec = opts.spec(64);
+    spec.schemes = paper_schemes(64);
+    spec.workloads = workloads;
+    let cells = run_matrix(&opts.dataset(), &spec);
+    let xs: Vec<String> = spec.workloads.iter().map(|(x, ..)| x.clone()).collect();
+    let series: Vec<(String, Vec<Option<BatchResult>>)> = spec
+        .schemes
+        .iter()
+        .map(|(name, _)| {
+            let results = xs.iter().map(|x| cell(&cells, name, x, "lossless"));
+            (
+                name.clone(),
+                results.map(|c| c.map(|c| c.result.clone())).collect(),
+            )
+        })
+        .collect();
+    let (a, b) = series_tables(title_latency, title_tuning, x_label, &xs, &series);
+    vec![a, b]
+}
+
 /// Figure 9 — window queries vs packet capacity (UNIFORM), DSI vs R-tree
 /// vs HCI.
 pub fn fig9(opts: &ExpOptions) -> Vec<Table> {
@@ -292,38 +354,15 @@ pub fn fig9(opts: &ExpOptions) -> Vec<Table> {
 
 /// Figure 10 — window queries vs WinSideRatio at 64-byte packets.
 pub fn fig10(opts: &ExpOptions) -> Vec<Table> {
-    let ds = opts.dataset();
-    let ratios = [0.02, 0.05, 0.1, 0.15, 0.2];
-    let mut spec = opts.spec(64);
-    spec.schemes = paper_schemes(64);
-    spec.workloads = ratios
-        .iter()
-        .map(|&ratio| (ratio.to_string(), WorkloadSpec::Window { ratio }, 11))
-        .collect();
-    let cells = run_matrix(&ds, &spec);
-    let series: Vec<(String, Vec<Option<BatchResult>>)> = ["DSI", "R-tree", "HCI"]
-        .iter()
-        .map(|name| {
-            (
-                name.to_string(),
-                ratios
-                    .iter()
-                    .map(|r| {
-                        cell(&cells, name, &r.to_string(), "lossless").map(|c| c.result.clone())
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    let xs: Vec<String> = ratios.iter().map(|r| r.to_string()).collect();
-    let (a, b) = series_tables(
+    workload_sweep(
+        opts,
         "Figure 10(a) — window access latency vs WinSideRatio, bytes (UNIFORM, 64 B)",
         "Figure 10(b) — window tuning time vs WinSideRatio, bytes (UNIFORM, 64 B)",
         "ratio",
-        &xs,
-        &series,
-    );
-    vec![a, b]
+        [0.02, 0.05, 0.1, 0.15, 0.2]
+            .map(|ratio| (ratio.to_string(), WorkloadSpec::Window { ratio }, 11))
+            .into(),
+    )
 }
 
 /// Figure 11 — kNN (k = 1 and k = 10) vs packet capacity (UNIFORM).
@@ -348,37 +387,15 @@ pub fn fig11(opts: &ExpOptions) -> Vec<Table> {
 
 /// Figure 12 — kNN vs k at 64-byte packets (UNIFORM).
 pub fn fig12(opts: &ExpOptions) -> Vec<Table> {
-    let ds = opts.dataset();
-    let ks = [1usize, 3, 5, 10, 20, 30];
-    let mut spec = opts.spec(64);
-    spec.schemes = paper_schemes(64);
-    spec.workloads = ks
-        .iter()
-        .map(|&k| (k.to_string(), WorkloadSpec::Knn { k }, 13))
-        .collect();
-    let cells = run_matrix(&ds, &spec);
-    let series: Vec<(String, Vec<Option<BatchResult>>)> = ["DSI", "R-tree", "HCI"]
-        .iter()
-        .map(|name| {
-            (
-                name.to_string(),
-                ks.iter()
-                    .map(|k| {
-                        cell(&cells, name, &k.to_string(), "lossless").map(|c| c.result.clone())
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    let xs: Vec<String> = ks.iter().map(|k| k.to_string()).collect();
-    let (a, b) = series_tables(
+    workload_sweep(
+        opts,
         "Figure 12(a) — kNN access latency vs k, bytes (UNIFORM, 64 B)",
         "Figure 12(b) — kNN tuning time vs k, bytes (UNIFORM, 64 B)",
         "k",
-        &xs,
-        &series,
-    );
-    vec![a, b]
+        [1usize, 3, 5, 10, 20, 30]
+            .map(|k| (k.to_string(), WorkloadSpec::Knn { k }, 13))
+            .into(),
+    )
 }
 
 /// Table 1 — performance deterioration under link errors (θ ∈ {0.2, 0.5,
@@ -399,16 +416,7 @@ pub fn table1(opts: &ExpOptions) -> Vec<Table> {
                 .map(|&theta| (format!("{theta}"), LossModel::iid(theta))),
         )
         .collect();
-    spec.workloads = vec![
-        (
-            "window".into(),
-            WorkloadSpec::Window {
-                ratio: DEFAULT_RATIO,
-            },
-            11,
-        ),
-        ("10NN".into(), WorkloadSpec::Knn { k: DEFAULT_K }, 13),
-    ];
+    spec.workloads = vec![default_window(), default_knn()];
     let cells = run_matrix(&ds, &spec);
 
     let mut t = Table::new(
@@ -606,71 +614,38 @@ pub fn real_summary(opts: &ExpOptions) -> Vec<Table> {
 /// it over the committed REAL point fixture instead of the synthetic
 /// surrogate.
 pub fn real_summary_on(ds: &SpatialDataset, opts: &ExpOptions) -> Vec<Table> {
-    let ds = ds.clone();
-    let windows = window_queries(opts.n_queries, DEFAULT_RATIO, 11);
-    let points = knn_points(opts.n_queries, 13);
-    let batch = opts.batch();
-    let mut rows = Vec::new();
-    let mut results = Vec::new();
-    for (name, scheme) in [
-        ("DSI", Scheme::dsi_reorganized(64)),
-        ("R-tree", Scheme::RTree),
-        ("HCI", Scheme::Hci),
-    ] {
-        let e = Engine::build(scheme, &ds, 64);
-        let w = run_window_batch(&e, &ds, &windows, &batch);
-        let k = run_knn_batch(&e, &ds, &points, DEFAULT_K, &batch);
-        results.push((name, w, k));
-    }
-    for (name, w, k) in &results {
-        rows.push(vec![
-            name.to_string(),
-            fmt_bytes(w.latency_bytes),
-            fmt_bytes(w.tuning_bytes),
-            fmt_bytes(k.latency_bytes),
-            fmt_bytes(k.tuning_bytes),
-        ]);
-    }
-    let mut t = Table::new(
+    let mut spec = opts.spec(64);
+    spec.schemes = paper_schemes(64);
+    spec.workloads = vec![default_window(), default_knn()];
+    let cells = run_matrix(ds, &spec);
+    let summary = workload_rows(
         "REAL surrogate (clustered, 5,848 points unless scaled) — 64 B packets",
-        vec![
-            "index".into(),
-            "win latency".into(),
-            "win tuning".into(),
-            "10NN latency".into(),
-            "10NN tuning".into(),
-        ],
+        "index",
+        &WINDOW_KNN_COLUMNS,
+        &cells,
+        |c| &c.scheme,
     );
-    for r in rows {
-        t.push_row(r);
-    }
-    let (dsi, rt, hci) = (&results[0], &results[1], &results[2]);
     let mut ratios = Table::new(
         "REAL surrogate — DSI as a fraction of each baseline (paper §4.2/4.3 quotes)",
         vec!["metric".into(), "DSI/R-tree".into(), "DSI/HCI".into()],
     );
-    let frac = |a: f64, b: f64| fmt_pct(a / b * 100.0);
-    ratios.push_row(vec![
-        "win latency".into(),
-        frac(dsi.1.latency_bytes, rt.1.latency_bytes),
-        frac(dsi.1.latency_bytes, hci.1.latency_bytes),
-    ]);
-    ratios.push_row(vec![
-        "win tuning".into(),
-        frac(dsi.1.tuning_bytes, rt.1.tuning_bytes),
-        frac(dsi.1.tuning_bytes, hci.1.tuning_bytes),
-    ]);
-    ratios.push_row(vec![
-        "10NN latency".into(),
-        frac(dsi.2.latency_bytes, rt.2.latency_bytes),
-        frac(dsi.2.latency_bytes, hci.2.latency_bytes),
-    ]);
-    ratios.push_row(vec![
-        "10NN tuning".into(),
-        frac(dsi.2.tuning_bytes, rt.2.tuning_bytes),
-        frac(dsi.2.tuning_bytes, hci.2.tuning_bytes),
-    ]);
-    vec![t, ratios]
+    let latency: fn(&BatchResult) -> f64 = |r| r.latency_bytes;
+    let tuning: fn(&BatchResult) -> f64 = |r| r.tuning_bytes;
+    let metrics = [
+        ("window", latency),
+        ("window", tuning),
+        ("10NN", latency),
+        ("10NN", tuning),
+    ];
+    for (metric, (workload, value)) in WINDOW_KNN_COLUMNS.into_iter().zip(metrics) {
+        let of = |scheme: &str| {
+            let c = cell(&cells, scheme, workload, "lossless").expect("REAL cell");
+            value(&c.result)
+        };
+        let frac = |baseline: &str| fmt_pct(of("DSI") / of(baseline) * 100.0);
+        ratios.push_row(vec![metric.into(), frac("R-tree"), frac("HCI")]);
+    }
+    vec![summary, ratios]
 }
 
 /// Population-level fleet summary over a dataset: one fleet of `clients`
@@ -759,123 +734,90 @@ fn peak_concurrent(starts: &[u64], latency: &[u64]) -> u64 {
 }
 
 /// Extension ablations beyond the paper's figures: index base r, segment
-/// count m, interleave style, and the loss-scope model.
+/// count m, interleave style, and the loss-scope model. Each panel is one
+/// matrix run whose rows are its schemes, or its loss models for the
+/// loss scope.
 pub fn ablations(opts: &ExpOptions) -> Vec<Table> {
     let ds = opts.dataset();
-    let windows = window_queries(opts.n_queries, DEFAULT_RATIO, 11);
-    let points = knn_points(opts.n_queries, 13);
-    let batch = opts.batch();
-    let mut tables = Vec::new();
+    let dsi = |cfg| Scheme::Dsi(cfg, KnnStrategy::Conservative);
 
-    // Index base r.
-    let mut t = Table::new(
+    let mut spec = opts.spec(64);
+    spec.schemes = [2u32, 4, 8]
+        .map(|r| {
+            let cfg = DsiConfig {
+                index_base: r,
+                ..DsiConfig::paper_reorganized()
+            };
+            (r.to_string(), dsi(cfg))
+        })
+        .into();
+    spec.workloads = vec![default_window(), default_knn()];
+    let base = workload_rows(
         "Ablation — index base r (DSI reorganized, 64 B)",
-        vec![
-            "r".into(),
-            "win latency".into(),
-            "win tuning".into(),
-            "10NN latency".into(),
-            "10NN tuning".into(),
-        ],
+        "r",
+        &WINDOW_KNN_COLUMNS,
+        &run_matrix(&ds, &spec),
+        |c| &c.scheme,
     );
-    for r in [2u32, 4, 8] {
-        let cfg = DsiConfig {
-            index_base: r,
-            ..DsiConfig::paper_reorganized()
-        };
-        let e = Engine::build(Scheme::Dsi(cfg, KnnStrategy::Conservative), &ds, 64);
-        let w = run_window_batch(&e, &ds, &windows, &batch);
-        let k = run_knn_batch(&e, &ds, &points, DEFAULT_K, &batch);
-        t.push_row(vec![
-            r.to_string(),
-            fmt_bytes(w.latency_bytes),
-            fmt_bytes(w.tuning_bytes),
-            fmt_bytes(k.latency_bytes),
-            fmt_bytes(k.tuning_bytes),
-        ]);
-    }
-    tables.push(t);
 
-    // Segment count m.
-    let mut t = Table::new(
+    let mut spec = opts.spec(256);
+    spec.schemes = [1u32, 2, 4, 8]
+        .map(|m| {
+            let cfg = DsiConfig {
+                segments: m,
+                ..DsiConfig::paper_default()
+            };
+            (m.to_string(), dsi(cfg))
+        })
+        .into();
+    spec.workloads = vec![default_knn()];
+    let segments = workload_rows(
         "Ablation — broadcast segments m (DSI conservative, 256 B)",
-        vec!["m".into(), "10NN latency".into(), "10NN tuning".into()],
+        "m",
+        &["10NN latency", "10NN tuning"],
+        &run_matrix(&ds, &spec),
+        |c| &c.scheme,
     );
-    for m in [1u32, 2, 4, 8] {
-        let cfg = DsiConfig {
-            segments: m,
-            ..DsiConfig::paper_default().with_capacity(256)
-        };
-        let e = Engine::build(Scheme::Dsi(cfg, KnnStrategy::Conservative), &ds, 256);
-        let k = run_knn_batch(&e, &ds, &points, DEFAULT_K, &batch);
-        t.push_row(vec![
-            m.to_string(),
-            fmt_bytes(k.latency_bytes),
-            fmt_bytes(k.tuning_bytes),
-        ]);
-    }
-    tables.push(t);
 
-    // Interleave style.
-    let mut t = Table::new(
-        "Ablation — interleave style (m = 2, 256 B)",
-        vec!["style".into(), "10NN latency".into(), "10NN tuning".into()],
-    );
-    for (name, style) in [
+    spec.schemes = [
         ("round-robin", ReorgStyle::RoundRobin),
         ("folded", ReorgStyle::Folded),
-    ] {
+    ]
+    .map(|(name, style)| {
         let cfg = DsiConfig {
             reorg_style: style,
-            ..DsiConfig::paper_reorganized().with_capacity(256)
+            ..DsiConfig::paper_reorganized()
         };
-        let e = Engine::build(Scheme::Dsi(cfg, KnnStrategy::Conservative), &ds, 256);
-        let k = run_knn_batch(&e, &ds, &points, DEFAULT_K, &batch);
-        t.push_row(vec![
-            name.to_string(),
-            fmt_bytes(k.latency_bytes),
-            fmt_bytes(k.tuning_bytes),
-        ]);
-    }
-    tables.push(t);
+        (name.to_string(), dsi(cfg))
+    })
+    .into();
+    let styles = workload_rows(
+        "Ablation — interleave style (m = 2, 256 B)",
+        "style",
+        &["10NN latency", "10NN tuning"],
+        &run_matrix(&ds, &spec),
+        |c| &c.scheme,
+    );
 
     // Loss scope: what if data payloads were NOT protected?
-    let mut t = Table::new(
+    let mut spec = opts.spec(64);
+    spec.schemes = vec![("DSI".into(), Scheme::dsi_reorganized(64))];
+    let iid = |scope| LossModel::Iid { theta: 0.2, scope };
+    spec.losses = vec![
+        ("lossless".into(), LossModel::None),
+        ("index-only".into(), iid(LossScope::IndexOnly)),
+        ("all-packets".into(), iid(LossScope::All)),
+    ];
+    spec.workloads = vec![default_window()];
+    let scope = workload_rows(
         "Ablation — loss scope at theta = 0.2 (DSI reorganized, 64 B, window)",
-        vec!["scope".into(), "latency".into(), "tuning".into()],
+        "scope",
+        &["latency", "tuning"],
+        &run_matrix(&ds, &spec),
+        |c| &c.loss,
     );
-    let e = Engine::build(Scheme::dsi_reorganized(64), &ds, 64);
-    for (name, loss) in [
-        ("lossless", LossModel::None),
-        (
-            "index-only",
-            LossModel::Iid {
-                theta: 0.2,
-                scope: dsi_broadcast::LossScope::IndexOnly,
-            },
-        ),
-        (
-            "all-packets",
-            LossModel::Iid {
-                theta: 0.2,
-                scope: dsi_broadcast::LossScope::All,
-            },
-        ),
-    ] {
-        let o = BatchOptions {
-            loss,
-            ..opts.batch()
-        };
-        let w = run_window_batch(&e, &ds, &windows, &o);
-        t.push_row(vec![
-            name.to_string(),
-            fmt_bytes(w.latency_bytes),
-            fmt_bytes(w.tuning_bytes),
-        ]);
-    }
-    tables.push(t);
 
-    tables
+    vec![base, segments, styles, scope]
 }
 
 #[cfg(test)]
@@ -907,6 +849,19 @@ mod tests {
         // R-tree column is "-" at 32 bytes.
         assert_eq!(tables[0].rows[0][2], "-");
         assert_ne!(tables[0].rows[1][2], "-");
+    }
+
+    #[test]
+    fn real_summary_smoke_has_scheme_and_ratio_rows() {
+        let tables = real_summary(&ExpOptions::smoke());
+        assert_eq!(tables.len(), 2);
+        let schemes: Vec<&str> = tables[0].rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(schemes, ["DSI", "R-tree", "HCI"]);
+        let metrics: Vec<&str> = tables[1].rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(
+            metrics,
+            ["win latency", "win tuning", "10NN latency", "10NN tuning"]
+        );
     }
 
     #[test]

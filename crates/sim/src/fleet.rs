@@ -80,7 +80,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::Engine;
-use crate::runner::query_seed;
+use crate::runner::{ground_truth, query_seed};
 
 /// One fleet scenario: a client population over a query pool.
 #[derive(Debug, Clone)]
@@ -285,14 +285,6 @@ pub struct FleetStats {
     pub window_cache_misses: u64,
 }
 
-/// Ground truth for one query.
-fn brute(dataset: &SpatialDataset, q: &Query) -> Vec<u32> {
-    match q {
-        Query::Window(w) => dataset.brute_window(w),
-        Query::Knn(p, k) => dataset.brute_knn(*p, *k),
-    }
-}
-
 /// Inputs shared by every fleet worker.
 struct Shared {
     engine: Arc<Engine>,
@@ -420,7 +412,7 @@ fn run_granule(shared: &Shared, g: usize) -> Vec<Record> {
             if let (true, Some(ds)) = (shared.validate, &shared.dataset) {
                 assert_eq!(
                     outcome.ids,
-                    brute(ds, query),
+                    ground_truth(ds, query),
                     "fleet answer mismatch (client {rep})"
                 );
             }
@@ -631,7 +623,7 @@ pub fn run_fleet_oracle(
         );
         if spec.validate {
             let ds = dataset.expect("oracle validation needs the dataset");
-            assert_eq!(o.ids, brute(ds, query), "oracle answer mismatch");
+            assert_eq!(o.ids, ground_truth(ds, query), "oracle answer mismatch");
         }
         out.capacity = o.stats.capacity;
         out.latency[c] = o.stats.latency_packets;

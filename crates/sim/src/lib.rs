@@ -8,8 +8,9 @@
 //!
 //! One function per paper artefact lives in [`experiments`]:
 //! `fig8` … `fig12`, `table1`, the REAL-dataset summaries and the
-//! extension ablations. Each returns [`Table`]s that the `dsi-bench`
-//! binaries print and dump as CSV.
+//! extension ablations. Each runs its query sets as [`run_matrix`] cells
+//! and returns [`Table`]s that the `dsi-bench` binaries print and dump as
+//! CSV.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,13 +23,11 @@ pub mod matrix;
 pub mod runner;
 pub mod table;
 
-pub use chaos::{chaos_spec, retune_ablation, run_chaos, AblationResult};
+pub use chaos::{chaos_spec, run_chaos};
 pub use engine::{Engine, Scheme};
 pub use fleet::{run_fleet, run_fleet_oracle, FleetOutcomes, FleetSpec, FleetStats, Population};
 pub use matrix::{cells_table, run_matrix, ChannelSpec, MatrixCell, MatrixSpec, WorkloadSpec};
-pub use runner::{
-    run_knn_batch, run_query_batch, run_query_batch_at, run_window_batch, BatchOptions, BatchResult,
-};
+pub use runner::{ground_truth, run_query_batch, run_query_batch_at, BatchOptions, BatchResult};
 pub use table::Table;
 
 use dsi_datagen::{clustered, uniform, SpatialDataset};

@@ -513,7 +513,8 @@ fn build_optimized(
 
 /// Runs every cell of the matrix. Engines are built once per
 /// (scheme, channel) pair; workloads are materialized once per workload.
-/// A channel entry the scheme's cycle cannot be scheduled over
+/// Cells come back in spec order, nested scheme → channel → antennas →
+/// loss → workload (workloads innermost). A channel entry the scheme's cycle cannot be scheduled over
 /// ([`LayoutError`]) rejects that (scheme, channel) pair with a
 /// diagnostic on stderr instead of panicking; the remaining cells still
 /// run.

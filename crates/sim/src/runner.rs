@@ -1,15 +1,17 @@
 //! Seeded, parallel, validated query batches.
 //!
 //! [`run_query_batch`] is the single batch path: any [`Engine`] (scheme ×
-//! channel configuration), any [`Query`] list, any loss model. The window
-//! and kNN entry points are thin workload adapters over it.
+//! channel configuration), any [`Query`] list, any loss model. The
+//! experiment matrix ([`crate::run_matrix`]) runs every cell through it;
+//! [`run_query_batch_at`] is the same loop with the tune-in instants and
+//! loss seeds pinned by the caller. Both validate answers against
+//! [`ground_truth`].
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use dsi_broadcast::{AntennaConfig, LossModel, MeanStats, Query, QueryOutcome};
 use dsi_datagen::SpatialDataset;
-use dsi_geom::{Point, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -102,8 +104,10 @@ pub(crate) fn query_seed(seed: u64, i: usize) -> u64 {
     seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Ground truth for one query.
-fn brute(dataset: &SpatialDataset, q: &Query) -> Vec<u32> {
+/// The brute-force answer to `q` over `dataset` (ascending ids for a
+/// window, nearest first for kNN): the ground truth every validated drive
+/// is checked against.
+pub fn ground_truth(dataset: &SpatialDataset, q: &Query) -> Vec<u32> {
     match q {
         Query::Window(w) => dataset.brute_window(w),
         Query::Knn(p, k) => dataset.brute_knn(*p, *k),
@@ -177,7 +181,7 @@ pub fn run_query_batch_at(
                             if opts.validate {
                                 assert_eq!(
                                     o.ids,
-                                    brute(dataset, q),
+                                    ground_truth(dataset, q),
                                     "answer mismatch on query {qi}"
                                 );
                             }
@@ -207,45 +211,23 @@ pub fn run_query_batch_at(
     )
 }
 
-/// Runs a window-query batch; validates against [`SpatialDataset::brute_window`].
-pub fn run_window_batch(
-    engine: &Engine,
-    dataset: &SpatialDataset,
-    windows: &[Rect],
-    opts: &BatchOptions,
-) -> BatchResult {
-    let queries: Vec<Query> = windows.iter().map(|w| Query::Window(*w)).collect();
-    run_query_batch(engine, dataset, &queries, opts)
-}
-
-/// Runs a kNN batch; validates against [`SpatialDataset::brute_knn`].
-pub fn run_knn_batch(
-    engine: &Engine,
-    dataset: &SpatialDataset,
-    queries: &[Point],
-    k: usize,
-    opts: &BatchOptions,
-) -> BatchResult {
-    let queries: Vec<Query> = queries.iter().map(|q| Query::Knn(*q, k)).collect();
-    run_query_batch(engine, dataset, &queries, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Scheme;
+    use crate::matrix::WorkloadSpec;
     use crate::{uniform_dataset_n, EVAL_ORDER};
     use dsi_broadcast::ChannelConfig;
-    use dsi_datagen::{knn_points, uniform, window_queries};
+    use dsi_datagen::uniform;
 
     #[test]
     fn batches_are_deterministic_and_validated() {
         let ds = uniform_dataset_n(250);
         let e = Engine::build(Scheme::dsi_reorganized(64), &ds, 64);
-        let ws = window_queries(12, 0.2, 3);
+        let ws = WorkloadSpec::Window { ratio: 0.2 }.queries(12, 3);
         let opts = BatchOptions::default();
-        let a = run_window_batch(&e, &ds, &ws, &opts);
-        let b = run_window_batch(&e, &ds, &ws, &opts);
+        let a = run_query_batch(&e, &ds, &ws, &opts);
+        let b = run_query_batch(&e, &ds, &ws, &opts);
         assert_eq!(a.latency_bytes, b.latency_bytes);
         assert_eq!(a.tuning_bytes, b.tuning_bytes);
         assert_eq!(a.queries, 12);
@@ -263,10 +245,10 @@ mod tests {
         let ds = uniform_dataset_n(250);
         let other = SpatialDataset::build(&uniform(250, 7), EVAL_ORDER);
         let e = Engine::build(Scheme::dsi_reorganized(64), &ds, 64);
-        let ws = window_queries(12, 0.2, 3);
+        let ws = WorkloadSpec::Window { ratio: 0.2 }.queries(12, 3);
         let message = || {
             let err = catch_unwind(AssertUnwindSafe(|| {
-                run_window_batch(&e, &other, &ws, &BatchOptions::default())
+                run_query_batch(&e, &other, &ws, &BatchOptions::default())
             }))
             .expect_err("a validation mismatch must panic");
             err.downcast_ref::<String>()
@@ -286,12 +268,12 @@ mod tests {
     fn knn_batch_runs_under_loss() {
         let ds = uniform_dataset_n(200);
         let e = Engine::build(Scheme::Hci, &ds, 64);
-        let qs = knn_points(6, 9);
+        let qs = WorkloadSpec::Knn { k: 5 }.queries(6, 9);
         let opts = BatchOptions {
             loss: LossModel::iid(0.3),
             ..BatchOptions::default()
         };
-        let r = run_knn_batch(&e, &ds, &qs, 5, &opts);
+        let r = run_query_batch(&e, &ds, &qs, &opts);
         assert_eq!(r.queries, 6);
     }
 
@@ -304,11 +286,8 @@ mod tests {
             64,
             ChannelConfig::index_data(2, 1, 1),
         );
-        let mut queries: Vec<Query> = window_queries(4, 0.2, 3)
-            .into_iter()
-            .map(Query::Window)
-            .collect();
-        queries.extend(knn_points(4, 9).into_iter().map(|q| Query::Knn(q, 5)));
+        let mut queries = WorkloadSpec::Window { ratio: 0.2 }.queries(4, 3);
+        queries.extend(WorkloadSpec::Knn { k: 5 }.queries(4, 9));
         let r = run_query_batch(&e, &ds, &queries, &BatchOptions::default());
         assert_eq!(r.queries, 8);
         assert_eq!(r.per_channel_tuning_bytes.len(), 2);

@@ -5,7 +5,7 @@
 
 use dsi_broadcast::{AntennaConfig, ChannelConfig, LossModel, OutageWindow, Query};
 use dsi_datagen::{knn_points, window_queries};
-use dsi_sim::{uniform_dataset_n, Engine, Scheme};
+use dsi_sim::{ground_truth, uniform_dataset_n, Engine, Scheme};
 use proptest::prelude::*;
 
 const SWITCH_COST: u32 = 2;
@@ -52,10 +52,7 @@ proptest! {
         } else {
             Query::Window(window_queries(1, 0.15, qseed)[0])
         };
-        let brute = match &q {
-            Query::Window(w) => ds.brute_window(w),
-            Query::Knn(p, k) => ds.brute_knn(*p, *k),
-        };
+        let brute = ground_truth(&ds, &q);
         let start = start % e.cycle_packets();
         let o = e.drive_antennas(start, loss, seed, AntennaConfig::new(antennas), &q);
         prop_assert_eq!(&o.ids, &brute, "answers survive the outage");

@@ -9,13 +9,13 @@
 //! (`DSI_N` scales the dataset down for quick runs.)
 
 use dsi::broadcast::LossModel;
-use dsi::datagen::{knn_points, uniform, SpatialDataset};
-use dsi::sim::{run_knn_batch, BatchOptions, Engine, Scheme};
+use dsi::datagen::{uniform, SpatialDataset};
+use dsi::sim::{run_query_batch, BatchOptions, Engine, Scheme, WorkloadSpec};
 
 fn main() {
     let n = dsi::sim::env_knob("DSI_N", 10_000);
     let dataset = SpatialDataset::build(&uniform(n, 42), 12);
-    let queries = knn_points(80, 13);
+    let queries = WorkloadSpec::Knn { k: 10 }.queries(80, 13);
 
     println!("index    theta   mean latency    vs lossless   (10NN)");
     for (name, scheme) in [
@@ -32,7 +32,7 @@ fn main() {
                 validate: true, // answers stay exact even on a lossy channel
                 ..BatchOptions::default()
             };
-            let r = run_knn_batch(&engine, &dataset, &queries, 10, &opts);
+            let r = run_query_batch(&engine, &dataset, &queries, &opts);
             let b = *base.get_or_insert(r.latency_bytes);
             println!(
                 "{name}   {theta:<5}  {:>11.3e} B   {:>+8.2}%",

@@ -13,14 +13,14 @@
 //! (`DSI_N` scales the dataset down for quick runs.)
 
 use dsi::broadcast::{ChannelConfig, LossModel};
-use dsi::datagen::{uniform, window_queries, SpatialDataset};
-use dsi::sim::{run_window_batch, BatchOptions, Engine, Scheme};
+use dsi::datagen::{uniform, SpatialDataset};
+use dsi::sim::{run_query_batch, BatchOptions, Engine, Scheme, WorkloadSpec};
 
 fn main() {
     let n = dsi::sim::env_knob("DSI_N", 10_000);
     let dataset = SpatialDataset::build(&uniform(n, 42), 12);
     // Viewports of 10 % side length, uniformly placed.
-    let viewports = window_queries(150.min(n), 0.1, 11);
+    let viewports = WorkloadSpec::Window { ratio: 0.1 }.queries(150.min(n), 11);
     let opts = BatchOptions {
         loss: LossModel::None,
         seed: 5,
@@ -39,7 +39,7 @@ fn main() {
     );
     for (name, scheme) in schemes {
         let engine = Engine::build(scheme, &dataset, 64);
-        let r = run_window_batch(&engine, &dataset, &viewports, &opts);
+        let r = run_query_batch(&engine, &dataset, &viewports, &opts);
         println!(
             "{name}  {:>12.3e} B   {:>12.3e} B",
             r.latency_bytes, r.tuning_bytes
@@ -50,7 +50,7 @@ fn main() {
     println!("index    mean latency      mean tuning    switches  (4 blocked channels, 2-packet switch cost)");
     for (name, scheme) in schemes {
         let engine = Engine::build_channels(scheme, &dataset, 64, ChannelConfig::blocked(4, 2));
-        let r = run_window_batch(&engine, &dataset, &viewports, &opts);
+        let r = run_query_batch(&engine, &dataset, &viewports, &opts);
         println!(
             "{name}  {:>12.3e} B   {:>12.3e} B   {:>7.1}",
             r.latency_bytes, r.tuning_bytes, r.mean_switches

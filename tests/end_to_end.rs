@@ -4,8 +4,8 @@
 
 use dsi::broadcast::LossModel;
 use dsi::core::KnnStrategy;
-use dsi::datagen::{knn_points, uniform, window_queries, SpatialDataset};
-use dsi::sim::{run_knn_batch, run_window_batch, BatchOptions, Engine, Scheme};
+use dsi::datagen::{uniform, SpatialDataset};
+use dsi::sim::{run_query_batch, BatchOptions, Engine, Scheme, WorkloadSpec};
 
 fn dataset() -> SpatialDataset {
     SpatialDataset::build(&uniform(1_200, 42), 10)
@@ -26,15 +26,15 @@ fn schemes() -> Vec<(&'static str, Scheme)> {
 #[test]
 fn every_scheme_answers_both_query_types_correctly() {
     let ds = dataset();
-    let windows = window_queries(10, 0.15, 3);
-    let points = knn_points(10, 5);
+    let windows = WorkloadSpec::Window { ratio: 0.15 }.queries(10, 3);
+    let knn = WorkloadSpec::Knn { k: 10 }.queries(10, 5);
     let opts = BatchOptions::default(); // validate = true
     for (name, scheme) in schemes() {
         let engine = Engine::build(scheme, &ds, 64);
-        let w = run_window_batch(&engine, &ds, &windows, &opts);
+        let w = run_query_batch(&engine, &ds, &windows, &opts);
         assert_eq!(w.queries, 10, "{name}");
         assert!(w.latency_bytes >= w.tuning_bytes, "{name}");
-        let k = run_knn_batch(&engine, &ds, &points, 10, &opts);
+        let k = run_query_batch(&engine, &ds, &knn, &opts);
         assert_eq!(k.queries, 10, "{name}");
         assert!(k.latency_bytes >= k.tuning_bytes, "{name}");
         // No scheme should need more than three cycles on a clean channel.
@@ -52,13 +52,13 @@ fn every_scheme_answers_both_query_types_correctly() {
 #[test]
 fn batches_are_reproducible_across_runs() {
     let ds = dataset();
-    let windows = window_queries(8, 0.1, 9);
+    let windows = WorkloadSpec::Window { ratio: 0.1 }.queries(8, 9);
     let opts = BatchOptions::default();
     for (name, scheme) in schemes() {
         let e1 = Engine::build(scheme, &ds, 64);
         let e2 = Engine::build(scheme, &ds, 64);
-        let a = run_window_batch(&e1, &ds, &windows, &opts);
-        let b = run_window_batch(&e2, &ds, &windows, &opts);
+        let a = run_query_batch(&e1, &ds, &windows, &opts);
+        let b = run_query_batch(&e2, &ds, &windows, &opts);
         assert_eq!(
             a.latency_bytes, b.latency_bytes,
             "{name} latency not deterministic"
@@ -73,11 +73,11 @@ fn batches_are_reproducible_across_runs() {
 #[test]
 fn lossy_channels_cost_more_but_stay_correct() {
     let ds = dataset();
-    let windows = window_queries(8, 0.15, 11);
+    let windows = WorkloadSpec::Window { ratio: 0.15 }.queries(8, 11);
     for (name, scheme) in schemes() {
         let engine = Engine::build(scheme, &ds, 64);
-        let clean = run_window_batch(&engine, &ds, &windows, &BatchOptions::default());
-        let lossy = run_window_batch(
+        let clean = run_query_batch(&engine, &ds, &windows, &BatchOptions::default());
+        let lossy = run_query_batch(
             &engine,
             &ds,
             &windows,
@@ -102,29 +102,12 @@ fn dsi_beats_baselines_on_knn_latency() {
     // The paper's headline (Figure 11): DSI's kNN access latency is far
     // below both baselines. Checked at a reduced scale.
     let ds = SpatialDataset::build(&uniform(2_000, 42), 11);
-    let points = knn_points(24, 5);
+    let knn = WorkloadSpec::Knn { k: 10 }.queries(24, 5);
     let opts = BatchOptions::default();
-    let dsi = run_knn_batch(
-        &Engine::build(Scheme::dsi_reorganized(64), &ds, 64),
-        &ds,
-        &points,
-        10,
-        &opts,
-    );
-    let rtree = run_knn_batch(
-        &Engine::build(Scheme::RTree, &ds, 64),
-        &ds,
-        &points,
-        10,
-        &opts,
-    );
-    let hci = run_knn_batch(
-        &Engine::build(Scheme::Hci, &ds, 64),
-        &ds,
-        &points,
-        10,
-        &opts,
-    );
+    let run = |scheme| run_query_batch(&Engine::build(scheme, &ds, 64), &ds, &knn, &opts);
+    let dsi = run(Scheme::dsi_reorganized(64));
+    let rtree = run(Scheme::RTree);
+    let hci = run(Scheme::Hci);
     assert!(
         dsi.latency_bytes < rtree.latency_bytes,
         "DSI {} should beat R-tree {}",

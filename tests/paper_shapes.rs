@@ -5,8 +5,8 @@
 
 use dsi::broadcast::LossModel;
 use dsi::core::KnnStrategy;
-use dsi::datagen::{knn_points, uniform, window_queries, SpatialDataset};
-use dsi::sim::{run_knn_batch, run_window_batch, BatchOptions, Engine, Scheme};
+use dsi::datagen::{uniform, SpatialDataset};
+use dsi::sim::{run_query_batch, BatchOptions, Engine, Scheme, WorkloadSpec};
 
 fn dataset() -> SpatialDataset {
     SpatialDataset::build(&uniform(2_000, 42), 11)
@@ -17,22 +17,14 @@ fn aggressive_tunes_less_conservative_waits_less() {
     // Paper §3.4: "the conservative and aggressive approaches represent a
     // tradeoff between access latency and energy efficiency."
     let ds = dataset();
-    let points = knn_points(30, 5);
+    let knn = WorkloadSpec::Knn { k: 10 }.queries(30, 5);
     let opts = BatchOptions::default();
-    let cons = run_knn_batch(
-        &Engine::build(Scheme::dsi_original(64, KnnStrategy::Conservative), &ds, 64),
-        &ds,
-        &points,
-        10,
-        &opts,
-    );
-    let aggr = run_knn_batch(
-        &Engine::build(Scheme::dsi_original(64, KnnStrategy::Aggressive), &ds, 64),
-        &ds,
-        &points,
-        10,
-        &opts,
-    );
+    let run = |strategy| {
+        let e = Engine::build(Scheme::dsi_original(64, strategy), &ds, 64);
+        run_query_batch(&e, &ds, &knn, &opts)
+    };
+    let cons = run(KnnStrategy::Conservative);
+    let aggr = run(KnnStrategy::Aggressive);
     assert!(
         aggr.tuning_bytes < cons.tuning_bytes,
         "aggressive should tune less: {} vs {}",
@@ -52,12 +44,12 @@ fn dsi_latency_is_flat_across_capacities() {
     // Paper §4.2/4.3: DSI's access latency is bounded by the cycle and
     // barely moves with packet capacity.
     let ds = dataset();
-    let windows = window_queries(30, 0.1, 3);
+    let windows = WorkloadSpec::Window { ratio: 0.1 }.queries(30, 3);
     let opts = BatchOptions::default();
     let mut lats = Vec::new();
     for cap in [64u32, 128, 256] {
         let e = Engine::build(Scheme::dsi_reorganized(cap), &ds, cap);
-        lats.push(run_window_batch(&e, &ds, &windows, &opts).latency_bytes);
+        lats.push(run_query_batch(&e, &ds, &windows, &opts).latency_bytes);
     }
     let (min, max) = (
         lats.iter().cloned().fold(f64::INFINITY, f64::min),
@@ -73,7 +65,7 @@ fn dsi_latency_is_flat_across_capacities() {
 fn dsi_deteriorates_least_under_link_errors() {
     // Paper Table 1: DSI has the smallest latency deterioration at every θ.
     let ds = dataset();
-    let windows = window_queries(30, 0.1, 3);
+    let windows = WorkloadSpec::Window { ratio: 0.1 }.queries(30, 3);
     let mut deterioration = Vec::new();
     for (name, scheme) in [
         ("dsi", Scheme::dsi_reorganized(64)),
@@ -81,8 +73,8 @@ fn dsi_deteriorates_least_under_link_errors() {
         ("hci", Scheme::Hci),
     ] {
         let e = Engine::build(scheme, &ds, 64);
-        let clean = run_window_batch(&e, &ds, &windows, &BatchOptions::default());
-        let lossy = run_window_batch(
+        let clean = run_query_batch(&e, &ds, &windows, &BatchOptions::default());
+        let lossy = run_query_batch(
             &e,
             &ds,
             &windows,
@@ -106,16 +98,11 @@ fn hci_knn_pays_the_two_phase_penalty() {
     // Paper §4.3: HCI's kNN latency is several times DSI's because of its
     // two-phase search.
     let ds = dataset();
-    let points = knn_points(20, 5);
+    let nn = WorkloadSpec::Knn { k: 1 }.queries(20, 5);
     let opts = BatchOptions::default();
-    let dsi = run_knn_batch(
-        &Engine::build(Scheme::dsi_reorganized(64), &ds, 64),
-        &ds,
-        &points,
-        1,
-        &opts,
-    );
-    let hci = run_knn_batch(&Engine::build(Scheme::Hci, &ds, 64), &ds, &points, 1, &opts);
+    let run = |scheme| run_query_batch(&Engine::build(scheme, &ds, 64), &ds, &nn, &opts);
+    let dsi = run(Scheme::dsi_reorganized(64));
+    let hci = run(Scheme::Hci);
     assert!(
         hci.latency_bytes > 1.5 * dsi.latency_bytes,
         "HCI NN latency {} should far exceed DSI {}",
