@@ -41,7 +41,7 @@ fn main() {
     let gate_clients = clients.min(2_000);
     let schemes = [Scheme::dsi_reorganized(64), Scheme::RTree, Scheme::Hci];
     for scheme in schemes {
-        let engine = Arc::new(Engine::build(scheme, &ds, 64));
+        let engine = Engine::build(scheme, &ds, 64);
         for loss in [LossModel::None, LossModel::gilbert(0.05, 0.3, 0.9)] {
             let mut spec = FleetSpec {
                 skew: 1.1,

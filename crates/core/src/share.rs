@@ -98,9 +98,9 @@ thread_local! {
 }
 
 /// Installs `cache` as this thread's decomposition table (or clears it
-/// with `None`), returning the previously installed table. Fleet workers
-/// install the run's table before their first granule; plain query
-/// paths never need to call this.
+/// with `None`), returning the previously installed table. Each fleet
+/// granule installs the run's table on its worker's thread before it
+/// drives; plain query paths never need to call this.
 pub fn install(cache: Option<Arc<ShareCache>>) -> Option<Arc<ShareCache>> {
     INSTALLED.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), cache))
 }

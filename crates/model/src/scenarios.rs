@@ -76,9 +76,9 @@ fn scenario(name: &'static str, bound: usize, f: impl Fn() -> String) -> Scenari
 /// the decomposition table is built before the spawns and only read
 /// after. The population is cut into at least three granules, so one
 /// worker must claim twice.
-fn knn_fleet() -> (Arc<Engine>, Arc<SpatialDataset>, FleetSpec) {
+fn knn_fleet() -> (Engine, Arc<SpatialDataset>, FleetSpec) {
     let ds = Arc::new(uniform_dataset_n(200));
-    let engine = Arc::new(Engine::build(Scheme::dsi_reorganized(64), &ds, 64));
+    let engine = Engine::build(Scheme::dsi_reorganized(64), &ds, 64);
     let pool = knn_points(3, 5)
         .into_iter()
         .map(|p| Query::Knn(p, 3))
@@ -87,7 +87,7 @@ fn knn_fleet() -> (Arc<Engine>, Arc<SpatialDataset>, FleetSpec) {
         workers: 2,
         validate: true,
         keep_ids: true,
-        ..FleetSpec::new(100, pool)
+        ..FleetSpec::new(24, pool)
     };
     (engine, ds, spec)
 }

@@ -1,5 +1,5 @@
 //! The model-check suite: exhaustive exploration of the fleet
-//! concurrency layer (the `run_fleet` granule dispatch) plus
+//! concurrency layer (`run_fleet` on dsi-sim's one granule dispatch) plus
 //! anti-vacuity checks — mutated copies of that dispatch that the
 //! checker must catch, proving the clean verdicts on the real code mean
 //! something.
@@ -11,8 +11,9 @@
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dsi_model::scenarios;
 use interleave::sync::atomic::{AtomicUsize, Ordering};
@@ -33,7 +34,7 @@ fn fleet_granule_panic_is_clean() {
 }
 
 // ---------------------------------------------------------------------
-// Anti-vacuity: a copy of `run_fleet`'s dispatch (`run_worker`'s claim
+// Anti-vacuity: a copy of `dsi_sim::fleet::dispatch` (the cursor claim
 // loop and the merge that picks the panic to re-raise) with one line
 // seeded wrong. Each test runs the faithful copy first, which must be
 // clean, then the mutation, which the checker must catch.
@@ -50,51 +51,50 @@ enum Mutation {
     JoinOrderReraise,
 }
 
-type GranulePanic = (usize, Box<dyn Any + Send>);
-
-/// `run_worker`: claims granules from the cursor until none is left. A
-/// granule in `fail` panics with its own payload and ends the worker.
-fn run_worker(
-    next: &AtomicUsize,
-    granules: usize,
-    fail: &[usize],
-    m: Mutation,
-) -> Result<Vec<usize>, GranulePanic> {
-    let mut ran = Vec::new();
-    loop {
-        let g = if m == Mutation::TwoStepClaim {
-            let g = next.load(Ordering::Relaxed);
-            next.fetch_add(1, Ordering::Relaxed);
-            g
-        } else {
-            next.fetch_add(1, Ordering::Relaxed)
-        };
-        if g >= granules {
-            return Ok(ran);
-        }
-        let granule = || assert!(!fail.contains(&g), "granule {g} failed");
-        match catch_unwind(AssertUnwindSafe(granule)) {
-            Ok(()) => ran.push(g),
-            Err(payload) => return Err((g, payload)),
-        }
-    }
-}
-
-/// `run_fleet`'s dispatch on two workers: spawn, join every worker,
-/// then re-raise the kept failure. Returns the granules that ran.
-fn dispatch(granules: usize, fail: &'static [usize], m: Mutation) -> Vec<usize> {
+/// `dsi_sim::fleet::dispatch` (granules of `granule_len(n)` items) over
+/// `usize` results, with `m` seeded into its claim or its merge.
+fn dispatch<F>(n: usize, workers: usize, job: F, m: Mutation) -> Vec<Vec<usize>>
+where
+    F: Fn(Range<usize>) -> Vec<usize> + Send + Sync + 'static,
+{
+    let granule = (n / 256).clamp(8, 8192);
+    let granules = n.div_ceil(granule);
     let next = Arc::new(AtomicUsize::new(0));
-    let handles: Vec<_> = (0..2.min(granules))
+    let job = Arc::new(job);
+    let handles: Vec<_> = (0..workers.min(granules))
         .map(|_| {
-            let next = Arc::clone(&next);
-            thread::spawn(move || run_worker(&next, granules, fail, m))
+            let (next, job) = (Arc::clone(&next), Arc::clone(&job));
+            thread::spawn(move || {
+                let mut outs = Vec::new();
+                loop {
+                    let g = if m == Mutation::TwoStepClaim {
+                        let g = next.load(Ordering::Relaxed);
+                        next.fetch_add(1, Ordering::Relaxed);
+                        g
+                    } else {
+                        next.fetch_add(1, Ordering::Relaxed)
+                    };
+                    if g >= granules {
+                        return Ok(outs);
+                    }
+                    let items = g * granule..n.min((g + 1) * granule);
+                    match catch_unwind(AssertUnwindSafe(|| job(items))) {
+                        Ok(part) => outs.push((g, part)),
+                        Err(payload) => return Err((g, payload)),
+                    }
+                }
+            })
         })
         .collect();
-    let mut ran = Vec::new();
-    let mut failed: Option<GranulePanic> = None;
+    let mut parts = vec![Vec::new(); granules];
+    let mut failed: Option<(usize, Box<dyn Any + Send>)> = None;
     for handle in handles {
         match handle.join().unwrap_or_else(|p| Err((usize::MAX, p))) {
-            Ok(outs) => ran.extend(outs),
+            Ok(outs) => {
+                for (g, part) in outs {
+                    parts[g] = part;
+                }
+            }
             Err((g, payload)) => {
                 let keep = if m == Mutation::JoinOrderReraise {
                     failed.is_none()
@@ -110,15 +110,35 @@ fn dispatch(granules: usize, fail: &'static [usize], m: Mutation) -> Vec<usize> 
     if let Some((_, payload)) = failed {
         resume_unwind(payload);
     }
-    ran
+    parts
 }
 
-/// Every granule of three runs exactly once, in every schedule.
+/// Maps 24 items, three granules of 8, to themselves on two workers and
+/// returns the items with the granules the job ran on, sorted; the
+/// granules in `fail` panic with their own payload.
+fn identity_map(fail: &'static [usize], m: Mutation) -> (Vec<usize>, Vec<usize>) {
+    let ran = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&ran);
+    let job = move |items: Range<usize>| {
+        let g = items.start / 8;
+        log.lock().unwrap().push(g);
+        assert!(!fail.contains(&g), "granule {g} failed");
+        items.collect()
+    };
+    let items = dispatch(24, 2, job, m).concat();
+    let mut ran = ran.lock().unwrap().clone();
+    ran.sort_unstable();
+    (items, ran)
+}
+
+/// Every granule runs exactly once and every item comes back once, in
+/// order, in every schedule. A granule run twice returns a part equal to
+/// its first, so only the job's own log can see it.
 fn explore_claims(m: Mutation) -> Report {
     explore(3, || {
-        let mut ran = dispatch(3, &[], m);
-        ran.sort_unstable();
+        let (items, ran) = identity_map(&[], m);
         assert_eq!(ran, [0, 1, 2], "a granule ran twice or never");
+        assert!(items.into_iter().eq(0..24), "a granule's part is missing");
     })
 }
 
@@ -143,7 +163,7 @@ fn mutation_two_step_claim_is_caught() {
 fn reraised_payloads(m: Mutation) -> BTreeSet<String> {
     let payloads = RefCell::new(BTreeSet::new());
     explore(3, || {
-        let run = catch_unwind(AssertUnwindSafe(|| dispatch(3, &[0, 2], m)));
+        let run = catch_unwind(AssertUnwindSafe(|| identity_map(&[0, 2], m)));
         let payload = run.expect_err("two granules fail");
         let msg = payload.downcast_ref::<String>().expect("a granule payload");
         payloads.borrow_mut().insert(msg.clone());

@@ -11,6 +11,8 @@
 //! derived state: the engine keeps none and extracts one when asked
 //! ([`Engine::static_model`]).
 
+use std::sync::Arc;
+
 use dsi_bptree::{BpAir, BpAirConfig};
 use dsi_broadcast::{
     AirScheme, AntennaConfig, ChannelConfig, FaultTrace, LayoutError, LossModel, Query,
@@ -70,7 +72,7 @@ enum Built {
 /// scheme: the one place an [`Engine`] call reaches the generic code.
 macro_rules! with_built {
     ($built:expr, $s:ident => $body:expr) => {
-        match $built {
+        match &*$built {
             Built::Dsi($s) => $body,
             Built::RTree($s) => $body,
             Built::Hci($s) => $body,
@@ -79,9 +81,10 @@ macro_rules! with_built {
 }
 
 /// A built broadcast: any [`Scheme`] behind one set of drive and program
-/// calls.
+/// calls. Clones are handles to the same built index.
+#[derive(Clone)]
 pub struct Engine {
-    built: Built,
+    built: Arc<Built>,
 }
 
 impl Engine {
@@ -116,7 +119,7 @@ impl Engine {
         capacity: u32,
         channels: ChannelConfig,
     ) -> Result<Self, LayoutError> {
-        let built = match scheme {
+        let built = Arc::new(match scheme {
             Scheme::Dsi(cfg, strategy) => Built::Dsi(DsiScheme {
                 air: DsiAir::try_build_channels(dataset, cfg.with_capacity(capacity), channels)?,
                 strategy,
@@ -135,7 +138,7 @@ impl Engine {
                 BpAirConfig::new(capacity),
                 channels,
             )?),
-        };
+        });
         Ok(Self { built })
     }
 
@@ -145,7 +148,7 @@ impl Engine {
     /// program again, at the cost of building it or more, so a caller
     /// that reads the model more than once extracts it once and keeps it.
     pub fn static_model(&self) -> StaticModel {
-        with_built!(&self.built, s => s.static_model())
+        with_built!(self.built, s => s.static_model())
     }
 
     /// Runs the full `dsi-verify` analysis (structure, progress, bounds)
@@ -166,7 +169,7 @@ impl Engine {
         antennas: AntennaConfig,
         query: &Query,
     ) -> QueryOutcome {
-        with_built!(&self.built, s => {
+        with_built!(self.built, s => {
             dsi_broadcast::drive_antennas(s, start, loss, seed, antennas, query)
         })
     }
@@ -185,7 +188,7 @@ impl Engine {
         antennas: AntennaConfig,
         query: &Query,
     ) -> (QueryOutcome, FaultTrace) {
-        with_built!(&self.built, s => {
+        with_built!(self.built, s => {
             dsi_broadcast::drive_traced(s, start, loss, seed, antennas, query)
         })
     }
@@ -194,7 +197,7 @@ impl Engine {
     /// decomposes each distinct one on its curve and grid; the R-tree and
     /// HCI, whose clients never consult the table, get an empty one.
     pub(crate) fn window_table<'a>(&self, rects: impl IntoIterator<Item = &'a Rect>) -> ShareCache {
-        match &self.built {
+        match &*self.built {
             Built::Dsi(s) => ShareCache::from_windows(s.air.curve(), s.air.mapper(), rects),
             Built::RTree(_) | Built::Hci(_) => ShareCache::new(),
         }
@@ -206,28 +209,28 @@ impl Engine {
     /// [`dsi_broadcast::AirScheme::tune_anchor`] for the exact contract;
     /// `dsi_sim::fleet` builds its deduplicated cohorts on it.
     pub fn tune_anchor(&self, start: u64) -> Option<u64> {
-        with_built!(&self.built, s => s.tune_anchor(start))
+        with_built!(self.built, s => s.tune_anchor(start))
     }
 
     /// Which flat positions begin an indivisible broadcast unit — the
     /// structure a placement assigns to channels.
     pub fn unit_starts(&self) -> Vec<bool> {
-        with_built!(&self.built, s => s.program().unit_starts())
+        with_built!(self.built, s => s.program().unit_starts())
     }
 
     /// Packets per (flat) broadcast cycle.
     pub fn cycle_packets(&self) -> u64 {
-        with_built!(&self.built, s => s.program().len())
+        with_built!(self.built, s => s.program().len())
     }
 
     /// Bytes per (flat) broadcast cycle.
     pub fn cycle_bytes(&self) -> u64 {
-        with_built!(&self.built, s => s.program().cycle_bytes())
+        with_built!(self.built, s => s.program().cycle_bytes())
     }
 
     /// Number of parallel channels.
     pub fn n_channels(&self) -> u32 {
-        with_built!(&self.built, s => s.program().n_channels())
+        with_built!(self.built, s => s.program().n_channels())
     }
 }
 

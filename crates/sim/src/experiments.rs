@@ -20,7 +20,7 @@ use crate::engine::{Engine, Scheme};
 use crate::matrix::{cells_table, run_matrix, ChannelSpec, MatrixCell, MatrixSpec, WorkloadSpec};
 use crate::runner::BatchResult;
 use crate::table::{fmt_bytes, fmt_pct, Table};
-use crate::{env_knob, real_dataset, uniform_dataset, uniform_dataset_n};
+use crate::{env_knob, real_dataset, uniform_dataset_n};
 
 /// Packet capacities swept by the paper (bytes).
 pub const CAPACITIES: [u32; 5] = [32, 64, 128, 256, 512];
@@ -74,11 +74,7 @@ impl ExpOptions {
     }
 
     fn dataset(&self) -> SpatialDataset {
-        if self.dataset_n == 10_000 {
-            uniform_dataset()
-        } else {
-            uniform_dataset_n(self.dataset_n)
-        }
+        uniform_dataset_n(self.dataset_n)
     }
 
     /// A single-cell matrix spec: the per-experiment functions fill in the
@@ -694,7 +690,7 @@ pub fn fleet_summary_on(ds: &SpatialDataset, opts: &ExpOptions, clients: usize) 
         ("R-tree", Scheme::RTree),
         ("HCI", Scheme::Hci),
     ] {
-        let engine = Arc::new(Engine::build(scheme, &ds, 64));
+        let engine = Engine::build(scheme, &ds, 64);
         let spec = FleetSpec {
             skew: 1.1,
             validate: opts.validate,

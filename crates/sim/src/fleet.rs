@@ -5,13 +5,14 @@
 //! # Why a fleet engine
 //!
 //! The paper's core economic argument is that a broadcast cycle serves an
-//! *unbounded* listener population at constant server cost. The classic
-//! harness path ([`crate::run_query_batch`]) simulates that population
-//! one client at a time — N clients cost N full drive loops, even though
-//! most of those loops are, from the channel's point of view, the same
-//! loop. The fleet engine exploits exactly the property the paper sells,
-//! in three phases: settle every cohort before any thread starts, drive
-//! each cohort once, then fill the per-client columns.
+//! *unbounded* listener population at constant server cost. A query batch
+//! ([`crate::run_query_batch`]) gives every query its own full drive, so
+//! simulating N clients with it costs N drives, even though most of them
+//! are, from the channel's point of view, the same drive. Both run on
+//! this module's parallel map; the fleet exploits exactly the property
+//! the paper sells, in three phases: settle every cohort before any
+//! thread starts, drive each cohort once, then fill the per-client
+//! columns.
 //!
 //! 1. **Structure-of-arrays population and a cohort table.** Client state
 //!    lives in flat parallel arrays ([`Population`]: query index, tune-in
@@ -24,16 +25,13 @@
 //!    first appearance, so each cohort's representative is its lowest
 //!    client id. Lossy or multi-channel populations degrade gracefully:
 //!    every client is its own cohort, same code path, no sharing.
-//! 2. **Granules from a shared cursor.** The cohort ids are cut into
-//!    deterministic granules (contiguous id ranges sized from the cohort
-//!    count alone, not from the worker count). `min(workers, granules)`
-//!    threads claim granule indices from one atomic cursor until the list
-//!    runs out, and the caller joins them. A granule drives each of its
-//!    cohorts' representatives once and returns one compact record per
-//!    cohort; records are merged by granule index. A panicking granule (a
-//!    failed validation) ends its worker; once every worker has exited,
-//!    the panic of the lowest-index failing granule is re-raised
-//!    unchanged, so which panic surfaces does not depend on the schedule.
+//! 2. **Granules from a shared cursor.** The cohort ids go through the
+//!    crate's one parallel map, `dispatch` (the query batches run on it
+//!    too): contiguous id ranges sized from the cohort count alone, claimed
+//!    from one atomic cursor, and the lowest failing granule's panic (a
+//!    failed validation) re-raised after every join. A granule drives each
+//!    of its cohorts' representatives once and returns one compact record
+//!    per cohort; records come back per granule, in cohort order.
 //! 3. **Column assembly in client order.** One sequential pass per column
 //!    over the clients in id order fills [`FleetOutcomes`]: every member
 //!    gets its cohort's answers, tuning, switches and channel stats, and
@@ -41,8 +39,8 @@
 //!    trajectory (the paper's free-rider premise made computational).
 //! 4. **Shared decompositions.** Before spawning, `run_fleet` decomposes
 //!    every distinct window its representatives will drive into one
-//!    immutable [`dsi_core::share::ShareCache`], and every worker installs
-//!    that one table before its first claim (never the caller's thread),
+//!    immutable [`dsi_core::share::ShareCache`], and every granule installs
+//!    that one table on its worker's thread (never the caller's thread),
 //!    so representatives of *different* cohorts running the same window
 //!    query share its HC-segment decomposition. Workers only read it.
 //!    Identical kNN queries already share circle decompositions and
@@ -50,7 +48,7 @@
 //!
 //! The cursor, the spawns and the joins go through the `interleave`
 //! shims, so `dsi-model` explores this dispatch's schedules under
-//! `--cfg dsi_model`.
+//! `--cfg dsi_model`. It is the only place dsi-sim starts threads.
 //!
 //! # Determinism contract
 //!
@@ -68,6 +66,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -267,7 +266,7 @@ pub struct FleetStats {
     /// (`clients − drives`).
     pub coalesced: usize,
     /// Granules the cohorts were cut into: contiguous cohort-id ranges of
-    /// `(drives / 256).clamp(32, 8192)` cohorts each.
+    /// `(drives / 256).clamp(8, 8192)` cohorts each.
     pub granules: usize,
     /// Clients completed per wall second of the engine pass (population
     /// derivation through outcome assembly).
@@ -285,29 +284,20 @@ pub struct FleetStats {
     pub window_cache_misses: u64,
 }
 
-/// Inputs shared by every fleet worker.
+/// Inputs every fleet granule reads.
 struct Shared {
-    engine: Arc<Engine>,
-    dataset: Option<Arc<SpatialDataset>>,
+    engine: Engine,
+    /// The dataset answers are checked against, if [`FleetSpec::validate`].
+    truth: Option<Arc<SpatialDataset>>,
     pool: Vec<Query>,
     pop: Population,
     /// Each cohort's representative, its lowest client id.
     reps: Vec<u32>,
     loss: LossModel,
     antennas: AntennaConfig,
-    validate: bool,
     keep_ids: bool,
     keep_channels: bool,
-    /// Cohorts per granule: granule `g` drives cohorts from `g * granule`.
-    granule: usize,
-    /// Number of granules.
-    granules: usize,
-    /// Index of the next unclaimed granule.
-    next: AtomicUsize,
 }
-
-/// A granule panic: the granule's index and its payload.
-type GranulePanic = (usize, Box<dyn Any + Send>);
 
 /// One cohort's shared trajectory, as its representative drove it.
 struct Record {
@@ -390,13 +380,11 @@ fn cohorts(engine: &Engine, loss: &LossModel, pop: &Population) -> (Vec<u32>, Ve
     (of, reps)
 }
 
-/// Phase 2, one granule: drives the representatives of its cohorts and
-/// returns their records, in cohort order. Pure function of its inputs —
-/// granule results do not depend on scheduling.
-fn run_granule(shared: &Shared, g: usize) -> Vec<Record> {
-    let lo = g * shared.granule;
-    let hi = (lo + shared.granule).min(shared.reps.len());
-    shared.reps[lo..hi]
+/// Phase 2, one granule: drives the representatives of the cohorts
+/// `cohorts` and returns their records, in cohort order. Pure function of
+/// its inputs — granule results do not depend on scheduling.
+fn run_granule(shared: &Shared, cohorts: Range<usize>) -> Vec<Record> {
+    shared.reps[cohorts]
         .iter()
         .map(|&rep| {
             let c = rep as usize;
@@ -409,7 +397,7 @@ fn run_granule(shared: &Shared, g: usize) -> Vec<Record> {
                 shared.antennas,
                 query,
             );
-            if let (true, Some(ds)) = (shared.validate, &shared.dataset) {
+            if let Some(ds) = &shared.truth {
                 assert_eq!(
                     outcome.ids,
                     ground_truth(ds, query),
@@ -427,24 +415,82 @@ fn run_granule(shared: &Shared, g: usize) -> Vec<Record> {
         .collect()
 }
 
-/// One fleet worker: claims granules from the shared cursor, in list
-/// order, until none is left, and returns each granule's records with
-/// its index. A panicking granule ends the worker and comes back with
-/// its index.
-fn run_worker(shared: &Shared) -> Result<Vec<(usize, Vec<Record>)>, GranulePanic> {
-    let mut outs = Vec::new();
-    loop {
-        // Relaxed: the cursor publishes no data. The cohort table was
-        // published to this thread by its spawn.
-        let g = shared.next.fetch_add(1, Ordering::Relaxed);
-        if g >= shared.granules {
-            return Ok(outs);
-        }
-        match catch_unwind(AssertUnwindSafe(|| run_granule(shared, g))) {
-            Ok(records) => outs.push((g, records)),
-            Err(payload) => return Err((g, payload)),
+/// Items per granule for a map over `n` items: sized from the item count
+/// alone, so the task structure is independent of the worker count. The
+/// floor of 8 keeps small maps (a batch of a few dozen queries, a fleet
+/// of a few hundred cohorts) spread over every worker.
+pub(crate) fn granule_len(n: usize) -> usize {
+    (n / 256).clamp(8, 8192)
+}
+
+/// The crate's one parallel map: cuts items `0..n` into granules of
+/// [`granule_len`] contiguous items, runs `job` on each granule on
+/// `min(workers, granules)` threads (`workers == 0` means the host's
+/// available parallelism) that claim granule indices from one atomic
+/// cursor until the list runs out, and returns each granule's results,
+/// in item order. The caller's thread runs no job.
+///
+/// A panicking job ends its worker; once every worker has exited, the
+/// panic of the lowest-index failing granule is re-raised unchanged, so
+/// which panic surfaces does not depend on the schedule.
+pub(crate) fn dispatch<T, F>(n: usize, workers: usize, job: F) -> Vec<Vec<T>>
+where
+    T: Send + 'static,
+    F: Fn(Range<usize>) -> Vec<T> + Send + Sync + 'static,
+{
+    let granule = granule_len(n);
+    let granules = n.div_ceil(granule);
+    let workers = match workers {
+        0 => interleave::thread::available_parallelism().map_or(1, |w| w.get()),
+        w => w,
+    };
+    let next = Arc::new(AtomicUsize::new(0));
+    let job = Arc::new(job);
+    let handles: Vec<_> = (0..workers.min(granules))
+        .map(|_| {
+            let (next, job) = (Arc::clone(&next), Arc::clone(&job));
+            interleave::thread::spawn(move || {
+                let mut outs = Vec::new();
+                loop {
+                    // Relaxed: the cursor publishes no data. The job's
+                    // inputs were published to this thread by its spawn.
+                    let g = next.fetch_add(1, Ordering::Relaxed);
+                    if g >= granules {
+                        return Ok(outs);
+                    }
+                    let items = g * granule..n.min((g + 1) * granule);
+                    match catch_unwind(AssertUnwindSafe(|| job(items))) {
+                        Ok(part) => outs.push((g, part)),
+                        Err(payload) => return Err((g, payload)),
+                    }
+                }
+            })
+        })
+        .collect();
+
+    // Parts land by granule index: which worker ran a granule cannot
+    // affect the result. A panic outside any granule ranks last.
+    let mut parts: Vec<Vec<T>> = Vec::new();
+    parts.resize_with(granules, Vec::new);
+    let mut failed: Option<(usize, Box<dyn Any + Send>)> = None;
+    for handle in handles {
+        match handle.join().unwrap_or_else(|p| Err((usize::MAX, p))) {
+            Ok(outs) => {
+                for (g, part) in outs {
+                    parts[g] = part;
+                }
+            }
+            Err((g, payload)) => {
+                if failed.as_ref().is_none_or(|(first, _)| g < *first) {
+                    failed = Some((g, payload));
+                }
+            }
         }
     }
+    if let Some((_, payload)) = failed {
+        resume_unwind(payload);
+    }
+    parts
 }
 
 /// One outcome column in client order: `field` of each client's cohort
@@ -455,11 +501,10 @@ fn column(of: &[u32], records: &[&Record], field: impl Fn(&Record) -> u64) -> Ve
     of.iter().map(|&k| by_cohort[k as usize]).collect()
 }
 
-/// Runs a fleet: derives the population and its cohort table, cuts the
-/// cohorts into granules, drives them on `min(workers, granules)` threads
-/// that claim granules from one shared cursor, and fills the per-client
-/// outcome columns plus population stats. See the module docs for the
-/// determinism contract.
+/// Runs a fleet: derives the population and its cohort table, drives
+/// the cohorts' representatives granule by granule on the crate's
+/// parallel map, and fills the per-client outcome columns plus population
+/// stats. See the module docs for the determinism contract.
 ///
 /// # Panics
 ///
@@ -467,7 +512,7 @@ fn column(of: &[u32], records: &[&Record], field: impl Fn(&Record) -> u64) -> Ve
 /// mismatch names its client), re-raised unchanged after every worker
 /// has exited.
 pub fn run_fleet(
-    engine: &Arc<Engine>,
+    engine: &Engine,
     dataset: Option<&Arc<SpatialDataset>>,
     spec: &FleetSpec,
 ) -> (FleetStats, FleetOutcomes) {
@@ -480,15 +525,6 @@ pub fn run_fleet(
     let n = pop.len();
     let (of, reps) = cohorts(engine, &spec.loss, &pop);
 
-    // Granule size from the cohort count alone, so the task structure is
-    // independent of the worker count.
-    let granule = (reps.len() / 256).clamp(32, 8192);
-    let granules = reps.len().div_ceil(granule);
-    let workers = if spec.workers == 0 {
-        interleave::thread::available_parallelism().map_or(1, |w| w.get())
-    } else {
-        spec.workers
-    };
     // Every window the representatives will drive, decomposed once into
     // the run's table before any worker starts.
     let windows: Vec<_> = reps
@@ -506,54 +542,21 @@ pub fn run_fleet(
         n => ((windows.len() - n) as u64, n as u64),
     };
     let shared = Arc::new(Shared {
-        engine: Arc::clone(engine),
-        dataset: dataset.map(Arc::clone),
+        engine: engine.clone(),
+        truth: dataset.filter(|_| spec.validate).map(Arc::clone),
         pool: spec.pool.clone(),
         pop,
         reps,
         loss: spec.loss.clone(),
         antennas: spec.antennas,
-        validate: spec.validate,
         keep_ids: spec.keep_ids,
         keep_channels: spec.keep_channels,
-        granule,
-        granules,
-        next: AtomicUsize::new(0),
     });
-    let handles: Vec<_> = (0..workers.min(granules))
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            let table = Arc::clone(&table);
-            interleave::thread::spawn(move || {
-                share::install(Some(table));
-                run_worker(&shared)
-            })
-        })
-        .collect();
-
-    // Records land by granule index: which worker ran a granule cannot
-    // affect the assembled columns. A panic outside any granule ranks
-    // last.
-    let mut parts: Vec<Vec<Record>> = Vec::new();
-    parts.resize_with(granules, Vec::new);
-    let mut failed: Option<GranulePanic> = None;
-    for handle in handles {
-        match handle.join().unwrap_or_else(|p| Err((usize::MAX, p))) {
-            Ok(outs) => {
-                for (g, records) in outs {
-                    parts[g] = records;
-                }
-            }
-            Err((g, payload)) => {
-                if failed.as_ref().is_none_or(|(first, _)| g < *first) {
-                    failed = Some((g, payload));
-                }
-            }
-        }
-    }
-    if let Some((_, payload)) = failed {
-        resume_unwind(payload);
-    }
+    let inputs = Arc::clone(&shared);
+    let parts = dispatch(shared.reps.len(), spec.workers, move |cohorts| {
+        share::install(Some(Arc::clone(&table)));
+        run_granule(&inputs, cohorts)
+    });
     let records: Vec<&Record> = parts.iter().flatten().collect();
 
     // Phase 3: the columns, each one sequential pass in client order. A
@@ -592,7 +595,7 @@ pub fn run_fleet(
         clients: n,
         drives: records.len(),
         coalesced: n - records.len(),
-        granules,
+        granules: parts.len(),
         clients_per_sec: n as f64 / wall,
         events_per_sec: served_events as f64 / wall,
         window_cache_hits,
@@ -667,43 +670,31 @@ mod tests {
         }
     }
 
+    /// Each scheme, at several worker counts, equals the sequential
+    /// oracle: a lossless fleet coalesces, a lossy one drives every client.
     #[test]
-    fn fleet_matches_oracle_and_coalesces() {
-        let ds = Arc::new(uniform_dataset_n(300));
-        let engine = Arc::new(Engine::build(Scheme::dsi_reorganized(64), &ds, 64));
-        let spec = small_spec(400);
-        let (stats, outcomes) = run_fleet(&engine, Some(&ds), &spec);
-        let oracle = run_fleet_oracle(&engine, Some(&ds), &spec);
-        assert_eq!(outcomes, oracle);
-        assert_eq!(stats.clients, 400);
-        assert!(stats.drives < 400, "lossless fleet must coalesce");
-        assert_eq!(stats.drives + stats.coalesced, 400);
-    }
-
-    #[test]
-    fn worker_counts_do_not_change_outcomes() {
+    fn fleet_matches_oracle_at_every_worker_count() {
         let ds = Arc::new(uniform_dataset_n(250));
-        let engine = Arc::new(Engine::build(Scheme::RTree, &ds, 64));
-        let mut spec = small_spec(240);
-        spec.workers = 1;
-        let (_, w1) = run_fleet(&engine, Some(&ds), &spec);
-        spec.workers = 2;
-        let (_, w2) = run_fleet(&engine, Some(&ds), &spec);
-        spec.workers = 5;
-        let (_, w5) = run_fleet(&engine, Some(&ds), &spec);
-        assert_eq!(w1, w2);
-        assert_eq!(w1, w5);
-    }
-
-    #[test]
-    fn lossy_fleet_disables_coalescing_and_matches_oracle() {
-        let ds = Arc::new(uniform_dataset_n(200));
-        let engine = Arc::new(Engine::build(Scheme::Hci, &ds, 64));
-        let mut spec = small_spec(120);
-        spec.loss = LossModel::iid(0.2);
-        let (stats, outcomes) = run_fleet(&engine, Some(&ds), &spec);
-        assert_eq!(stats.drives, 120, "lossy clients cannot share trajectories");
-        assert_eq!(outcomes, run_fleet_oracle(&engine, Some(&ds), &spec));
+        for (scheme, loss) in [
+            (Scheme::dsi_reorganized(64), LossModel::None),
+            (Scheme::RTree, LossModel::None),
+            (Scheme::Hci, LossModel::iid(0.2)),
+        ] {
+            let engine = Engine::build(scheme, &ds, 64);
+            let lossy = !matches!(loss, LossModel::None);
+            let mut spec = FleetSpec {
+                loss,
+                ..small_spec(240)
+            };
+            let oracle = run_fleet_oracle(&engine, Some(&ds), &spec);
+            for workers in [1, 2, 5] {
+                spec.workers = workers;
+                let (stats, outcomes) = run_fleet(&engine, Some(&ds), &spec);
+                assert_eq!(outcomes, oracle, "{} at {workers} workers", scheme.name());
+                assert_eq!((stats.clients, stats.drives + stats.coalesced), (240, 240));
+                assert_eq!(stats.drives == 240, lossy, "{}", scheme.name());
+            }
+        }
     }
 
     #[test]
@@ -712,14 +703,14 @@ mod tests {
         // representatives' answers mismatch.
         let ds = Arc::new(uniform_dataset_n(250));
         let other = Arc::new(SpatialDataset::build(&uniform(250, 7), EVAL_ORDER));
-        let engine = Arc::new(Engine::build(Scheme::dsi_reorganized(64), &ds, 64));
+        let engine = Engine::build(Scheme::dsi_reorganized(64), &ds, 64);
         let mut messages = Vec::new();
         for workers in [1usize, 2] {
             let spec = FleetSpec {
                 workers,
                 ..small_spec(240)
             };
-            let (engine, other) = (Arc::clone(&engine), Arc::clone(&other));
+            let (engine, other) = (engine.clone(), Arc::clone(&other));
             let (tx, rx) = mpsc::channel();
             let caller = std::thread::spawn(move || {
                 let run =
@@ -747,7 +738,7 @@ mod tests {
     #[test]
     fn zero_client_fleet_is_empty() {
         let ds = Arc::new(uniform_dataset_n(200));
-        let engine = Arc::new(Engine::build(Scheme::Hci, &ds, 64));
+        let engine = Engine::build(Scheme::Hci, &ds, 64);
         let (stats, outcomes) = run_fleet(&engine, Some(&ds), &small_spec(0));
         assert!(outcomes.is_empty());
         assert_eq!(

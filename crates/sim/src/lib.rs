@@ -37,12 +37,8 @@ use dsi_datagen::{clustered, uniform, SpatialDataset};
 /// window decompositions small.
 pub const EVAL_ORDER: u8 = 12;
 
-/// The paper's UNIFORM dataset: 10,000 uniform points.
-pub fn uniform_dataset() -> SpatialDataset {
-    SpatialDataset::build(&uniform(10_000, 42), EVAL_ORDER)
-}
-
-/// A reduced UNIFORM dataset for quick runs and tests.
+/// The paper's UNIFORM dataset at `n` uniform points (10,000 in the
+/// paper; fewer for quick runs and tests).
 pub fn uniform_dataset_n(n: usize) -> SpatialDataset {
     SpatialDataset::build(&uniform(n, 42), EVAL_ORDER)
 }

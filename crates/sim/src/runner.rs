@@ -5,10 +5,10 @@
 //! experiment matrix ([`crate::run_matrix`]) runs every cell through it;
 //! [`run_query_batch_at`] is the same loop with the tune-in instants and
 //! loss seeds pinned by the caller. Both validate answers against
-//! [`ground_truth`].
+//! [`ground_truth`]. Queries run granule by granule on the crate's one
+//! parallel map, in `crate::fleet`; this module starts no thread.
 
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use dsi_broadcast::{AntennaConfig, LossModel, MeanStats, Query, QueryOutcome};
 use dsi_datagen::SpatialDataset;
@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::Engine;
+use crate::fleet::dispatch;
 
 /// Batch configuration.
 #[derive(Debug, Clone)]
@@ -43,7 +44,7 @@ impl Default for BatchOptions {
 }
 
 /// Aggregated batch result (means over all queries, bytes).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchResult {
     /// Mean access latency, bytes.
     pub latency_bytes: f64,
@@ -63,18 +64,21 @@ pub struct BatchResult {
     pub mean_loss_retunes: f64,
 }
 
-fn aggregate(outcomes: Vec<QueryOutcome>) -> BatchResult {
+/// Sums `outcomes`, per-granule parts in query order, into means.
+fn aggregate(outcomes: &[Vec<QueryOutcome>]) -> BatchResult {
     let mut m = MeanStats::default();
     let mut switches = 0u64;
     let mut lost = 0u64;
     let mut max_stall = 0u64;
     let mut retunes = 0u64;
     let channels = outcomes
-        .first()
+        .iter()
+        .flatten()
+        .next()
         .map_or(1, |o| o.channels.tuning_packets.len());
     let mut per_channel = vec![0.0f64; channels];
-    let n = outcomes.len().max(1) as f64;
-    for o in &outcomes {
+    let n = outcomes.iter().map(Vec::len).sum::<usize>().max(1) as f64;
+    for o in outcomes.iter().flatten() {
         m.push(o.stats);
         switches += o.channels.switches;
         lost += o.stats.lost_packets;
@@ -138,7 +142,7 @@ pub fn run_query_batch(
 /// [`run_query_batch`] with the per-query tune-in instants and loss seeds
 /// pinned by the caller instead of derived from `opts.seed`, so a caller
 /// can drive a chosen population (a fleet's [`crate::Population`], say)
-/// through the classic one-drive-loop-per-client path.
+/// with one full drive per query, nothing shared between them.
 ///
 /// # Panics
 ///
@@ -155,70 +159,45 @@ pub fn run_query_batch_at(
 ) -> BatchResult {
     assert_eq!(queries.len(), starts.len(), "one start per query");
     assert_eq!(queries.len(), seeds.len(), "one seed per query");
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(queries.len().max(1));
-    let chunk = queries.len().div_ceil(threads.max(1)).max(1);
-    let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; queries.len()];
-    let failed = std::thread::scope(|scope| {
-        let workers: Vec<_> = queries
-            .chunks(chunk)
-            .zip(outcomes.chunks_mut(chunk))
-            .enumerate()
-            .map(|(ci, (qs, out))| {
-                scope.spawn(move || -> Result<(), Box<dyn Any + Send>> {
-                    for (i, q) in qs.iter().enumerate() {
-                        let qi = ci * chunk + i;
-                        out[i] = Some(catch_unwind(AssertUnwindSafe(|| {
-                            let o = engine.drive_antennas(
-                                starts[qi],
-                                opts.loss.clone(),
-                                seeds[qi],
-                                opts.antennas,
-                                q,
-                            );
-                            if opts.validate {
-                                assert_eq!(
-                                    o.ids,
-                                    ground_truth(dataset, q),
-                                    "answer mismatch on query {qi}"
-                                );
-                            }
-                            o
-                        }))?);
-                    }
-                    Ok(())
-                })
+    let (engine, loss, antennas) = (engine.clone(), opts.loss.clone(), opts.antennas);
+    let (queries, starts, seeds) = (queries.to_vec(), starts.to_vec(), seeds.to_vec());
+    let truth = opts.validate.then(|| Arc::new(dataset.clone()));
+    // Granules are contiguous in query order and each stops at its first
+    // failing query, so the lowest failing granule holds the lowest
+    // failing query whatever the schedule.
+    let parts = dispatch(queries.len(), 0, move |items| {
+        items
+            .map(|qi| {
+                let q = &queries[qi];
+                let o = engine.drive_antennas(starts[qi], loss.clone(), seeds[qi], antennas, q);
+                if let Some(ds) = &truth {
+                    assert_eq!(o.ids, ground_truth(ds, q), "answer mismatch on query {qi}");
+                }
+                o
             })
-            .collect();
-        // Chunks are contiguous in query order and each stops at its
-        // first failing query, so the first failing chunk holds the
-        // lowest one whatever the schedule. (The scope itself would
-        // re-raise a worker panic as a bare "a scoped thread panicked".)
-        workers
-            .into_iter()
-            .find_map(|w| w.join().unwrap_or_else(Err).err())
+            .collect()
     });
-    if let Some(payload) = failed {
-        resume_unwind(payload);
-    }
-    aggregate(
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("worker ran"))
-            .collect(),
-    )
+    aggregate(&parts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Scheme;
+    use crate::fleet::granule_len;
     use crate::matrix::WorkloadSpec;
     use crate::{uniform_dataset_n, EVAL_ORDER};
     use dsi_broadcast::ChannelConfig;
     use dsi_datagen::uniform;
+    use dsi_geom::Point;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The formatted assert payload `run` panics with.
+    fn panic_message(run: impl FnOnce() -> BatchResult) -> String {
+        let err = catch_unwind(AssertUnwindSafe(run)).expect_err("the batch must panic");
+        let payload = err.downcast_ref::<String>();
+        payload.expect("a formatted assert payload").clone()
+    }
 
     #[test]
     fn batches_are_deterministic_and_validated() {
@@ -228,8 +207,7 @@ mod tests {
         let opts = BatchOptions::default();
         let a = run_query_batch(&e, &ds, &ws, &opts);
         let b = run_query_batch(&e, &ds, &ws, &opts);
-        assert_eq!(a.latency_bytes, b.latency_bytes);
-        assert_eq!(a.tuning_bytes, b.tuning_bytes);
+        assert_eq!(a, b);
         assert_eq!(a.queries, 12);
         assert!(a.latency_bytes >= a.tuning_bytes);
         // Single channel: no switches, all tuning on channel 0.
@@ -238,58 +216,60 @@ mod tests {
         assert!((a.per_channel_tuning_bytes[0] - a.tuning_bytes).abs() < 1e-6);
     }
 
+    /// Batches of 100 queries, 13 granules, each surface their lowest
+    /// failing query's payload on every run: answers validated against a
+    /// dataset the engine was not built on (failures in many granules),
+    /// and non-finite queries planted in two granules (query 40's NaN,
+    /// never query 80's infinity).
     #[test]
     fn batch_panic_names_the_lowest_failing_query() {
-        // An engine built on one dataset, validated against another: its
-        // answers mismatch.
         let ds = uniform_dataset_n(250);
         let other = SpatialDataset::build(&uniform(250, 7), EVAL_ORDER);
         let e = Engine::build(Scheme::dsi_reorganized(64), &ds, 64);
-        let ws = WorkloadSpec::Window { ratio: 0.2 }.queries(12, 3);
-        let message = || {
-            let err = catch_unwind(AssertUnwindSafe(|| {
-                run_query_batch(&e, &other, &ws, &BatchOptions::default())
-            }))
-            .expect_err("a validation mismatch must panic");
-            err.downcast_ref::<String>()
-                .expect("the query's own assert payload")
-                .clone()
-        };
-        let first = message();
-        assert!(first.contains("answer mismatch on query "), "{first}");
-        assert_eq!(
-            first,
-            message(),
-            "the surfaced panic is schedule-independent"
-        );
+        let windows = WorkloadSpec::Window { ratio: 0.2 }.queries(100, 3);
+        // Exact answers: the first query the two datasets disagree on.
+        let first = (0..100)
+            .find(|&qi| ground_truth(&ds, &windows[qi]) != ground_truth(&other, &windows[qi]))
+            .expect("the datasets disagree somewhere");
+        let mut knn = WorkloadSpec::Knn { k: 3 }.queries(100, 9);
+        let nan = Point::new(f64::NAN, 0.5);
+        knn[40] = Query::Knn(nan, 3);
+        knn[80] = Query::Knn(Point::new(0.5, f64::INFINITY), 3);
+        assert_ne!(40 / granule_len(100), 80 / granule_len(100));
+        let mismatch = format!("answer mismatch on query {first}\n");
+        let non_finite = format!("3NN query at {nan:?} has a non-finite coordinate");
+        for (truth, queries, expected) in [(&other, &windows, mismatch), (&ds, &knn, non_finite)] {
+            let run = || run_query_batch(&e, truth, queries, &BatchOptions::default());
+            let surfaced = panic_message(run);
+            assert!(surfaced.contains(&expected), "{surfaced}");
+            for _ in 0..3 {
+                assert_eq!(surfaced, panic_message(run), "schedule-dependent panic");
+            }
+        }
     }
 
+    /// 64 windows and 64 kNN queries, 16 granules, on split channels
+    /// under loss: the batch equals the same drives run one by one and
+    /// aggregated in query order.
     #[test]
-    fn knn_batch_runs_under_loss() {
+    fn mixed_query_batch_equals_one_by_one_drives() {
         let ds = uniform_dataset_n(200);
-        let e = Engine::build(Scheme::Hci, &ds, 64);
-        let qs = WorkloadSpec::Knn { k: 5 }.queries(6, 9);
+        let split = ChannelConfig::index_data(2, 1, 1);
+        let e = Engine::build_channels(Scheme::dsi_reorganized(64), &ds, 64, split);
+        let mut queries = WorkloadSpec::Window { ratio: 0.1 }.queries(64, 3);
+        queries.extend(WorkloadSpec::Knn { k: 5 }.queries(64, 9));
+        assert_eq!(queries.len().div_ceil(granule_len(queries.len())), 16);
         let opts = BatchOptions {
-            loss: LossModel::iid(0.3),
+            loss: LossModel::iid(0.2),
             ..BatchOptions::default()
         };
-        let r = run_query_batch(&e, &ds, &qs, &opts);
-        assert_eq!(r.queries, 6);
-    }
-
-    #[test]
-    fn mixed_query_batch_reports_channel_stats() {
-        let ds = uniform_dataset_n(200);
-        let e = Engine::build_channels(
-            Scheme::dsi_reorganized(64),
-            &ds,
-            64,
-            ChannelConfig::index_data(2, 1, 1),
-        );
-        let mut queries = WorkloadSpec::Window { ratio: 0.2 }.queries(4, 3);
-        queries.extend(WorkloadSpec::Knn { k: 5 }.queries(4, 9));
-        let r = run_query_batch(&e, &ds, &queries, &BatchOptions::default());
-        assert_eq!(r.queries, 8);
+        let starts: Vec<u64> = (0..128).map(|i| i * 37 % e.cycle_packets()).collect();
+        let seeds: Vec<u64> = (0..128).map(|i| query_seed(5, i)).collect();
+        let r = run_query_batch_at(&e, &ds, &queries, &starts, &seeds, &opts);
+        let (loss, antennas) = (&opts.loss, opts.antennas);
+        let drive =
+            |i: usize| e.drive_antennas(starts[i], loss.clone(), seeds[i], antennas, &queries[i]);
+        assert_eq!(r, aggregate(&[(0..128).map(drive).collect()]));
         assert_eq!(r.per_channel_tuning_bytes.len(), 2);
         assert!(r.mean_switches > 0.0, "split channels force switches");
         let total: f64 = r.per_channel_tuning_bytes.iter().sum();

@@ -60,7 +60,7 @@ fn check_engine(
     dataset: &Arc<SpatialDataset>,
     losses: &[LossModel],
 ) {
-    let engine = Arc::new(Engine::build_channels(scheme, dataset, 64, channels));
+    let engine = Engine::build_channels(scheme, dataset, 64, channels);
     let pool = mixed_pool();
     let is_window = |query: u32| matches!(pool[query as usize], Query::Window(_));
     let pop = Population::derive(&spec(LossModel::None, 1, 1), engine.cycle_packets());

@@ -40,18 +40,18 @@
 //! ## `sync` — shim-scoped code must not use raw `std` primitives
 //!
 //! **What it catches:** `std::sync::{Mutex, Condvar, RwLock, atomic,
-//! ...}` and `std::thread::{spawn, Builder, JoinHandle,
+//! ...}` and `std::thread::{spawn, scope, Builder, JoinHandle,
 //! available_parallelism, sleep}` tokens (including inside grouped
-//! imports) in the files holding what the fleet's workers share —
-//! `dsi_sim::fleet` (the dispatch, ported to the `interleave` shims) and
-//! `dsi_core::share` (the decomposition table, immutable once shared, so
-//! it needs none). `Arc` and the non-scheduling helpers (`PoisonError`,
-//! `std::thread::panicking`, ...) are exempt. **Why:** one raw `std`
-//! primitive there is invisible to the `dsi-model` scheduler, so every
-//! exploration result silently stops covering that path; a primitive
-//! that code needs goes through the shim, model half first. **How to
-//! silence:** `// dsi-lint: allow(sync): <why the model need not see
-//! this primitive>`.
+//! imports) in all of `dsi-sim` (its one parallel map, which fleets and
+//! query batches share, is ported to the `interleave` shims) and in
+//! `dsi_core::share` (the fleet's decomposition table, immutable once
+//! shared, so it needs none). `Arc` and the non-scheduling helpers
+//! (`PoisonError`, `std::thread::panicking`, ...) are exempt. **Why:**
+//! one raw `std` primitive there is invisible to the `dsi-model`
+//! scheduler, so every exploration result silently stops covering that
+//! path; a primitive that code needs goes through the shim, model half
+//! first. **How to silence:** `// dsi-lint: allow(sync): <why the model
+//! need not see this primitive>`.
 //!
 //! # Scope
 //!
@@ -120,11 +120,11 @@ const RNG_TOKENS: &[&str] = &[
     "rand::random",
 ];
 
-/// Files holding what the fleet's workers share: raw `std`
-/// synchronization there escapes the model scheduler (`sync` rule
-/// scope). Entries are prefixes, matched against workspace-relative
-/// paths.
-const SYNC_SHIM_SCOPE: &[&str] = &["crates/core/src/share.rs", "crates/sim/src/fleet.rs"];
+/// dsi-sim, which keeps one parallel map, and the table the fleet's
+/// workers share: raw `std` synchronization there escapes the model
+/// scheduler (`sync` rule scope). Entries are prefixes, matched against
+/// workspace-relative paths.
+const SYNC_SHIM_SCOPE: &[&str] = &["crates/core/src/share.rs", "crates/sim/src/"];
 
 /// `std::sync` items banned in shim scope (the scheduling-relevant
 /// primitives the shims replace). Everything else — `Arc`, the poison
@@ -134,7 +134,8 @@ const STD_SYNC_BANNED: &[&str] = &[
 ];
 
 /// `std::thread` items banned in shim scope (the shims provide model
-/// versions). `panicking`, `current`, `Result` stay allowed.
+/// versions, or none, as for scoped threads). `panicking`, `current`,
+/// `Result` stay allowed.
 const STD_THREAD_BANNED: &[&str] = &[
     "spawn",
     "Builder",
@@ -142,6 +143,7 @@ const STD_THREAD_BANNED: &[&str] = &[
     "available_parallelism",
     "sleep",
     "park",
+    "scope",
 ];
 
 /// Lints every workspace source file under `root` (`crates/*/src` and
@@ -518,9 +520,13 @@ mod tests {
         let f = lint_source("crates/core/src/share.rs", "std::thread::spawn(f);\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "sync");
-        // The fleet dispatch is in scope too.
+        // All of dsi-sim is in scope: the fleet dispatch, and the batch
+        // runner, which must not grow a second one.
         let workers = "let w = std::thread::available_parallelism();\n";
         assert_eq!(lint_source("crates/sim/src/fleet.rs", workers).len(), 1);
+        assert_eq!(lint_source("crates/sim/src/runner.rs", workers).len(), 1);
+        let scoped = "std::thread::scope(|s| s.spawn(f));\n";
+        assert_eq!(lint_source("crates/sim/src/runner.rs", scoped).len(), 1);
     }
 
     #[test]
@@ -532,7 +538,7 @@ mod tests {
         )
         .is_empty());
         // Outside shim scope, raw std primitives are fine.
-        assert!(lint_source("crates/sim/src/runner.rs", "use std::sync::Mutex;\n").is_empty());
+        assert!(lint_source("crates/bench/src/bin/pairs.rs", "use std::sync::Mutex;\n").is_empty());
         // And an audited allow silences it in scope.
         let allowed = "// dsi-lint: allow(sync): teardown-only, never explored\n\
                        use std::sync::Mutex;\n";
