@@ -58,6 +58,7 @@ pub mod optimize;
 mod program;
 mod scheme;
 pub mod segmented;
+mod sojourn;
 mod stats;
 mod tuner;
 

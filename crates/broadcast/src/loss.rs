@@ -18,7 +18,10 @@
 //!   *good* state. Chains are independent across channels and evolve over
 //!   absolute broadcast time, so a channel's good/bad trajectory is a pure
 //!   function of (seed, channel) — replayable regardless of when or how
-//!   often the client listens.
+//!   often the client listens. For a 53-bit uniform `u` from the chain's
+//!   state stream, a sojourn in a state left with probability `leave` is
+//!   `1 + ⌊ln(1 − u) / ln(1 − leave)⌋` clamped to `[1, 2^32]` instants,
+//!   bit for bit; how it is evaluated is an implementation detail.
 //! * [`LossModel::Outage`] — scheduled whole-channel fades: a channel is
 //!   dark (every packet lost, regardless of scope) for explicit packet
 //!   spans. Fully deterministic; consumes no RNG draws.
@@ -98,6 +101,14 @@ impl LossScope {
 /// in `scope` are lost i.i.d. with that state's θ. Each channel runs an
 /// independent chain over absolute broadcast time (see the module docs for
 /// the stream keying).
+///
+/// Each sojourn takes one 53-bit uniform `u` from the chain's state stream
+/// and lasts `1 + ⌊ln(1 − u) / ln(1 − leave)⌋` instants, clamped to
+/// `[1, 2^32]`, bit for bit, where `leave` is `p_gb` or `p_bg`; how it is
+/// evaluated is an implementation detail. When `1 − leave` rounds to 1
+/// (`leave ≤ 2^-54`), `ln(1 − leave)` is taken as `ln_1p(−leave)`. A state
+/// left with certainty (`leave = 1`) lasts one instant and takes no
+/// uniform.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     /// Per-instant probability of leaving the good state (entering a burst).

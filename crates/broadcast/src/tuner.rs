@@ -5,10 +5,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::channel::{AntennaConfig, ChannelStats};
 use crate::loss::{
-    stream_seed, FaultTrace, GilbertElliott, LossModel, TraceEntry, GE_DRAW_SALT, GE_STATE_SALT,
-    KEYED_DRAW_SALT,
+    stream_seed, FaultTrace, LossModel, TraceEntry, GE_DRAW_SALT, GE_STATE_SALT, KEYED_DRAW_SALT,
 };
 use crate::program::{next_at, PacketClass, Payload, Program};
+use crate::sojourn::SojournDraw;
 use crate::stats::QueryStats;
 
 /// Consecutive lost reads before a burst is declared and a multi-antenna
@@ -91,8 +91,12 @@ enum FaultDriver {
     Classic,
     /// `KeyedIid`: one draw stream per channel.
     Keyed { rngs: Vec<StdRng> },
-    /// `Gilbert`: one independent two-state chain per channel.
-    Ge { chains: Vec<GeChain> },
+    /// `Gilbert`: one independent two-state chain per channel, all drawing
+    /// their sojourns with the good and the bad state's `draws`.
+    Ge {
+        draws: [SojournDraw; 2],
+        chains: Vec<GeChain>,
+    },
     /// `Outage`: pure schedule lookup, no state.
     Outage,
     /// `Trace`: replay cursor over the recorded entries.
@@ -113,47 +117,32 @@ struct GeChain {
     state_rng: StdRng,
     /// Within-state loss-draw stream (`GE_DRAW_SALT`).
     draw_rng: StdRng,
-    /// `ln(1 − leave)` of the good and the bad state, the divisor of every
-    /// sojourn draw in that state, computed once per chain.
-    ln_stay: [f64; 2],
 }
 
 impl GeChain {
-    fn new(seed: u64, channel: u32, ge: &GilbertElliott) -> Self {
+    /// A chain on `channel`, drawing with the good and the bad state's
+    /// `draws`.
+    fn new(seed: u64, channel: u32, draws: &[SojournDraw; 2]) -> Self {
         let mut state_rng = StdRng::seed_from_u64(stream_seed(seed, channel, GE_STATE_SALT));
-        let ln_stay = [(1.0 - ge.p_gb).ln(), (1.0 - ge.p_bg).ln()];
         // Chains start in the good state; the first transition instant is
         // the initial good sojourn.
-        let until = sojourn(&mut state_rng, ge.p_gb, ln_stay[0]);
+        let until = draws[0].sample(&mut state_rng);
         Self {
             bad: false,
             until,
             state_rng,
             draw_rng: StdRng::seed_from_u64(stream_seed(seed, channel, GE_DRAW_SALT)),
-            ln_stay,
         }
     }
 
     /// Advances the chain to instant `t` (amortized O(1): one geometric
     /// draw per state transition).
-    fn advance(&mut self, t: u64, ge: &GilbertElliott) {
+    fn advance(&mut self, t: u64, draws: &[SojournDraw; 2]) {
         while self.until <= t {
             self.bad = !self.bad;
-            let leave = if self.bad { ge.p_bg } else { ge.p_gb };
-            self.until += sojourn(&mut self.state_rng, leave, self.ln_stay[self.bad as usize]);
+            self.until += draws[self.bad as usize].sample(&mut self.state_rng);
         }
     }
-}
-
-/// One geometric sojourn length (≥ 1 instants) for a state left with
-/// per-instant probability `leave`, where `ln_stay = ln(1 − leave)`.
-fn sojourn(rng: &mut StdRng, leave: f64, ln_stay: f64) -> u64 {
-    if leave >= 1.0 {
-        return 1;
-    }
-    let u: f64 = rng.gen();
-    let len = 1.0 + ((1.0 - u).ln() / ln_stay).floor();
-    (len as u64).clamp(1, 1 << 32)
 }
 
 impl<'a, P: Payload> Tuner<'a, P> {
@@ -187,9 +176,15 @@ impl<'a, P: Payload> Tuner<'a, P> {
                     .map(|c| StdRng::seed_from_u64(stream_seed(seed, c, KEYED_DRAW_SALT)))
                     .collect(),
             },
-            LossModel::Gilbert(ge) => FaultDriver::Ge {
-                chains: (0..n_channels).map(|c| GeChain::new(seed, c, ge)).collect(),
-            },
+            LossModel::Gilbert(ge) => {
+                let draws = [SojournDraw::new(ge.p_gb), SojournDraw::new(ge.p_bg)];
+                FaultDriver::Ge {
+                    chains: (0..n_channels)
+                        .map(|c| GeChain::new(seed, c, &draws))
+                        .collect(),
+                    draws,
+                }
+            }
             LossModel::Outage(_) => FaultDriver::Outage,
             LossModel::Trace(_) => FaultDriver::Trace { cursor: 0 },
         };
@@ -563,12 +558,12 @@ impl<'a, P: Payload> Tuner<'a, P> {
                 let theta = self.loss.theta_for(class);
                 theta > 0.0 && rngs[self.channel as usize].gen_bool(theta)
             }
-            FaultDriver::Ge { chains } => {
+            FaultDriver::Ge { draws, chains } => {
                 let LossModel::Gilbert(ge) = &self.loss else {
                     unreachable!("Ge driver is only built for Gilbert models")
                 };
                 let chain = &mut chains[self.channel as usize];
-                chain.advance(instant, ge);
+                chain.advance(instant, draws);
                 let theta = ge.theta_in(chain.bad, class);
                 // A full fade (θ = 1) consumes no draw, so a channel's
                 // draw stream stays aligned across fade severities.
@@ -642,7 +637,7 @@ impl<'a, P: Payload> Tuner<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::{LossScope, OutageWindow};
+    use crate::loss::{GilbertElliott, LossScope, OutageWindow};
     use crate::program::PacketClass;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -825,9 +820,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_sojourn_logs_keep_the_chain_trajectory() {
-        // The sojourn draw as it was before `ln(1 − leave)` was cached.
-        fn sojourn_uncached(rng: &mut StdRng, leave: f64) -> u64 {
+    fn sojourn_draws_keep_the_chain_trajectory() {
+        // The sojourn draw as the chain first defined it: the oracle.
+        fn reference_sojourn(rng: &mut StdRng, leave: f64) -> u64 {
             if leave >= 1.0 {
                 return 1;
             }
@@ -835,25 +830,62 @@ mod tests {
             let len = 1.0 + ((1.0 - u).ln() / (1.0 - leave).ln()).floor();
             (len as u64).clamp(1, 1 << 32)
         }
-        let ps = [0.02, 0.25, 1.0 / 6000.0, 1.0 / 1500.0, 1.0];
+        // Every leave probability the repository builds a chain with, then
+        // three towards certain departure.
+        let ps = [
+            0.01,
+            0.02,
+            0.05,
+            0.075,
+            0.1,
+            0.2,
+            0.25,
+            0.3,
+            0.4,
+            1.0 / 1500.0,
+            1.0 / 6000.0,
+            1.0,
+            0.5,
+            0.9,
+            0.999,
+        ];
+        let transitions = if cfg!(debug_assertions) {
+            20_000
+        } else {
+            1_000_000
+        };
         for (i, &p_gb) in ps.iter().enumerate() {
             let p_bg = ps[(i + 2) % ps.len()];
-            let ge = GilbertElliott::new(p_gb, p_bg, 0.9);
-            let mut chain = GeChain::new(11, 3, &ge);
+            let draws = [SojournDraw::new(p_gb), SojournDraw::new(p_bg)];
+            let mut chain = GeChain::new(11, 3, &draws);
             let mut rng = StdRng::seed_from_u64(stream_seed(11, 3, GE_STATE_SALT));
-            let (mut bad, mut until) = (false, sojourn_uncached(&mut rng, p_gb));
-            for _ in 0..10_000 {
+            let (mut bad, mut until) = (false, reference_sojourn(&mut rng, p_gb));
+            for _ in 0..transitions {
                 assert_eq!(
                     (chain.bad, chain.until),
                     (bad, until),
                     "p_gb {p_gb} p_bg {p_bg}"
                 );
                 // One transition: advance to the instant the sojourn ends.
-                chain.advance(chain.until, &ge);
+                chain.advance(chain.until, &draws);
                 bad = !bad;
-                until += sojourn_uncached(&mut rng, if bad { p_bg } else { p_gb });
+                until += reference_sojourn(&mut rng, if bad { p_bg } else { p_gb });
             }
         }
+    }
+
+    #[test]
+    fn near_zero_leave_keeps_a_long_good_sojourn() {
+        // 1 − 1e-17 rounds to 1. A zero divisor made every sojourn one
+        // instant long; the good state must instead last about 1e17
+        // instants, which the 2^32 clamp cuts.
+        let prog = index_program();
+        let ge = GilbertElliott::new(1e-17, 0.25, 0.9);
+        let t = Tuner::tune_in(&prog, 0, LossModel::Gilbert(ge), 11);
+        let FaultDriver::Ge { chains, .. } = &t.fault else {
+            unreachable!("a Gilbert model builds chains")
+        };
+        assert_eq!((chains[0].bad, chains[0].until), (false, 1 << 32));
     }
 
     #[test]
