@@ -141,9 +141,12 @@ pub(crate) trait QueryMode {
     /// Refines, in place and at the radius the targets were published
     /// for, the target range holding HC value `hc` if that range is still
     /// *unrefined* — a coarse block that may hold cells outside the exact
-    /// target set. Returns the replaced range and its exact pieces (a
-    /// sorted subset of it), or `None` when the range is already exact.
-    /// Modes whose published targets are always exact keep the default.
+    /// target set. Returns the replaced range and its pieces (a sorted
+    /// subset of it), or `None` when the range is already exact. The
+    /// pieces may include smaller unrefined blocks, but the one holding
+    /// `hc`, if any, is exact, so repeated calls toward a remainder end
+    /// once that remainder starts inside an exact target. Modes whose
+    /// published targets are always exact keep the default.
     fn refine_target(&mut self, hc: u64) -> Option<(HcRange, &[HcRange])> {
         let _ = hc;
         None
@@ -365,12 +368,13 @@ fn overlaps_any(rem: &[HcRange], lb: u64, ub: u64) -> bool {
 // The remainder reads every decision goes through. The mode's published
 // targets may hold unrefined ranges (coarse blocks straddling the kNN
 // circle), so the stored remainders can be a superset of the exact ones.
-// Each read first refines, in place, just the unrefined targets holding
-// the remainders it looks at, until its answer is decided by a remainder
-// inside an exact target — so it returns exactly what it would on the
-// exact decomposition, and costs one `refine_target` call more than the
-// plain read when no unrefined range is left. An audited query checks
-// every answer against the oracle remainders.
+// Each read first refines, in place, the unrefined targets holding the
+// remainder end it looks at, a path at a time toward that HC value, until
+// its answer is decided by a remainder inside an exact target — so it
+// returns exactly what it would on the exact decomposition, and costs one
+// `refine_target` call more than the plain read when no unrefined range
+// is left. An audited query checks every answer against the oracle
+// remainders.
 
 /// [`overlaps_any`] on the exact remainders.
 fn rem_overlaps<M: QueryMode>(mode: &mut M, state: &mut QueryState<'_>, lb: u64, ub: u64) -> bool {
@@ -398,9 +402,11 @@ fn rem_overlaps<M: QueryMode>(mode: &mut M, state: &mut QueryState<'_>, lb: u64,
 
 /// [`max_hi_of`] on the exact remainders. Leaves the last remainder
 /// inside an exact target, so `state.rem().is_empty()` is exact after it.
+/// It refines toward the last remainder's high end: the piece holding it
+/// comes out exact or dropped, so one refinement usually settles it.
 fn rem_max_hi<M: QueryMode>(mode: &mut M, state: &mut QueryState<'_>) -> u64 {
     while let Some(&last) = state.rem().last() {
-        match mode.refine_target(last.lo) {
+        match mode.refine_target(last.hi) {
             Some((old, pieces)) => state.refine_target(old, pieces),
             None => break,
         }
@@ -972,29 +978,28 @@ fn is_open(l: &DsiLayout, log: &ScanLog, t: u32) -> bool {
 /// of the exact ones, so that prefilter never drops a candidate; a run
 /// that passes it and still holds an open frame costs one exact,
 /// refining [`rem_overlaps`] read. Every span the read receives is one a
-/// per-frame sweep would also pass it, each exactly once, so the lazy
-/// kNN narrowing refines the same target blocks as under that sweep.
-/// Cost: O(runs met + remainders + candidate frames).
+/// per-frame sweep would also pass it, each exactly once. Cost: O(runs
+/// met × bit-scans to their ends + jumps × a binary search over the
+/// frames + remainders + candidate frames).
 fn mark_candidates<M: QueryMode>(
     l: &DsiLayout,
     mode: &mut M,
     state: &mut QueryState<'_>,
     marks: &mut [u64],
 ) {
-    let n_runs = state.know.n_runs();
-    let mut k = 0;
-    while k < n_runs {
-        let (first, end, lb, ub) = state.know.run(k);
+    let mut t = 0;
+    while t < l.n_frames() {
+        let (first, end, lb, ub) = state.know.run(t);
         let rem = state.rem();
         let Some(&next) = rem.get(rem.partition_point(|r| r.hi < lb)) else {
             break;
         };
         if next.lo >= ub {
             // `next.lo ≥ ub`, the next run's bound: the jump moves forward.
-            k = state.know.run_of_hc(next.lo);
+            t = state.know.run_of_hc(next.lo);
             continue;
         }
-        k += 1;
+        t = end;
         let Some(open) = (first..end).find(|&t| is_open(l, &state.log, t)) else {
             continue;
         };

@@ -27,8 +27,11 @@
 //! span, leaving each block there that straddles the circle as one
 //! *unrefined* target range. A drive's decisions read only the targets
 //! next to the frames they test, so the driver refines an unrefined range
-//! — in place, at the published radius — only when a read reaches a
-//! remainder inside it ([`QueryMode::refine_target`]). Every decision
+//! only when a read reaches a remainder inside it
+//! ([`QueryMode::refine_target`]), and then only along the path to the HC
+//! value the read needs ([`refine_circle_path_into`]): in place, at the
+//! published radius, each level's three off-path children classified
+//! whole as dropped, exact or smaller unrefined blocks. Every decision
 //! therefore sees exactly the remainders of the exact decomposition
 //! (checked read by read when the query is audited), while most of the
 //! rim of the early, large circles is never resolved to single cells.
@@ -53,8 +56,8 @@ use dsi_broadcast::Tuner;
 use dsi_datagen::Object;
 use dsi_geom::{dist2, BoundOrder, GridMapper, Point};
 use dsi_hilbert::{
-    narrow_ranges_to_circle_coarse_into, narrow_ranges_to_circle_into,
-    ranges_in_circle_with_dist_into, DistRange, HcRange, HilbertCurve,
+    narrow_ranges_to_circle_coarse_into, ranges_in_circle_with_dist_into, refine_circle_path_into,
+    DistRange, HcRange, HilbertCurve,
 };
 
 use crate::build::{DsiAir, DsiPacket};
@@ -86,8 +89,8 @@ pub struct KnnProbe {
     pub largest_refresh: usize,
     /// Ranges produced across all decompositions — what a never-evicted
     /// per-interval distance cache would have accumulated: every
-    /// refresh's published (possibly coarse) decomposition plus the exact
-    /// pieces of every unrefined range a read refined in place.
+    /// refresh's published (possibly coarse) decomposition plus the
+    /// pieces, exact or unrefined, of every path refinement a read made.
     pub total_ranges: usize,
     /// Number of target rebuilds (circle shrinks reaching the driver).
     pub refreshes: usize,
@@ -281,7 +284,7 @@ struct KnnMode {
     unrefined: usize,
     /// Swap buffer for narrowing the targets between shrinks.
     narrow_buf: Vec<DistRange>,
-    /// Exact pieces of the range being refined, with bounds and bare.
+    /// Pieces of the range being refined, with bounds and bare.
     refine_buf: Vec<DistRange>,
     piece_buf: Vec<HcRange>,
     /// Scratch for one table's batched `(hc, ub2)` offers.
@@ -438,20 +441,22 @@ impl QueryMode for KnnMode {
         if t.max_min_d2 <= self.targets_r2 {
             return None;
         }
-        // Narrowing an unrefined block at its own radius and full
-        // resolution yields its exact pieces (non-empty: the block meets
-        // the circle). They replace it in place; a neighbouring exact
-        // range they touch is merged again by the next narrowing.
-        narrow_ranges_to_circle_into(
+        // Split the block at its own radius along the path to `hc` only:
+        // the piece holding `hc` comes out exact or is dropped, its
+        // siblings exact, dropped or unrefined. The pieces (non-empty:
+        // the block meets the circle) replace it in place; a neighbouring
+        // exact range they touch is merged again by the next narrowing.
+        let unrefined = refine_circle_path_into(
             &self.curve,
             &self.mapper,
             self.q,
             self.targets_r2,
-            std::slice::from_ref(&t),
+            t,
+            hc,
             &mut self.refine_buf,
         );
         self.targets.splice(i..=i, self.refine_buf.iter().copied());
-        self.unrefined -= 1;
+        self.unrefined = self.unrefined - 1 + unrefined;
         self.probe.total_ranges += self.refine_buf.len();
         self.probe.peak_live_ranges = self
             .probe
@@ -877,6 +882,36 @@ mod tests {
         ));
     }
 
+    /// Drives a conservative 10NN query at `q` twice from `tuner()`: lazy
+    /// and audited, then eager (floor 0, narrowing at full resolution).
+    /// Asserts both answer like brute force with equal stats, refreshes
+    /// and peak candidates; returns the lazy and the eager probe.
+    fn lazy_reads_like_eager<'a>(
+        air: &'a DsiAir,
+        ds: &SpatialDataset,
+        q: Point,
+        tuner: impl Fn() -> Tuner<'a, DsiPacket>,
+        what: &str,
+    ) -> (KnnProbe, KnnProbe) {
+        let run = |eager: bool| {
+            let mut tuner = tuner();
+            let mut mode = KnnMode::new(air, q, 10, KnnStrategy::Conservative);
+            if eager {
+                mode.floor = 0;
+            }
+            run_query(air, &mut tuner, &mut mode, !eager);
+            (mode.cands.result_ids(), tuner.stats(), mode.probe)
+        };
+        let (ids, stats, lazy) = run(false);
+        let (want_ids, want_stats, exact) = run(true);
+        assert_eq!(ids, ds.brute_knn(q, 10), "{what}");
+        assert_eq!(ids, want_ids, "{what}");
+        assert_eq!(stats, want_stats, "{what}");
+        assert_eq!(lazy.refreshes, exact.refreshes, "{what}");
+        assert_eq!(lazy.peak_cands, exact.peak_cands, "{what}");
+        (lazy, exact)
+    }
+
     /// Lazy narrowing changes no decision. The audited drive asserts
     /// every remainder read equal to the same read on the exact
     /// decomposition minus the oracle cleared set; the drive must also
@@ -897,35 +932,75 @@ mod tests {
                 .expect("the layout builds");
             for (qi, q) in knn_points(3, 23).into_iter().enumerate() {
                 let start = (qi as u64 * 7717) % air.program().len();
-                let run = |eager: bool| {
-                    let mut tuner = Tuner::tune_in_with(
+                let tuner = || {
+                    Tuner::tune_in_with(
                         air.program(),
                         start,
                         loss.clone(),
                         qi as u64,
                         AntennaConfig::new(antennas),
-                    );
-                    let mut mode = KnnMode::new(&air, q, 10, KnnStrategy::Conservative);
-                    if eager {
-                        mode.floor = 0;
-                    }
-                    run_query(&air, &mut tuner, &mut mode, !eager);
-                    (mode.cands.result_ids(), tuner.stats(), mode.probe)
+                    )
                 };
-                let (ids, stats, lazy) = run(false);
-                let (want_ids, want_stats, exact) = run(true);
                 let what = format!("q{qi} {antennas} antenna(s) {loss:?}");
-                assert_eq!(ids, want_ids, "{what}");
-                assert_eq!(ids, ds.brute_knn(q, 10), "{what}");
-                assert_eq!(stats, want_stats, "{what}");
-                assert_eq!(lazy.refreshes, exact.refreshes, "{what}");
-                assert_eq!(lazy.peak_cands, exact.peak_cands, "{what}");
+                let (lazy, exact) = lazy_reads_like_eager(&air, &ds, q, tuner, &what);
                 assert!(
                     lazy.total_ranges < exact.total_ranges,
                     "{what}: lazy {} vs exact {} ranges",
                     lazy.total_ranges,
                     exact.total_ranges
                 );
+            }
+        }
+    }
+
+    /// The audited drives at the benchmark's geometry: UNIFORM N = 10,000
+    /// on the order-12 grid, reorganized DSI at 64 B, so 1,024 frames and
+    /// a coarse floor of 6: a floor block is 64 × 64 cells and a path
+    /// refinement descends up to six levels. Audited window and 10NN
+    /// drives from a dozen tune-ins, on one lossless channel and on four
+    /// blocked channels with two antennas under Gilbert–Elliott loss,
+    /// answer like brute force, and every 10NN drive reads like the eager
+    /// one (floor 0): equal stats, refreshes and peak candidates. Debug
+    /// builds run two tune-ins per case.
+    #[test]
+    fn audited_drives_at_the_benchmark_geometry() {
+        use dsi_broadcast::{AntennaConfig, ChannelConfig};
+        use dsi_datagen::window_queries;
+
+        let tune_ins = if cfg!(debug_assertions) { 2 } else { 12 };
+        let ds = SpatialDataset::build(&uniform(10_000, 1), 12);
+        let windows = window_queries(tune_ins, 0.1, 5);
+        let points = knn_points(tune_ins, 7);
+        let cases = [
+            (ChannelConfig::single(), 1, LossModel::None),
+            (
+                ChannelConfig::blocked(4, 1),
+                2,
+                LossModel::gilbert(0.02, 0.25, 0.9),
+            ),
+        ];
+        for (chan, antennas, loss) in cases {
+            let air = DsiAir::try_build_channels(&ds, DsiConfig::paper_reorganized(), chan)
+                .expect("the layout builds");
+            assert_eq!(air.layout().n_frames(), 1024);
+            assert_eq!(coarse_floor(air.curve(), air.layout().n_frames()), 6);
+            for i in 0..tune_ins {
+                let what = format!("tune-in {i}, {antennas} antenna(s), {loss:?}");
+                let start = (i as u64 * 104_729 + 17) % air.program().len();
+                let tuner = || {
+                    Tuner::tune_in_with(
+                        air.program(),
+                        start,
+                        loss.clone(),
+                        i as u64,
+                        AntennaConfig::new(antennas),
+                    )
+                };
+                let w = &windows[i];
+                let got = air.window_query_audited(&mut tuner(), w);
+                assert_eq!(got, ds.brute_window(w), "window {w:?}, {what}");
+                let q = points[i];
+                lazy_reads_like_eager(&air, &ds, q, tuner, &format!("10NN at {q:?}, {what}"));
             }
         }
     }

@@ -34,16 +34,23 @@ use crate::layout::DsiLayout;
 
 /// Accumulated frame-boundary knowledge (exact minimum HC per frame).
 ///
-/// One flat `Vec` of `(frame index, min HC)` pairs, sorted by frame
-/// index. Minimum HC values increase strictly with frame index, so the
-/// same Vec is simultaneously sorted by HC value and serves both lookup
-/// directions with a binary search; inserts shift the tail, which for
-/// frame counts in the thousands beats the pointer-chasing of the twin
-/// `BTreeMap`s it replaced.
+/// A dense bound per HC-order frame plus a bitset of the frames whose
+/// bound is known, so learning and testing a bound are one array access
+/// each. A conservative span ([`Self::span_est`]) is two bit-scans: back
+/// to the nearest known frame at or before the frame, and forward to the
+/// next known one after it. Minimum HC values increase strictly with
+/// frame index, so the known frames in frame order are also in bound
+/// order; the *runs* between consecutive known frames
+/// ([`Self::run`], [`Self::run_of_hc`]) come from the same bitset. One
+/// representation serves every channel count.
 #[derive(Debug, Clone)]
 pub(crate) struct Knowledge {
-    /// `(HC-order frame index, exact minimum HC of that frame)`, sorted.
-    bounds: Vec<(u32, u64)>,
+    /// Exact minimum HC of each HC-order frame; meaningful only where the
+    /// frame's bit in `known` is set.
+    bound: Vec<u64>,
+    /// One bit per HC-order frame: whether its bound is known. Bits past
+    /// the last frame stay clear.
+    known: Vec<u64>,
     n_frames: u32,
     /// One past the largest representable HC value.
     max_hc_excl: u64,
@@ -52,9 +59,11 @@ pub(crate) struct Knowledge {
 impl Knowledge {
     /// Seeds knowledge with the broadcast schema: block start boundaries.
     pub fn new(layout: &DsiLayout, max_hc: u64) -> Self {
+        let n_frames = layout.n_frames();
         let mut k = Self {
-            bounds: Vec::with_capacity(layout.n_blocks() as usize + 8),
-            n_frames: layout.n_frames(),
+            bound: vec![0; n_frames as usize],
+            known: vec![0; n_frames.div_ceil(64) as usize],
+            n_frames,
             max_hc_excl: max_hc + 1,
         };
         for c in 0..layout.n_blocks() {
@@ -70,70 +79,103 @@ impl Knowledge {
     /// whether this was new knowledge.
     pub fn learn(&mut self, idx: u32, hc: u64) -> bool {
         debug_assert!(idx < self.n_frames);
-        match self.bounds.binary_search_by_key(&idx, |&(i, _)| i) {
-            Ok(pos) => {
-                debug_assert_eq!(
-                    self.bounds[pos].1, hc,
-                    "inconsistent bound learned for frame {idx}"
-                );
-                false
-            }
-            Err(pos) => {
-                debug_assert!(pos == 0 || self.bounds[pos - 1].1 < hc);
-                debug_assert!(pos == self.bounds.len() || hc < self.bounds[pos].1);
-                self.bounds.insert(pos, (idx, hc));
-                true
-            }
+        let (w, bit) = (idx as usize / 64, 1u64 << (idx % 64));
+        if self.known[w] & bit != 0 {
+            debug_assert_eq!(
+                self.bound[idx as usize], hc,
+                "inconsistent bound learned for frame {idx}"
+            );
+            return false;
         }
+        debug_assert!(self
+            .prev_known(idx)
+            .is_none_or(|p| self.bound[p as usize] < hc));
+        debug_assert!(self
+            .next_known(idx)
+            .is_none_or(|n| hc < self.bound[n as usize]));
+        self.known[w] |= bit;
+        self.bound[idx as usize] = hc;
+        true
     }
 
     /// Exact minimum HC of frame `idx`, if known.
     pub fn known(&self, idx: u32) -> Option<u64> {
-        self.bounds
-            .binary_search_by_key(&idx, |&(i, _)| i)
-            .ok()
-            .map(|pos| self.bounds[pos].1)
+        (self.known[idx as usize / 64] & (1 << (idx % 64)) != 0).then(|| self.bound[idx as usize])
+    }
+
+    /// The last known frame at or before `t`.
+    fn prev_known(&self, t: u32) -> Option<u32> {
+        let mut w = t as usize / 64;
+        let mut bits = self.known[w] & (!0u64 >> (63 - t % 64));
+        loop {
+            if bits != 0 {
+                return Some(w as u32 * 64 + 63 - bits.leading_zeros());
+            }
+            w = w.checked_sub(1)?;
+            bits = self.known[w];
+        }
+    }
+
+    /// The first known frame after `t`.
+    fn next_known(&self, t: u32) -> Option<u32> {
+        let t = t + 1;
+        let mut w = t as usize / 64;
+        let mut bits = *self.known.get(w)? & (!0u64 << (t % 64));
+        loop {
+            if bits != 0 {
+                return Some(w as u32 * 64 + bits.trailing_zeros());
+            }
+            w += 1;
+            bits = *self.known.get(w)?;
+        }
     }
 
     /// Conservative span `[lb, ub)` of frame `idx`: the true span is always
-    /// contained in it. `lb` is the largest known bound at or before `idx`
-    /// (frames hold ascending HC runs, so the true start is ≥ `lb`); `ub`
-    /// is the smallest known bound after `idx`.
+    /// contained in it. `lb` is the bound of the last known frame at or
+    /// before `idx` (frames hold ascending HC runs, so the true start is
+    /// ≥ `lb`); `ub` is the bound of the first known frame after `idx`.
     pub fn span_est(&self, idx: u32) -> (u64, u64) {
-        let pos = self.bounds.partition_point(|&(i, _)| i <= idx);
-        let lb = if pos > 0 { self.bounds[pos - 1].1 } else { 0 };
-        let ub = self.bounds.get(pos).map_or(self.max_hc_excl, |&(_, hc)| hc);
+        let lb = self.prev_known(idx).map_or(0, |p| self.bound[p as usize]);
+        let ub = self
+            .next_known(idx)
+            .map_or(self.max_hc_excl, |n| self.bound[n as usize]);
         (lb, ub)
     }
 
-    /// Number of *runs*: maximal stretches of HC-order frames that share
-    /// one [`Self::span_est`] — one run per known bound.
-    pub fn n_runs(&self) -> usize {
-        self.bounds.len()
-    }
-
-    /// Run `k` as `(first, end, lb, ub)`: frames `first..end` lie between
-    /// known bounds `k` and `k + 1`, and [`Self::span_est`] gives every
-    /// one of them the span `[lb, ub)`.
-    pub fn run(&self, k: usize) -> (u32, u32, u64, u64) {
-        let (first, lb) = self.bounds[k];
+    /// The *run* holding frame `t`, as `(first, end, lb, ub)`: the maximal
+    /// stretch `first..end` of HC-order frames between two consecutive
+    /// known bounds, over which [`Self::span_est`] is `[lb, ub)` for every
+    /// frame.
+    pub fn run(&self, t: u32) -> (u32, u32, u64, u64) {
         // The schema knows frame 0 (block 0 starts there), so the runs
         // cover every frame.
-        debug_assert!(k > 0 || first == 0);
+        let first = self.prev_known(t).expect("the schema knows frame 0");
         let (end, ub) = self
-            .bounds
-            .get(k + 1)
-            .copied()
-            .unwrap_or((self.n_frames, self.max_hc_excl));
-        (first, end, lb, ub)
+            .next_known(t)
+            .map_or((self.n_frames, self.max_hc_excl), |n| {
+                (n, self.bound[n as usize])
+            });
+        (first, end, self.bound[first as usize], ub)
     }
 
-    /// The run whose span holds HC value `hc` (run 0 below the first
-    /// bound).
-    pub fn run_of_hc(&self, hc: u64) -> usize {
-        self.bounds
-            .partition_point(|&(_, h)| h <= hc)
-            .saturating_sub(1)
+    /// The first frame of the run whose span holds HC value `hc` (frame
+    /// 0's run when `hc` lies below frame 0's bound): a binary search over
+    /// the frames, whose span starts rise with the frame index.
+    pub fn run_of_hc(&self, hc: u64) -> u32 {
+        let (mut lo, mut hi) = (0u32, self.n_frames);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self
+                .prev_known(mid)
+                .is_none_or(|p| self.bound[p as usize] <= hc)
+            {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.prev_known(lo.saturating_sub(1))
+            .expect("the schema knows frame 0")
     }
 
     /// One past the largest representable HC value.
@@ -723,8 +765,8 @@ impl<'l> QueryState<'l> {
         }
     }
 
-    /// Replaces the target range `old` by `pieces` — its exact refinement,
-    /// a sorted subset of it — and intersects the remainders inside `old`
+    /// Replaces the target range `old` by `pieces` — its refinement, a
+    /// sorted subset of it — and intersects the remainders inside `old`
     /// with the pieces. Work and moves are local to `old`; remainders
     /// elsewhere are untouched, so `rem == targets − cleared` still holds.
     pub fn refine_target(&mut self, old: HcRange, pieces: &[HcRange]) {
@@ -795,6 +837,7 @@ impl<'l> QueryState<'l> {
 mod tests {
     use super::*;
     use crate::config::{DsiConfig, FramingPolicy};
+    use proptest::prelude::*;
 
     fn layout() -> DsiLayout {
         // 16 objects in 8 frames of 2, minima 10,20,…,80.
@@ -828,19 +871,161 @@ mod tests {
         k.learn(5, 60);
         k.learn(6, 70);
         let mut next = 0;
-        for r in 0..k.n_runs() {
-            let (first, end, lb, ub) = k.run(r);
+        while next < l.n_frames() {
+            let (first, end, lb, ub) = k.run(next);
             assert_eq!(first, next, "runs are contiguous");
             assert!(first < end);
             for t in first..end {
                 assert_eq!(k.span_est(t), (lb, ub));
+                assert_eq!(k.run(t), (first, end, lb, ub));
             }
-            assert_eq!(k.run_of_hc(lb), r);
-            assert_eq!(k.run_of_hc(ub - 1), r);
+            assert_eq!(k.run_of_hc(lb), first);
+            assert_eq!(k.run_of_hc(ub - 1), first);
             next = end;
         }
         assert_eq!(next, l.n_frames());
         assert_eq!(k.run_of_hc(0), 0, "below the first bound");
+    }
+
+    /// The sorted-`Vec` knowledge the dense map replaced: one `(frame
+    /// index, min HC)` pair per known bound, sorted by frame and so by
+    /// bound, searched in both directions and shifted on every insert.
+    /// Runs are numbered by their bound's position. The reference the
+    /// dense map is checked against.
+    struct SortedKnowledge {
+        bounds: Vec<(u32, u64)>,
+        n_frames: u32,
+        max_hc_excl: u64,
+    }
+
+    impl SortedKnowledge {
+        fn new(layout: &DsiLayout, max_hc: u64) -> Self {
+            let mut k = Self {
+                bounds: Vec::new(),
+                n_frames: layout.n_frames(),
+                max_hc_excl: max_hc + 1,
+            };
+            for c in 0..layout.n_blocks() {
+                k.learn(
+                    layout.block_start_frame(c),
+                    layout.block_min_hc()[c as usize],
+                );
+            }
+            k
+        }
+
+        fn learn(&mut self, idx: u32, hc: u64) -> bool {
+            match self.bounds.binary_search_by_key(&idx, |&(i, _)| i) {
+                Ok(_) => false,
+                Err(pos) => {
+                    self.bounds.insert(pos, (idx, hc));
+                    true
+                }
+            }
+        }
+
+        fn known(&self, idx: u32) -> Option<u64> {
+            self.bounds
+                .binary_search_by_key(&idx, |&(i, _)| i)
+                .ok()
+                .map(|pos| self.bounds[pos].1)
+        }
+
+        fn span_est(&self, idx: u32) -> (u64, u64) {
+            let pos = self.bounds.partition_point(|&(i, _)| i <= idx);
+            let lb = if pos > 0 { self.bounds[pos - 1].1 } else { 0 };
+            let ub = self.bounds.get(pos).map_or(self.max_hc_excl, |&(_, hc)| hc);
+            (lb, ub)
+        }
+
+        fn n_runs(&self) -> usize {
+            self.bounds.len()
+        }
+
+        fn run(&self, k: usize) -> (u32, u32, u64, u64) {
+            let (first, lb) = self.bounds[k];
+            let (end, ub) = self
+                .bounds
+                .get(k + 1)
+                .copied()
+                .unwrap_or((self.n_frames, self.max_hc_excl));
+            (first, end, lb, ub)
+        }
+
+        fn run_of_hc(&self, hc: u64) -> usize {
+            self.bounds
+                .partition_point(|&(_, h)| h <= hc)
+                .saturating_sub(1)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The dense map answers every lookup the sorted reference
+        /// answers, checked every few learned bounds: `known` and
+        /// `span_est` for every frame, the run walk the multi-channel
+        /// navigator reads, each frame's run and the HC → run lookup.
+        #[test]
+        fn dense_bounds_equal_the_sorted_reference(
+            segments in 1u32..5,
+            nf in prop_oneof![
+                Just(1u32), Just(2), Just(7), Just(64), Just(65), Just(130), Just(1024)
+            ],
+            gaps in any::<u64>(),
+            learns in proptest::collection::vec(any::<u64>(), 0..160),
+        ) {
+            // Strictly rising frame minima from a seeded gap stream.
+            let mut mins = Vec::with_capacity(nf as usize);
+            let mut g = gaps;
+            let mut hc = g % 5;
+            for _ in 0..nf {
+                mins.push(hc);
+                g = g.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                hc += 1 + (g >> 58);
+            }
+            let cfg = DsiConfig {
+                framing: FramingPolicy::FixedFrameCount(nf),
+                segments,
+                ..DsiConfig::paper_default()
+            };
+            let l = DsiLayout::new(cfg, 2 * nf, &mins);
+            let mut dense = Knowledge::new(&l, hc + 3);
+            let mut reference = SortedKnowledge::new(&l, hc + 3);
+            let check = |dense: &Knowledge, reference: &SortedKnowledge| {
+                for t in 0..nf {
+                    assert_eq!(dense.known(t), reference.known(t), "known({t})");
+                    assert_eq!(dense.span_est(t), reference.span_est(t), "span_est({t})");
+                }
+                let mut walk = Vec::new();
+                let mut t = 0;
+                while t < nf {
+                    let run = dense.run(t);
+                    for u in run.0..run.1 {
+                        assert_eq!(dense.run(u), run, "run of frame {u}");
+                    }
+                    walk.push(run);
+                    t = run.1;
+                }
+                let want: Vec<_> = (0..reference.n_runs()).map(|k| reference.run(k)).collect();
+                assert_eq!(walk, want, "run walk");
+                for &(_, _, lb, ub) in &walk {
+                    for h in [lb.saturating_sub(1), lb, lb + 1, ub - 1, ub] {
+                        let want = reference.run(reference.run_of_hc(h)).0;
+                        assert_eq!(dense.run_of_hc(h), want, "run_of_hc({h})");
+                    }
+                }
+            };
+            check(&dense, &reference);
+            for (i, &x) in learns.iter().enumerate() {
+                let t = (x % u64::from(nf)) as u32;
+                let hc = mins[t as usize];
+                assert_eq!(dense.learn(t, hc), reference.learn(t, hc), "learn({t})");
+                if i % 8 == 7 || i + 1 == learns.len() {
+                    check(&dense, &reference);
+                }
+            }
+        }
     }
 
     fn scan_frame(log: &mut ScanLog, idx: u32, hcs: &[Option<u64>]) {

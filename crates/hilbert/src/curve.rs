@@ -2,13 +2,52 @@
 
 use dsi_geom::Cell;
 
+/// Quadrant traversal tables of the 2D Hilbert curve: `CHILD_ORDER[s][k]`
+/// is the `(dx, dy)` offset of the k-th child visited by the curve in
+/// orientation `s`, and `CHILD_STATE[s][k]` that child's orientation.
+/// State 0 is the root orientation at every order (the order-1 curve
+/// visits `(0,0) (0,1) (1,1) (1,0)`). These tables are the one source of
+/// the curve's geometry: the conversions below walk them digit by digit,
+/// and the decompositions descend through them in curve order, carrying
+/// each block's first HC value down the recursion so that emissions
+/// arrive sorted (no per-block `block_base`, no final sort, no merge
+/// pass).
+pub(crate) const CHILD_ORDER: [[(u32, u32); 4]; 4] = [
+    [(0, 0), (0, 1), (1, 1), (1, 0)],
+    [(0, 0), (1, 0), (1, 1), (0, 1)],
+    [(1, 1), (0, 1), (0, 0), (1, 0)],
+    [(1, 1), (1, 0), (0, 0), (0, 1)],
+];
+pub(crate) const CHILD_STATE: [[u8; 4]; 4] =
+    [[1, 0, 0, 2], [0, 1, 1, 3], [3, 2, 2, 0], [2, 3, 3, 1]];
+
+/// The inverse of [`CHILD_ORDER`]: `CHILD_INDEX[s][2·dx + dy]` is the
+/// visiting position of the child at offset `(dx, dy)` in orientation `s`.
+const CHILD_INDEX: [[u8; 4]; 4] = invert(CHILD_ORDER);
+
+const fn invert(order: [[(u32, u32); 4]; 4]) -> [[u8; 4]; 4] {
+    let mut inv = [[0u8; 4]; 4];
+    let mut s = 0;
+    while s < 4 {
+        let mut k = 0;
+        while k < 4 {
+            let (dx, dy) = order[s][k];
+            inv[s][(2 * dx + dy) as usize] = k as u8;
+            k += 1;
+        }
+        s += 1;
+    }
+    inv
+}
+
 /// A Hilbert curve of a given order over the `2^order × 2^order` grid.
 ///
 /// Positions along the curve ("HC values", `d`) run from `0` to
-/// `4^order - 1`. The implementation is the classical iterative
-/// rotate-and-accumulate algorithm (Moore's converter, the paper's `[12]`),
-/// operating on one bit of each coordinate per step, so both conversions
-/// cost `O(order)` — constant time for any fixed curve.
+/// `4^order - 1`. Both conversions walk the base-4 digits of `d` from the
+/// root down through the quadrant traversal tables, one table read per
+/// level, so they cost `O(order)` with no data-dependent branch: constant
+/// time for any fixed curve (the paper's `[12]`). The decompositions
+/// descend through the same tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HilbertCurve {
     order: u8,
@@ -58,15 +97,12 @@ impl HilbertCurve {
             "cell {cell:?} outside order-{} grid",
             self.order
         );
-        let (mut x, mut y) = (cell.x, cell.y);
-        let mut d: u64 = 0;
-        let mut s: u32 = self.side() >> 1;
-        while s > 0 {
-            let rx = u32::from(x & s > 0);
-            let ry = u32::from(y & s > 0);
-            d += (s as u64) * (s as u64) * ((3 * rx) ^ ry) as u64;
-            rotate(s, &mut x, &mut y, rx, ry);
-            s >>= 1;
+        let (mut d, mut state) = (0u64, 0usize);
+        for l in (0..self.order).rev() {
+            let quad = 2 * ((cell.x >> l) & 1) + ((cell.y >> l) & 1);
+            let k = CHILD_INDEX[state][quad as usize] as usize;
+            d = (d << 2) | k as u64;
+            state = CHILD_STATE[state][k] as usize;
         }
         d
     }
@@ -82,19 +118,26 @@ impl HilbertCurve {
             "d {d} outside order-{} curve",
             self.order
         );
-        let (mut x, mut y) = (0u32, 0u32);
-        let mut t = d;
-        let mut s: u32 = 1;
-        while s < self.side() {
-            let rx = (1 & (t >> 1)) as u32;
-            let ry = (1 & (t ^ rx as u64)) as u32;
-            rotate(s, &mut x, &mut y, rx, ry);
-            x += s * rx;
-            y += s * ry;
-            t >>= 2;
-            s <<= 1;
-        }
+        let (x, y, _) = self.block_of(d, 0);
         Cell::new(x, y)
+    }
+
+    /// The aligned block of side `2^level` whose HC span holds `d`, as
+    /// `(x0, y0, orientation)`: its lower-left cell and the traversal
+    /// state the curve enters it in. Walks the digits of `d` above
+    /// `level` through the traversal tables.
+    #[inline]
+    pub(crate) fn block_of(&self, d: u64, level: u8) -> (u32, u32, u8) {
+        debug_assert!(level <= self.order);
+        let (mut x, mut y, mut state) = (0u32, 0u32, 0usize);
+        for l in (level..self.order).rev() {
+            let k = ((d >> (2 * l)) & 3) as usize;
+            let (dx, dy) = CHILD_ORDER[state][k];
+            x = (x << 1) | dx;
+            y = (y << 1) | dy;
+            state = CHILD_STATE[state][k] as usize;
+        }
+        (x << level, y << level, state as u8)
     }
 
     /// The HC value of the *entry cell* of the aligned block of side
@@ -113,21 +156,128 @@ impl HilbertCurve {
     }
 }
 
-/// The quadrant rotation/reflection step shared by both conversions.
-#[inline]
-fn rotate(s: u32, x: &mut u32, y: &mut u32, rx: u32, ry: u32) {
-    if ry == 0 {
-        if rx == 1 {
-            *x = s.wrapping_sub(1).wrapping_sub(*x);
-            *y = s.wrapping_sub(1).wrapping_sub(*y);
-        }
-        core::mem::swap(x, y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The classical iterative rotate-and-accumulate converter (Moore's,
+    /// the paper's `[12]`) that the table walks replaced, operating on one
+    /// bit of each coordinate per step: the reference they are checked
+    /// against.
+    mod rotate_oracle {
+        use dsi_geom::Cell;
+
+        pub fn xy2d(order: u8, cell: Cell) -> u64 {
+            let (mut x, mut y) = (cell.x, cell.y);
+            let mut d: u64 = 0;
+            let mut s: u32 = (1u32 << order) >> 1;
+            while s > 0 {
+                let rx = u32::from(x & s > 0);
+                let ry = u32::from(y & s > 0);
+                d += (s as u64) * (s as u64) * ((3 * rx) ^ ry) as u64;
+                rotate(s, &mut x, &mut y, rx, ry);
+                s >>= 1;
+            }
+            d
+        }
+
+        pub fn d2xy(order: u8, d: u64) -> Cell {
+            let (mut x, mut y) = (0u32, 0u32);
+            let mut t = d;
+            let mut s: u32 = 1;
+            while s < 1u32 << order {
+                let rx = (1 & (t >> 1)) as u32;
+                let ry = (1 & (t ^ rx as u64)) as u32;
+                rotate(s, &mut x, &mut y, rx, ry);
+                x += s * rx;
+                y += s * ry;
+                t >>= 2;
+                s <<= 1;
+            }
+            Cell::new(x, y)
+        }
+
+        /// The quadrant rotation/reflection step shared by both
+        /// conversions.
+        fn rotate(s: u32, x: &mut u32, y: &mut u32, rx: u32, ry: u32) {
+            if ry == 0 {
+                if rx == 1 {
+                    *x = s.wrapping_sub(1).wrapping_sub(*x);
+                    *y = s.wrapping_sub(1).wrapping_sub(*y);
+                }
+                core::mem::swap(x, y);
+            }
+        }
+    }
+
+    /// SplitMix64: a fixed, seedable bit stream for the sampled checks.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn conversions_match_rotate_oracle_exhaustively() {
+        for order in 1..=8u8 {
+            let c = HilbertCurve::new(order);
+            for d in 0..=c.max_d() {
+                // The oracle is a bijection, so this visits every cell.
+                let cell = rotate_oracle::d2xy(order, d);
+                assert_eq!(c.d2xy(d), cell, "d2xy({d}) at order {order}");
+                assert_eq!(
+                    c.xy2d(cell),
+                    rotate_oracle::xy2d(order, cell),
+                    "xy2d({cell:?}) at order {order}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn conversions_match_rotate_oracle_on_sampled_inputs() {
+        let mut rng = 0x5eed;
+        for order in [12u8, 16, 31] {
+            let c = HilbertCurve::new(order);
+            let mask = c.side() - 1;
+            for _ in 0..1_000_000 {
+                let d = splitmix(&mut rng) & c.max_d();
+                assert_eq!(
+                    c.d2xy(d),
+                    rotate_oracle::d2xy(order, d),
+                    "d2xy({d}) at order {order}"
+                );
+                let bits = splitmix(&mut rng);
+                let cell = Cell::new(bits as u32 & mask, (bits >> 32) as u32 & mask);
+                assert_eq!(
+                    c.xy2d(cell),
+                    rotate_oracle::xy2d(order, cell),
+                    "xy2d({cell:?}) at order {order}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_of_is_the_aligned_block_holding_d() {
+        let c = HilbertCurve::new(4);
+        for d in 0..=c.max_d() {
+            let cell = c.d2xy(d);
+            for level in 0..=4u8 {
+                let (x0, y0, _) = c.block_of(d, level);
+                assert_eq!(
+                    (x0, y0),
+                    (cell.x >> level << level, cell.y >> level << level)
+                );
+                assert_eq!(
+                    c.block_base(Cell::new(x0, y0), level),
+                    d >> (2 * level) << (2 * level)
+                );
+            }
+        }
+    }
 
     #[test]
     fn order_one_square() {

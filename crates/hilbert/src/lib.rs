@@ -15,7 +15,8 @@
 //!   decomposition when the circle shrinks (paper §3.4–3.5), and
 //!   [`narrow_ranges_to_circle_coarse_into`] doing so only down to a floor
 //!   level, leaving blocks that straddle the circle unrefined until a
-//!   reader needs them.
+//!   reader needs them, and [`refine_circle_path_into`] then splitting one
+//!   such block along the path to the cell the reader needs.
 //! * [`min_dist2_to_range`] — the exact minimum distance from a query point
 //!   to any cell of an HC interval; this is what lets the kNN algorithms
 //!   decide whether a not-yet-broadcast HC region can still contain a
@@ -35,5 +36,6 @@ pub use curve::HilbertCurve;
 pub use dist::min_dist2_to_range;
 pub use ranges::{
     merge_ranges, narrow_ranges_to_circle_coarse_into, narrow_ranges_to_circle_into,
-    ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect, DistRange, HcRange,
+    ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect, refine_circle_path_into,
+    DistRange, HcRange,
 };

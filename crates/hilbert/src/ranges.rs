@@ -11,7 +11,7 @@
 
 use dsi_geom::{Cell, GridMapper, Point, Rect};
 
-use crate::curve::HilbertCurve;
+use crate::curve::{HilbertCurve, CHILD_ORDER, CHILD_STATE};
 
 /// An inclusive interval `[lo, hi]` of Hilbert values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -76,22 +76,6 @@ pub fn ranges_in_cell_rect(curve: &HilbertCurve, lo: Cell, hi: Cell) -> Vec<HcRa
     descend(0, 0, curve.order(), 0, 0, lo, hi, &mut out);
     out
 }
-
-/// Quadrant traversal tables of the 2D Hilbert curve: `CHILD_ORDER[s][k]`
-/// is the `(dx, dy)` offset of the k-th child visited by the curve in
-/// orientation `s`, and `CHILD_STATE[s][k]` that child's orientation.
-/// State 0 is the root orientation of [`HilbertCurve::xy2d`]; the tables
-/// were derived from it and are guarded by the exhaustive decomposition
-/// tests. Traversing children in curve order lets the descent carry each
-/// block's first HC value down the recursion — emissions arrive sorted,
-/// so no per-block `block_base`, no final sort, no merge pass.
-const CHILD_ORDER: [[(u32, u32); 4]; 4] = [
-    [(0, 0), (0, 1), (1, 1), (1, 0)],
-    [(0, 0), (1, 0), (1, 1), (0, 1)],
-    [(1, 1), (0, 1), (0, 0), (1, 0)],
-    [(1, 1), (1, 0), (0, 0), (0, 1)],
-];
-const CHILD_STATE: [[u8; 4]; 4] = [[1, 0, 0, 2], [0, 1, 1, 3], [3, 2, 2, 0], [2, 3, 3, 1]];
 
 /// A decomposed HC range annotated with exact squared cell-distance bounds
 /// from the query point: `min_d2` is the smallest and `max_min_d2` the
@@ -183,9 +167,10 @@ pub fn narrow_ranges_to_circle_into(
 /// The result covers a superset of the circle's cells; narrowing it at
 /// `r2` with floor 0 ([`narrow_ranges_to_circle_into`]) reproduces the
 /// direct decomposition bit-for-bit, and so does refining its unrefined
-/// ranges one at a time, in any order, as long as each range's exact
-/// pieces replace it in place. Such a partially refined list may hold
-/// adjacent exact ranges; any later narrowing merges them again.
+/// ranges a path at a time ([`refine_circle_path_into`]), in any order,
+/// until none is left, as long as each range's pieces replace it in
+/// place. Such a partially refined list may hold adjacent exact ranges;
+/// any later narrowing merges them again.
 pub fn narrow_ranges_to_circle_coarse_into(
     curve: &HilbertCurve,
     mapper: &GridMapper,
@@ -203,6 +188,94 @@ pub fn narrow_ranges_to_circle_coarse_into(
     }
     narrow::<true>(curve, &ctx, prev, out);
     out.iter().filter(|d| d.max_min_d2 > r2).count()
+}
+
+/// Refines one **unrefined** range `block` of a coarse decomposition at
+/// its own radius `r2`, along the path to the HC value `hc` it holds, and
+/// writes its pieces to `out` in HC order. Returns how many of them are
+/// unrefined.
+///
+/// The block is split level by level. At each level the three children
+/// off the path are classified whole, with their exact block bounds:
+/// dropped when no cell meets the circle (`min_d2 > r2`), exact when
+/// every cell does (`max_min_d2 <= r2`, as for any single cell that meets
+/// it), and otherwise left as one unrefined block. The path child
+/// is split in turn until it is exact or dropped, so the piece holding
+/// `hc`, if any, is exact. Exact pieces are merged among themselves, so a
+/// read costs one short descent per level of the block instead of the
+/// whole block's decomposition. The unrefined pieces are aligned blocks
+/// that meet the circle, smaller than `block`, and the next narrowing
+/// re-splits them like any other.
+///
+/// # Panics
+///
+/// Panics in debug builds unless `block` is an aligned block holding
+/// `hc` that straddles the circle (`min_d2 <= r2 < max_min_d2`).
+pub fn refine_circle_path_into(
+    curve: &HilbertCurve,
+    mapper: &GridMapper,
+    center: Point,
+    r2: f64,
+    block: DistRange,
+    hc: u64,
+    out: &mut Vec<DistRange>,
+) -> usize {
+    out.clear();
+    debug_assert!(block.range.contains(hc), "{hc} outside {block:?}");
+    debug_assert!(
+        block.min_d2 <= r2 && block.max_min_d2 > r2,
+        "{block:?} is not unrefined at {r2}"
+    );
+    let (x0, y0, level, state, base) = block_containing(curve, block.range);
+    debug_assert!(
+        base == block.range.lo && block.range.len() == 1 << (2 * level),
+        "{block:?} is not an aligned block"
+    );
+    let ctx = CircleCtx::new(mapper, center, r2, 0);
+    path_descend(&ctx, x0, y0, level, state, base, hc, out);
+    out.iter().filter(|d| d.max_min_d2 > r2).count()
+}
+
+/// One level of [`refine_circle_path_into`]: splits the straddling block
+/// `(x0, y0, level, state, base)` into its children in curve order and
+/// descends only into the child holding `hc`.
+#[allow(clippy::too_many_arguments)]
+fn path_descend(
+    ctx: &CircleCtx,
+    x0: u32,
+    y0: u32,
+    level: u8,
+    state: u8,
+    base: u64,
+    hc: u64,
+    out: &mut Vec<DistRange>,
+) {
+    debug_assert!(level > 0, "a cell meeting the circle is exact");
+    let half = 1u32 << (level - 1);
+    let child_shift = 2 * (level - 1);
+    let path = ((hc - base) >> child_shift) as usize;
+    let s = state as usize;
+    for (k, &(dx, dy)) in CHILD_ORDER[s].iter().enumerate() {
+        let (cx, cy) = (x0 + dx * half, y0 + dy * half);
+        let min_d2 = ctx.block_min_d2(cx, cy, half);
+        if min_d2 > ctx.r2 {
+            continue;
+        }
+        let lo = base + ((k as u64) << child_shift);
+        let dr = DistRange {
+            range: HcRange::new(lo, lo + (1u64 << child_shift) - 1),
+            min_d2,
+            max_min_d2: ctx.block_max_min_d2(cx, cy, half),
+        };
+        if dr.max_min_d2 <= ctx.r2 {
+            emit_dist_range::<true>(out, dr, ctx.r2);
+        } else if k == path {
+            let child_state = CHILD_STATE[s][k];
+            path_descend(ctx, cx, cy, level - 1, child_state, lo, hc, out);
+        } else {
+            out.push(dr);
+        }
+    }
 }
 
 /// The narrowing loop; `COARSE` says whether `ctx` has a nonzero floor,
@@ -379,25 +452,17 @@ fn circle_descend<const COARSE: bool>(
 }
 
 /// The smallest grid-aligned block whose HC span contains `r`, as
-/// `(x0, y0, level, orientation, base)` — found by walking the base-4
-/// digits of `r.lo` down from the root through the traversal tables.
-/// Integer work only: this is what lets a clipped circle descent start at
-/// the range itself instead of re-descending from the root (the dominant
-/// cost of narrowing a decomposition with thousands of ranges).
+/// `(x0, y0, level, orientation, base)`: the digits of `r.lo` above that
+/// level, walked down from the root ([`HilbertCurve::block_of`]). Integer
+/// work only: this is what lets a clipped circle descent start at the
+/// range itself instead of re-descending from the root (the dominant cost
+/// of narrowing a decomposition with thousands of ranges).
 fn block_containing(curve: &HilbertCurve, r: HcRange) -> (u32, u32, u8, u8, u64) {
-    let order = curve.order();
     // Base-4 digits in which lo and hi differ = levels that must stay
     // inside the block.
     let diff_bits = 64 - (r.lo ^ r.hi).leading_zeros() as u8;
-    let level = diff_bits.div_ceil(2).min(order);
-    let (mut x0, mut y0, mut state) = (0u32, 0u32, 0u8);
-    for l in (level..order).rev() {
-        let k = ((r.lo >> (2 * l)) & 3) as usize;
-        let (dx, dy) = CHILD_ORDER[state as usize][k];
-        x0 += dx << l;
-        y0 += dy << l;
-        state = CHILD_STATE[state as usize][k];
-    }
+    let level = diff_bits.div_ceil(2).min(curve.order());
+    let (x0, y0, state) = curve.block_of(r.lo, level);
     let base = r.lo & !((1u64 << (2 * level)) - 1);
     (x0, y0, level, state, base)
 }
@@ -717,33 +782,24 @@ mod tests {
         }
     }
 
-    /// Checks a coarse decomposition at `r2` against brute force and
-    /// against the direct decomposition, refined both ways.
-    fn check_coarse(
+    /// Checks a partially refined coarse decomposition at `r2`: sorted
+    /// and disjoint, exact bounds on every range, every unrefined range
+    /// an aligned block at or below the floor that meets the circle, every
+    /// exact range inside the circle, and every circle cell covered.
+    fn check_partial(
         c: &HilbertCurve,
         m: &GridMapper,
         q: Point,
         r2: f64,
         floor: u8,
-        coarse: &[DistRange],
-        unrefined: usize,
+        list: &[DistRange],
     ) {
-        let mut direct = Vec::new();
-        ranges_in_circle_with_dist_into(c, m, q, r2, &mut direct);
         let what = format!("q {q:?} r2 {r2} floor {floor}");
-        assert_eq!(
-            unrefined,
-            coarse.iter().filter(|d| d.max_min_d2 > r2).count(),
-            "{what}"
-        );
-        for w in coarse.windows(2) {
+        for w in list.windows(2) {
             assert!(w[0].range.hi < w[1].range.lo, "{what}: unsorted");
         }
-        let mut want: Vec<u64> = direct
-            .iter()
-            .flat_map(|d| d.range.lo..=d.range.hi)
-            .collect();
-        for d in coarse {
+        let mut want = brute_circle(c, m, q, r2);
+        for d in list {
             let cells = d.range.lo..=d.range.hi;
             let min = cells
                 .clone()
@@ -767,20 +823,92 @@ mod tests {
         }
         want.sort_unstable();
         want.dedup();
-        let got: Vec<u64> = coarse
-            .iter()
-            .flat_map(|d| d.range.lo..=d.range.hi)
-            .collect();
+        let got: Vec<u64> = list.iter().flat_map(|d| d.range.lo..=d.range.hi).collect();
         assert_eq!(got, want, "{what}: coverage");
+    }
+
+    /// Path-refines up to `budget` unrefined ranges of `list` in place,
+    /// each toward a pseudo-random cell of a pseudo-random unrefined
+    /// range, checking the list after every step. Returns how many
+    /// unrefined ranges are left.
+    #[allow(clippy::too_many_arguments)]
+    fn path_refine(
+        c: &HilbertCurve,
+        m: &GridMapper,
+        q: Point,
+        r2: f64,
+        floor: u8,
+        list: &mut Vec<DistRange>,
+        rng: &mut u64,
+        budget: usize,
+    ) -> usize {
+        let mut pieces = Vec::new();
+        let mut open: Vec<usize> = Vec::new();
+        for _ in 0..budget {
+            open.clear();
+            open.extend((0..list.len()).filter(|&i| list[i].max_min_d2 > r2));
+            if open.is_empty() {
+                break;
+            }
+            *rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let i = open[(*rng >> 33) as usize % open.len()];
+            let block = list[i];
+            let hc = block.range.lo + (*rng >> 11) % block.range.len();
+            let n = refine_circle_path_into(c, m, q, r2, block, hc, &mut pieces);
+            assert_eq!(n, pieces.iter().filter(|d| d.max_min_d2 > r2).count());
+            let holder = pieces.iter().find(|d| d.range.contains(hc));
+            assert!(
+                holder.is_none_or(|d| d.max_min_d2 <= r2),
+                "{hc} left unrefined"
+            );
+            assert!(pieces
+                .iter()
+                .all(|d| block.range.lo <= d.range.lo && d.range.hi <= block.range.hi));
+            list.splice(i..=i, pieces.iter().copied());
+            check_partial(c, m, q, r2, floor, list);
+        }
+        list.iter().filter(|d| d.max_min_d2 > r2).count()
+    }
+
+    /// Checks a coarse decomposition at `r2` against brute force and
+    /// against the direct decomposition, refined three ways: all at once,
+    /// block by block (the full-block refinement reads once made), and
+    /// path by path.
+    fn check_coarse(
+        c: &HilbertCurve,
+        m: &GridMapper,
+        q: Point,
+        r2: f64,
+        floor: u8,
+        coarse: &[DistRange],
+        unrefined: usize,
+    ) {
+        let mut direct = Vec::new();
+        ranges_in_circle_with_dist_into(c, m, q, r2, &mut direct);
+        let what = format!("q {q:?} r2 {r2} floor {floor}");
+        assert_eq!(
+            unrefined,
+            coarse.iter().filter(|d| d.max_min_d2 > r2).count(),
+            "{what}"
+        );
+        check_partial(c, m, q, r2, floor, coarse);
         // Refining everything at once…
         let mut refined = Vec::new();
         narrow_ranges_to_circle_into(c, m, q, r2, coarse, &mut refined);
         assert_eq!(refined, direct, "{what}: refine all");
-        // …or range by range, in place and out of order.
+        // …or range by range, in place and out of order…
         let mut in_place = coarse.to_vec();
         refine_in_place(c, m, q, r2, &mut in_place, 3, 64);
         assert!(in_place.iter().all(|d| d.max_min_d2 <= r2));
         assert_eq!(merge_adjacent(&in_place), direct, "{what}: in place");
+        // …or path by path until nothing is unrefined.
+        let mut by_path = coarse.to_vec();
+        let mut rng = r2.to_bits() ^ u64::from(floor);
+        let left = path_refine(c, m, q, r2, floor, &mut by_path, &mut rng, usize::MAX);
+        assert_eq!(left, 0);
+        assert_eq!(merge_adjacent(&by_path), direct, "{what}: by path");
     }
 
     #[test]
@@ -829,6 +957,10 @@ mod tests {
                         &mut coarse,
                     );
                     check_coarse(&c, &m, q, r2, floor, &coarse, unrefined);
+                    // Leave the next narrowing a list refined partly by
+                    // path and partly by block.
+                    let mut rng = r2.to_bits();
+                    path_refine(&c, &m, q, r2, floor, &mut coarse, &mut rng, unrefined / 2);
                     refine_in_place(&c, &m, q, r2, &mut coarse, 2, 1);
                     std::mem::swap(&mut prev, &mut coarse);
                 }

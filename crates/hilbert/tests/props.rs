@@ -4,8 +4,8 @@
 use dsi_geom::{Cell, GridMapper, Point, Rect};
 use dsi_hilbert::{
     min_dist2_to_range, narrow_ranges_to_circle_coarse_into, narrow_ranges_to_circle_into,
-    ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect, DistRange, HcRange,
-    HilbertCurve,
+    ranges_in_cell_rect, ranges_in_circle_with_dist_into, ranges_in_rect, refine_circle_path_into,
+    DistRange, HcRange, HilbertCurve,
 };
 use proptest::prelude::*;
 
@@ -24,6 +24,50 @@ fn merge_adjacent(list: &[DistRange]) -> Vec<DistRange> {
         }
     }
     out
+}
+
+/// Checks a partially refined coarse decomposition at `r2`: sorted and
+/// disjoint; every unrefined range an aligned block that meets the circle
+/// and carries its exact block bounds; every circle cell covered, and
+/// every cell outside the circle only by an unrefined range.
+fn assert_partial_refinement(
+    curve: &HilbertCurve,
+    mapper: &GridMapper,
+    center: Point,
+    r2: f64,
+    list: &[DistRange],
+) {
+    for w in list.windows(2) {
+        assert!(w[0].range.hi < w[1].range.lo, "unsorted: {w:?}");
+    }
+    for d in list.iter().filter(|d| d.max_min_d2 > r2) {
+        let len = d.range.len();
+        assert!(len.is_power_of_two() && len.trailing_zeros() % 2 == 0 && d.range.lo % len == 0);
+        assert!(d.min_d2 <= r2, "{d:?} misses the circle");
+        let cell_d2 = |h| mapper.cell_rect(curve.d2xy(h)).min_dist2(center);
+        let min = (d.range.lo..=d.range.hi)
+            .map(cell_d2)
+            .fold(f64::INFINITY, f64::min);
+        let max = (d.range.lo..=d.range.hi)
+            .map(cell_d2)
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!((d.min_d2, d.max_min_d2), (min, max), "bounds of {d:?}");
+    }
+    let mut i = 0;
+    for h in 0..=curve.max_d() {
+        while i < list.len() && list[i].range.hi < h {
+            i += 1;
+        }
+        let holder = list.get(i).filter(|d| d.range.contains(h));
+        let inside = mapper.cell_rect(curve.d2xy(h)).min_dist2(center) <= r2;
+        match holder {
+            None => assert!(!inside, "circle cell {h} uncovered"),
+            Some(d) => assert!(
+                inside || d.max_min_d2 > r2,
+                "cell {h} outside the circle in {d:?}"
+            ),
+        }
+    }
 }
 
 /// Checks a circle decomposition against brute force over every cell:
@@ -284,6 +328,46 @@ proptest! {
                 }
             }
             prop_assert_eq!(merge_adjacent(&next), direct.clone());
+        }
+
+        // The client's chain, refined a path at a time: from the whole
+        // space, each radius narrows the list the previous one left,
+        // then path-refines unrefined ranges toward seeded cells (a
+        // seeded share of them, all of them at the last radius).
+        let radii = [r_big, r_small, r_small * shrink2];
+        let mut list = vec![DistRange {
+            range: HcRange::new(0, curve.max_d()),
+            min_d2: 0.0,
+            max_min_d2: f64::INFINITY,
+        }];
+        let (mut next, mut pieces) = (Vec::new(), Vec::new());
+        for (step, r) in radii.into_iter().enumerate() {
+            let r2 = r * r;
+            let mut unrefined = narrow_ranges_to_circle_coarse_into(
+                &curve, &mapper, center, r2, floor, &list, &mut next,
+            );
+            std::mem::swap(&mut list, &mut next);
+            assert_partial_refinement(&curve, &mapper, center, r2, &list);
+            let last = step + 1 == radii.len();
+            while unrefined > 0 {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                if !last && rng >> 62 == 0 {
+                    break;
+                }
+                let open: Vec<usize> = (0..list.len()).filter(|&i| list[i].max_min_d2 > r2).collect();
+                let i = open[(rng >> 33) as usize % open.len()];
+                let hc = list[i].range.lo + (rng >> 7) % list[i].range.len();
+                let n = refine_circle_path_into(&curve, &mapper, center, r2, list[i], hc, &mut pieces);
+                prop_assert!(pieces.iter().filter(|d| d.range.contains(hc)).all(|d| d.max_min_d2 <= r2));
+                list.splice(i..=i, pieces.iter().copied());
+                unrefined = unrefined - 1 + n;
+                prop_assert_eq!(unrefined, list.iter().filter(|d| d.max_min_d2 > r2).count());
+                assert_partial_refinement(&curve, &mapper, center, r2, &list);
+            }
+            if last {
+                ranges_in_circle_with_dist_into(&curve, &mapper, center, r2, &mut direct);
+                prop_assert_eq!(merge_adjacent(&list), direct.clone());
+            }
         }
     }
 }
